@@ -58,13 +58,11 @@ from .qpe import (
 from .ring import (
     VELOCITY_FACTOR,
     GaugeField,
-    ModeBlockHamiltonian,
     Peak,
     PeakSet,
     PositionDensity,
     RingPhysicalParams,
     RingState,
-    build_hamiltonian,
     estimate_phase_via_ring,
     evolve_block,
     evolve_dense,
@@ -82,7 +80,6 @@ __all__ = [
     "EnergyProblem",
     "GaugeField",
     "MacCounter",
-    "ModeBlockHamiltonian",
     "Peak",
     "PeakSet",
     "PhaseAliasingWarning",
@@ -101,7 +98,6 @@ __all__ = [
     "ScalingFit",
     "UnitarySpec",
     "VELOCITY_FACTOR",
-    "build_hamiltonian",
     "circular_distance",
     "controlled_unitary_all",
     "count_macs",

@@ -2,8 +2,10 @@
 
 Both ring methods run the same seeded workload, a random gauge field evolved
 for one return time, differing only in the evolution routine: `dense_expm`
-assembles the full (2l+1)n matrix and exponentiates it, `block_evolve`
-diagonalizes the 2l+1 independent blocks. `qpe_statevector` times the
+squares the 2l+1 blocks, assembles the full (2l+1)n matrix and
+exponentiates it, `block_evolve` applies one phase per mode and gauge
+eigencolor in the eigenbasis the gauge field computed on construction
+(outside the timed region). `qpe_statevector` times the
 register pipeline with the read-out width t chosen so the register matches
 the requested size. Every timed result is validated against the block
 oracle before being recorded; a benchmark that returns wrong numbers is
@@ -13,6 +15,7 @@ worthless no matter how fast.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 import os
@@ -29,7 +32,6 @@ from .qpe import QpeConfig, qpe_estimate
 from .ring import (
     GaugeField,
     RingPhysicalParams,
-    build_hamiltonian,
     evolve_block,
     evolve_dense,
     initial_localized_state,
@@ -99,8 +101,7 @@ def _ring_workload(size: int, n_colors: int, rng: np.random.Generator):
     color = rng.standard_normal(n_colors) + 1j * rng.standard_normal(n_colors)
     color = color / np.linalg.norm(color)
     state = initial_localized_state(l, color)
-    ham = build_hamiltonian(gauge, l)
-    return state, ham, return_time(params), (2 * l + 1) * n_colors
+    return state, gauge, return_time(params), (2 * l + 1) * n_colors
 
 
 def _qpe_workload(size: int, n_colors: int, rng: np.random.Generator):
@@ -111,16 +112,36 @@ def _qpe_workload(size: int, n_colors: int, rng: np.random.Generator):
     return u, color, QpeConfig(t_bits)
 
 
-def _time_repeats(fn, repeats: int) -> tuple[float, float]:
-    fn()  # warm-up, untimed
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    median = statistics.median(times)
-    spread = (max(times) - min(times)) / median if median > 0 else 0.0
-    return median, spread
+def _warmed_jobs(method: str, sizes, seed: int, n_colors: int) -> list:
+    """(size, size_param, runner, ring workload or None) per size that runs.
+
+    Each runner is called once here, untimed, as its warm-up; sizes the
+    resource guards reject or too small to host a ring are logged and left
+    out.
+    """
+    jobs = []
+    for size_index, size in enumerate(sizes):
+        rng = np.random.default_rng([seed, size_index, ALL_METHODS.index(method)])
+        workload = None
+        if method == METHOD_QPE:
+            u, color, cfg = _qpe_workload(size, n_colors, rng)
+            runner = functools.partial(qpe_estimate, u, color, cfg)
+            size_param = cfg.t_bits
+        else:
+            workload = _ring_workload(size, n_colors, rng)
+            if workload is None:
+                log.warning("skipping %s at size %d: no ring fits", method, size)
+                continue
+            state, gauge, t_r, size_param = workload
+            evolve = evolve_dense if method == METHOD_DENSE else evolve_block
+            runner = functools.partial(evolve, state, gauge, t_r)
+        try:
+            runner()
+        except ResourceLimitError as exc:
+            log.warning("skipping %s at size %d: %s", method, size, exc)
+            continue
+        jobs.append((size, size_param, runner, workload))
+    return jobs
 
 
 def run_scaling_suite(
@@ -133,8 +154,11 @@ def run_scaling_suite(
 ) -> list[BenchPoint]:
     """Measure each method at each size on seeded random inputs.
 
-    Points the resource guard rejects (or sizes too small to host a ring)
-    are skipped with a logged reason rather than recorded. Measurements run
+    Points the resource guards reject (or sizes too small to host a ring)
+    are skipped with a logged reason rather than recorded. After one
+    untimed warm-up per point, a method's timed repeats go round-robin over
+    its sizes, so one stall window cannot hit every repeat of one size;
+    each point records the median of its repeats. Measurements run
     strictly sequentially; validation happens outside the timed region.
     """
     sizes = [int(s) for s in sizes]
@@ -148,35 +172,19 @@ def run_scaling_suite(
 
     points: list[BenchPoint] = []
     for method in methods:
-        for size_index, size in enumerate(sizes):
-            rng = np.random.default_rng(
-                [seed, size_index, ALL_METHODS.index(method)]
-            )
-            if method == METHOD_QPE:
-                u, color, cfg = _qpe_workload(size, n_colors, rng)
-                runner = lambda: qpe_estimate(u, color, cfg)
-                size_param = cfg.t_bits
-            else:
-                workload = _ring_workload(size, n_colors, rng)
-                if workload is None:
-                    log.warning("skipping %s at size %d: no ring fits", method, size)
-                    continue
-                state, ham, t_r, size_param = workload
-                if method == METHOD_DENSE:
-                    runner = lambda: evolve_dense(state, ham, t_r)
-                else:
-                    runner = lambda: evolve_block(state, ham, t_r)
+        jobs = _warmed_jobs(method, sizes, seed, n_colors)
+        times = [[] for _ in jobs]
+        for _ in range(repeats):
+            for (_, _, runner, _), runs in zip(jobs, times):
+                start = time.perf_counter()
+                runner()
+                runs.append(time.perf_counter() - start)
 
-            try:
-                median, spread = _time_repeats(runner, repeats)
-            except ResourceLimitError as exc:
-                log.warning("skipping %s at size %d: %s", method, size, exc)
-                continue
-
-            if method in (METHOD_DENSE, METHOD_BLOCK):
-                reference = evolve_block(state, ham, t_r)
-                result = runner()
-                drift = float(np.max(np.abs(result.coeffs - reference.coeffs)))
+        for (size, size_param, runner, workload), runs in zip(jobs, times):
+            if workload is not None:
+                state, gauge, t_r, _ = workload
+                reference = evolve_block(state, gauge, t_r)
+                drift = float(np.max(np.abs(runner().coeffs - reference.coeffs)))
                 if drift > _VALIDATION_ATOL:
                     raise PreconditionError(
                         f"{method} at size {size} drifted {drift:.3e} from the "
@@ -189,9 +197,9 @@ def run_scaling_suite(
                     runner()
                 ops = counter.total
 
-            points.append(
-                BenchPoint(method, size_param, median, ops, repeats, spread)
-            )
+            median = statistics.median(runs)
+            spread = (max(runs) - min(runs)) / median if median > 0 else 0.0
+            points.append(BenchPoint(method, size_param, median, ops, repeats, spread))
     return points
 
 

@@ -59,7 +59,6 @@ from .qpe import (
 )
 from .ring import (
     RingPhysicalParams,
-    build_hamiltonian,
     default_peak_window,
     estimate_phase_via_ring,
     evolve_block,
@@ -357,14 +356,12 @@ def _state_for(problem) -> np.ndarray:
     return problem.eigenstate
 
 
-def _snapshot_densities(cfg: RunConfig, problem, prefix: str) -> list[str]:
-    gauge = _gauge_for(problem, cfg.params)
+def _snapshot_densities(cfg: RunConfig, problem, gauge, prefix: str) -> list[str]:
     state = initial_localized_state(cfg.mode_cutoff_l, _state_for(problem))
-    ham = build_hamiltonian(gauge, cfg.mode_cutoff_l)
     t_r = return_time(cfg.params)
     written = []
     for i, fraction in enumerate(cfg.times):
-        evolved = evolve_block(state, ham, fraction * t_r)
+        evolved = evolve_block(state, gauge, fraction * t_r)
         density = position_density(evolved, cfg.grid_size_n)
         path = os.path.join(cfg.out_dir, f"{prefix}_{i:02d}.csv")
         write_density_csv(density, path)
@@ -377,9 +374,8 @@ def cmd_ring_sim(cfg: RunConfig) -> int:
     cfg.require_ring_resolution()
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    snapshot_paths = _snapshot_densities(cfg, problem, "density")
-
     gauge = _gauge_for(problem, cfg.params)
+    snapshot_paths = _snapshot_densities(cfg, problem, gauge, "density")
     peaks = estimate_phase_via_ring(
         gauge, _state_for(problem), cfg.mode_cutoff_l, cfg.grid_size_n
     )
@@ -503,7 +499,8 @@ def cmd_figure(cfg: RunConfig) -> int:
     cfg.require_ring_resolution()
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    written = _snapshot_densities(cfg, problem, "fig_density")
+    gauge = _gauge_for(problem, cfg.params)
+    written = _snapshot_densities(cfg, problem, gauge, "fig_density")
 
     size = 1 << cfg.t_bits
     slice_path = os.path.join(cfg.out_dir, "slice_table.csv")

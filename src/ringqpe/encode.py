@@ -36,7 +36,6 @@ from .linalg import (
 from .ring import VELOCITY_FACTOR, GaugeField, RingPhysicalParams
 
 _STATE_NORM_TOL = 1e-10
-_EIGENPHASE_RESIDUAL_TOL = 1e-8
 
 
 def _unit_vector(v, what: str) -> np.ndarray:
@@ -81,11 +80,10 @@ class EnergyProblem:
 
 @dataclass(frozen=True, eq=False)
 class UnitarySpec:
-    """A unitary with a candidate eigenstate, optionally a known eigenphase."""
+    """A unitary with a candidate eigenstate."""
 
     u_matrix: np.ndarray
     eigenstate: np.ndarray
-    cached_eigenphase: float | None = None
 
     def __post_init__(self):
         u = require_unitary(self.u_matrix)
@@ -95,15 +93,6 @@ class UnitarySpec:
                 f"eigenstate dimension {state.size} does not match "
                 f"unitary dimension {u.shape[0]}"
             )
-        if self.cached_eigenphase is not None:
-            residual = float(np.linalg.norm(
-                u @ state - np.exp(1j * self.cached_eigenphase) * state
-            ))
-            if residual > _EIGENPHASE_RESIDUAL_TOL:
-                raise PreconditionError(
-                    f"cached eigenphase residual {residual:.3e} exceeds "
-                    f"{_EIGENPHASE_RESIDUAL_TOL}"
-                )
         object.__setattr__(self, "u_matrix", u)
         object.__setattr__(self, "eigenstate", state)
 

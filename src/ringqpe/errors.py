@@ -14,7 +14,7 @@ class ResolutionError(PreconditionError):
 
 
 class ResourceLimitError(RingQpeError, RuntimeError):
-    """A dense computation would exceed the configured dimension guard."""
+    """A computation would exceed a configured size guard (dimension or bytes)."""
 
 
 class ProblemFormatError(RingQpeError, ValueError):

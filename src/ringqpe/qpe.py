@@ -23,10 +23,13 @@ import numpy as np
 
 from . import opcount
 from .angles import TWO_PI
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .linalg import require_unitary
 
 T_BITS_GUARD = 24
+# largest joint statevector, 2^t * n complex128 amplitudes, that qpe_prepare
+# allocates; the same 256 MiB a DENSE_DIMENSION_GUARD-sized matrix takes
+REGISTER_BYTES_GUARD = 1 << 28
 
 _NORM_TOL = 1e-10
 _PROB_SUM_TOL = 1e-9
@@ -135,6 +138,12 @@ def qpe_prepare(t_bits: int, color) -> QpeRegisters:
             f"register-2 norm {norm!r} deviates from 1 beyond {_NORM_TOL}"
         )
     size = cfg_check.register_size
+    nbytes = size * u.size * np.dtype(np.complex128).itemsize
+    if nbytes > REGISTER_BYTES_GUARD:
+        raise ResourceLimitError(
+            f"register of 2^{t_bits} x {u.size} amplitudes needs {nbytes} bytes, "
+            f"above the guard {REGISTER_BYTES_GUARD}"
+        )
     amps = np.tile(u / math.sqrt(size), (size, 1))
     return QpeRegisters(t_bits, u.size, amps)
 

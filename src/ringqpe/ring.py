@@ -7,7 +7,13 @@ only to color, so the Hamiltonian splits into independent n x n blocks
 
     H_m = ((hbar m / r) I - q A_phi)^2 / (2 m_q),
 
-one per mode. At the return time t_R = 4 pi m_q r^2 / hbar the free part of
+one per mode. Every block is a polynomial in A_phi, so all of them share its
+eigenvectors: with A_phi = V diag(lam) V^dagger the block energies are
+
+    E_{m,k} = (hbar m / r - q lam_k)^2 / (2 m_q),
+
+and evolution is a projection onto V, one phase per (mode, eigencolor), and
+the map back. At the return time t_R = 4 pi m_q r^2 / hbar the free part of
 the phase, -2 pi m^2, is a multiple of 2 pi for every mode, so a packet that
 started localized at phi = 0 relocalizes. The surviving mode-linear phase
 shifts each gauge eigencolor to its own angle: an eigencolor with A_phi
@@ -34,6 +40,7 @@ from .angles import TWO_PI, wrap_to_signed, wrap_to_unit
 from .errors import PreconditionError, ResolutionError
 from .linalg import (
     DENSE_DIMENSION_GUARD,
+    eig_hermitian,
     expm_dense,
     require_hermitian,
 )
@@ -74,19 +81,40 @@ class RingPhysicalParams:
 
 @dataclass(frozen=True, eq=False)
 class GaugeField:
-    """Constant Hermitian gauge potential acting on the color space."""
+    """Constant Hermitian gauge potential acting on the color space.
+
+    Its eigendecomposition A_phi = V diag(lam) V^dagger is computed once, on
+    construction, and kept read-only as `eigenvalues` and `eigenvectors`.
+    """
 
     a_phi: np.ndarray
     params: RingPhysicalParams = field(default_factory=RingPhysicalParams)
     hermiticity_tol: float = 1e-10
 
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
+
     def __post_init__(self):
         a = require_hermitian(self.a_phi, self.hermiticity_tol)
+        # the one eigendecomposition the ring route needs
+        w, v = eig_hermitian(a, self.hermiticity_tol)
         object.__setattr__(self, "a_phi", _readonly(a))
+        object.__setattr__(self, "eigenvalues", _readonly(w))
+        object.__setattr__(self, "eigenvectors", _readonly(v))
 
     @property
     def n_colors(self) -> int:
         return self.a_phi.shape[0]
+
+    def mode_energies(self, mode_cutoff_l: int) -> np.ndarray:
+        """E_{m,k} = (hbar m / r - q lam_k)^2 / (2 m_q), rows m = -l ... +l."""
+        if mode_cutoff_l < 1:
+            raise PreconditionError(f"mode cutoff must be >= 1, got {mode_cutoff_l}")
+        p = self.params
+        modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
+        momentum = (p.hbar * modes / p.radius_r)[:, None] \
+            - p.charge_q * self.eigenvalues
+        return momentum ** 2 / (2.0 * p.mass_mq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,37 +145,6 @@ class RingState:
                 f"state norm {norm!r} deviates from 1 beyond tolerance {self.norm_tol}"
             )
         object.__setattr__(self, "coeffs", _readonly(c))
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.mode_cutoff_l, self.mode_cutoff_l + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class ModeBlockHamiltonian:
-    """Stack of per-mode n x n Hermitian blocks, ordered m = -l ... +l."""
-
-    blocks: np.ndarray
-    mode_cutoff_l: int
-    params: RingPhysicalParams
-
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=np.complex128)
-        count = 2 * self.mode_cutoff_l + 1
-        if b.ndim != 3 or b.shape[0] != count or b.shape[1] != b.shape[2]:
-            raise PreconditionError(
-                f"expected block stack of shape ({count}, n, n), got {b.shape}"
-            )
-        asym = float(np.max(np.abs(b - np.conj(np.transpose(b, (0, 2, 1))))))
-        if asym > 1e-10:
-            raise PreconditionError(
-                f"blocks are not Hermitian: max asymmetry {asym:.3e}"
-            )
-        object.__setattr__(self, "blocks", _readonly(b))
-
-    @property
-    def n_colors(self) -> int:
-        return self.blocks.shape[1]
 
     @property
     def modes(self) -> np.ndarray:
@@ -244,22 +241,6 @@ def return_time(params: RingPhysicalParams) -> float:
     return 4.0 * np.pi * params.mass_mq * params.radius_r ** 2 / params.hbar
 
 
-def build_hamiltonian(gauge: GaugeField, mode_cutoff_l: int) -> ModeBlockHamiltonian:
-    """Assemble the per-mode blocks ((hbar m / r) I - q A_phi)^2 / (2 m_q)."""
-    if mode_cutoff_l < 1:
-        raise PreconditionError(f"mode cutoff must be >= 1, got {mode_cutoff_l}")
-    p = gauge.params
-    n = gauge.n_colors
-    modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
-    eye = np.eye(n, dtype=np.complex128)
-    # base[m] = (hbar m / r) I - q A_phi, then square each block
-    base = (p.hbar * modes / p.radius_r)[:, None, None] * eye - p.charge_q * gauge.a_phi
-    blocks = np.einsum("mij,mjk->mik", base, base) / (2.0 * p.mass_mq)
-    # squaring a Hermitian block is Hermitian up to rounding; symmetrize
-    blocks = 0.5 * (blocks + np.conj(np.transpose(blocks, (0, 2, 1))))
-    return ModeBlockHamiltonian(blocks, mode_cutoff_l, p)
-
-
 def initial_localized_state(mode_cutoff_l: int, color) -> RingState:
     """Packet at phi = 0: every mode carries the same unit color vector."""
     c = np.asarray(color, dtype=np.complex128)
@@ -275,58 +256,65 @@ def initial_localized_state(mode_cutoff_l: int, color) -> RingState:
     return RingState(mode_cutoff_l, c.size, coeffs)
 
 
-def _require_compatible(state: RingState, ham: ModeBlockHamiltonian) -> None:
-    if state.mode_cutoff_l != ham.mode_cutoff_l:
+def _require_same_colors(state: RingState, gauge: GaugeField) -> None:
+    if state.n_colors != gauge.n_colors:
         raise PreconditionError(
-            f"state cutoff {state.mode_cutoff_l} does not match "
-            f"Hamiltonian cutoff {ham.mode_cutoff_l}"
-        )
-    if state.n_colors != ham.n_colors:
-        raise PreconditionError(
-            f"state has {state.n_colors} colors, Hamiltonian has {ham.n_colors}"
+            f"state has {state.n_colors} colors, gauge field has {gauge.n_colors}"
         )
 
 
-def evolve_block(state: RingState, ham: ModeBlockHamiltonian, t: float) -> RingState:
-    """Apply exp(-i H_m t / hbar) block by block.
+def evolve_block(state: RingState, gauge: GaugeField, t: float) -> RingState:
+    """Apply exp(-i H_m t / hbar) to every mode in the gauge eigenbasis.
 
-    Each block is exponentiated through its own eigendecomposition, so the
-    cost is (2l+1) independent n x n problems. This is the
-    structure-exploiting route the dense path is benchmarked against.
+    Projects the coefficients onto the eigenvectors of A_phi, multiplies by
+    exp(-i E_{m,k} t / hbar) and maps back. The eigendecomposition is the
+    one GaugeField made on construction, so the cost is two (2l+1) x n x n
+    products. This is the structure-exploiting route the dense path is
+    benchmarked against.
     """
-    _require_compatible(state, ham)
+    _require_same_colors(state, gauge)
     if not math.isfinite(t):
         raise PreconditionError("time must be finite")
-    w, v = np.linalg.eigh(ham.blocks)
-    phases = np.exp(-1j * w * (t / ham.params.hbar))
-    # (V^dagger c), scale by the phases, map back with V
-    projected = np.einsum("mba,mb->ma", v.conj(), state.coeffs)
-    rotated = np.einsum("mab,mb->ma", v, phases * projected)
+    energies = gauge.mode_energies(state.mode_cutoff_l)
+    phases = np.exp(-1j * energies * (t / gauge.params.hbar))
+    v = gauge.eigenvectors
+    # (V^dagger c_m) per mode, scale by the phases, map back with V
+    rotated = (phases * (state.coeffs @ v.conj())) @ v.T
     count, n = rotated.shape
-    opcount.add(count * (n ** 3 + 2 * n ** 2))
-    # unitary per block: renormalization would only mask a bug
+    opcount.add(2 * count * n * n)
+    # unitary per mode: renormalization would only mask a bug
     return RingState(state.mode_cutoff_l, state.n_colors, rotated)
+
+
+def _squared_blocks(gauge: GaugeField, mode_cutoff_l: int) -> np.ndarray:
+    """Per-mode blocks ((hbar m / r) I - q A_phi)^2 / (2 m_q), squared directly."""
+    p = gauge.params
+    modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
+    eye = np.eye(gauge.n_colors, dtype=np.complex128)
+    base = (p.hbar * modes / p.radius_r)[:, None, None] * eye - p.charge_q * gauge.a_phi
+    return (base @ base) / (2.0 * p.mass_mq)
 
 
 def evolve_dense(
     state: RingState,
-    ham: ModeBlockHamiltonian,
+    gauge: GaugeField,
     t: float,
     max_dim: int = DENSE_DIMENSION_GUARD,
 ) -> RingState:
     """Assemble the full (2l+1)n matrix and exponentiate it densely.
 
-    Same map as evolve_block, deliberately ignoring the block structure;
-    exists as the brute-force cross-check and cost baseline.
+    Same map as evolve_block, deliberately ignoring the block structure:
+    the blocks are squared directly, never built from the gauge
+    eigenbasis. Exists as the brute-force cross-check and cost baseline.
     """
-    _require_compatible(state, ham)
-    count = 2 * state.mode_cutoff_l + 1
-    n = state.n_colors
+    _require_same_colors(state, gauge)
+    blocks = _squared_blocks(gauge, state.mode_cutoff_l)
+    count, n, _ = blocks.shape
     dim = count * n
     full = np.zeros((dim, dim), dtype=np.complex128)
     for i in range(count):
-        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = ham.blocks[i]
-    propagator = expm_dense(full, t / ham.params.hbar, max_dim=max_dim)
+        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
+    propagator = expm_dense(full, t / gauge.params.hbar, max_dim=max_dim)
     flat = propagator @ state.coeffs.reshape(-1)
     opcount.add(dim * dim)
     return RingState(state.mode_cutoff_l, n, flat.reshape(count, n))
@@ -449,13 +437,7 @@ def estimate_phase_via_ring(
     |c_k|^2 with the gauge eigencolors.
     """
     state = initial_localized_state(mode_cutoff_l, color)
-    if grid_size_N < 2 * mode_cutoff_l + 1:
-        raise ResolutionError(
-            f"grid of {grid_size_N} points cannot resolve {2 * mode_cutoff_l + 1} "
-            f"modes; need N >= 2l+1"
-        )
-    ham = build_hamiltonian(gauge, mode_cutoff_l)
-    evolved = evolve_block(state, ham, return_time(gauge.params))
+    evolved = evolve_block(state, gauge, return_time(gauge.params))
     density = position_density(evolved, grid_size_N)
     if max_peaks is None:
         max_peaks = gauge.n_colors

@@ -1,7 +1,7 @@
 """Regenerate the frozen density snapshot used by the golden-file test.
 
 The reference is the block-evolution pipeline itself, run once and frozen:
-the test guards against regressions in the Hamiltonian assembly, the block
+the test guards against regressions in the mode energies, the block
 propagator and the density sampling, not against this script. Rerun only
 when the physical conventions intentionally change, and say so in the
 commit message.
@@ -17,7 +17,6 @@ import numpy as np
 from ringqpe import (
     EnergyProblem,
     RingPhysicalParams,
-    build_hamiltonian,
     encode_hamiltonian_as_gauge,
     initial_localized_state,
     evolve_block,
@@ -38,8 +37,7 @@ def main() -> int:
 
     gauge = encode_hamiltonian_as_gauge(problem, params)
     state = initial_localized_state(MODE_CUTOFF, ground)
-    ham = build_hamiltonian(gauge, MODE_CUTOFF)
-    evolved = evolve_block(state, ham, return_time(params))
+    evolved = evolve_block(state, gauge, return_time(params))
     density = position_density(evolved, GRID)
 
     out = os.path.join(os.path.dirname(__file__), "evolved_density.csv")

@@ -194,6 +194,17 @@ class TestQpe:
         assert est["mode"] == "sampled"
         assert est["seed"] == 21
 
+    def test_oversized_register_is_refused(self, tmp_path, sigma_x_file,
+                                           capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("register allocated before the guard")
+
+        monkeypatch.setattr(np, "tile", forbidden)
+        code = main(["qpe", "--problem", str(sigma_x_file),
+                     "--out-dir", str(tmp_path), "--t-bits", "24"])
+        assert code == 1
+        assert "guard" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_eigenstate_routes_agree(self, tmp_path, sigma_x_file, capsys):

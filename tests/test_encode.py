@@ -41,16 +41,6 @@ class TestEnergyProblem:
 
 
 class TestUnitarySpec:
-    def test_accepts_cached_eigenphase(self):
-        u = np.diag(np.exp(1j * np.array([0.3, -1.2])))
-        spec = rq.UnitarySpec(u, np.array([1.0, 0.0]), cached_eigenphase=0.3)
-        assert spec.cached_eigenphase == 0.3
-
-    def test_rejects_wrong_cached_eigenphase(self):
-        u = np.diag(np.exp(1j * np.array([0.3, -1.2])))
-        with pytest.raises(rq.PreconditionError, match="residual"):
-            rq.UnitarySpec(u, np.array([1.0, 0.0]), cached_eigenphase=0.4)
-
     def test_rejects_non_unitary(self):
         with pytest.raises(rq.PreconditionError):
             rq.UnitarySpec(2.0 * np.eye(2), np.array([1.0, 0.0]))

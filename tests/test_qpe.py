@@ -61,6 +61,19 @@ class TestPrepare:
         with pytest.raises(rq.PreconditionError, match="norm"):
             rq.qpe_prepare(3, np.array([1.0, 1.0]))
 
+    def test_refuses_oversized_register_before_allocating(self, monkeypatch):
+        from ringqpe.qpe import REGISTER_BYTES_GUARD
+
+        # the defect-probe shape (t = 20, n = 4) fits; t = 24, n = 64 is 16 GiB
+        assert (1 << 20) * 4 * 16 <= REGISTER_BYTES_GUARD < (1 << 24) * 64 * 16
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("register allocated before the guard")
+
+        monkeypatch.setattr(np, "tile", forbidden)
+        with pytest.raises(rq.ResourceLimitError, match="guard"):
+            rq.qpe_prepare(24, np.eye(64)[0])
+
     def test_amplitudes_read_only(self):
         regs = rq.qpe_prepare(2, np.array([1.0]))
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Ring dynamics: Hamiltonian blocks, revival, relocalization, peaks."""
+"""Ring dynamics: mode energies, revival, relocalization, peaks."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 import ringqpe as rq
 from ringqpe.ring import (
+    _squared_blocks,
     default_peak_window,
     eigenvalue_to_peak_phase,
     peak_set_from_json,
@@ -34,41 +35,45 @@ class TestReturnTime:
 
 
 class TestBuildHamiltonian:
+    """Mode-block spectrum: eigenbasis energies and the dense oracle's blocks."""
+
     def test_free_spectrum_without_gauge(self, natural_params):
         gauge = rq.GaugeField(np.zeros((1, 1), dtype=complex), natural_params)
-        ham = rq.build_hamiltonian(gauge, 3)
+        energies = gauge.mode_energies(3)
         for row, m in enumerate(range(-3, 4)):
             expected = m * m / 2.0  # hbar^2 m^2 / (2 m_q r^2) in natural units
-            assert abs(ham.blocks[row, 0, 0] - expected) < 1e-12
+            assert abs(energies[row, 0] - expected) < 1e-12
 
     def test_symbolic_expansion_single_mode(self, natural_params):
         a = 0.3 * SIGMA_X
         gauge = rq.GaugeField(a, natural_params)
-        ham = rq.build_hamiltonian(gauge, 1)
+        blocks = _squared_blocks(gauge, 1)
         m = 1
         expected = (np.eye(2) * (m * m) - 2.0 * m * a + a @ a) / 2.0
         row = m + 1  # rows ordered -l..l
-        assert np.max(np.abs(ham.blocks[row] - expected)) < 1e-12
+        assert np.max(np.abs(blocks[row] - expected)) < 1e-12
 
     def test_blocks_hermitian_and_counted(self, natural_params):
         rng = np.random.default_rng(7)
         gauge = rq.GaugeField(random_hermitian(rng, 3), natural_params)
-        ham = rq.build_hamiltonian(gauge, 5)
-        assert ham.blocks.shape == (11, 3, 3)
-        stack_dagger = np.conj(np.transpose(ham.blocks, (0, 2, 1)))
-        assert np.max(np.abs(ham.blocks - stack_dagger)) < 1e-12
+        blocks = _squared_blocks(gauge, 5)
+        assert blocks.shape == (11, 3, 3)
+        assert gauge.mode_energies(5).shape == (11, 3)
+        stack_dagger = np.conj(np.transpose(blocks, (0, 2, 1)))
+        assert np.max(np.abs(blocks - stack_dagger)) < 1e-12
 
     def test_cross_term_breaks_mode_reflection(self, natural_params):
-        # H_{-m} differs from H_m exactly by the sign of the linear term
+        # E_{-m,k} differs from E_{m,k} exactly by the sign of the linear term
         gauge = rq.GaugeField(0.2 * SIGMA_Z, natural_params)
-        ham = rq.build_hamiltonian(gauge, 2)
-        h_plus, h_minus = ham.blocks[2 + 1], ham.blocks[2 - 1]
-        assert np.max(np.abs(h_plus - h_minus - (-2.0 * 0.2 * SIGMA_Z))) < 1e-12
+        energies = gauge.mode_energies(2)
+        e_plus, e_minus = energies[2 + 1], energies[2 - 1]
+        assert np.max(np.abs(gauge.eigenvalues - [-0.2, 0.2])) < 1e-15
+        assert np.max(np.abs(e_plus - e_minus - (-2.0 * gauge.eigenvalues))) < 1e-12
 
     def test_rejects_bad_cutoff(self, natural_params):
         gauge = rq.GaugeField(np.zeros((1, 1)), natural_params)
         with pytest.raises(rq.PreconditionError):
-            rq.build_hamiltonian(gauge, 0)
+            gauge.mode_energies(0)
 
 
 class TestInitialLocalizedState:
@@ -96,15 +101,13 @@ class TestEvolveBlock:
         rng = np.random.default_rng(41)
         gauge = rq.GaugeField(random_hermitian(rng, 2), natural_params)
         state = rq.initial_localized_state(8, random_state(rng, 2))
-        ham = rq.build_hamiltonian(gauge, 8)
-        evolved = rq.evolve_block(state, ham, 0.0)
+        evolved = rq.evolve_block(state, gauge, 0.0)
         assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-12
 
     def test_revival_at_return_time(self, natural_params):
         gauge = rq.GaugeField(np.zeros((2, 2), dtype=complex), natural_params)
         state = rq.initial_localized_state(12, np.array([0.6, 0.8]))
-        ham = rq.build_hamiltonian(gauge, 12)
-        evolved = rq.evolve_block(state, ham, rq.return_time(natural_params))
+        evolved = rq.evolve_block(state, gauge, rq.return_time(natural_params))
         # free phases e^{-i 2 pi m^2} are exactly 1: the packet reassembles
         assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-10
 
@@ -115,8 +118,7 @@ class TestEvolveBlock:
         l = int(rng.integers(1, 20))
         gauge = rq.GaugeField(random_hermitian(rng, n), natural_params)
         state = rq.initial_localized_state(l, random_state(rng, n))
-        ham = rq.build_hamiltonian(gauge, l)
-        evolved = rq.evolve_block(state, ham, rng.uniform(0.0, 20.0))
+        evolved = rq.evolve_block(state, gauge, rng.uniform(0.0, 20.0))
         assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10
 
     def test_abelian_shift_matches_dense_oracle(self, natural_params):
@@ -126,10 +128,9 @@ class TestEvolveBlock:
         gauge = natural_gauge([[a]])
         l, n_grid = 24, 256
         state = rq.initial_localized_state(l, np.array([1.0]))
-        ham = rq.build_hamiltonian(gauge, l)
         t_r = rq.return_time(natural_params)
-        block = rq.evolve_block(state, ham, t_r)
-        dense = rq.evolve_dense(state, ham, t_r)
+        block = rq.evolve_block(state, gauge, t_r)
+        dense = rq.evolve_dense(state, gauge, t_r)
         d_block = rq.position_density(block, n_grid)
         d_dense = rq.position_density(dense, n_grid)
         assert int(np.argmax(d_block.density)) == int(np.argmax(d_dense.density))
@@ -145,8 +146,7 @@ class TestEvolveBlock:
         gauge = natural_gauge([[-phi_u / (2.0 * TWO_PI)]])
         l = 20
         state = rq.initial_localized_state(l, np.array([1.0]))
-        ham = rq.build_hamiltonian(gauge, l)
-        evolved = rq.evolve_block(state, ham, rq.return_time(natural_params))
+        evolved = rq.evolve_block(state, gauge, rq.return_time(natural_params))
         before = rq.position_density(state, n_grid).density
         after = rq.position_density(evolved, n_grid).density
         assert np.max(np.abs(after - np.roll(before, shift_bins))) < 1e-6
@@ -159,23 +159,39 @@ class TestEvolveBlock:
         l, n_grid = 30, 512
         color = np.array([1.0, 0.0])
         state = rq.initial_localized_state(l, color)
-        full = rq.build_hamiltonian(gauge, l)
-        modes = np.arange(-l, l + 1)
-        eye = np.eye(2)
-        no_square = (modes ** 2)[:, None, None] * eye / 2.0 \
-            - modes[:, None, None] * lam * SIGMA_Z
-        stripped = rq.ModeBlockHamiltonian(no_square, l, natural_params)
         t_r = rq.return_time(natural_params)
-        d_full = rq.position_density(rq.evolve_block(state, full, t_r), n_grid)
-        d_stripped = rq.position_density(rq.evolve_block(state, stripped, t_r), n_grid)
+        full = rq.evolve_block(state, gauge, t_r)
+        # blocks without the A^2 term, (m^2 - 2 m lam) / 2, on this eigencolor
+        modes = np.arange(-l, l + 1)
+        stripped_energies = (modes ** 2 - 2.0 * modes * lam) / 2.0
+        stripped = rq.RingState(
+            l, 2, np.exp(-1j * stripped_energies * t_r)[:, None] * state.coeffs
+        )
+        global_phase = np.exp(-1j * lam ** 2 / 2.0 * t_r)
+        assert np.max(np.abs(full.coeffs - global_phase * stripped.coeffs)) < 1e-9
+        d_full = rq.position_density(full, n_grid)
+        d_stripped = rq.position_density(stripped, n_grid)
         assert int(np.argmax(d_full.density)) == int(np.argmax(d_stripped.density))
 
     def test_incompatible_shapes_rejected(self, natural_params):
-        gauge = natural_gauge(np.zeros((2, 2)))
+        gauge = natural_gauge(np.zeros((3, 3)))
         state = rq.initial_localized_state(3, np.array([1.0, 0.0]))
-        ham = rq.build_hamiltonian(gauge, 4)
-        with pytest.raises(rq.PreconditionError, match="cutoff"):
-            rq.evolve_block(state, ham, 1.0)
+        with pytest.raises(rq.PreconditionError, match="colors"):
+            rq.evolve_block(state, gauge, 1.0)
+        with pytest.raises(rq.PreconditionError, match="colors"):
+            rq.evolve_dense(state, gauge, 1.0)
+
+    def test_makes_no_eigendecomposition(self, natural_params, monkeypatch):
+        rng = np.random.default_rng(44)
+        gauge = rq.GaugeField(random_hermitian(rng, 3), natural_params)
+        state = rq.initial_localized_state(5, random_state(rng, 3))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evolve_block called eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        evolved = rq.evolve_block(state, gauge, 1.3)
+        assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10
 
 
 class TestEvolveDense:
@@ -183,8 +199,7 @@ class TestEvolveDense:
         rng = np.random.default_rng(43)
         gauge = rq.GaugeField(random_hermitian(rng, 2), natural_params)
         state = rq.initial_localized_state(6, random_state(rng, 2))
-        ham = rq.build_hamiltonian(gauge, 6)
-        evolved = rq.evolve_dense(state, ham, 0.0)
+        evolved = rq.evolve_dense(state, gauge, 0.0)
         assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-12
 
     def test_matches_block_route_at_contract_dimension(self, natural_params):
@@ -192,18 +207,35 @@ class TestEvolveDense:
         l = 50  # dimension (2l+1)*2 = 202
         gauge = rq.GaugeField(random_hermitian(rng, 2, scale=0.2), natural_params)
         state = rq.initial_localized_state(l, random_state(rng, 2))
-        ham = rq.build_hamiltonian(gauge, l)
         t_r = rq.return_time(natural_params)
-        block = rq.evolve_block(state, ham, t_r)
-        dense = rq.evolve_dense(state, ham, t_r)
+        block = rq.evolve_block(state, gauge, t_r)
+        dense = rq.evolve_dense(state, gauge, t_r)
+        assert np.max(np.abs(block.coeffs - dense.coeffs)) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_block_route_in_physical_units(self, seed):
+        rng = np.random.default_rng(950 + seed)
+        params = rq.RingPhysicalParams(
+            hbar=0.7, charge_q=-1.3, radius_r=1.6, mass_mq=0.45
+        )
+        n = int(rng.integers(2, 5))
+        l = int(rng.integers(5, 21))
+        gauge = rq.GaugeField(random_hermitian(rng, n, scale=0.3), params)
+        # eigenbasis energies are the spectra of the directly squared blocks
+        blocks = _squared_blocks(gauge, l)
+        energies = np.sort(gauge.mode_energies(l), axis=1)
+        assert np.max(np.abs(energies - np.linalg.eigvalsh(blocks))) < 1e-10
+        state = rq.initial_localized_state(l, random_state(rng, n))
+        t = float(rng.uniform(0.0, rq.return_time(params)))
+        block = rq.evolve_block(state, gauge, t)
+        dense = rq.evolve_dense(state, gauge, t)
         assert np.max(np.abs(block.coeffs - dense.coeffs)) < 1e-8
 
     def test_dimension_guard(self, natural_params):
         gauge = natural_gauge(np.zeros((2, 2)))
         state = rq.initial_localized_state(5, np.array([1.0, 0.0]))
-        ham = rq.build_hamiltonian(gauge, 5)
         with pytest.raises(rq.ResourceLimitError):
-            rq.evolve_dense(state, ham, 1.0, max_dim=8)
+            rq.evolve_dense(state, gauge, 1.0, max_dim=8)
 
 
 class TestPositionDensity:
@@ -380,8 +412,7 @@ class TestGoldenDensity:
     ):
         gauge = rq.encode_hamiltonian_as_gauge(sigma_x_problem, natural_params)
         state = rq.initial_localized_state(50, sigma_x_problem.candidate_state)
-        ham = rq.build_hamiltonian(gauge, 50)
-        evolved = rq.evolve_block(state, ham, rq.return_time(natural_params))
+        evolved = rq.evolve_block(state, gauge, rq.return_time(natural_params))
         density = rq.position_density(evolved, 512)
 
         import os
