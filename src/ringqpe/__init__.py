@@ -38,7 +38,6 @@ from .linalg import (
     eig_hermitian,
     expm_dense,
     matrix_from_json,
-    matrix_power,
     matrix_to_json,
     unitary_from_hermitian,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "initial_localized_state",
     "load_problem",
     "matrix_from_json",
-    "matrix_power",
     "matrix_to_json",
     "measure_register1",
     "phase_to_energy",

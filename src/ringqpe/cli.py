@@ -3,9 +3,9 @@
 Subcommands: ring-sim (gauge-field read-out), qpe (register pipeline),
 compare (both routes against direct diagonalization), bench (scaling
 measurements), figure (plot-ready CSV emission). Options resolve as
-command-line flags over --config JSON values over built-in natural-unit
-defaults; RINGQPE_OUT_DIR supplies the output directory when no flag or
-config value names one.
+command-line flags over --config JSON values (null meaning the default)
+over built-in natural-unit defaults; RINGQPE_OUT_DIR supplies the output
+directory when no flag or config value names one.
 
 Exit codes:
   0  success
@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +45,6 @@ from .errors import (
     PreconditionError,
     ProblemFormatError,
     ResolutionError,
-    ResourceLimitError,
     RingQpeError,
 )
 from .linalg import unitary_from_hermitian
@@ -59,14 +56,14 @@ from .qpe import (
 )
 from .ring import (
     RingPhysicalParams,
-    default_peak_window,
     estimate_phase_via_ring,
     evolve_block,
-    extract_peaks,
     initial_localized_state,
     peak_set_to_json,
     position_density,
+    require_ring_grid,
     return_time,
+    revival_peaks,
     write_density_csv,
 )
 
@@ -108,41 +105,6 @@ _DEFAULTS = {
         "sizes": (64, 128, 256, 512), "repeats": 5, "count_ops": False,
     },
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved options for one subcommand invocation."""
-
-    subcommand: str
-    problem_path: str | None
-    out_dir: str
-    seed: int
-    params: RingPhysicalParams
-    mode_cutoff_l: int = 50
-    grid_size_n: int = 512
-    t_bits: int = 10
-    shots: int = 0
-    times: tuple = (0.0, 0.5, 1.0)
-    sizes: tuple = (64, 128, 256, 512)
-    repeats: int = 5
-    count_ops: bool = False
-
-    def require_ring_resolution(self) -> None:
-        needed = 2 * self.mode_cutoff_l + 1
-        if self.grid_size_n < needed:
-            raise ResolutionError(
-                f"grid of {self.grid_size_n} points cannot resolve {needed} "
-                f"modes; need N >= 2l+1"
-            )
-
-    def require_compare_resolution(self) -> None:
-        self.require_ring_resolution()
-        if self.grid_size_n < (1 << self.t_bits):
-            raise ResolutionError(
-                f"grid of {self.grid_size_n} points is coarser than the "
-                f"2^{self.t_bits} register; need N >= 2^t"
-            )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,100 +204,86 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_times(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    try:
-        return tuple(float(v) for v in str(value).split(",") if v.strip())
-    except ValueError as exc:
-        raise PreconditionError(f"bad --times value {value!r}: {exc}") from exc
+def _list_of(kind):
+    """Caster for a list given as a JSON array or a comma-separated string."""
+    def cast(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            value = [v for v in str(value).split(",") if v.strip()]
+        return tuple(kind(v) for v in value)
+    return cast
 
 
-def _parse_sizes(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    try:
-        return tuple(int(v) for v in str(value).split(",") if v.strip())
-    except ValueError as exc:
-        raise PreconditionError(f"bad --sizes value {value!r}: {exc}") from exc
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {type(value).__name__}")
+    return value
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_DEFAULTS[args.subcommand])
+# one caster per option key in _COMMON_DEFAULTS and _DEFAULTS
+_CASTERS = {
+    "seed": int, "hbar": float, "charge_q": float, "radius_r": float,
+    "mass_mq": float, "out_dir": str,
+    "mode_cutoff_l": int, "grid_size_n": int, "t_bits": int, "shots": int,
+    "repeats": int, "times": _list_of(float), "sizes": _list_of(int),
+    "count_ops": _boolean,
+}
 
-    file_values = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+
+def _read_config(path) -> dict:
+    with open(path) as fh:
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ProblemFormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise PreconditionError("--config file must hold a JSON object")
+    return values
+
+
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill every option as flag, else config value, else default.
+
+    A JSON null in the config means "use the default". Returns `args` with
+    each option cast, `out_dir` and `problem` resolved and `params` attached.
+    """
+    defaults = {**_COMMON_DEFAULTS, **_DEFAULTS[args.subcommand]}
+    file_values = _read_config(args.config) if args.config else {}
+    unknown = set(file_values) - set(defaults) - {"problem"}
+    if unknown:
+        raise PreconditionError(
+            f"--config has keys not used by {args.subcommand}: {sorted(unknown)}"
+        )
+
+    for key, default in defaults.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_values.get(key)
+        if value is None:
+            value = default
+        if value is not None:
             try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ProblemFormatError(
-                    f"{args.config} is not valid JSON: {exc}"
-                ) from exc
-        if not isinstance(file_values, dict):
-            raise PreconditionError("--config file must hold a JSON object")
-        unknown = set(file_values) - set(defaults) - {"problem"}
-        if unknown:
-            raise PreconditionError(
-                f"--config has keys not used by {args.subcommand}: {sorted(unknown)}"
-            )
+                value = _CASTERS[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise PreconditionError(f"bad {key} value {value!r}: {exc}") from exc
+        setattr(args, key, value)
 
-    def pick(key):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return defaults.get(key)
-
-    out_dir = pick("out_dir")
-    if out_dir is None:
-        out_dir = os.environ.get(OUT_DIR_ENV) or os.getcwd()
-
-    params = RingPhysicalParams(
-        hbar=float(pick("hbar")),
-        charge_q=float(pick("charge_q")),
-        radius_r=float(pick("radius_r")),
-        mass_mq=float(pick("mass_mq")),
+    if args.out_dir is None:
+        args.out_dir = os.environ.get(OUT_DIR_ENV) or os.getcwd()
+    args.problem = getattr(args, "problem", None) or file_values.get("problem")
+    if not isinstance(args.problem, (str, type(None))):
+        raise PreconditionError(f"bad problem value {args.problem!r}: expected a path")
+    args.params = RingPhysicalParams(
+        args.hbar, args.charge_q, args.radius_r, args.mass_mq
     )
-
-    kwargs = {}
-    for key, caster in (
-        ("mode_cutoff_l", int), ("grid_size_n", int), ("t_bits", int),
-        ("shots", int), ("repeats", int), ("count_ops", bool),
-    ):
-        if key in defaults or getattr(args, key, None) is not None:
-            value = pick(key)
-            if value is not None:
-                kwargs[key] = caster(value)
-    if "times" in defaults or getattr(args, "times", None) is not None:
-        value = pick("times")
-        if value is not None:
-            kwargs["times"] = _parse_times(value)
-    if "sizes" in defaults or getattr(args, "sizes", None) is not None:
-        value = pick("sizes")
-        if value is not None:
-            kwargs["sizes"] = _parse_sizes(value)
-
-    problem = getattr(args, "problem", None) or file_values.get("problem")
-
-    return RunConfig(
-        subcommand=args.subcommand,
-        problem_path=problem,
-        out_dir=str(out_dir),
-        seed=int(pick("seed")),
-        params=params,
-        **kwargs,
-    )
+    return args
 
 
-def _require_problem(cfg: RunConfig):
-    if not cfg.problem_path:
+def _require_problem(cfg: argparse.Namespace):
+    if not cfg.problem:
         raise PreconditionError(
             f"{cfg.subcommand} needs --problem (or a 'problem' config entry)"
         )
-    return load_problem(cfg.problem_path)
+    return load_problem(cfg.problem)
 
 
 def _gauge_for(problem, params: RingPhysicalParams):
@@ -356,35 +304,44 @@ def _state_for(problem) -> np.ndarray:
     return problem.eigenstate
 
 
-def _snapshot_densities(cfg: RunConfig, problem, gauge, prefix: str) -> list[str]:
+def _densities(cfg: argparse.Namespace, problem, gauge, fractions) -> dict:
+    """Density at each fraction of t_R; each distinct time evolves once."""
     state = initial_localized_state(cfg.mode_cutoff_l, _state_for(problem))
     t_r = return_time(cfg.params)
+    return {
+        fraction: position_density(
+            evolve_block(state, gauge, fraction * t_r), cfg.grid_size_n
+        )
+        for fraction in dict.fromkeys(fractions)
+    }
+
+
+def _write_snapshots(cfg: argparse.Namespace, densities: dict,
+                     prefix: str) -> list[str]:
     written = []
     for i, fraction in enumerate(cfg.times):
-        evolved = evolve_block(state, gauge, fraction * t_r)
-        density = position_density(evolved, cfg.grid_size_n)
         path = os.path.join(cfg.out_dir, f"{prefix}_{i:02d}.csv")
-        write_density_csv(density, path)
+        write_density_csv(densities[fraction], path)
         written.append(path)
     return written
 
 
-def cmd_ring_sim(cfg: RunConfig) -> int:
+def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
-    cfg.require_ring_resolution()
+    require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     gauge = _gauge_for(problem, cfg.params)
-    snapshot_paths = _snapshot_densities(cfg, problem, gauge, "density")
-    peaks = estimate_phase_via_ring(
-        gauge, _state_for(problem), cfg.mode_cutoff_l, cfg.grid_size_n
-    )
+    # the read-out takes its peaks from the density at t_R (fraction 1)
+    densities = _densities(cfg, problem, gauge, cfg.times + (1.0,))
+    snapshot_paths = _write_snapshots(cfg, densities, "density")
+    peaks = revival_peaks(densities[1.0], cfg.mode_cutoff_l)
     peaks_path = os.path.join(cfg.out_dir, "peaks.json")
     with open(peaks_path, "w") as fh:
         json.dump(peak_set_to_json(peaks), fh, indent=2)
 
     lines = [
-        f"problem: {cfg.problem_path}",
+        f"problem: {cfg.problem}",
         f"mode cutoff l = {cfg.mode_cutoff_l}, grid N = {cfg.grid_size_n}",
         f"return time t_R = {return_time(cfg.params)!r}",
         f"peaks found: {len(peaks)}",
@@ -409,7 +366,7 @@ def cmd_ring_sim(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_qpe(cfg: RunConfig) -> int:
+def cmd_qpe(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     qpe_cfg = QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
@@ -431,9 +388,14 @@ def cmd_qpe(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
-    cfg.require_compare_resolution()
+    require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
+    if cfg.grid_size_n < (1 << cfg.t_bits):
+        raise ResolutionError(
+            f"grid of {cfg.grid_size_n} points is coarser than the "
+            f"2^{cfg.t_bits} register; need N >= 2^t"
+        )
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     gauge = _gauge_for(problem, cfg.params)
@@ -494,13 +456,14 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_figure(cfg: RunConfig) -> int:
+def cmd_figure(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
-    cfg.require_ring_resolution()
+    require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     gauge = _gauge_for(problem, cfg.params)
-    written = _snapshot_densities(cfg, problem, gauge, "fig_density")
+    densities = _densities(cfg, problem, gauge, cfg.times)
+    written = _write_snapshots(cfg, densities, "fig_density")
 
     size = 1 << cfg.t_bits
     slice_path = os.path.join(cfg.out_dir, "slice_table.csv")
@@ -517,7 +480,7 @@ def cmd_figure(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(cfg: argparse.Namespace) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     points = run_scaling_suite(
         cfg.sizes, repeats=cfg.repeats, seed=cfg.seed, count_ops=cfg.count_ops
@@ -569,9 +532,6 @@ def main(argv=None) -> int:
     except (ProblemFormatError, OSError) as exc:
         print(f"{PROG}: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (PreconditionError, ResourceLimitError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except RingQpeError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

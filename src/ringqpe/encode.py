@@ -31,25 +31,10 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
+    require_unit_vector,
     require_unitary,
 )
 from .ring import VELOCITY_FACTOR, GaugeField, RingPhysicalParams
-
-_STATE_NORM_TOL = 1e-10
-
-
-def _unit_vector(v, what: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size < 1:
-        raise PreconditionError(f"{what} must be a 1-D vector")
-    if not np.all(np.isfinite(arr)):
-        raise PreconditionError(f"{what} must be finite")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > _STATE_NORM_TOL:
-        raise PreconditionError(
-            f"{what} norm {norm!r} deviates from 1 beyond {_STATE_NORM_TOL}"
-        )
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +49,7 @@ class EnergyProblem:
         h = require_hermitian(self.hamiltonian)
         if not (math.isfinite(self.E_R) and self.E_R > 0):
             raise PreconditionError(f"E_R must be positive, got {self.E_R!r}")
-        state = _unit_vector(self.candidate_state, "candidate state")
+        state = require_unit_vector(self.candidate_state, "candidate state")
         if state.size != h.shape[0]:
             raise PreconditionError(
                 f"candidate state dimension {state.size} does not match "
@@ -87,7 +72,7 @@ class UnitarySpec:
 
     def __post_init__(self):
         u = require_unitary(self.u_matrix)
-        state = _unit_vector(self.eigenstate, "eigenstate")
+        state = require_unit_vector(self.eigenstate, "eigenstate")
         if state.size != u.shape[0]:
             raise PreconditionError(
                 f"eigenstate dimension {state.size} does not match "

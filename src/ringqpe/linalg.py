@@ -21,6 +21,8 @@ from . import opcount
 from .errors import PreconditionError, ResourceLimitError
 
 DENSE_DIMENSION_GUARD = 4096
+# how far a state's norm may stray from 1
+UNIT_NORM_TOL = 1e-10
 
 # Pade-13 coefficients and norm threshold for scaling-and-squaring
 # (Higham 2005 constants).
@@ -59,12 +61,6 @@ def require_square(m) -> np.ndarray:
     return a
 
 
-def max_asymmetry(m) -> float:
-    """Max-entry deviation from Hermitian symmetry, ||A - A^dagger||_max."""
-    a = require_square(m)
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def require_hermitian(m, tol: float = 1e-10) -> np.ndarray:
     a = require_square(m)
     asym = float(np.max(np.abs(a - a.conj().T)))
@@ -73,6 +69,21 @@ def require_hermitian(m, tol: float = 1e-10) -> np.ndarray:
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
         )
     return a
+
+
+def require_unit_vector(v, what: str) -> np.ndarray:
+    """Coerce to a finite 1-D complex128 vector of unit norm within UNIT_NORM_TOL."""
+    arr = np.asarray(v, dtype=np.complex128)
+    if arr.ndim != 1 or arr.size < 1:
+        raise PreconditionError(f"{what} must be a 1-D vector")
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionError(f"{what} must be finite")
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        raise PreconditionError(
+            f"{what} norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}"
+        )
+    return arr
 
 
 def unitarity_defect(m) -> float:
@@ -115,27 +126,6 @@ def unitary_from_hermitian(a, scale: float, tol: float = 1e-10) -> np.ndarray:
     n = v.shape[0]
     opcount.add(n * n + n ** 3)  # column scaling plus one matmul
     return (v * phases) @ v.conj().T
-
-
-def matrix_power(u, p: int, tol: float = 1e-10) -> np.ndarray:
-    """U^p for unitary U and integer p >= 0, by binary exponentiation."""
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-        raise PreconditionError(f"power must be an integer, got {type(p).__name__}")
-    if p < 0:
-        raise PreconditionError(f"power must be non-negative, got {p}")
-    base = require_unitary(u, tol)
-    n = base.shape[0]
-    result = np.eye(n, dtype=np.complex128)
-    e = int(p)
-    while e:
-        if e & 1:
-            result = result @ base
-            opcount.add(n ** 3)
-        e >>= 1
-        if e:
-            base = base @ base
-            opcount.add(n ** 3)
-    return result
 
 
 def expm_dense(m, t: float, max_dim: int = DENSE_DIMENSION_GUARD) -> np.ndarray:

@@ -24,14 +24,13 @@ import numpy as np
 from . import opcount
 from .angles import TWO_PI
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import require_unitary
+from .linalg import UNIT_NORM_TOL, require_unit_vector, require_unitary
 
 T_BITS_GUARD = 24
 # largest joint statevector, 2^t * n complex128 amplitudes, that qpe_prepare
 # allocates; the same 256 MiB a DENSE_DIMENSION_GUARD-sized matrix takes
 REGISTER_BYTES_GUARD = 1 << 28
 
-_NORM_TOL = 1e-10
 _PROB_SUM_TOL = 1e-9
 
 
@@ -74,12 +73,16 @@ class QpeRegisters:
                 f"amplitude array shape {amps.shape} does not match {expected}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
             raise PreconditionError(
-                f"register norm {norm!r} deviates from 1 beyond {_NORM_TOL}"
+                f"register norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}"
             )
-        amps = np.array(amps)
-        amps.setflags(write=False)
+        # an owned read-only array is kept as is, so a stage hands over its
+        # result without a copy; anything a caller could still write is copied
+        if amps.flags.writeable or not amps.flags.owndata:
+            amps = np.array(amps)
+            amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -105,7 +108,7 @@ class Register1Distribution:
         if np.any(p < -1e-15):
             raise PreconditionError("probabilities must be non-negative")
         total = float(p.sum())
-        if abs(total - 1.0) > _PROB_SUM_TOL:
+        if not abs(total - 1.0) <= _PROB_SUM_TOL:
             raise PreconditionError(
                 f"probabilities sum to {total!r}, expected 1 within {_PROB_SUM_TOL}"
             )
@@ -129,14 +132,7 @@ class QpeEstimate(NamedTuple):
 def qpe_prepare(t_bits: int, color) -> QpeRegisters:
     """Uniform read-out register against a unit-norm register-2 state."""
     cfg_check = QpeConfig(t_bits)  # reuse the guard on t_bits
-    u = np.asarray(color, dtype=np.complex128)
-    if u.ndim != 1 or u.size < 1:
-        raise PreconditionError("register-2 state must be a 1-D vector")
-    norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise PreconditionError(
-            f"register-2 norm {norm!r} deviates from 1 beyond {_NORM_TOL}"
-        )
+    u = require_unit_vector(color, "register-2 state")
     size = cfg_check.register_size
     nbytes = size * u.size * np.dtype(np.complex128).itemsize
     if nbytes > REGISTER_BYTES_GUARD:
@@ -163,16 +159,17 @@ def controlled_unitary_all(regs: QpeRegisters, u_matrix) -> QpeRegisters:
     amps = np.array(regs.amplitudes)
     size = regs.register_size
     n = regs.n_colors
-    indices = np.arange(size)
     power = u
     for j in range(regs.t_bits):
-        mask = (indices >> j) & 1 == 1
+        # the rows whose index has bit j set, as a view into amps
+        rows = amps.reshape(-1, 2, 1 << j, n)[:, 1]
         # row convention: (U v)^T = v^T U^T
-        amps[mask] = amps[mask] @ power.T
-        opcount.add(int(mask.sum()) * n * n)
+        rows[...] = rows @ power.T
+        opcount.add((size // 2) * n * n)
         if j + 1 < regs.t_bits:
             power = power @ power
             opcount.add(n ** 3)
+    amps.setflags(write=False)
     return QpeRegisters(regs.t_bits, n, amps)
 
 
@@ -180,7 +177,9 @@ def qft_inverse(regs: QpeRegisters) -> QpeRegisters:
     """out[k] = 2^(-t/2) sum_m e^(-2 pi i k m / 2^t) in[m], per color."""
     size = regs.register_size
     # np.fft.fft matches the e^(-2 pi i k m / N) kernel; only normalization differs
-    amps = np.fft.fft(regs.amplitudes, axis=0) / math.sqrt(size)
+    amps = np.fft.fft(regs.amplitudes, axis=0)
+    amps /= math.sqrt(size)
+    amps.setflags(write=False)
     opcount.add(regs.n_colors * (size // 2) * regs.t_bits)
     return QpeRegisters(regs.t_bits, regs.n_colors, amps)
 

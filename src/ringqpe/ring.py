@@ -40,16 +40,17 @@ from .angles import TWO_PI, wrap_to_signed, wrap_to_unit
 from .errors import PreconditionError, ResolutionError
 from .linalg import (
     DENSE_DIMENSION_GUARD,
+    UNIT_NORM_TOL,
     eig_hermitian,
     expm_dense,
     require_hermitian,
+    require_unit_vector,
 )
 
 # Relocalization shift at t_R is this multiple of the single-lap holonomy
 # phase (the classical angular velocity is twice the quantum phase velocity).
 VELOCITY_FACTOR = 2.0
 
-_STATE_NORM_TOL = 1e-10
 _DENSITY_INTEGRAL_TOL = 1e-8
 
 
@@ -124,7 +125,7 @@ class RingState:
     mode_cutoff_l: int
     n_colors: int
     coeffs: np.ndarray
-    norm_tol: float = _STATE_NORM_TOL
+    norm_tol: float = UNIT_NORM_TOL
 
     def __post_init__(self):
         if self.mode_cutoff_l < 1:
@@ -170,7 +171,7 @@ class PositionDensity:
         if np.any(d < -1e-12):
             raise PreconditionError("density must be non-negative")
         integral = float(np.sum(d)) * TWO_PI / phi.size
-        if abs(integral - 1.0) > _DENSITY_INTEGRAL_TOL:
+        if not abs(integral - 1.0) <= _DENSITY_INTEGRAL_TOL:
             raise PreconditionError(
                 f"density integrates to {integral!r}, expected 1 within "
                 f"{_DENSITY_INTEGRAL_TOL}"
@@ -243,17 +244,20 @@ def return_time(params: RingPhysicalParams) -> float:
 
 def initial_localized_state(mode_cutoff_l: int, color) -> RingState:
     """Packet at phi = 0: every mode carries the same unit color vector."""
-    c = np.asarray(color, dtype=np.complex128)
-    if c.ndim != 1 or c.size < 1:
-        raise PreconditionError("color must be a 1-D vector")
-    norm = float(np.linalg.norm(c))
-    if abs(norm - 1.0) > _STATE_NORM_TOL:
-        raise PreconditionError(
-            f"color norm {norm!r} deviates from 1 beyond {_STATE_NORM_TOL}"
-        )
+    c = require_unit_vector(color, "color")
     count = 2 * mode_cutoff_l + 1
     coeffs = np.tile(c / math.sqrt(count), (count, 1))
     return RingState(mode_cutoff_l, c.size, coeffs)
+
+
+def require_ring_grid(mode_cutoff_l: int, grid_size_N: int) -> None:
+    """Refuse a grid with fewer than 2l+1 points, one frequency per mode."""
+    count = 2 * mode_cutoff_l + 1
+    if grid_size_N < count:
+        raise ResolutionError(
+            f"grid of {grid_size_N} points cannot resolve {count} modes; "
+            f"need N >= 2l+1"
+        )
 
 
 def _require_same_colors(state: RingState, gauge: GaugeField) -> None:
@@ -326,12 +330,7 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     Requires N >= 2l+1 so every mode maps to a distinct grid frequency;
     the sampled density then integrates to exactly the state norm.
     """
-    count = 2 * state.mode_cutoff_l + 1
-    if grid_size_N < count:
-        raise ResolutionError(
-            f"grid of {grid_size_N} points cannot resolve {count} modes; "
-            f"need N >= 2l+1"
-        )
+    require_ring_grid(state.mode_cutoff_l, grid_size_N)
     spectrum = np.zeros((grid_size_N, state.n_colors), dtype=np.complex128)
     spectrum[state.modes % grid_size_N, :] = state.coeffs
     # N * ifft gives sum_m c_m e^{+i m phi_j} with the e^{i m phi} convention
@@ -432,17 +431,32 @@ def estimate_phase_via_ring(
 ) -> PeakSet:
     """Full read-out: localize, evolve for t_R, locate relocalization peaks.
 
+    The grid is checked before anything evolves; peaks are read as
+    revival_peaks reads them.
+    """
+    require_ring_grid(mode_cutoff_l, grid_size_N)
+    state = initial_localized_state(mode_cutoff_l, color)
+    evolved = evolve_block(state, gauge, return_time(gauge.params))
+    density = position_density(evolved, grid_size_N)
+    return revival_peaks(density, mode_cutoff_l, max_peaks, window)
+
+
+def revival_peaks(
+    density: PositionDensity,
+    mode_cutoff_l: int,
+    max_peaks: int | None = None,
+    window: int | None = None,
+) -> PeakSet:
+    """Peaks of the density at t_R, with the read-out's defaults.
+
     Defaults extract one candidate peak per color with a window matched to
     the mode-cutoff resolution, so peak weights track the color overlaps
     |c_k|^2 with the gauge eigencolors.
     """
-    state = initial_localized_state(mode_cutoff_l, color)
-    evolved = evolve_block(state, gauge, return_time(gauge.params))
-    density = position_density(evolved, grid_size_N)
     if max_peaks is None:
-        max_peaks = gauge.n_colors
+        max_peaks = density.n_colors
     if window is None:
-        window = default_peak_window(mode_cutoff_l, grid_size_N)
+        window = default_peak_window(mode_cutoff_l, density.grid_size_N)
     return extract_peaks(density, max_peaks, window)
 
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import ringqpe as rq
+import ringqpe.cli as cli
+import ringqpe.ring as ring_module
 from ringqpe.cli import main
 
 from conftest import SIGMA_X, write_problem
@@ -146,6 +148,36 @@ class TestRingSim:
         assert "energy" not in summary
         signed = read_summary_value(out, "dominant eigenphase (signed)")
         assert abs(signed - np.pi / 2) < TWO_PI / 101
+
+    @pytest.mark.parametrize("times", [None, "0,0.25"])
+    def test_evolves_each_time_once_and_reads_peaks_at_t_r(
+            self, tmp_path, sigma_x_file, sigma_x_problem, monkeypatch, times):
+        calls = {"evolve_block": 0, "position_density": 0}
+
+        def counted(name):
+            fn = getattr(ring_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name)
+            for module in (cli, ring_module):
+                monkeypatch.setattr(module, name, wrapper)
+        out = tmp_path / "out"
+        argv = ["ring-sim", "--problem", str(sigma_x_file), "--out-dir", str(out)]
+        assert main(argv + (["--times", times] if times else [])) == 0
+        # snapshots at 0, 0.5 (or 0.25) and 1; t_R is fraction 1 either way
+        assert calls == {"evolve_block": 3, "position_density": 3}
+
+        gauge = rq.encode_hamiltonian_as_gauge(sigma_x_problem, rq.RingPhysicalParams())
+        library = rq.estimate_phase_via_ring(
+            gauge, sigma_x_problem.candidate_state, 50, 512
+        )
+        peaks = json.loads((out / "peaks.json").read_text())
+        assert peaks == ring_module.peak_set_to_json(library)
 
     def test_grid_too_coarse_for_cutoff(self, tmp_path, sigma_x_file, capsys):
         code = main(["ring-sim", "--problem", str(sigma_x_file),
@@ -338,6 +370,55 @@ class TestConfigPrecedence:
                      "--config", str(config), "--out-dir", str(tmp_path)])
         assert code == 1
         assert "mode_cutoff" in capsys.readouterr().err
+
+    def test_null_config_value_means_the_subcommand_default(
+            self, tmp_path, sigma_x_file):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode_cutoff_l": None, "seed": None}))
+        out = tmp_path / "out"
+        assert main(["compare", "--problem", str(sigma_x_file),
+                     "--config", str(config), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "compare.json").read_text())
+        # compare's l = 200, not ring-sim's 50
+        assert report["bound"] == TWO_PI / 1024 + TWO_PI / 401
+
+        config.write_text(json.dumps({"seed": None}))
+        assert main(["qpe", "--problem", str(sigma_x_file), "--shots", "10",
+                     "--config", str(config), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "qpe_estimate.json").read_text())["seed"] == 0
+
+    @pytest.mark.parametrize("sub,key,value", [
+        ("compare", "mode_cutoff_l", "abc"),
+        ("ring-sim", "times", "0,x"),
+        ("ring-sim", "hbar", [1.0]),
+        ("qpe", "t_bits", 1e400),
+        ("bench", "count_ops", "false"),
+        ("qpe", "problem", 5),
+    ])
+    def test_wrong_typed_config_value_is_usage_error(
+            self, tmp_path, sigma_x_file, capsys, sub, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        argv = [sub, "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        if sub != "bench" and key != "problem":
+            argv += ["--problem", str(sigma_x_file)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"ringqpe: error: bad {key} value" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sub", sorted(cli._DEFAULTS))
+    def test_no_flags_resolve_to_the_defaults_row(self, sub, tmp_path, monkeypatch):
+        monkeypatch.delenv("RINGQPE_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        cfg = cli._resolve_config(cli.build_parser().parse_args([sub]))
+        for key, value in {**cli._COMMON_DEFAULTS, **cli._DEFAULTS[sub]}.items():
+            if key != "out_dir":
+                assert getattr(cfg, key) == value
+                assert type(getattr(cfg, key)) is type(value)
+        assert cfg.out_dir == str(tmp_path)
+        assert cfg.params == rq.RingPhysicalParams()
 
     def test_corrupt_config_is_io_error(self, tmp_path, sigma_x_file):
         config = tmp_path / "config.json"

@@ -12,13 +12,12 @@ from ringqpe import (
     eig_hermitian,
     expm_dense,
     matrix_from_json,
-    matrix_power,
     matrix_to_json,
     unitary_from_hermitian,
 )
-from ringqpe.linalg import max_asymmetry, require_unitary, unitarity_defect
+from ringqpe.linalg import require_unit_vector, require_unitary, unitarity_defect
 
-from conftest import SIGMA_X, random_hermitian, random_unitary
+from conftest import SIGMA_X, random_hermitian
 
 
 class TestEigHermitian:
@@ -48,9 +47,8 @@ class TestEigHermitian:
 
     def test_rejects_non_hermitian_naming_asymmetry(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(PreconditionError, match="asymmetry"):
+        with pytest.raises(PreconditionError, match="max asymmetry 1.000e"):
             eig_hermitian(bad)
-        assert abs(max_asymmetry(bad) - 1.0) < 1e-15
 
     def test_returns_named_tuple(self):
         out = eig_hermitian(np.eye(2))
@@ -88,48 +86,6 @@ class TestUnitaryFromHermitian:
         lhs = unitary_from_hermitian(a, s1) @ unitary_from_hermitian(a, s2)
         rhs = unitary_from_hermitian(a, s1 + s2)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-
-class TestMatrixPower:
-    def test_power_zero_is_identity(self):
-        rng = np.random.default_rng(11)
-        u = random_unitary(rng, 4)
-        assert np.array_equal(matrix_power(u, 0), np.eye(4))
-
-    @pytest.mark.parametrize("a,b", [(1, 2), (3, 5), (9, 16)])
-    def test_powers_compose_additively(self, a, b):
-        rng = np.random.default_rng(50 + a + b)
-        u = random_unitary(rng, 3)
-        lhs = matrix_power(u, a) @ matrix_power(u, b)
-        assert np.max(np.abs(lhs - matrix_power(u, a + b))) < 1e-9
-
-    @pytest.mark.parametrize("p", [1, 2, 3, 7, 16, 31])
-    def test_matches_repeated_multiplication(self, p):
-        rng = np.random.default_rng(200 + p)
-        u = random_unitary(rng, 3)
-        naive = np.eye(3, dtype=complex)
-        for _ in range(p):
-            naive = naive @ u
-        assert np.max(np.abs(matrix_power(u, p) - naive)) < 1e-9
-
-    def test_huge_power_on_diagonal_unitary(self):
-        # exact answer available through angle arithmetic
-        theta = 1e-3
-        u = np.diag([np.exp(1j * theta)])
-        p = 10 ** 6
-        expected = np.exp(1j * math.fmod(p * theta, 2.0 * math.pi))
-        assert abs(matrix_power(u, p)[0, 0] - expected) < 1e-9
-
-    def test_rejects_negative_and_fractional_powers(self):
-        u = np.eye(2)
-        with pytest.raises(PreconditionError):
-            matrix_power(u, -1)
-        with pytest.raises(PreconditionError):
-            matrix_power(u, 2.0)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(PreconditionError, match="unitary"):
-            matrix_power(np.array([[2.0, 0.0], [0.0, 1.0]]), 3)
 
 
 class TestExpmDense:
@@ -205,6 +161,25 @@ class TestMatrixJson:
     def test_non_dict_rejected(self):
         with pytest.raises(PreconditionError):
             matrix_from_json([1, 2, 3])
+
+
+class TestRequireUnitVector:
+    def test_coerces_a_unit_vector(self):
+        v = require_unit_vector([0.6, 0.8j], "probe")
+        assert v.dtype == np.complex128
+        assert np.array_equal(v, [0.6, 0.8j])
+
+    @pytest.mark.parametrize("bad,message", [
+        ([[1.0, 0.0]], "probe must be a 1-D vector"),
+        ([], "probe must be a 1-D vector"),
+        ([np.nan, 0.0], "probe must be finite"),
+        ([np.inf, 0.0], "probe must be finite"),
+        ([1.0, 1.0], "probe norm"),
+        ([1.0 + 1e-9, 0.0], "probe norm"),
+    ])
+    def test_rejects(self, bad, message):
+        with pytest.raises(PreconditionError, match=message):
+            require_unit_vector(bad, "probe")
 
 
 def test_require_unitary_accepts_rotation():

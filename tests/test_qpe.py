@@ -79,6 +79,18 @@ class TestPrepare:
         with pytest.raises(ValueError):
             regs.amplitudes[0, 0] = 0.0
 
+    def test_writable_input_is_copied_owned_read_only_input_kept(self):
+        amps = np.full((2, 1), np.sqrt(0.5), dtype=complex)
+        regs = rq.QpeRegisters(1, 1, amps)
+        amps[0, 0] = 0.0
+        assert regs.amplitudes[0, 0] == np.sqrt(0.5)
+
+        frozen = np.full((2, 1), np.sqrt(0.5), dtype=complex)
+        frozen.setflags(write=False)
+        assert rq.QpeRegisters(1, 1, frozen).amplitudes is frozen
+        view = frozen[:]
+        assert rq.QpeRegisters(1, 1, view).amplitudes is not view
+
 
 class TestControlledStage:
     @pytest.mark.parametrize("seed", range(6))
@@ -238,6 +250,16 @@ class TestMeasurement:
 
 
 class TestEndToEnd:
+    def test_nan_state_rejected(self):
+        with pytest.raises(rq.PreconditionError, match="finite"):
+            rq.qpe_estimate(np.eye(2), np.array([np.nan, 0.0]), rq.QpeConfig(4))
+
+    def test_nan_register_and_distribution_rejected(self):
+        with pytest.raises(rq.PreconditionError, match="norm"):
+            rq.QpeRegisters(1, 1, np.array([[np.nan], [0.0]]))
+        with pytest.raises(rq.PreconditionError, match="sum"):
+            rq.Register1Distribution(np.array([np.nan, 1.0]), "exact")
+
     def test_two_level_ground_state(self):
         u = rq.unitary_from_hermitian(2.0 * SIGMA_X, 1.0)
         color = np.array([1.0, -1.0]) / np.sqrt(2.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ringqpe as rq
+import ringqpe.ring as ring_module
 from ringqpe.ring import (
     _squared_blocks,
     default_peak_window,
@@ -272,6 +273,12 @@ class TestPositionDensity:
         with pytest.raises(rq.ResolutionError, match="N >= 2l\\+1"):
             rq.position_density(state, 20)
 
+    def test_nan_density_rejected(self):
+        phi = TWO_PI * np.arange(4) / 4
+        d = np.full(4, np.nan)
+        with pytest.raises(rq.PreconditionError, match="integrates"):
+            rq.PositionDensity(phi, d, d[:, None])
+
     def test_first_zero_at_kernel_width(self):
         l, n_grid = 16, 330  # grid multiple of 2l+1: zeros land on grid points
         state = rq.initial_localized_state(l, np.array([1.0]))
@@ -388,9 +395,15 @@ class TestEstimatePhaseViaRing:
         )
         assert abs(peaks.dominant.phi - (TWO_PI - 2.0)) < TWO_PI / 512
 
-    def test_resolution_check(self, sigma_x_problem, natural_params):
+    def test_resolution_check(self, sigma_x_problem, natural_params, monkeypatch):
         gauge = rq.encode_hamiltonian_as_gauge(sigma_x_problem, natural_params)
-        with pytest.raises(rq.ResolutionError):
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evolved before the grid check")
+
+        # a coarse grid is refused before the state evolves
+        monkeypatch.setattr(ring_module, "evolve_block", forbidden)
+        with pytest.raises(rq.ResolutionError, match="N >= 2l\\+1"):
             rq.estimate_phase_via_ring(gauge, sigma_x_problem.candidate_state, 50, 64)
 
 
