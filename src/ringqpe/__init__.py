@@ -36,6 +36,7 @@ from .errors import (
 from .linalg import (
     EigenDecomposition,
     eig_hermitian,
+    eig_unitary,
     expm_dense,
     matrix_from_json,
     matrix_to_json,
@@ -101,6 +102,7 @@ __all__ = [
     "controlled_unitary_all",
     "count_macs",
     "eig_hermitian",
+    "eig_unitary",
     "encode_hamiltonian_as_gauge",
     "encode_unitary_as_gauge",
     "estimate_phase_via_ring",

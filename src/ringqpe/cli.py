@@ -213,6 +213,15 @@ def _list_of(kind):
     return cast
 
 
+def _integer(value) -> int:
+    """int(), but a bool or a number with a fractional part is refused."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got a boolean")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {type(value).__name__}")
@@ -221,10 +230,11 @@ def _boolean(value) -> bool:
 
 # one caster per option key in _COMMON_DEFAULTS and _DEFAULTS
 _CASTERS = {
-    "seed": int, "hbar": float, "charge_q": float, "radius_r": float,
+    "seed": _integer, "hbar": float, "charge_q": float, "radius_r": float,
     "mass_mq": float, "out_dir": str,
-    "mode_cutoff_l": int, "grid_size_n": int, "t_bits": int, "shots": int,
-    "repeats": int, "times": _list_of(float), "sizes": _list_of(int),
+    "mode_cutoff_l": _integer, "grid_size_n": _integer, "t_bits": _integer,
+    "shots": _integer, "repeats": _integer,
+    "times": _list_of(float), "sizes": _list_of(_integer),
     "count_ops": _boolean,
 }
 

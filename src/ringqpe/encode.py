@@ -22,12 +22,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .angles import TWO_PI, wrap_to_signed
 from .errors import PhaseAliasingWarning, PreconditionError, ProblemFormatError
 from .linalg import (
     eig_hermitian,
+    eig_unitary,
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
@@ -121,20 +121,12 @@ def encode_unitary_as_gauge(spec: UnitarySpec,
                             params: RingPhysicalParams) -> GaugeField:
     """Gauge potential whose ring read-out gives the eigenphases of U.
 
-    Uses a complex Schur factorization: for a unitary (hence normal) matrix
-    the Schur form is diagonal and the basis orthonormal, which keeps the
-    reconstructed gauge Hermitian even for degenerate eigenphases.
+    Uses eig_unitary: its eigenbasis is orthonormal even for degenerate
+    eigenphases, which keeps the reconstructed gauge Hermitian, and its
+    phases are already on the principal branch (-pi, pi].
     """
-    u = spec.u_matrix
-    t_form, q_basis = scipy.linalg.schur(u, output="complex")
-    off_diag = float(np.max(np.abs(t_form - np.diag(np.diag(t_form)))))
-    if off_diag > 1e-8:
-        raise PreconditionError(
-            f"matrix is not normal enough to carry eigenphases: "
-            f"Schur off-diagonal {off_diag:.3e}"
-        )
-    theta = np.angle(np.diag(t_form))  # principal branch (-pi, pi]
-    phase_matrix = (q_basis * theta) @ q_basis.conj().T
+    theta, v = eig_unitary(spec.u_matrix)
+    phase_matrix = (v * theta) @ v.conj().T
     return _phases_to_gauge(phase_matrix, params)
 
 

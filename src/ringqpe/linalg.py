@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import opcount
+from .angles import TWO_PI
 from .errors import PreconditionError, ResourceLimitError
 
 DENSE_DIMENSION_GUARD = 4096
@@ -115,6 +116,44 @@ def eig_hermitian(a, tol: float = 1e-10) -> EigenDecomposition:
     w, v = np.linalg.eigh(h)
     opcount.add(h.shape[0] ** 3)  # documented surrogate for the LAPACK call
     return EigenDecomposition(w, v)
+
+
+def eig_unitary(u) -> EigenDecomposition:
+    """Eigenphases of a unitary in (-pi, pi], ascending, with an orthonormal basis.
+
+    Rotates U by e^(-i beta), with beta in the middle of the widest gap
+    between its eigenphases, and takes the Cayley transform
+    C = i (I - z)^-1 (I + z) of z = e^(-i beta) U. C is Hermitian with
+    eigenvalue -cot(psi / 2) for each eigenphase psi of z in (0, 2 pi); that
+    map is one-to-one, so eigh of C keeps +-theta pairs and degenerate
+    eigenspaces apart and returns orthonormal eigenvectors v_k. Each phase
+    is then read off as angle(v_k^dagger U v_k). Raises PreconditionError
+    when U V misses V diag(v_k^dagger U v_k) by more than 1e-8, as it does
+    for a matrix far from normal.
+    """
+    a = require_square(u)
+    n = a.shape[0]
+    rough = np.sort(np.angle(np.linalg.eigvals(a)))
+    gaps = np.diff(rough, append=rough[0] + TWO_PI)
+    widest = int(np.argmax(gaps))
+    z = np.exp(-1j * (rough[widest] + 0.5 * gaps[widest])) * a
+    eye = np.eye(n, dtype=np.complex128)
+    c = 1j * np.linalg.solve(eye - z, eye + z)
+    v = np.linalg.eigh(0.5 * (c + c.conj().T))[1]
+    uv = a @ v
+    rayleigh = np.einsum("ij,ij->j", v.conj(), uv)
+    # documented surrogate: one n^3 each for eigvals, solve, eigh and U V
+    opcount.add(4 * n ** 3)
+    residual = float(np.max(np.abs(uv - v * rayleigh)))
+    if residual > 1e-8:
+        raise PreconditionError(
+            f"matrix is not normal enough to carry eigenphases: "
+            f"eigenvector residual {residual:.3e}"
+        )
+    theta = np.angle(rayleigh)
+    theta[theta == -np.pi] = np.pi  # np.angle may return the excluded -pi
+    order = np.argsort(theta, kind="stable")
+    return EigenDecomposition(theta[order], v[:, order])
 
 
 def unitary_from_hermitian(a, scale: float, tol: float = 1e-10) -> np.ndarray:

@@ -7,9 +7,10 @@ is the textbook circuit run on the exact statevector:
     uniform register 1  ->  controlled U^m  ->  inverse Fourier transform,
 
 after which register 1 concentrates near k = 2^t phi_u / (2 pi). The
-controlled stage is implemented exactly like the circuit, one precomputed
-U^(2^j) per set bit of m, so its cost is t matrix squarings plus t passes
-over the statevector rather than 2^t matrix powers.
+controlled stage is implemented exactly like the circuit, one controlled
+U^(2^j) per bit j of m, so its cost is one eigendecomposition of U, t
+matrix products and t passes over the statevector rather than 2^t matrix
+powers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import opcount
 from .angles import TWO_PI
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import UNIT_NORM_TOL, require_unit_vector, require_unitary
+from .linalg import UNIT_NORM_TOL, eig_unitary, require_unit_vector, require_unitary
 
 T_BITS_GUARD = 24
 # largest joint statevector, 2^t * n complex128 amplitudes, that qpe_prepare
@@ -140,15 +141,20 @@ def qpe_prepare(t_bits: int, color) -> QpeRegisters:
             f"register of 2^{t_bits} x {u.size} amplitudes needs {nbytes} bytes, "
             f"above the guard {REGISTER_BYTES_GUARD}"
         )
-    amps = np.tile(u / math.sqrt(size), (size, 1))
+    amps = np.empty((size, u.size), dtype=np.complex128)
+    amps[...] = u / math.sqrt(size)
+    amps.setflags(write=False)
     return QpeRegisters(t_bits, u.size, amps)
 
 
 def controlled_unitary_all(regs: QpeRegisters, u_matrix) -> QpeRegisters:
     """Apply |m>|c> -> |m> U^m |c> across the register.
 
-    Runs the circuit's controlled gates: U^(2^j) is precomputed by repeated
-    squaring and applied to every statevector row whose index has bit j set.
+    Runs the circuit's controlled gates: each U^(2^j) is built as
+    V diag(e^(i 2^j theta)) V^dagger from one eig_unitary(U) and applied to
+    every statevector row whose index has bit j set. Repeated squaring would
+    compound rounding at every bit; these powers stay unitary to rounding
+    at any t.
     """
     u = require_unitary(u_matrix)
     if u.shape[0] != regs.n_colors:
@@ -156,19 +162,20 @@ def controlled_unitary_all(regs: QpeRegisters, u_matrix) -> QpeRegisters:
             f"unitary dimension {u.shape[0]} does not match register-2 "
             f"dimension {regs.n_colors}"
         )
+    theta, v = eig_unitary(u)
+    v_dagger = v.conj().T
     amps = np.array(regs.amplitudes)
     size = regs.register_size
     n = regs.n_colors
-    power = u
     for j in range(regs.t_bits):
+        # scaling by 2^j is exact in floating point
+        power = (v * np.exp(1j * ((1 << j) * theta))) @ v_dagger
+        opcount.add(n * n + n ** 3)  # column scaling plus one matmul
         # the rows whose index has bit j set, as a view into amps
         rows = amps.reshape(-1, 2, 1 << j, n)[:, 1]
         # row convention: (U v)^T = v^T U^T
         rows[...] = rows @ power.T
         opcount.add((size // 2) * n * n)
-        if j + 1 < regs.t_bits:
-            power = power @ power
-            opcount.add(n ** 3)
     amps.setflags(write=False)
     return QpeRegisters(regs.t_bits, n, amps)
 

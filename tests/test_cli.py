@@ -63,6 +63,15 @@ class TestParsing:
         assert proc.returncode == 0
         assert "ring-sim" in proc.stdout
 
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, ringqpe, ringqpe.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestProblemIo:
     def test_missing_problem_flag(self, tmp_path, capsys):
@@ -392,6 +401,11 @@ class TestConfigPrecedence:
         ("ring-sim", "times", "0,x"),
         ("ring-sim", "hbar", [1.0]),
         ("qpe", "t_bits", 1e400),
+        ("ring-sim", "mode_cutoff_l", 10.7),
+        ("qpe", "t_bits", True),
+        ("qpe", "seed", 0.5),
+        ("bench", "sizes", [64, 128.5]),
+        ("bench", "sizes", [64, False]),
         ("bench", "count_ops", "false"),
         ("qpe", "problem", 5),
     ])
@@ -407,6 +421,23 @@ class TestConfigPrecedence:
         assert f"ringqpe: error: bad {key} value" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("mode_cutoff_l", 12.0, 12),
+        ("mode_cutoff_l", "12", 12),
+        ("sizes", [64.0, "128"], (64, 128)),
+        ("sizes", "64, 128", (64, 128)),
+    ])
+    def test_integral_config_values_become_ints(self, tmp_path, key, value, want):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        sub = "bench" if key == "sizes" else "ring-sim"
+        cfg = cli._resolve_config(
+            cli.build_parser().parse_args([sub, "--config", str(config)])
+        )
+        got = getattr(cfg, key)
+        assert got == want
+        assert all(type(x) is int for x in (got if key == "sizes" else [got]))
 
     @pytest.mark.parametrize("sub", sorted(cli._DEFAULTS))
     def test_no_flags_resolve_to_the_defaults_row(self, sub, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ringqpe as rq
 from ringqpe.encode import vector_from_json, vector_to_json
@@ -136,6 +137,22 @@ class TestEncodeUnitary:
         spec = rq.UnitarySpec(u, random_state(rng, n))
         gauge = rq.encode_unitary_as_gauge(spec, natural_params)
         assert np.max(np.abs(reconstructed_unitary(gauge) - u)) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_schur_phase_matrix(self, seed):
+        rng = np.random.default_rng(2100 + seed)
+        n = int(rng.integers(1, 9))
+        u = random_unitary(rng, n)
+        params = rq.RingPhysicalParams(hbar=1.3, charge_q=0.7, radius_r=2.0)
+        gauge = rq.encode_unitary_as_gauge(
+            rq.UnitarySpec(u, random_state(rng, n)), params
+        )
+        t_form, q = scipy.linalg.schur(u, output="complex")
+        phase_matrix = (q * np.angle(np.diag(t_form))) @ q.conj().T
+        scale = -params.hbar / (
+            params.charge_q * TWO_PI * params.radius_r * rq.VELOCITY_FACTOR
+        )
+        assert np.max(np.abs(gauge.a_phi - scale * phase_matrix)) < 1e-12
 
     def test_agrees_with_hamiltonian_route(self, natural_params):
         rng = np.random.default_rng(77)

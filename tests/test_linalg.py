@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ringqpe import (
     EigenDecomposition,
     PreconditionError,
     ResourceLimitError,
     eig_hermitian,
+    eig_unitary,
     expm_dense,
     matrix_from_json,
     matrix_to_json,
@@ -17,7 +19,7 @@ from ringqpe import (
 )
 from ringqpe.linalg import require_unit_vector, require_unitary, unitarity_defect
 
-from conftest import SIGMA_X, random_hermitian
+from conftest import SIGMA_X, random_hermitian, random_unitary
 
 
 class TestEigHermitian:
@@ -53,6 +55,76 @@ class TestEigHermitian:
     def test_returns_named_tuple(self):
         out = eig_hermitian(np.eye(2))
         assert isinstance(out, EigenDecomposition)
+
+
+def _with_phases(seed, phases):
+    """V diag(e^(i phases)) V^dagger for a Haar-random V."""
+    v = random_unitary(np.random.default_rng(seed), len(phases))
+    return (v * np.exp(1j * np.asarray(phases))) @ v.conj().T
+
+
+def _dft(n):
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(k, k) / n) / math.sqrt(n)
+
+
+# (name, unitary): Haar draws, close and +-theta pairs, the +-pi seam, a
+# degenerate -1 eigenspace, the DFT (eigenvalues 1, -1, -i, i, degenerate
+# from n = 5 on), a permutation and the roots of unity
+_UNITARY_CASES = (
+    [(f"haar{n}", random_unitary(np.random.default_rng(700 + n), n))
+     for n in (1, 2, 3, 5, 8, 16, 33, 64)]
+    + [(f"pair{gap:g}", _with_phases(710, [0.4, 0.4 + gap, -1.2, 2.5]))
+       for gap in (0.0, 1e-12, 1e-8, 1e-4)]
+    + [("plus_minus", _with_phases(711, [0.7, -0.7, 2.1, -2.1])),
+       ("seam", _with_phases(712, [np.pi - 1e-2, -np.pi + 1e-2, 0.5])),
+       ("seam_close", _with_phases(712, [np.pi - 1e-4, -np.pi + 1e-4, 0.5])),
+       ("minus_one", _with_phases(713, [np.pi, np.pi, np.pi, 0.3, -2.0])),
+       ("dft8", _dft(8)),
+       ("dft5", _dft(5)),
+       ("permutation", np.eye(6)[[3, 0, 4, 1, 5, 2]]),
+       ("roots_of_unity", np.diag(np.exp(2j * np.pi * np.arange(7) / 7)))]
+)
+# Where an eigenvalue sits at -1 the two factorizations may pick different
+# branches. A pair straddling -1 at distance d has phases 2 pi apart, so
+# rounding in its eigenvectors reaches P amplified by about 1/d: at d = 1e-4
+# both miss the exact P by 3e-12. The Schur comparison keeps d > 1e-3.
+_AWAY_FROM_MINUS_ONE = [
+    (name, u) for name, u in _UNITARY_CASES
+    if np.min(np.abs(np.linalg.eigvals(u) + 1.0)) > 1e-3
+]
+
+
+class TestEigUnitary:
+    @pytest.mark.parametrize("name,u", _UNITARY_CASES,
+                             ids=[name for name, _ in _UNITARY_CASES])
+    def test_orthonormal_basis_reproduces_u(self, name, u):
+        theta, v = eig_unitary(u)
+        n = u.shape[0]
+        assert np.all(np.diff(theta) >= 0), "phases must come back ascending"
+        assert np.all((theta > -np.pi) & (theta <= np.pi))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
+        # exp(i P) for the phase matrix P = V diag(theta) V^dagger
+        recon = (v * np.exp(1j * theta)) @ v.conj().T
+        assert np.max(np.abs(recon - u)) < 1e-12
+
+    @pytest.mark.parametrize("name,u", _AWAY_FROM_MINUS_ONE,
+                             ids=[name for name, _ in _AWAY_FROM_MINUS_ONE])
+    def test_phase_matrix_matches_schur(self, name, u):
+        t_form, q = scipy.linalg.schur(u, output="complex")
+        schur_theta = np.angle(np.diag(t_form))
+        theta, v = eig_unitary(u)
+        ours = (v * theta) @ v.conj().T
+        oracle = (q * schur_theta) @ q.conj().T
+        assert np.max(np.abs(ours - oracle)) < 1e-12
+
+    def test_minus_one_maps_to_plus_pi(self):
+        theta, _ = eig_unitary(np.diag([-1.0, 1.0, -1.0 - 0.0j, -1.0 + 0.0j]))
+        assert theta.tolist() == [0.0, np.pi, np.pi, np.pi]
+
+    def test_rejects_non_normal_naming_residual(self):
+        with pytest.raises(PreconditionError, match="not normal enough"):
+            eig_unitary(np.array([[1.0, 1.0], [0.0, 1j]]))
 
 
 class TestUnitaryFromHermitian:

@@ -70,9 +70,27 @@ class TestPrepare:
         def forbidden(*args, **kwargs):
             raise AssertionError("register allocated before the guard")
 
-        monkeypatch.setattr(np, "tile", forbidden)
+        monkeypatch.setattr(np, "empty", forbidden)
         with pytest.raises(rq.ResourceLimitError, match="guard"):
             rq.qpe_prepare(24, np.eye(64)[0])
+
+    def test_register_is_allocated_once(self):
+        import tracemalloc
+
+        t, n = 12, 8
+        nbytes = (1 << t) * n * 16
+        color = np.eye(n)[3]
+        tracemalloc.start()
+        try:
+            regs = rq.qpe_prepare(t, color)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a built-then-copied register would peak at twice its size
+        assert peak < 1.5 * nbytes
+        amps = regs.amplitudes
+        assert amps.flags.owndata and not amps.flags.writeable
+        assert np.array_equal(amps, np.tile(color / 2 ** (t / 2), (1 << t, 1)))
 
     def test_amplitudes_read_only(self):
         regs = rq.qpe_prepare(2, np.array([1.0]))
@@ -116,6 +134,18 @@ class TestControlledStage:
         want = np.exp(1j * m * phi_u) / 4.0
         assert np.max(np.abs(out - want)) < 1e-12
 
+    def test_deep_register_keeps_its_norm(self):
+        # repeated squaring left this problem's register norm 2.2e-10 off 1
+        # at t = 20, past the 1e-10 check; eigenbasis powers keep it unitary
+        rng = np.random.default_rng(0)
+        v = random_unitary(rng, 4)
+        phases = rng.uniform(-np.pi, np.pi, 4)
+        u = (v * np.exp(1j * phases)) @ v.conj().T
+        t = 20
+        est = rq.qpe_estimate(u, v[:, 0], rq.QpeConfig(t))
+        k_true = (phases[0] % TWO_PI) * (1 << t) / TWO_PI
+        assert abs(est.k_best - k_true) <= 1.0
+
     def test_dimension_mismatch_rejected(self):
         regs = rq.qpe_prepare(2, np.array([1.0, 0.0]))
         with pytest.raises(rq.PreconditionError, match="dimension"):
@@ -129,7 +159,8 @@ class TestControlledStage:
             rq.controlled_unitary_all(regs, u)
         size = 1 << t
         rows_touched = sum(int(np.sum((np.arange(size) >> j) & 1)) for j in range(t))
-        expected = rows_touched * n * n + (t - 1) * n ** 3
+        # one eig_unitary (4 n^3), then per bit one power (n^2 + n^3)
+        expected = rows_touched * n * n + 4 * n ** 3 + t * (n * n + n ** 3)
         assert counter.total == expected
 
 
