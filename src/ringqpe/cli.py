@@ -469,13 +469,14 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
 def cmd_figure(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
     require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
+    # the slice table spans the register qpe would read out
+    size = QpeConfig(cfg.t_bits).register_size
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     gauge = _gauge_for(problem, cfg.params)
     densities = _densities(cfg, problem, gauge, cfg.times)
     written = _write_snapshots(cfg, densities, "fig_density")
 
-    size = 1 << cfg.t_bits
     slice_path = os.path.join(cfg.out_dir, "slice_table.csv")
     with open(slice_path, "w", newline="") as fh:
         fh.write("k,phi_lo,phi_hi\n")

@@ -7,10 +7,10 @@ is the textbook circuit run on the exact statevector:
     uniform register 1  ->  controlled U^m  ->  inverse Fourier transform,
 
 after which register 1 concentrates near k = 2^t phi_u / (2 pi). The
-controlled stage is implemented exactly like the circuit, one controlled
-U^(2^j) per bit j of m, so its cost is one eigendecomposition of U, t
-matrix products and t passes over the statevector rather than 2^t matrix
-powers.
+controlled stage follows the circuit, one controlled U^(2^j) per bit j of
+m, applied in U's eigenbasis where each is diagonal: its cost is one
+eigendecomposition of U, two basis rotations of the statevector and t
+passes of phases over it, rather than 2^t matrix powers.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ T_BITS_GUARD = 24
 REGISTER_BYTES_GUARD = 1 << 28
 
 _PROB_SUM_TOL = 1e-9
+_CSV_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,10 @@ class QpeConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.t_bits, (int, np.integer)) or isinstance(self.t_bits, bool):
-            raise PreconditionError("t_bits must be an integer")
+        for name in ("t_bits", "shots"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise PreconditionError(f"{name} must be an integer")
         if not (1 <= self.t_bits <= T_BITS_GUARD):
             raise PreconditionError(
                 f"t_bits must be in [1, {T_BITS_GUARD}], got {self.t_bits}"
@@ -150,11 +153,12 @@ def qpe_prepare(t_bits: int, color) -> QpeRegisters:
 def controlled_unitary_all(regs: QpeRegisters, u_matrix) -> QpeRegisters:
     """Apply |m>|c> -> |m> U^m |c> across the register.
 
-    Runs the circuit's controlled gates: each U^(2^j) is built as
-    V diag(e^(i 2^j theta)) V^dagger from one eig_unitary(U) and applied to
-    every statevector row whose index has bit j set. Repeated squaring would
-    compound rounding at every bit; these powers stay unitary to rounding
-    at any t.
+    Runs the circuit's controlled gates in U's eigenbasis: register 2 is
+    rotated once into the basis of one eig_unitary(U), where each controlled
+    U^(2^j) is the diagonal e^(i 2^j theta) applied to every statevector row
+    whose index has bit j set, and is rotated back at the end. A bit costs
+    (2^t / 2) n multiplies, and the phases stay unitary to rounding at any
+    t, where repeated squaring would compound it.
     """
     u = require_unitary(u_matrix)
     if u.shape[0] != regs.n_colors:
@@ -163,19 +167,23 @@ def controlled_unitary_all(regs: QpeRegisters, u_matrix) -> QpeRegisters:
             f"dimension {regs.n_colors}"
         )
     theta, v = eig_unitary(u)
-    v_dagger = v.conj().T
-    amps = np.array(regs.amplitudes)
     size = regs.register_size
     n = regs.n_colors
+    # row convention: row m holds a register-2 state c as c^T, so its
+    # eigen-coordinates V^dagger c are the row c^T conj(V)
+    amps = regs.amplitudes @ v.conj()
+    opcount.add(size * n * n)
     for j in range(regs.t_bits):
-        # scaling by 2^j is exact in floating point
-        power = (v * np.exp(1j * ((1 << j) * theta))) @ v_dagger
-        opcount.add(n * n + n ** 3)  # column scaling plus one matmul
         # the rows whose index has bit j set, as a view into amps
         rows = amps.reshape(-1, 2, 1 << j, n)[:, 1]
-        # row convention: (U v)^T = v^T U^T
-        rows[...] = rows @ power.T
-        opcount.add((size // 2) * n * n)
+        # scaling by 2^j is exact in floating point
+        rows *= np.exp(1j * ((1 << j) * theta))
+        opcount.add((size // 2) * n)
+    # back to the computational basis one half at a time, so the product
+    # never holds a second full-size register beside amps
+    for half in amps.reshape(2, -1, n):
+        half[...] = half @ v.T
+    opcount.add(size * n * n)
     amps.setflags(write=False)
     return QpeRegisters(regs.t_bits, n, amps)
 
@@ -237,11 +245,14 @@ def success_tail_bound(e: int) -> float:
 
 def write_distribution_csv(dist: Register1Distribution, path) -> None:
     """Write `k,probability` rows at full precision."""
+    probs = dist.probs
+    # csv.writer's bytes (\r\n rows), joined a block of rows at a time so
+    # the text never holds more than one block
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "probability"])
-        for k, p in enumerate(dist.probs):
-            writer.writerow([k, repr(float(p))])
+        fh.write("k,probability\r\n")
+        for start in range(0, probs.size, _CSV_BLOCK_ROWS):
+            block = probs[start:start + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(f"{k},{p!r}\r\n" for k, p in enumerate(block, start)))
 
 
 def read_distribution_csv(path, mode: str = "exact",

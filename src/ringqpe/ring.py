@@ -52,6 +52,7 @@ from .linalg import (
 VELOCITY_FACTOR = 2.0
 
 _DENSITY_INTEGRAL_TOL = 1e-8
+_CSV_BLOCK_ROWS = 1 << 12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -469,16 +470,19 @@ def eigenvalue_to_peak_phase(gauge: GaugeField, eigenvalue: float) -> float:
 
 def write_density_csv(density: PositionDensity, path) -> None:
     """Write `phi,density,density_color_0,...` rows at full precision."""
+    header = ["phi", "density"] + [
+        f"density_color_{a}" for a in range(density.n_colors)
+    ]
+    # csv.writer's bytes (\r\n rows), joined a block of rows at a time so
+    # the text never holds more than one block
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["phi", "density"] + [
-            f"density_color_{a}" for a in range(density.n_colors)
-        ]
-        writer.writerow(header)
-        for j in range(density.grid_size_N):
-            row = [repr(float(density.phi_grid[j])), repr(float(density.density[j]))]
-            row += [repr(float(x)) for x in density.per_color[j]]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, density.grid_size_N, _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            block = np.column_stack(
+                (density.phi_grid[rows], density.density[rows], density.per_color[rows])
+            ).tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 def read_density_csv(path) -> PositionDensity:

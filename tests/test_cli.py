@@ -297,6 +297,18 @@ class TestCompare:
 
 
 class TestFigure:
+    @pytest.mark.parametrize("t_bits", ["-1", "0"])
+    def test_bad_register_width_is_refused(self, tmp_path, sigma_x_file,
+                                           capsys, t_bits):
+        # -1 used to raise "negative shift count" with a traceback, and 0
+        # wrote a one-row slice table with exit 0
+        out = tmp_path / "out"
+        code = main(["figure", "--problem", str(sigma_x_file),
+                     "--out-dir", str(out), "--t-bits", t_bits])
+        assert code == 1
+        assert "ringqpe: error: t_bits must be in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_slice_table_and_snapshots(self, tmp_path, sigma_x_file):
         out = tmp_path / "out"
         code = main(["figure", "--problem", str(sigma_x_file),

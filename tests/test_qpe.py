@@ -49,6 +49,16 @@ class TestQpeConfig:
         with pytest.raises(rq.PreconditionError, match="shots"):
             rq.QpeConfig(4, shots=-1)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_rejects_non_integer_shots(self, bad):
+        # 2.5 used to fail later as "probabilities sum to 0.8", and True ran
+        # one shot
+        with pytest.raises(rq.PreconditionError, match="shots must be an integer"):
+            rq.QpeConfig(4, shots=bad)
+
+    def test_accepts_numpy_integer_shots(self):
+        assert rq.QpeConfig(4, shots=np.int64(3)).shots == 3
+
 
 class TestPrepare:
     def test_single_bit_register(self):
@@ -111,12 +121,23 @@ class TestPrepare:
 
 
 class TestControlledStage:
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", [*range(6), "dft8", "perm8"])
     def test_matches_dense_operator(self, seed):
-        rng = np.random.default_rng(3000 + seed)
-        t = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 5))
-        u = random_unitary(rng, n)
+        if isinstance(seed, int):
+            rng = np.random.default_rng(3000 + seed)
+            t = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 5))
+            u = random_unitary(rng, n)
+        else:
+            # degenerate spectra: the DFT has eigenvalues +-1, +-i with
+            # multiplicities 3, 2, 2, 1; two 4-cycles have each fourth root
+            # of unity twice
+            rng = np.random.default_rng(3100)
+            t, n = 4, 8
+            if seed == "dft8":
+                u = np.fft.fft(np.eye(n)) / np.sqrt(n)
+            else:
+                u = np.eye(n)[[1, 2, 3, 0, 5, 6, 7, 4]]
         size = 1 << t
         amps = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
         amps /= np.linalg.norm(amps)
@@ -159,9 +180,61 @@ class TestControlledStage:
             rq.controlled_unitary_all(regs, u)
         size = 1 << t
         rows_touched = sum(int(np.sum((np.arange(size) >> j) & 1)) for j in range(t))
-        # one eig_unitary (4 n^3), then per bit one power (n^2 + n^3)
-        expected = rows_touched * n * n + 4 * n ** 3 + t * (n * n + n ** 3)
+        # one eig_unitary (4 n^3), two basis rotations of the register, then
+        # one phase per touched amplitude
+        expected = 4 * n ** 3 + 2 * size * n * n + rows_touched * n
         assert counter.total == expected
+
+    def test_peak_memory_stays_below_two_registers(self):
+        import tracemalloc
+
+        t, n = 16, 32
+        nbytes = (1 << t) * n * 16
+        rng = np.random.default_rng(5)
+        u = random_unitary(rng, n)
+        regs = rq.qpe_prepare(t, random_state(rng, n))
+        tracemalloc.start()
+        try:
+            rq.controlled_unitary_all(regs, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output plus half a register for the back-rotation; rotating
+        # back in one product would hold a second full register (2.0x)
+        assert peak < 1.6 * nbytes
+
+
+def spectral_register_distribution(t_bits, theta, weights):
+    """Exact read-out distribution from the spectrum alone.
+
+    Component k contributes sqrt(w_k) e^(i m theta_k) / 2^(t/2) at row m;
+    the inverse QFT is one FFT per component, and the components, being
+    orthogonal in register 2, add in probability.
+    """
+    size = 1 << t_bits
+    m = np.arange(size)[:, None]
+    amps = np.sqrt(weights) * np.exp(1j * m * theta) / np.sqrt(size)
+    out = np.fft.fft(amps, axis=0) / np.sqrt(size)
+    return np.sum(np.abs(out) ** 2, axis=1)
+
+
+class TestSpectralOracle:
+    @pytest.mark.parametrize("n,t", [(1, 1), (2, 3), (3, 10), (8, 12), (32, 16)])
+    def test_circuit_matches_spectral_distribution(self, n, t):
+        rng = np.random.default_rng(7000 + 100 * n + t)
+        theta = rng.uniform(-np.pi, np.pi, n)
+        if n >= 2:
+            theta[1] = theta[0]  # a degenerate pair
+        if n >= 3:
+            # a pair 2e-3 apart across the +-pi seam
+            theta[-2:] = np.pi - 1e-3, -np.pi + 1e-3
+        v = random_unitary(rng, n)
+        u = (v * np.exp(1j * theta)) @ v.conj().T
+        color = random_state(rng, n)
+        weights = np.abs(v.conj().T @ color) ** 2
+        want = spectral_register_distribution(t, theta, weights)
+        got = rq.qpe_estimate(u, color, rq.QpeConfig(t)).distribution.probs
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestQftInverse:
