@@ -17,8 +17,7 @@ from .bench import (
 from .encode import (
     EnergyProblem,
     UnitarySpec,
-    encode_hamiltonian_as_gauge,
-    encode_unitary_as_gauge,
+    encode_as_gauge,
     load_problem,
     phase_to_energy,
     problem_from_json,
@@ -40,7 +39,6 @@ from .linalg import (
     expm_dense,
     matrix_from_json,
     matrix_to_json,
-    unitary_from_hermitian,
 )
 from .opcount import MacCounter, count_macs
 from .qpe import (
@@ -103,8 +101,7 @@ __all__ = [
     "count_macs",
     "eig_hermitian",
     "eig_unitary",
-    "encode_hamiltonian_as_gauge",
-    "encode_unitary_as_gauge",
+    "encode_as_gauge",
     "estimate_phase_via_ring",
     "evolve_block",
     "evolve_dense",
@@ -126,7 +123,6 @@ __all__ = [
     "return_time",
     "run_scaling_suite",
     "success_tail_bound",
-    "unitary_from_hermitian",
     "unwrap_phase",
     "wrap_to_signed",
     "wrap_to_unit",

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .angles import TWO_PI, circular_distance
+from .angles import TWO_PI, circular_distance, wrap_to_unit
 from .bench import (
     ALL_METHODS,
     append_bench_csv,
@@ -34,9 +34,7 @@ from .bench import (
 )
 from .encode import (
     EnergyProblem,
-    UnitarySpec,
-    encode_hamiltonian_as_gauge,
-    encode_unitary_as_gauge,
+    encode_as_gauge,
     load_problem,
     phase_to_energy,
     unwrap_phase,
@@ -47,7 +45,6 @@ from .errors import (
     ResolutionError,
     RingQpeError,
 )
-from .linalg import unitary_from_hermitian
 from .qpe import (
     QpeConfig,
     estimate_to_json,
@@ -222,6 +219,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """An integer seed; numpy's generators refuse negative ones."""
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError("expected a non-negative integer")
+    return seed
+
+
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {type(value).__name__}")
@@ -230,7 +235,7 @@ def _boolean(value) -> bool:
 
 # one caster per option key in _COMMON_DEFAULTS and _DEFAULTS
 _CASTERS = {
-    "seed": _integer, "hbar": float, "charge_q": float, "radius_r": float,
+    "seed": _seed, "hbar": float, "charge_q": float, "radius_r": float,
     "mass_mq": float, "out_dir": str,
     "mode_cutoff_l": _integer, "grid_size_n": _integer, "t_bits": _integer,
     "shots": _integer, "repeats": _integer,
@@ -296,27 +301,9 @@ def _require_problem(cfg: argparse.Namespace):
     return load_problem(cfg.problem)
 
 
-def _gauge_for(problem, params: RingPhysicalParams):
-    if isinstance(problem, EnergyProblem):
-        return encode_hamiltonian_as_gauge(problem, params)
-    return encode_unitary_as_gauge(problem, params)
-
-
-def _unitary_for(problem) -> np.ndarray:
-    if isinstance(problem, EnergyProblem):
-        return unitary_from_hermitian(problem.hamiltonian, 1.0 / problem.E_R)
-    return problem.u_matrix
-
-
-def _state_for(problem) -> np.ndarray:
-    if isinstance(problem, EnergyProblem):
-        return problem.candidate_state
-    return problem.eigenstate
-
-
 def _densities(cfg: argparse.Namespace, problem, gauge, fractions) -> dict:
     """Density at each fraction of t_R; each distinct time evolves once."""
-    state = initial_localized_state(cfg.mode_cutoff_l, _state_for(problem))
+    state = initial_localized_state(cfg.mode_cutoff_l, problem.state)
     t_r = return_time(cfg.params)
     return {
         fraction: position_density(
@@ -341,7 +328,7 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    gauge = _gauge_for(problem, cfg.params)
+    gauge = encode_as_gauge(problem, cfg.params)
     # the read-out takes its peaks from the density at t_R (fraction 1)
     densities = _densities(cfg, problem, gauge, cfg.times + (1.0,))
     snapshot_paths = _write_snapshots(cfg, densities, "density")
@@ -378,9 +365,9 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
 
 def cmd_qpe(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     qpe_cfg = QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
-    estimate = qpe_estimate(_unitary_for(problem), _state_for(problem), qpe_cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    estimate = qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
 
     dist_path = os.path.join(cfg.out_dir, "qpe_distribution.csv")
     write_distribution_csv(estimate.distribution, dist_path)
@@ -406,25 +393,25 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
             f"grid of {cfg.grid_size_n} points is coarser than the "
             f"2^{cfg.t_bits} register; need N >= 2^t"
         )
+    qpe_cfg = QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    gauge = _gauge_for(problem, cfg.params)
-    state = _state_for(problem)
+    gauge = encode_as_gauge(problem, cfg.params)
     peaks = estimate_phase_via_ring(
-        gauge, state, cfg.mode_cutoff_l, cfg.grid_size_n
+        gauge, problem.state, cfg.mode_cutoff_l, cfg.grid_size_n
     )
     if not len(peaks):
         raise PreconditionError("ring read-out found no relocalization peak")
 
     ambiguous = len(peaks) > 1 and peaks.peaks[1].weight >= AMBIGUITY_WEIGHT
 
-    u = _unitary_for(problem)
-    estimate = qpe_estimate(
-        u, state, QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
-    )
+    estimate = qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
     phi_ring = peaks.dominant.phi
     phi_qpe = estimate.phi_estimate
-    phi_eig = float(np.angle(np.vdot(state, u @ state)) % TWO_PI)
+    # angle(<c|U|c>), summed over the spectrum as |<v_k|c>|^2 e^(i theta_k)
+    theta, v = problem.spectrum
+    weights = np.abs(v.conj().T @ problem.state) ** 2
+    phi_eig = wrap_to_unit(np.angle(np.sum(weights * np.exp(1j * theta))))
 
     bound = TWO_PI / (1 << cfg.t_bits) + TWO_PI / (2 * cfg.mode_cutoff_l + 1)
     distances = {
@@ -473,7 +460,7 @@ def cmd_figure(cfg: argparse.Namespace) -> int:
     size = QpeConfig(cfg.t_bits).register_size
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    gauge = _gauge_for(problem, cfg.params)
+    gauge = encode_as_gauge(problem, cfg.params)
     densities = _densities(cfg, problem, gauge, cfg.times)
     written = _write_snapshots(cfg, densities, "fig_density")
 

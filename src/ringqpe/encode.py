@@ -1,17 +1,19 @@
-"""Map eigenvalue problems onto ring gauge potentials, and phases back.
+"""Problems carry their spectrum; encode it as a ring gauge potential.
 
 An energy problem (H, E_R) is carried by the unitary U = exp(i H / E_R):
-the eigenstate with energy E shows up as the eigenphase E / E_R. The
-encoders build the Hermitian gauge potential whose ring read-out reproduces
-exactly those eigenphases,
+the eigenstate with energy E shows up as the eigenphase E / E_R. Each
+problem decomposes its matrix once, on construction, into
+`spectrum = EigenDecomposition(theta, V)`: U's eigenphases on (-pi, pi] and
+an orthonormal eigenbasis. Every consumer reads that one spectrum. The
+register applies U's controlled powers in it, and encode_as_gauge builds the
+Hermitian gauge potential whose ring read-out reproduces the same phases,
 
-    A_phi = -(hbar / (q * 2 pi r * VELOCITY_FACTOR)) * W,
+    A_phi = -(hbar / (q * 2 pi r * VELOCITY_FACTOR)) * V diag(theta) V^dagger.
 
-where W is the problem's phase matrix with every eigenvalue wrapped onto
-(-pi, pi]. Wrapping happens in the eigenbasis; an elementwise matrix modulo
-would not commute with diagonalization. Spectra reaching pi in magnitude
-still encode, but alias around the circle; that attaches a
-PhaseAliasingWarning instead of failing.
+An energy problem wraps its eigenvalues onto (-pi, pi] in the eigenbasis;
+an elementwise matrix modulo would not commute with diagonalization.
+Spectra reaching pi in magnitude still encode, but alias around the circle;
+that raises a PhaseAliasingWarning on construction instead of failing.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angles import TWO_PI, wrap_to_signed
 from .errors import PhaseAliasingWarning, PreconditionError, ProblemFormatError
 from .linalg import (
+    EigenDecomposition,
     eig_hermitian,
     eig_unitary,
     matrix_from_json,
@@ -37,26 +40,56 @@ from .linalg import (
 from .ring import VELOCITY_FACTOR, GaugeField, RingPhysicalParams
 
 
+def _require_state(state, n: int, what: str) -> np.ndarray:
+    state = require_unit_vector(state, "state")
+    if state.size != n:
+        raise PreconditionError(
+            f"state dimension {state.size} does not match {what} dimension {n}"
+        )
+    return state
+
+
+def _read_only(spectrum: EigenDecomposition) -> EigenDecomposition:
+    # every route reads this one spectrum, so none may write into it
+    for a in spectrum:
+        a.setflags(write=False)
+    return spectrum
+
+
 @dataclass(frozen=True, eq=False)
 class EnergyProblem:
-    """Hermitian H with a reference scale E_R and a candidate eigenstate."""
+    """Hermitian H with a reference scale E_R and a candidate state.
+
+    `spectrum` holds the eigenphases of exp(i H / E_R), the eigenvalues of
+    H / E_R wrapped onto (-pi, pi], over H's orthonormal eigenbasis.
+    """
 
     hamiltonian: np.ndarray
     E_R: float
-    candidate_state: np.ndarray
+    state: np.ndarray
+    spectrum: EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
         h = require_hermitian(self.hamiltonian)
         if not (math.isfinite(self.E_R) and self.E_R > 0):
             raise PreconditionError(f"E_R must be positive, got {self.E_R!r}")
-        state = require_unit_vector(self.candidate_state, "candidate state")
-        if state.size != h.shape[0]:
-            raise PreconditionError(
-                f"candidate state dimension {state.size} does not match "
-                f"Hamiltonian dimension {h.shape[0]}"
-            )
+        state = _require_state(self.state, h.shape[0], "Hamiltonian")
         object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "candidate_state", state)
+        object.__setattr__(self, "state", state)
+        # decompose H itself: H / E_R would re-check Hermiticity against a
+        # tolerance that a small E_R scales past
+        w, v = eig_hermitian(h)
+        w = w / self.E_R
+        radius = float(np.max(np.abs(w)))
+        if radius >= np.pi:
+            warnings.warn(
+                f"spectral radius of H/E_R is {radius:.6g} >= pi; "
+                f"encoded eigenphases wrap around the circle",
+                PhaseAliasingWarning,
+                stacklevel=3,
+            )
+        object.__setattr__(self, "spectrum",
+                           _read_only(EigenDecomposition(wrap_to_signed(w), v)))
 
     @property
     def n_colors(self) -> int:
@@ -65,69 +98,35 @@ class EnergyProblem:
 
 @dataclass(frozen=True, eq=False)
 class UnitarySpec:
-    """A unitary with a candidate eigenstate."""
+    """A unitary with a candidate state; `spectrum` is eig_unitary(U)."""
 
     u_matrix: np.ndarray
-    eigenstate: np.ndarray
+    state: np.ndarray
+    spectrum: EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
         u = require_unitary(self.u_matrix)
-        state = require_unit_vector(self.eigenstate, "eigenstate")
-        if state.size != u.shape[0]:
-            raise PreconditionError(
-                f"eigenstate dimension {state.size} does not match "
-                f"unitary dimension {u.shape[0]}"
-            )
+        state = _require_state(self.state, u.shape[0], "unitary")
         object.__setattr__(self, "u_matrix", u)
-        object.__setattr__(self, "eigenstate", state)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "spectrum", _read_only(eig_unitary(u)))
 
     @property
     def n_colors(self) -> int:
         return self.u_matrix.shape[0]
 
 
-def _phases_to_gauge(phase_matrix: np.ndarray,
-                     params: RingPhysicalParams) -> GaugeField:
+def encode_as_gauge(problem, params: RingPhysicalParams) -> GaugeField:
+    """Gauge field whose ring read-out gives the problem's eigenphases.
+
+    Scales the problem's spectrum; the field shares its eigenbasis, so no
+    matrix is decomposed here.
+    """
     scale = -params.hbar / (
         params.charge_q * TWO_PI * params.radius_r * VELOCITY_FACTOR
     )
-    a_phi = scale * phase_matrix
-    a_phi = 0.5 * (a_phi + a_phi.conj().T)  # shave rounding off Hermiticity
-    return GaugeField(a_phi, params)
-
-
-def encode_hamiltonian_as_gauge(problem: EnergyProblem,
-                                params: RingPhysicalParams) -> GaugeField:
-    """Gauge potential whose ring read-out gives the eigenphases of H/E_R.
-
-    Eigenvalues of H/E_R are wrapped onto (-pi, pi] in the eigenbasis before
-    scaling. A spectral radius at or beyond pi aliases and warns.
-    """
-    w, v = eig_hermitian(problem.hamiltonian / problem.E_R)
-    radius = float(np.max(np.abs(w))) if w.size else 0.0
-    if radius >= np.pi:
-        warnings.warn(
-            f"spectral radius of H/E_R is {radius:.6g} >= pi; "
-            f"encoded eigenphases wrap around the circle",
-            PhaseAliasingWarning,
-            stacklevel=2,
-        )
-    wrapped = wrap_to_signed(w)
-    phase_matrix = (v * wrapped) @ v.conj().T
-    return _phases_to_gauge(phase_matrix, params)
-
-
-def encode_unitary_as_gauge(spec: UnitarySpec,
-                            params: RingPhysicalParams) -> GaugeField:
-    """Gauge potential whose ring read-out gives the eigenphases of U.
-
-    Uses eig_unitary: its eigenbasis is orthonormal even for degenerate
-    eigenphases, which keeps the reconstructed gauge Hermitian, and its
-    phases are already on the principal branch (-pi, pi].
-    """
-    theta, v = eig_unitary(spec.u_matrix)
-    phase_matrix = (v * theta) @ v.conj().T
-    return _phases_to_gauge(phase_matrix, params)
+    theta, v = problem.spectrum
+    return GaugeField(scale * theta, v, params)
 
 
 def phase_to_energy(phi: float, E_R: float) -> float:
@@ -169,12 +168,12 @@ def problem_to_json(problem) -> dict:
         return {
             "hamiltonian": matrix_to_json(problem.hamiltonian),
             "E_R": float(problem.E_R),
-            "state": vector_to_json(problem.candidate_state),
+            "state": vector_to_json(problem.state),
         }
     if isinstance(problem, UnitarySpec):
         return {
             "unitary": matrix_to_json(problem.u_matrix),
-            "state": vector_to_json(problem.eigenstate),
+            "state": vector_to_json(problem.state),
         }
     raise PreconditionError(f"cannot serialize {type(problem).__name__}")
 

@@ -1,10 +1,11 @@
 """Dense complex linear algebra kernels.
 
-All operations are pure functions on ndarrays. Two deliberately different
-exponentiation routes live here: unitary_from_hermitian goes through an
-eigendecomposition, expm_dense is scaling-and-squaring with a Pade core and
-never diagonalizes. The bench module times the second route as the
-brute-force cost baseline, so keep it free of spectral shortcuts.
+All operations are pure functions on ndarrays. eig_hermitian and
+eig_unitary are the only places a spectrum is computed; a problem calls one
+of them once and hands the EigenDecomposition to every consumer.
+expm_dense is scaling-and-squaring with a Pade core and never
+diagonalizes. The bench module times it as the brute-force cost baseline,
+so keep it free of spectral shortcuts.
 
 Matrices cross module and file boundaries as JSON objects
 {"rows": r, "cols": c, "re": [...], "im": [...]} with row-major flattening.
@@ -37,7 +38,7 @@ _PADE13_THETA = 5.371920351148152
 
 
 class EigenDecomposition(NamedTuple):
-    """Eigenvalues ascending, eigenvectors as matching columns."""
+    """Eigenvalues, with the eigenvectors as matching columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -104,7 +105,26 @@ def require_unitary(m, tol: float = 1e-10) -> np.ndarray:
     return u
 
 
-def eig_hermitian(a, tol: float = 1e-10) -> EigenDecomposition:
+def require_eigenbasis(spectrum) -> EigenDecomposition:
+    """Coerce (w, V) to real finite eigenvalues over an orthonormal basis.
+
+    V must be square and unitary within 1e-10, with one column per
+    eigenvalue; that is what lets a consumer rotate into the basis and back
+    without decomposing anything itself.
+    """
+    w, v = spectrum
+    w = np.asarray(w)
+    if w.ndim != 1 or not np.isrealobj(w) or not np.all(np.isfinite(w)):
+        raise PreconditionError("eigenvalues must be a 1-D array of finite reals")
+    v = require_unitary(v)
+    if v.shape[0] != w.size:
+        raise PreconditionError(
+            f"{w.size} eigenvalues do not match a {v.shape[0]}-dimensional basis"
+        )
+    return EigenDecomposition(w.astype(np.float64), v)
+
+
+def eig_hermitian(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in ascending order with orthonormal eigenvector
@@ -112,7 +132,7 @@ def eig_hermitian(a, tol: float = 1e-10) -> EigenDecomposition:
     rounding. Backed by LAPACK; the contract is the residual, not the
     algorithm.
     """
-    h = require_hermitian(a, tol)
+    h = require_hermitian(a)
     w, v = np.linalg.eigh(h)
     opcount.add(h.shape[0] ** 3)  # documented surrogate for the LAPACK call
     return EigenDecomposition(w, v)
@@ -154,17 +174,6 @@ def eig_unitary(u) -> EigenDecomposition:
     theta[theta == -np.pi] = np.pi  # np.angle may return the excluded -pi
     order = np.argsort(theta, kind="stable")
     return EigenDecomposition(theta[order], v[:, order])
-
-
-def unitary_from_hermitian(a, scale: float, tol: float = 1e-10) -> np.ndarray:
-    """exp(i * scale * A) for Hermitian A, via eigendecomposition."""
-    if not math.isfinite(scale):
-        raise PreconditionError("scale must be finite")
-    w, v = eig_hermitian(a, tol)
-    phases = np.exp(1j * scale * w)
-    n = v.shape[0]
-    opcount.add(n * n + n ** 3)  # column scaling plus one matmul
-    return (v * phases) @ v.conj().T
 
 
 def expm_dense(m, t: float, max_dim: int = DENSE_DIMENSION_GUARD) -> np.ndarray:

@@ -6,11 +6,12 @@ is the textbook circuit run on the exact statevector:
 
     uniform register 1  ->  controlled U^m  ->  inverse Fourier transform,
 
-after which register 1 concentrates near k = 2^t phi_u / (2 pi). The
-controlled stage follows the circuit, one controlled U^(2^j) per bit j of
-m, applied in U's eigenbasis where each is diagonal: its cost is one
-eigendecomposition of U, two basis rotations of the statevector and t
-passes of phases over it, rather than 2^t matrix powers.
+after which register 1 concentrates near k = 2^t phi_u / (2 pi). U enters
+as its eigendecomposition (theta, V), the spectrum a problem computed once
+on construction. The controlled stage follows the circuit, one controlled
+U^(2^j) per bit j of m, applied in U's eigenbasis where each is diagonal:
+its cost is two basis rotations of the statevector and t passes of phases
+over it, rather than 2^t matrix powers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import opcount
 from .angles import TWO_PI
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import UNIT_NORM_TOL, eig_unitary, require_unit_vector, require_unitary
+from .linalg import UNIT_NORM_TOL, require_eigenbasis, require_unit_vector
 
 T_BITS_GUARD = 24
 # largest joint statevector, 2^t * n complex128 amplitudes, that qpe_prepare
@@ -45,7 +46,7 @@ class QpeConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("t_bits", "shots"):
+        for name in ("t_bits", "shots", "rng_seed"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise PreconditionError(f"{name} must be an integer")
@@ -55,6 +56,8 @@ class QpeConfig:
             )
         if self.shots < 0:
             raise PreconditionError(f"shots must be >= 0, got {self.shots}")
+        if self.rng_seed < 0:
+            raise PreconditionError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     @property
     def register_size(self) -> int:
@@ -150,23 +153,23 @@ def qpe_prepare(t_bits: int, color) -> QpeRegisters:
     return QpeRegisters(t_bits, u.size, amps)
 
 
-def controlled_unitary_all(regs: QpeRegisters, u_matrix) -> QpeRegisters:
+def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
     """Apply |m>|c> -> |m> U^m |c> across the register.
 
-    Runs the circuit's controlled gates in U's eigenbasis: register 2 is
-    rotated once into the basis of one eig_unitary(U), where each controlled
-    U^(2^j) is the diagonal e^(i 2^j theta) applied to every statevector row
-    whose index has bit j set, and is rotated back at the end. A bit costs
+    U = V diag(e^(i theta)) V^dagger comes as its spectrum (theta, V), with
+    V orthonormal. The circuit's controlled gates run in that eigenbasis:
+    register 2 is rotated once into it, where each controlled U^(2^j) is
+    the diagonal e^(i 2^j theta) applied to every statevector row whose
+    index has bit j set, and is rotated back at the end. A bit costs
     (2^t / 2) n multiplies, and the phases stay unitary to rounding at any
     t, where repeated squaring would compound it.
     """
-    u = require_unitary(u_matrix)
-    if u.shape[0] != regs.n_colors:
+    theta, v = require_eigenbasis(spectrum)
+    if theta.size != regs.n_colors:
         raise PreconditionError(
-            f"unitary dimension {u.shape[0]} does not match register-2 "
+            f"unitary dimension {theta.size} does not match register-2 "
             f"dimension {regs.n_colors}"
         )
-    theta, v = eig_unitary(u)
     size = regs.register_size
     n = regs.n_colors
     # row convention: row m holds a register-2 state c as c^T, so its
@@ -219,14 +222,15 @@ def measure_register1(regs: QpeRegisters, cfg: QpeConfig) -> Register1Distributi
     )
 
 
-def qpe_estimate(u_matrix, color, cfg: QpeConfig) -> QpeEstimate:
+def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
     """Full pipeline; returns the modal read-out and its phase 2 pi k / 2^t.
 
+    U comes as its spectrum (theta, V), as controlled_unitary_all takes it.
     Ties in the distribution break toward the smallest k, which makes the
     estimate deterministic in both exact and sampled modes.
     """
     regs = qpe_prepare(cfg.t_bits, color)
-    regs = controlled_unitary_all(regs, u_matrix)
+    regs = controlled_unitary_all(regs, spectrum)
     regs = qft_inverse(regs)
     dist = measure_register1(regs, cfg)
     k_best = int(np.argmax(dist.probs))

@@ -41,9 +41,8 @@ from .errors import PreconditionError, ResolutionError
 from .linalg import (
     DENSE_DIMENSION_GUARD,
     UNIT_NORM_TOL,
-    eig_hermitian,
     expm_dense,
-    require_hermitian,
+    require_eigenbasis,
     require_unit_vector,
 )
 
@@ -83,30 +82,31 @@ class RingPhysicalParams:
 
 @dataclass(frozen=True, eq=False)
 class GaugeField:
-    """Constant Hermitian gauge potential acting on the color space.
+    """Constant Hermitian gauge potential A_phi = V diag(lam) V^dagger.
 
-    Its eigendecomposition A_phi = V diag(lam) V^dagger is computed once, on
-    construction, and kept read-only as `eigenvalues` and `eigenvectors`.
+    Built from its eigendecomposition, which it keeps read-only as
+    `eigenvalues` and `eigenvectors`; nothing here diagonalizes. The
+    eigenvalues must be real and finite and V orthonormal.
     """
 
-    a_phi: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     params: RingPhysicalParams = field(default_factory=RingPhysicalParams)
-    hermiticity_tol: float = 1e-10
-
-    eigenvalues: np.ndarray = field(init=False, repr=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = require_hermitian(self.a_phi, self.hermiticity_tol)
-        # the one eigendecomposition the ring route needs
-        w, v = eig_hermitian(a, self.hermiticity_tol)
-        object.__setattr__(self, "a_phi", _readonly(a))
+        w, v = require_eigenbasis((self.eigenvalues, self.eigenvectors))
         object.__setattr__(self, "eigenvalues", _readonly(w))
         object.__setattr__(self, "eigenvectors", _readonly(v))
 
     @property
+    def a_phi(self) -> np.ndarray:
+        """The potential as a matrix, assembled for the dense oracle."""
+        v = self.eigenvectors
+        return (v * self.eigenvalues) @ v.conj().T
+
+    @property
     def n_colors(self) -> int:
-        return self.a_phi.shape[0]
+        return self.eigenvalues.size
 
     def mode_energies(self, mode_cutoff_l: int) -> np.ndarray:
         """E_{m,k} = (hbar m / r - q lam_k)^2 / (2 m_q), rows m = -l ... +l."""
@@ -273,7 +273,7 @@ def evolve_block(state: RingState, gauge: GaugeField, t: float) -> RingState:
 
     Projects the coefficients onto the eigenvectors of A_phi, multiplies by
     exp(-i E_{m,k} t / hbar) and maps back. The eigendecomposition is the
-    one GaugeField made on construction, so the cost is two (2l+1) x n x n
+    one GaugeField was built from, so the cost is two (2l+1) x n x n
     products. This is the structure-exploiting route the dense path is
     benchmarked against.
     """
@@ -309,8 +309,9 @@ def evolve_dense(
     """Assemble the full (2l+1)n matrix and exponentiate it densely.
 
     Same map as evolve_block, deliberately ignoring the block structure:
-    the blocks are squared directly, never built from the gauge
-    eigenbasis. Exists as the brute-force cross-check and cost baseline.
+    the blocks are squared directly from the A_phi matrix and the whole is
+    exponentiated by Pade, never evolved in the gauge eigenbasis. Exists as
+    the brute-force cross-check and cost baseline.
     """
     _require_same_colors(state, gauge)
     blocks = _squared_blocks(gauge, state.mode_cutoff_l)

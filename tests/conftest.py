@@ -23,6 +23,12 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def gauge_from(a_phi, params=None):
+    """GaugeField of a Hermitian matrix, from its eigendecomposition."""
+    return rq.GaugeField(*rq.eig_hermitian(np.asarray(a_phi, dtype=complex)),
+                         params or rq.RingPhysicalParams())
+
+
 def random_state(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)

@@ -17,7 +17,7 @@ import numpy as np
 from ringqpe import (
     EnergyProblem,
     RingPhysicalParams,
-    encode_hamiltonian_as_gauge,
+    encode_as_gauge,
     initial_localized_state,
     evolve_block,
     position_density,
@@ -35,7 +35,7 @@ def main() -> int:
     problem = EnergyProblem(2.0 * sx, 1.0, ground)
     params = RingPhysicalParams()
 
-    gauge = encode_hamiltonian_as_gauge(problem, params)
+    gauge = encode_as_gauge(problem, params)
     state = initial_localized_state(MODE_CUTOFF, ground)
     evolved = evolve_block(state, gauge, return_time(params))
     density = position_density(evolved, GRID)

@@ -18,7 +18,7 @@ import ringqpe as rq
 from ringqpe.bench import METHOD_BLOCK, METHOD_DENSE
 from ringqpe.cli import main
 
-from conftest import random_hermitian, random_state, write_problem
+from conftest import gauge_from, random_hermitian, random_state, write_problem
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,10 +73,8 @@ def test_a2_superposition_weights_match_born_rule(tmp_path, capsys):
         problem = rq.load_problem(
             os.path.join(PROBLEM_DIR, "sigma_z_superposition.json")
         )
-        gauge = rq.encode_hamiltonian_as_gauge(problem, rq.RingPhysicalParams())
-        peaks = rq.estimate_phase_via_ring(
-            gauge, problem.candidate_state, 50, 512
-        )
+        gauge = rq.encode_as_gauge(problem, rq.RingPhysicalParams())
+        peaks = rq.estimate_phase_via_ring(gauge, problem.state, 50, 512)
         assert len(peaks) == 2, f"expected exactly 2 peaks, got {len(peaks)}"
         first, second = peaks.peaks
         assert abs(first.weight - 0.8) <= 0.02, f"weight {first.weight} vs 0.8"
@@ -94,7 +92,7 @@ def test_a3_register_is_exact_on_representable_phases(capsys):
         t = 3
         phi_u = TWO_PI * 3 / 8
         u = np.array([[np.exp(1j * phi_u)]])
-        est = rq.qpe_estimate(u, np.array([1.0]), rq.QpeConfig(t))
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
         assert est.k_best == 3, f"modal read-out {est.k_best} != 3"
         p3 = float(est.distribution.probs[3])
         assert p3 >= 1.0 - 1e-9, f"P(3) = {p3} below 1 - 1e-9"
@@ -112,7 +110,7 @@ def test_a4_tail_bound_holds_across_random_phases(capsys):
         for _ in range(200):
             phi_u = float(rng.uniform(0.0, TWO_PI))
             u = np.array([[np.exp(1j * phi_u)]])
-            est = rq.qpe_estimate(u, np.array([1.0]), rq.QpeConfig(t))
+            est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
             dist_to_phase = np.abs(grid - phi_u)
             dist_to_phase = np.minimum(dist_to_phase, TWO_PI - dist_to_phase)
             best = int(np.argmin(dist_to_phase))
@@ -173,9 +171,7 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
             rng = np.random.default_rng([7100, i])
             n = int(rng.integers(1, 5))
             l = int(rng.integers(1, 41))
-            gauge = rq.GaugeField(
-                random_hermitian(rng, n, scale=0.3), rq.RingPhysicalParams()
-            )
+            gauge = gauge_from(random_hermitian(rng, n, scale=0.3))
             state = rq.initial_localized_state(l, random_state(rng, n))
             t = float(rng.uniform(0.0, 2.0 * rq.return_time(gauge.params)))
             evolved = rq.evolve_block(state, gauge, t)
@@ -187,9 +183,7 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
             n = int(rng.integers(1, 5))
             l_max = (202 // n - 1) // 2
             l = int(rng.integers(1, l_max + 1))
-            gauge = rq.GaugeField(
-                random_hermitian(rng, n, scale=0.3), rq.RingPhysicalParams()
-            )
+            gauge = gauge_from(random_hermitian(rng, n, scale=0.3))
             state = rq.initial_localized_state(l, random_state(rng, n))
             t = float(rng.uniform(0.0, rq.return_time(gauge.params)))
             a = rq.evolve_block(state, gauge, t)
@@ -217,19 +211,19 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
             if i % 2 == 0:
                 h = random_hermitian(rng, n, scale=0.5)
                 problem = rq.EnergyProblem(h, 1.0, random_state(rng, n))
-                gauge = rq.encode_hamiltonian_as_gauge(problem, params)
-                want = rq.unitary_from_hermitian(h, 1.0)
+                gauge = rq.encode_as_gauge(problem, params)
+                want = rq.expm_dense(h, -1.0)
             else:
                 q, r = np.linalg.qr(
                     rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 )
                 u = q * (np.diag(r) / np.abs(np.diag(r)))
                 spec = rq.UnitarySpec(u, random_state(rng, n))
-                gauge = rq.encode_unitary_as_gauge(spec, params)
+                gauge = rq.encode_as_gauge(spec, params)
                 want = u
             inv_scale = -(
                 params.charge_q * TWO_PI * params.radius_r
                 * rq.VELOCITY_FACTOR / params.hbar
             )
-            got = rq.unitary_from_hermitian(gauge.a_phi, inv_scale)
+            got = rq.expm_dense(gauge.a_phi, -inv_scale)
             assert np.max(np.abs(got - want)) < 1e-8, f"case {i}"

@@ -14,9 +14,10 @@ import ringqpe.cli as cli
 import ringqpe.ring as ring_module
 from ringqpe.cli import main
 
-from conftest import SIGMA_X, write_problem
+from conftest import SIGMA_X, random_unitary, write_problem
 
 TWO_PI = 2.0 * np.pi
+PROBLEM_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
 
 
 @pytest.fixture
@@ -181,10 +182,8 @@ class TestRingSim:
         # snapshots at 0, 0.5 (or 0.25) and 1; t_R is fraction 1 either way
         assert calls == {"evolve_block": 3, "position_density": 3}
 
-        gauge = rq.encode_hamiltonian_as_gauge(sigma_x_problem, rq.RingPhysicalParams())
-        library = rq.estimate_phase_via_ring(
-            gauge, sigma_x_problem.candidate_state, 50, 512
-        )
+        gauge = rq.encode_as_gauge(sigma_x_problem, rq.RingPhysicalParams())
+        library = rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 512)
         peaks = json.loads((out / "peaks.json").read_text())
         assert peaks == ring_module.peak_set_to_json(library)
 
@@ -240,7 +239,8 @@ class TestQpe:
         def forbidden(*args, **kwargs):
             raise AssertionError("register allocated before the guard")
 
-        monkeypatch.setattr(np, "tile", forbidden)
+        # qpe_prepare allocates the register with np.empty
+        monkeypatch.setattr(np, "empty", forbidden)
         code = main(["qpe", "--problem", str(sigma_x_file),
                      "--out-dir", str(tmp_path), "--t-bits", "24"])
         assert code == 1
@@ -287,6 +287,17 @@ class TestCompare:
         assert report["ok"] is False
         assert report["distances"]["ring_eig"] > report["bound"]
         assert "disagree" in capsys.readouterr().err
+
+    def test_phi_eig_at_phase_zero_is_zero_not_two_pi(self, tmp_path):
+        # the state is U's phase-0 eigenvector; the angle of its spectral sum
+        # comes out as -1e-17 here, which % 2 pi rounds up to 2 pi itself
+        q = random_unitary(np.random.default_rng([1, 0]), 2)
+        u = (q * np.exp(1j * np.array([0.0, 1.3]))) @ q.conj().T
+        path = write_problem(tmp_path, rq.UnitarySpec(u, q[:, 0]), "seam.json")
+        out = tmp_path / "out"
+        assert main(["compare", "--problem", str(path), "--out-dir", str(out)]) == 0
+        phi_eig = json.loads((out / "compare.json").read_text())["phi_eig"]
+        assert 0.0 <= phi_eig < 1e-12
 
     def test_register_coarser_than_grid_rejected(self, tmp_path, sigma_x_file, capsys):
         code = main(["compare", "--problem", str(sigma_x_file),
@@ -357,6 +368,54 @@ class TestBench:
         code = main(["bench", "--out-dir", str(tmp_path), "--sizes", "0,24",
                      "--repeats", "3"])
         assert code == 1
+
+
+class TestSeed:
+    @pytest.mark.parametrize("argv", [
+        ["qpe", "--shots", "10"],
+        ["qpe"],
+        ["compare", "--shots", "10"],
+        ["bench", "--sizes", "24", "--repeats", "3"],
+    ])
+    def test_negative_seed_is_refused_before_any_output(
+            self, tmp_path, sigma_x_file, capsys, argv):
+        # numpy's generators refuse a negative seed with a traceback, so it
+        # is refused as a usage error before any output exists, also where
+        # exact mode would never sample
+        out = tmp_path / "out"
+        argv = argv + ["--seed", "-1", "--out-dir", str(out)]
+        if argv[0] != "bench":
+            argv += ["--problem", str(sigma_x_file)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "ringqpe: error: bad seed value -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestOneDecompositionPerProblem:
+    @pytest.mark.parametrize("sub", ["ring-sim", "qpe", "compare", "figure"])
+    @pytest.mark.parametrize("name", sorted(os.listdir(PROBLEM_DIR)))
+    def test_each_command_decomposes_the_problem_once(
+            self, tmp_path, monkeypatch, sub, name):
+        calls = []
+        modules = [m for key, m in list(sys.modules.items())
+                   if key == "ringqpe" or key.startswith("ringqpe.")]
+        for fn in (rq.eig_hermitian, rq.eig_unitary):
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(_fn.__name__)
+                return _fn(*args, **kwargs)
+
+            # wherever a module bound the function by name
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+        code = main([sub, "--problem", os.path.join(PROBLEM_DIR, name),
+                     "--out-dir", str(tmp_path)])
+        # compare finds the shipped superposition ambiguous
+        assert code == (4 if sub == "compare" and "superposition" in name else 0)
+        assert len(calls) == 1, calls
 
 
 class TestConfigPrecedence:

@@ -15,12 +15,20 @@ TWO_PI = 2.0 * np.pi
 
 
 def reconstructed_unitary(gauge):
-    """The holonomy the ring applies per revival, exp(i W)."""
+    """The holonomy the ring applies per revival, exp(i W), by Pade."""
     inv_scale = -(
         gauge.params.charge_q * TWO_PI * gauge.params.radius_r
         * rq.VELOCITY_FACTOR / gauge.params.hbar
     )
-    return rq.unitary_from_hermitian(gauge.a_phi, inv_scale)
+    return rq.expm_dense(gauge.a_phi, -inv_scale)
+
+
+def forbid_decompositions(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decomposed a matrix again")
+
+    for name in ("eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
 
 
 class TestEnergyProblem:
@@ -40,21 +48,62 @@ class TestEnergyProblem:
         with pytest.raises(rq.PreconditionError, match="norm"):
             rq.EnergyProblem(SIGMA_X, 1.0, np.array([1.0, 1.0]))
 
+    @pytest.mark.filterwarnings("ignore::ringqpe.PhaseAliasingWarning")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spectrum_is_the_wrapped_eigensystem_of_u(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        n = int(rng.integers(1, 7))
+        h = random_hermitian(rng, n, scale=2.0)
+        e_r = float(rng.uniform(0.3, 2.0))
+        theta, v = rq.EnergyProblem(h, e_r, random_state(rng, n)).spectrum
+        assert not (theta.flags.writeable or v.flags.writeable)
+        assert np.all((theta > -np.pi) & (theta <= np.pi))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
+        # the same U = exp(i H / E_R) the Pade route gives
+        recon = (v * np.exp(1j * theta)) @ v.conj().T
+        assert np.max(np.abs(recon - rq.expm_dense(h, -1.0 / e_r))) < 1e-10
+
+    def test_small_reference_scale_keeps_the_hermiticity_tolerance(self):
+        # 5e-11 of asymmetry passes the 1e-10 check on H; H / E_R at
+        # E_R = 0.1 would carry 5e-10
+        h = np.array([[0.1, 0.05 + 5e-11j], [0.05, -0.1]])
+        theta, v = rq.EnergyProblem(h, 0.1, np.array([1.0, 0.0])).spectrum
+        want = np.linalg.eigvalsh(h) / 0.1
+        assert np.max(np.abs(np.sort(theta) - want)) < 1e-12
+
+    def test_state_is_kept_as_state(self, sigma_z_problem):
+        assert np.array_equal(sigma_z_problem.state, [np.sqrt(0.8), np.sqrt(0.2)])
+
 
 class TestUnitarySpec:
     def test_rejects_non_unitary(self):
         with pytest.raises(rq.PreconditionError):
             rq.UnitarySpec(2.0 * np.eye(2), np.array([1.0, 0.0]))
 
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(rq.PreconditionError, match="dimension"):
+            rq.UnitarySpec(np.eye(2), np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spectrum_reproduces_u(self, seed):
+        rng = np.random.default_rng(1200 + seed)
+        n = int(rng.integers(1, 9))
+        u = random_unitary(rng, n)
+        theta, v = rq.UnitarySpec(u, random_state(rng, n)).spectrum
+        assert not (theta.flags.writeable or v.flags.writeable)
+        assert np.all((theta > -np.pi) & (theta <= np.pi))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
+        assert np.max(np.abs((v * np.exp(1j * theta)) @ v.conj().T - u)) < 1e-12
+
 
 class TestEncodeHamiltonian:
     def test_zero_hamiltonian_gives_zero_gauge(self, natural_params):
         problem = rq.EnergyProblem(np.zeros((3, 3)), 1.0, np.array([1.0, 0.0, 0.0]))
-        gauge = rq.encode_hamiltonian_as_gauge(problem, natural_params)
+        gauge = rq.encode_as_gauge(problem, natural_params)
         assert np.max(np.abs(gauge.a_phi)) < 1e-14
 
     def test_two_level_closed_form(self, sigma_x_problem, natural_params):
-        gauge = rq.encode_hamiltonian_as_gauge(sigma_x_problem, natural_params)
+        gauge = rq.encode_as_gauge(sigma_x_problem, natural_params)
         expected = -SIGMA_X / TWO_PI
         assert np.max(np.abs(gauge.a_phi - expected)) < 1e-12
 
@@ -66,8 +115,8 @@ class TestEncodeHamiltonian:
         n = int(rng.integers(1, 6))
         h = random_hermitian(rng, n, scale=0.8)
         problem = rq.EnergyProblem(h, 1.0, random_state(rng, n))
-        gauge = rq.encode_hamiltonian_as_gauge(problem, natural_params)
-        want = rq.unitary_from_hermitian(h, 1.0)  # exp(i H / E_R)
+        gauge = rq.encode_as_gauge(problem, natural_params)
+        want = rq.expm_dense(h, -1.0)  # exp(i H / E_R)
         assert np.max(np.abs(reconstructed_unitary(gauge) - want)) < 1e-8
 
     def test_round_trip_with_physical_units(self):
@@ -75,48 +124,59 @@ class TestEncodeHamiltonian:
         rng = np.random.default_rng(42)
         h = random_hermitian(rng, 3, scale=0.5)
         problem = rq.EnergyProblem(h, 2.0, random_state(rng, 3))
-        gauge = rq.encode_hamiltonian_as_gauge(problem, params)
-        want = rq.unitary_from_hermitian(h, 1.0 / 2.0)
+        gauge = rq.encode_as_gauge(problem, params)
+        want = rq.expm_dense(h, -1.0 / 2.0)
         assert np.max(np.abs(reconstructed_unitary(gauge) - want)) < 1e-8
 
     def test_reference_energy_rescales_gauge(self, natural_params):
         state = np.array([1.0, 0.0])
-        g1 = rq.encode_hamiltonian_as_gauge(
+        g1 = rq.encode_as_gauge(
             rq.EnergyProblem(SIGMA_Z, 1.0, state), natural_params
         )
-        g2 = rq.encode_hamiltonian_as_gauge(
+        g2 = rq.encode_as_gauge(
             rq.EnergyProblem(SIGMA_Z, 2.0, state), natural_params
         )
         assert np.max(np.abs(g1.a_phi - 2.0 * g2.a_phi)) < 1e-12
 
     def test_aliasing_warns_but_preserves_holonomy(self, natural_params):
         h = 8.0 * SIGMA_Z  # eigenvalues far outside (-pi, pi]
-        problem = rq.EnergyProblem(h, 1.0, np.array([1.0, 0.0]))
+        # the problem warns once, when it decomposes H / E_R
         with pytest.warns(rq.PhaseAliasingWarning):
-            gauge = rq.encode_hamiltonian_as_gauge(problem, natural_params)
-        want = rq.unitary_from_hermitian(h, 1.0)
+            problem = rq.EnergyProblem(h, 1.0, np.array([1.0, 0.0]))
+        gauge = rq.encode_as_gauge(problem, natural_params)
+        want = rq.expm_dense(h, -1.0)
         assert np.max(np.abs(reconstructed_unitary(gauge) - want)) < 1e-8
         # the gauge itself stays in the fundamental branch
-        lam, _ = rq.eig_hermitian(gauge.a_phi)
+        lam = gauge.eigenvalues
         assert np.max(np.abs(lam)) <= (np.pi / TWO_PI / rq.VELOCITY_FACTOR) + 1e-12
 
-    def test_no_warning_inside_branch(self, sigma_x_problem, natural_params):
+    def test_no_warning_inside_branch(self, natural_params):
         import warnings as w
         with w.catch_warnings():
             w.simplefilter("error", rq.PhaseAliasingWarning)
-            rq.encode_hamiltonian_as_gauge(sigma_x_problem, natural_params)
+            problem = rq.EnergyProblem(2.0 * SIGMA_X, 1.0, np.array([1.0, 0.0]))
+            rq.encode_as_gauge(problem, natural_params)
+
+    def test_shares_the_problem_eigenbasis(self, sigma_z_problem, natural_params,
+                                           monkeypatch):
+        forbid_decompositions(monkeypatch)
+        gauge = rq.encode_as_gauge(sigma_z_problem, natural_params)
+        theta, v = sigma_z_problem.spectrum
+        assert np.array_equal(gauge.eigenvectors, v)
+        want = -theta / (TWO_PI * rq.VELOCITY_FACTOR)
+        assert np.max(np.abs(gauge.eigenvalues - want)) < 1e-15
 
 
 class TestEncodeUnitary:
     def test_identity_gives_zero_gauge(self, natural_params):
         spec = rq.UnitarySpec(np.eye(2), np.array([1.0, 0.0]))
-        gauge = rq.encode_unitary_as_gauge(spec, natural_params)
+        gauge = rq.encode_as_gauge(spec, natural_params)
         assert np.max(np.abs(gauge.a_phi)) < 1e-14
 
     def test_diagonal_quarter_turns(self, natural_params):
         u = np.diag(np.exp(1j * np.array([np.pi / 2, -np.pi / 2])))
         spec = rq.UnitarySpec(u, np.array([1.0, 0.0]))
-        gauge = rq.encode_unitary_as_gauge(spec, natural_params)
+        gauge = rq.encode_as_gauge(spec, natural_params)
         expected = np.diag([-1.0 / 8.0, 1.0 / 8.0])
         assert np.max(np.abs(gauge.a_phi - expected)) < 1e-12
 
@@ -125,9 +185,16 @@ class TestEncodeUnitary:
         spec = rq.UnitarySpec(
             np.exp(1j * theta) * np.eye(3), np.array([1.0, 0.0, 0.0])
         )
-        gauge = rq.encode_unitary_as_gauge(spec, natural_params)
+        gauge = rq.encode_as_gauge(spec, natural_params)
         expected = -theta / (2.0 * TWO_PI) * np.eye(3)
         assert np.max(np.abs(gauge.a_phi - expected)) < 1e-12
+
+    def test_makes_no_decomposition(self, natural_params, monkeypatch):
+        spec = rq.UnitarySpec(random_unitary(np.random.default_rng(2200), 4),
+                              np.eye(4)[0])
+        forbid_decompositions(monkeypatch)
+        gauge = rq.encode_as_gauge(spec, natural_params)
+        assert np.array_equal(gauge.eigenvectors, spec.spectrum.eigenvectors)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_holonomy_round_trip(self, seed, natural_params):
@@ -135,7 +202,7 @@ class TestEncodeUnitary:
         n = int(rng.integers(1, 9))
         u = random_unitary(rng, n)
         spec = rq.UnitarySpec(u, random_state(rng, n))
-        gauge = rq.encode_unitary_as_gauge(spec, natural_params)
+        gauge = rq.encode_as_gauge(spec, natural_params)
         assert np.max(np.abs(reconstructed_unitary(gauge) - u)) < 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
@@ -144,7 +211,7 @@ class TestEncodeUnitary:
         n = int(rng.integers(1, 9))
         u = random_unitary(rng, n)
         params = rq.RingPhysicalParams(hbar=1.3, charge_q=0.7, radius_r=2.0)
-        gauge = rq.encode_unitary_as_gauge(
+        gauge = rq.encode_as_gauge(
             rq.UnitarySpec(u, random_state(rng, n)), params
         )
         t_form, q = scipy.linalg.schur(u, output="complex")
@@ -158,11 +225,11 @@ class TestEncodeUnitary:
         rng = np.random.default_rng(77)
         h = random_hermitian(rng, 4, scale=0.6)
         state = random_state(rng, 4)
-        g_h = rq.encode_hamiltonian_as_gauge(
+        g_h = rq.encode_as_gauge(
             rq.EnergyProblem(h, 1.0, state), natural_params
         )
-        u = rq.unitary_from_hermitian(h, 1.0)
-        g_u = rq.encode_unitary_as_gauge(rq.UnitarySpec(u, state), natural_params)
+        u = rq.expm_dense(h, -1.0)
+        g_u = rq.encode_as_gauge(rq.UnitarySpec(u, state), natural_params)
         assert np.max(np.abs(g_h.a_phi - g_u.a_phi)) < 1e-8
 
 
@@ -193,7 +260,7 @@ class TestProblemJson:
         assert isinstance(back, rq.EnergyProblem)
         assert np.array_equal(back.hamiltonian, sigma_z_problem.hamiltonian)
         assert back.E_R == sigma_z_problem.E_R
-        assert np.array_equal(back.candidate_state, sigma_z_problem.candidate_state)
+        assert np.array_equal(back.state, sigma_z_problem.state)
 
     def test_unitary_spec_round_trip(self):
         rng = np.random.default_rng(5)
@@ -202,7 +269,7 @@ class TestProblemJson:
         back = rq.problem_from_json(rq.problem_to_json(spec))
         assert isinstance(back, rq.UnitarySpec)
         assert np.array_equal(back.u_matrix, spec.u_matrix)
-        assert np.array_equal(back.eigenstate, spec.eigenstate)
+        assert np.array_equal(back.state, spec.state)
 
     def test_vector_json_exact(self):
         v = np.array([0.1 + 0.9j, -0.3, 1e-17j])

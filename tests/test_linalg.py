@@ -15,9 +15,13 @@ from ringqpe import (
     expm_dense,
     matrix_from_json,
     matrix_to_json,
-    unitary_from_hermitian,
 )
-from ringqpe.linalg import require_unit_vector, require_unitary, unitarity_defect
+from ringqpe.linalg import (
+    require_eigenbasis,
+    require_unit_vector,
+    require_unitary,
+    unitarity_defect,
+)
 
 from conftest import SIGMA_X, random_hermitian, random_unitary
 
@@ -128,26 +132,29 @@ class TestEigUnitary:
 
 
 class TestUnitaryFromHermitian:
+    """exp(i s A) of a Hermitian A by Pade, expm_dense(A, -s), against closed
+    forms and the group law."""
+
     def test_sigma_x_closed_form(self):
         # exp(i s sigma_x) = cos(s) I + i sin(s) sigma_x
         s = -2.0
-        u = unitary_from_hermitian(SIGMA_X, s)
+        u = expm_dense(SIGMA_X, -s)
         expected = math.cos(s) * np.eye(2) + 1j * math.sin(s) * SIGMA_X
         assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_zero_scale_is_identity(self):
         rng = np.random.default_rng(3)
-        u = unitary_from_hermitian(random_hermitian(rng, 5), 0.0)
+        u = expm_dense(random_hermitian(rng, 5), 0.0)
         assert np.max(np.abs(u - np.eye(5))) < 1e-12
 
     def test_half_turn_of_sigma_x(self):
-        u = unitary_from_hermitian(SIGMA_X, math.pi)
+        u = expm_dense(SIGMA_X, -math.pi)
         assert np.max(np.abs(u - (-np.eye(2)))) < 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
     def test_output_is_unitary(self, seed):
         rng = np.random.default_rng(seed)
-        u = unitary_from_hermitian(random_hermitian(rng, 7), rng.uniform(-5, 5))
+        u = expm_dense(random_hermitian(rng, 7), -rng.uniform(-5, 5))
         assert unitarity_defect(u) < 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
@@ -155,8 +162,8 @@ class TestUnitaryFromHermitian:
         rng = np.random.default_rng(40 + seed)
         a = random_hermitian(rng, 4)
         s1, s2 = rng.uniform(-3, 3, size=2)
-        lhs = unitary_from_hermitian(a, s1) @ unitary_from_hermitian(a, s2)
-        rhs = unitary_from_hermitian(a, s1 + s2)
+        lhs = expm_dense(a, -s1) @ expm_dense(a, -s2)
+        rhs = expm_dense(a, -(s1 + s2))
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -165,7 +172,8 @@ class TestExpmDense:
     def test_matches_eigendecomposition_route_for_hermitian(self, dim, t):
         rng = np.random.default_rng(dim)
         m = random_hermitian(rng, dim)
-        via_eig = unitary_from_hermitian(m, -t)
+        w, v = np.linalg.eigh(m)
+        via_eig = (v * np.exp(-1j * t * w)) @ v.conj().T
         assert np.max(np.abs(expm_dense(m, t) - via_eig)) < 1e-8
 
     def test_matches_taylor_series_for_non_hermitian(self):
@@ -252,6 +260,24 @@ class TestRequireUnitVector:
     def test_rejects(self, bad, message):
         with pytest.raises(PreconditionError, match=message):
             require_unit_vector(bad, "probe")
+
+
+class TestRequireEigenbasis:
+    def test_coerces_eigenvalues_to_float(self):
+        w, v = require_eigenbasis(([1, 2], np.eye(2)))
+        assert w.dtype == np.float64 and v.dtype == np.complex128
+
+    @pytest.mark.parametrize("w,v,message", [
+        ([1.0 + 0.5j, 2.0], np.eye(2), "finite reals"),
+        ([np.nan, 2.0], np.eye(2), "finite reals"),
+        ([[1.0, 2.0]], np.eye(2), "finite reals"),
+        ([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], "not unitary"),
+        ([1.0, 2.0], np.eye(2)[:, :1], "square"),
+        ([1.0, 2.0, 3.0], np.eye(2), "do not match"),
+    ])
+    def test_rejects(self, w, v, message):
+        with pytest.raises(PreconditionError, match=message):
+            require_eigenbasis((np.asarray(w), v))
 
 
 def test_require_unitary_accepts_rotation():

@@ -10,7 +10,7 @@ from ringqpe.qpe import (
     write_distribution_csv,
 )
 
-from conftest import SIGMA_X, random_state, random_unitary
+from conftest import SIGMA_X, random_hermitian, random_state, random_unitary
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,6 +58,19 @@ class TestQpeConfig:
 
     def test_accepts_numpy_integer_shots(self):
         assert rq.QpeConfig(4, shots=np.int64(3)).shots == 3
+
+    @pytest.mark.parametrize("bad,message", [
+        (-1, "rng_seed must be >= 0"),
+        (True, "rng_seed must be an integer"),
+        (2.0, "rng_seed must be an integer"),
+    ])
+    def test_rejects_bad_seeds(self, bad, message):
+        # numpy's generators would refuse a negative seed with a bare ValueError
+        with pytest.raises(rq.PreconditionError, match=message):
+            rq.QpeConfig(4, shots=10, rng_seed=bad)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert rq.QpeConfig(4, rng_seed=np.int64(7)).rng_seed == 7
 
 
 class TestPrepare:
@@ -142,7 +155,7 @@ class TestControlledStage:
         amps = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
         amps /= np.linalg.norm(amps)
         regs = rq.QpeRegisters(t, n, amps)
-        got = rq.controlled_unitary_all(regs, u).amplitudes
+        got = rq.controlled_unitary_all(regs, rq.eig_unitary(u)).amplitudes
         want = (dense_controlled_operator(t, u) @ amps.reshape(-1)).reshape(size, n)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -150,7 +163,7 @@ class TestControlledStage:
         phi_u = 0.9
         u = np.array([[np.exp(1j * phi_u)]])
         regs = rq.qpe_prepare(4, np.array([1.0]))
-        out = rq.controlled_unitary_all(regs, u).amplitudes[:, 0]
+        out = rq.controlled_unitary_all(regs, rq.eig_unitary(u)).amplitudes[:, 0]
         m = np.arange(16)
         want = np.exp(1j * m * phi_u) / 4.0
         assert np.max(np.abs(out - want)) < 1e-12
@@ -163,26 +176,45 @@ class TestControlledStage:
         phases = rng.uniform(-np.pi, np.pi, 4)
         u = (v * np.exp(1j * phases)) @ v.conj().T
         t = 20
-        est = rq.qpe_estimate(u, v[:, 0], rq.QpeConfig(t))
+        est = rq.qpe_estimate(rq.eig_unitary(u), v[:, 0], rq.QpeConfig(t))
         k_true = (phases[0] % TWO_PI) * (1 << t) / TWO_PI
         assert abs(est.k_best - k_true) <= 1.0
 
     def test_dimension_mismatch_rejected(self):
         regs = rq.qpe_prepare(2, np.array([1.0, 0.0]))
         with pytest.raises(rq.PreconditionError, match="dimension"):
-            rq.controlled_unitary_all(regs, np.eye(3))
+            rq.controlled_unitary_all(regs, rq.eig_unitary(np.eye(3)))
+
+    def test_refuses_a_basis_that_is_not_orthonormal(self):
+        regs = rq.qpe_prepare(2, np.array([1.0, 0.0]))
+        skew = rq.EigenDecomposition(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(rq.PreconditionError, match="not unitary"):
+            rq.controlled_unitary_all(regs, skew)
+
+    def test_makes_no_decomposition(self, monkeypatch):
+        rng = np.random.default_rng(3200)
+        spectrum = rq.eig_unitary(random_unitary(rng, 3))
+        color = random_state(rng, 3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decomposed U again")
+
+        for name in ("eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(6))
+        assert abs(est.distribution.probs.sum() - 1.0) < 1e-12
 
     def test_operation_count_formula(self):
         t, n = 5, 3
         regs = rq.qpe_prepare(t, np.array([1.0, 0.0, 0.0]))
-        u = random_unitary(np.random.default_rng(0), n)
+        spectrum = rq.eig_unitary(random_unitary(np.random.default_rng(0), n))
         with rq.count_macs() as counter:
-            rq.controlled_unitary_all(regs, u)
+            rq.controlled_unitary_all(regs, spectrum)
         size = 1 << t
         rows_touched = sum(int(np.sum((np.arange(size) >> j) & 1)) for j in range(t))
-        # one eig_unitary (4 n^3), two basis rotations of the register, then
-        # one phase per touched amplitude
-        expected = 4 * n ** 3 + 2 * size * n * n + rows_touched * n
+        # two basis rotations of the register, then one phase per touched
+        # amplitude; the spectrum comes in already decomposed
+        expected = 2 * size * n * n + rows_touched * n
         assert counter.total == expected
 
     def test_peak_memory_stays_below_two_registers(self):
@@ -191,11 +223,11 @@ class TestControlledStage:
         t, n = 16, 32
         nbytes = (1 << t) * n * 16
         rng = np.random.default_rng(5)
-        u = random_unitary(rng, n)
+        spectrum = rq.eig_unitary(random_unitary(rng, n))
         regs = rq.qpe_prepare(t, random_state(rng, n))
         tracemalloc.start()
         try:
-            rq.controlled_unitary_all(regs, u)
+            rq.controlled_unitary_all(regs, spectrum)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -233,7 +265,7 @@ class TestSpectralOracle:
         color = random_state(rng, n)
         weights = np.abs(v.conj().T @ color) ** 2
         want = spectral_register_distribution(t, theta, weights)
-        got = rq.qpe_estimate(u, color, rq.QpeConfig(t)).distribution.probs
+        got = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(t)).distribution.probs
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -267,7 +299,7 @@ class TestQftInverse:
 
 class TestMeasurement:
     def test_identity_reads_out_zero(self):
-        est = rq.qpe_estimate(np.eye(2), np.array([1.0, 0.0]), rq.QpeConfig(4))
+        est = rq.qpe_estimate(rq.eig_unitary(np.eye(2)), np.array([1.0, 0.0]), rq.QpeConfig(4))
         assert est.k_best == 0
         assert est.phi_estimate == 0.0
         assert est.distribution.probs[0] > 1.0 - 1e-12
@@ -276,13 +308,13 @@ class TestMeasurement:
         t = 6
         phi_u = TWO_PI * 5 / 64
         u = np.array([[np.exp(1j * phi_u)]])
-        est = rq.qpe_estimate(u, np.array([1.0]), rq.QpeConfig(t))
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
         assert est.k_best == 5
         assert est.distribution.probs[5] > 1.0 - 1e-9
 
     def test_three_bit_register_is_deterministic(self):
         u = np.array([[np.exp(1j * TWO_PI * 3 / 8)]])
-        est = rq.qpe_estimate(u, np.array([1.0]), rq.QpeConfig(3))
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(3))
         assert est.k_best == 3
         assert abs(est.distribution.probs[3] - 1.0) < 1e-12
 
@@ -290,7 +322,7 @@ class TestMeasurement:
         t = 6
         phi_u = TWO_PI * 5.5 / 64  # exactly between two read-out values
         u = np.array([[np.exp(1j * phi_u)]])
-        est = rq.qpe_estimate(u, np.array([1.0]), rq.QpeConfig(t))
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
         p = est.distribution.probs
         assert abs(p[5] - p[6]) < 1e-12
         assert p[5] >= 0.40
@@ -299,14 +331,14 @@ class TestMeasurement:
         t = 6
         phi_u = TWO_PI * 5.5 / 64
         u = np.array([[np.exp(1j * phi_u)]])
-        est = rq.qpe_estimate(u, np.array([1.0]), rq.QpeConfig(t))
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
         want = np.array([fejer_probability(t, phi_u, k) for k in range(64)])
         assert np.max(np.abs(est.distribution.probs - want)) < 1e-12
 
     def test_exact_mode_sums_to_one(self):
         rng = np.random.default_rng(11)
         u = random_unitary(rng, 3)
-        est = rq.qpe_estimate(u, random_state(rng, 3), rq.QpeConfig(7))
+        est = rq.qpe_estimate(rq.eig_unitary(u), random_state(rng, 3), rq.QpeConfig(7))
         assert abs(est.distribution.probs.sum() - 1.0) < 1e-9
         assert est.distribution.mode == "exact"
         assert est.distribution.shots is None
@@ -316,17 +348,17 @@ class TestMeasurement:
         u = random_unitary(rng, 2)
         color = random_state(rng, 2)
         cfg = rq.QpeConfig(5, shots=2000, rng_seed=123)
-        a = rq.qpe_estimate(u, color, cfg)
-        b = rq.qpe_estimate(u, color, cfg)
+        a = rq.qpe_estimate(rq.eig_unitary(u), color, cfg)
+        b = rq.qpe_estimate(rq.eig_unitary(u), color, cfg)
         assert np.array_equal(a.distribution.probs, b.distribution.probs)
         assert a.k_best == b.k_best
-        c = rq.qpe_estimate(u, color, rq.QpeConfig(5, shots=2000, rng_seed=124))
+        c = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(5, shots=2000, rng_seed=124))
         assert not np.array_equal(a.distribution.probs, c.distribution.probs)
 
     def test_sampled_histogram_sums_to_one(self):
         u = np.array([[np.exp(0.7j)]])
         cfg = rq.QpeConfig(4, shots=137, rng_seed=5)
-        est = rq.qpe_estimate(u, np.array([1.0]), cfg)
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), cfg)
         assert est.distribution.probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert est.distribution.mode == "sampled"
         assert est.distribution.shots == 137
@@ -337,12 +369,12 @@ class TestMeasurement:
         phi_u = TWO_PI * 17 / 64
         u = np.array([[np.exp(1j * phi_u)]])
         cfg = rq.QpeConfig(t, shots=4096, rng_seed=0)
-        est = rq.qpe_estimate(u, np.array([1.0]), cfg)
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), cfg)
         assert est.k_best == 17
 
     def test_tie_breaks_toward_smaller_k(self):
         u = np.array([[1j]])  # phi_u = pi/2: probs (1/2, 1/2) at t = 1
-        est = rq.qpe_estimate(u, np.array([1.0]), rq.QpeConfig(1))
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(1))
         assert abs(est.distribution.probs[0] - 0.5) < 1e-12
         assert est.k_best == 0
         assert est.phi_estimate == 0.0
@@ -356,7 +388,7 @@ class TestMeasurement:
 class TestEndToEnd:
     def test_nan_state_rejected(self):
         with pytest.raises(rq.PreconditionError, match="finite"):
-            rq.qpe_estimate(np.eye(2), np.array([np.nan, 0.0]), rq.QpeConfig(4))
+            rq.qpe_estimate(rq.eig_unitary(np.eye(2)), np.array([np.nan, 0.0]), rq.QpeConfig(4))
 
     def test_nan_register_and_distribution_rejected(self):
         with pytest.raises(rq.PreconditionError, match="norm"):
@@ -365,12 +397,26 @@ class TestEndToEnd:
             rq.Register1Distribution(np.array([np.nan, 1.0]), "exact")
 
     def test_two_level_ground_state(self):
-        u = rq.unitary_from_hermitian(2.0 * SIGMA_X, 1.0)
+        u = rq.expm_dense(2.0 * SIGMA_X, -1.0)
         color = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        est = rq.qpe_estimate(u, color, rq.QpeConfig(10))
+        est = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(10))
         phi_u = TWO_PI - 2.0
         assert est.k_best == round(1024 * phi_u / TWO_PI)
         assert rq.circular_distance(est.phi_estimate, phi_u) <= TWO_PI / 1024
+
+    def test_energy_problem_spectrum_is_its_unitary(self):
+        # exp(i H / E_R) read from H's eigensystem, or decomposed as a
+        # unitary after the Pade route: the same distribution, also when the
+        # spectrum of H / E_R (radius 3.7 here) wraps around the circle
+        rng = np.random.default_rng(3300)
+        h = random_hermitian(rng, 4, scale=1.5)
+        color = random_state(rng, 4)
+        with pytest.warns(rq.PhaseAliasingWarning):
+            problem = rq.EnergyProblem(h, 1.3, color)
+        via_h = rq.qpe_estimate(problem.spectrum, color, rq.QpeConfig(9))
+        u = rq.eig_unitary(rq.expm_dense(h, -1.0 / 1.3))
+        via_u = rq.qpe_estimate(u, color, rq.QpeConfig(9))
+        assert np.max(np.abs(via_h.distribution.probs - via_u.distribution.probs)) < 1e-12
 
     @pytest.mark.parametrize("e", [2, 4, 8])
     def test_tail_bound_on_sampled_phases(self, e):
@@ -380,7 +426,7 @@ class TestEndToEnd:
         for _ in range(20):
             phi_u = float(rng.uniform(0.0, TWO_PI))
             u = np.array([[np.exp(1j * phi_u)]])
-            est = rq.qpe_estimate(u, np.array([1.0]), rq.QpeConfig(t))
+            est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
             best = int(np.argmin(
                 np.minimum(
                     np.abs(np.arange(size) * TWO_PI / size - phi_u),
@@ -398,7 +444,7 @@ class TestEndToEnd:
         lam, vec = np.linalg.eig(u)
         color = vec[:, 0] / np.linalg.norm(vec[:, 0])
         regs = rq.qpe_prepare(5, color)
-        regs = rq.controlled_unitary_all(regs, u)
+        regs = rq.controlled_unitary_all(regs, rq.eig_unitary(u))
         regs = rq.qft_inverse(regs)
         # every row should stay proportional to the eigencolor
         amps = regs.amplitudes
@@ -422,8 +468,8 @@ class TestTailBound:
 
 class TestSerialization:
     def test_distribution_csv_round_trip(self, tmp_path):
-        u = rq.unitary_from_hermitian(2.0 * SIGMA_X, 1.0)
-        est = rq.qpe_estimate(u, np.array([1.0, -1.0]) / np.sqrt(2.0), rq.QpeConfig(6))
+        u = rq.expm_dense(2.0 * SIGMA_X, -1.0)
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0, -1.0]) / np.sqrt(2.0), rq.QpeConfig(6))
         path = tmp_path / "dist.csv"
         write_distribution_csv(est.distribution, path)
         back = read_distribution_csv(path)
@@ -444,7 +490,7 @@ class TestSerialization:
     def test_estimate_json_fields(self):
         cfg = rq.QpeConfig(6, shots=100, rng_seed=9)
         u = np.array([[np.exp(0.5j)]])
-        est = rq.qpe_estimate(u, np.array([1.0]), cfg)
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), cfg)
         obj = estimate_to_json(est, cfg)
         assert obj == {
             "k": est.k_best,

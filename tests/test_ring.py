@@ -17,13 +17,9 @@ from ringqpe.ring import (
     write_density_csv,
 )
 
-from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_state
+from conftest import SIGMA_X, SIGMA_Z, gauge_from, random_hermitian, random_state
 
 TWO_PI = 2.0 * np.pi
-
-
-def natural_gauge(a_phi):
-    return rq.GaugeField(np.asarray(a_phi, dtype=complex), rq.RingPhysicalParams())
 
 
 class TestReturnTime:
@@ -39,7 +35,7 @@ class TestBuildHamiltonian:
     """Mode-block spectrum: eigenbasis energies and the dense oracle's blocks."""
 
     def test_free_spectrum_without_gauge(self, natural_params):
-        gauge = rq.GaugeField(np.zeros((1, 1), dtype=complex), natural_params)
+        gauge = gauge_from(np.zeros((1, 1), dtype=complex), natural_params)
         energies = gauge.mode_energies(3)
         for row, m in enumerate(range(-3, 4)):
             expected = m * m / 2.0  # hbar^2 m^2 / (2 m_q r^2) in natural units
@@ -47,7 +43,7 @@ class TestBuildHamiltonian:
 
     def test_symbolic_expansion_single_mode(self, natural_params):
         a = 0.3 * SIGMA_X
-        gauge = rq.GaugeField(a, natural_params)
+        gauge = gauge_from(a, natural_params)
         blocks = _squared_blocks(gauge, 1)
         m = 1
         expected = (np.eye(2) * (m * m) - 2.0 * m * a + a @ a) / 2.0
@@ -56,7 +52,7 @@ class TestBuildHamiltonian:
 
     def test_blocks_hermitian_and_counted(self, natural_params):
         rng = np.random.default_rng(7)
-        gauge = rq.GaugeField(random_hermitian(rng, 3), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 3), natural_params)
         blocks = _squared_blocks(gauge, 5)
         assert blocks.shape == (11, 3, 3)
         assert gauge.mode_energies(5).shape == (11, 3)
@@ -65,16 +61,46 @@ class TestBuildHamiltonian:
 
     def test_cross_term_breaks_mode_reflection(self, natural_params):
         # E_{-m,k} differs from E_{m,k} exactly by the sign of the linear term
-        gauge = rq.GaugeField(0.2 * SIGMA_Z, natural_params)
+        gauge = gauge_from(0.2 * SIGMA_Z, natural_params)
         energies = gauge.mode_energies(2)
         e_plus, e_minus = energies[2 + 1], energies[2 - 1]
         assert np.max(np.abs(gauge.eigenvalues - [-0.2, 0.2])) < 1e-15
         assert np.max(np.abs(e_plus - e_minus - (-2.0 * gauge.eigenvalues))) < 1e-12
 
     def test_rejects_bad_cutoff(self, natural_params):
-        gauge = rq.GaugeField(np.zeros((1, 1)), natural_params)
+        gauge = gauge_from(np.zeros((1, 1)), natural_params)
         with pytest.raises(rq.PreconditionError):
             gauge.mode_energies(0)
+
+
+class TestGaugeField:
+    def test_built_from_its_basis_without_eigh(self, natural_params, monkeypatch):
+        v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("GaugeField called eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        gauge = rq.GaugeField(np.array([-0.1, 0.3]), v, natural_params)
+        assert gauge.n_colors == 2
+        assert np.max(np.abs(gauge.a_phi - (0.1 * np.eye(2) - 0.2 * SIGMA_X))) < 1e-15
+        for arr in (gauge.eigenvalues, gauge.eigenvectors):
+            assert not arr.flags.writeable
+
+    def test_a_phi_is_derived_and_read_only(self, natural_params):
+        gauge = gauge_from(0.3 * SIGMA_X, natural_params)
+        assert np.max(np.abs(gauge.a_phi - 0.3 * SIGMA_X)) < 1e-15
+        with pytest.raises(AttributeError):
+            gauge.a_phi = np.zeros((2, 2))
+
+    # require_eigenbasis's own cases live in tests/test_linalg.py
+    @pytest.mark.parametrize("w,v,message", [
+        ([0.1 + 1e-3j, 0.2], np.eye(2), "finite reals"),
+        ([0.1, 0.2], [[1.0, 0.0], [1.0, 1.0]], "not unitary"),
+    ])
+    def test_rejects_a_bad_basis(self, natural_params, w, v, message):
+        with pytest.raises(rq.PreconditionError, match=message):
+            rq.GaugeField(np.asarray(w), np.asarray(v), natural_params)
 
 
 class TestInitialLocalizedState:
@@ -100,13 +126,13 @@ class TestInitialLocalizedState:
 class TestEvolveBlock:
     def test_zero_time_is_identity(self, natural_params):
         rng = np.random.default_rng(41)
-        gauge = rq.GaugeField(random_hermitian(rng, 2), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 2), natural_params)
         state = rq.initial_localized_state(8, random_state(rng, 2))
         evolved = rq.evolve_block(state, gauge, 0.0)
         assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-12
 
     def test_revival_at_return_time(self, natural_params):
-        gauge = rq.GaugeField(np.zeros((2, 2), dtype=complex), natural_params)
+        gauge = gauge_from(np.zeros((2, 2), dtype=complex), natural_params)
         state = rq.initial_localized_state(12, np.array([0.6, 0.8]))
         evolved = rq.evolve_block(state, gauge, rq.return_time(natural_params))
         # free phases e^{-i 2 pi m^2} are exactly 1: the packet reassembles
@@ -117,7 +143,7 @@ class TestEvolveBlock:
         rng = np.random.default_rng(400 + seed)
         n = int(rng.integers(1, 4))
         l = int(rng.integers(1, 20))
-        gauge = rq.GaugeField(random_hermitian(rng, n), natural_params)
+        gauge = gauge_from(random_hermitian(rng, n), natural_params)
         state = rq.initial_localized_state(l, random_state(rng, n))
         evolved = rq.evolve_block(state, gauge, rng.uniform(0.0, 20.0))
         assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10
@@ -126,7 +152,7 @@ class TestEvolveBlock:
         # scalar gauge tuned so the packet relocalizes at phi_u = 1.0
         phi_u = 1.0
         a = -phi_u / (2.0 * TWO_PI)  # (q/hbar) 2 pi r a = -phi_u/2
-        gauge = natural_gauge([[a]])
+        gauge = gauge_from([[a]])
         l, n_grid = 24, 256
         state = rq.initial_localized_state(l, np.array([1.0]))
         t_r = rq.return_time(natural_params)
@@ -144,7 +170,7 @@ class TestEvolveBlock:
         n_grid = 128
         shift_bins = 24
         phi_u = TWO_PI * shift_bins / n_grid
-        gauge = natural_gauge([[-phi_u / (2.0 * TWO_PI)]])
+        gauge = gauge_from([[-phi_u / (2.0 * TWO_PI)]])
         l = 20
         state = rq.initial_localized_state(l, np.array([1.0]))
         evolved = rq.evolve_block(state, gauge, rq.return_time(natural_params))
@@ -156,7 +182,7 @@ class TestEvolveBlock:
         # for an eigencolor the A_phi^2 block term only contributes a global
         # phase; dropping it must leave the relocalization angle unchanged
         lam = 0.07
-        gauge = natural_gauge(lam * SIGMA_Z)
+        gauge = gauge_from(lam * SIGMA_Z)
         l, n_grid = 30, 512
         color = np.array([1.0, 0.0])
         state = rq.initial_localized_state(l, color)
@@ -175,7 +201,7 @@ class TestEvolveBlock:
         assert int(np.argmax(d_full.density)) == int(np.argmax(d_stripped.density))
 
     def test_incompatible_shapes_rejected(self, natural_params):
-        gauge = natural_gauge(np.zeros((3, 3)))
+        gauge = gauge_from(np.zeros((3, 3)))
         state = rq.initial_localized_state(3, np.array([1.0, 0.0]))
         with pytest.raises(rq.PreconditionError, match="colors"):
             rq.evolve_block(state, gauge, 1.0)
@@ -184,7 +210,7 @@ class TestEvolveBlock:
 
     def test_makes_no_eigendecomposition(self, natural_params, monkeypatch):
         rng = np.random.default_rng(44)
-        gauge = rq.GaugeField(random_hermitian(rng, 3), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 3), natural_params)
         state = rq.initial_localized_state(5, random_state(rng, 3))
 
         def forbidden(*args, **kwargs):
@@ -198,7 +224,7 @@ class TestEvolveBlock:
 class TestEvolveDense:
     def test_zero_time_is_identity(self, natural_params):
         rng = np.random.default_rng(43)
-        gauge = rq.GaugeField(random_hermitian(rng, 2), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 2), natural_params)
         state = rq.initial_localized_state(6, random_state(rng, 2))
         evolved = rq.evolve_dense(state, gauge, 0.0)
         assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-12
@@ -206,7 +232,7 @@ class TestEvolveDense:
     def test_matches_block_route_at_contract_dimension(self, natural_params):
         rng = np.random.default_rng(99)
         l = 50  # dimension (2l+1)*2 = 202
-        gauge = rq.GaugeField(random_hermitian(rng, 2, scale=0.2), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 2, scale=0.2), natural_params)
         state = rq.initial_localized_state(l, random_state(rng, 2))
         t_r = rq.return_time(natural_params)
         block = rq.evolve_block(state, gauge, t_r)
@@ -221,7 +247,7 @@ class TestEvolveDense:
         )
         n = int(rng.integers(2, 5))
         l = int(rng.integers(5, 21))
-        gauge = rq.GaugeField(random_hermitian(rng, n, scale=0.3), params)
+        gauge = gauge_from(random_hermitian(rng, n, scale=0.3), params)
         # eigenbasis energies are the spectra of the directly squared blocks
         blocks = _squared_blocks(gauge, l)
         energies = np.sort(gauge.mode_energies(l), axis=1)
@@ -233,7 +259,7 @@ class TestEvolveDense:
         assert np.max(np.abs(block.coeffs - dense.coeffs)) < 1e-8
 
     def test_dimension_guard(self, natural_params):
-        gauge = natural_gauge(np.zeros((2, 2)))
+        gauge = gauge_from(np.zeros((2, 2)))
         state = rq.initial_localized_state(5, np.array([1.0, 0.0]))
         with pytest.raises(rq.ResourceLimitError):
             rq.evolve_dense(state, gauge, 1.0, max_dim=8)
@@ -329,9 +355,9 @@ class TestExtractPeaks:
         assert len(peaks) == 1
 
     def test_weight_sum_bounded(self, sigma_z_problem, natural_params):
-        gauge = rq.encode_hamiltonian_as_gauge(sigma_z_problem, natural_params)
+        gauge = rq.encode_as_gauge(sigma_z_problem, natural_params)
         peaks = rq.estimate_phase_via_ring(
-            gauge, sigma_z_problem.candidate_state, 50, 512
+            gauge, sigma_z_problem.state, 50, 512
         )
         assert sum(p.weight for p in peaks) <= 1.0 + 1e-6
 
@@ -345,7 +371,7 @@ class TestExtractPeaks:
 
 class TestEstimatePhaseViaRing:
     def test_zero_gauge_relocalizes_at_origin(self, natural_params):
-        gauge = rq.GaugeField(np.zeros((2, 2), dtype=complex), natural_params)
+        gauge = gauge_from(np.zeros((2, 2), dtype=complex), natural_params)
         peaks = rq.estimate_phase_via_ring(
             gauge, np.array([1.0, 0.0]), 40, 256
         )
@@ -353,18 +379,18 @@ class TestEstimatePhaseViaRing:
         assert peaks.dominant.weight > 0.9
 
     def test_two_level_ground_state_read_out(self, sigma_x_problem, natural_params):
-        gauge = rq.encode_hamiltonian_as_gauge(sigma_x_problem, natural_params)
+        gauge = rq.encode_as_gauge(sigma_x_problem, natural_params)
         peaks = rq.estimate_phase_via_ring(
-            gauge, sigma_x_problem.candidate_state, 50, 512
+            gauge, sigma_x_problem.state, 50, 512
         )
         expected = TWO_PI - 2.0
         assert abs(peaks.dominant.phi - expected) < TWO_PI / 512
         assert peaks.dominant.weight > 0.9
 
     def test_superposition_weights_track_overlaps(self, sigma_z_problem, natural_params):
-        gauge = rq.encode_hamiltonian_as_gauge(sigma_z_problem, natural_params)
+        gauge = rq.encode_as_gauge(sigma_z_problem, natural_params)
         peaks = rq.estimate_phase_via_ring(
-            gauge, sigma_z_problem.candidate_state, 50, 512
+            gauge, sigma_z_problem.state, 50, 512
         )
         assert len(peaks) == 2
         first, second = peaks.peaks
@@ -377,8 +403,8 @@ class TestEstimatePhaseViaRing:
     def test_eigencolor_lands_at_predicted_angle(self, seed, natural_params):
         rng = np.random.default_rng(700 + seed)
         n = int(rng.integers(1, 5))
-        gauge = rq.GaugeField(random_hermitian(rng, n, scale=0.1), natural_params)
-        lam, vec = rq.eig_hermitian(gauge.a_phi)
+        gauge = gauge_from(random_hermitian(rng, n, scale=0.1), natural_params)
+        lam, vec = gauge.eigenvalues, gauge.eigenvectors
         pick = int(rng.integers(0, n))
         color = vec[:, pick]
         l = 60
@@ -389,14 +415,14 @@ class TestEstimatePhaseViaRing:
 
     def test_non_natural_units_same_read_out(self, sigma_x_problem):
         params = rq.RingPhysicalParams(hbar=3.0, charge_q=-0.5, radius_r=2.0, mass_mq=0.7)
-        gauge = rq.encode_hamiltonian_as_gauge(sigma_x_problem, params)
+        gauge = rq.encode_as_gauge(sigma_x_problem, params)
         peaks = rq.estimate_phase_via_ring(
-            gauge, sigma_x_problem.candidate_state, 50, 512
+            gauge, sigma_x_problem.state, 50, 512
         )
         assert abs(peaks.dominant.phi - (TWO_PI - 2.0)) < TWO_PI / 512
 
     def test_resolution_check(self, sigma_x_problem, natural_params, monkeypatch):
-        gauge = rq.encode_hamiltonian_as_gauge(sigma_x_problem, natural_params)
+        gauge = rq.encode_as_gauge(sigma_x_problem, natural_params)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("evolved before the grid check")
@@ -404,7 +430,7 @@ class TestEstimatePhaseViaRing:
         # a coarse grid is refused before the state evolves
         monkeypatch.setattr(ring_module, "evolve_block", forbidden)
         with pytest.raises(rq.ResolutionError, match="N >= 2l\\+1"):
-            rq.estimate_phase_via_ring(gauge, sigma_x_problem.candidate_state, 50, 64)
+            rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 64)
 
 
 class TestDefaultPeakWindow:
@@ -423,8 +449,8 @@ class TestGoldenDensity:
     def test_evolved_density_matches_frozen_reference(
         self, sigma_x_problem, natural_params, tmp_path
     ):
-        gauge = rq.encode_hamiltonian_as_gauge(sigma_x_problem, natural_params)
-        state = rq.initial_localized_state(50, sigma_x_problem.candidate_state)
+        gauge = rq.encode_as_gauge(sigma_x_problem, natural_params)
+        state = rq.initial_localized_state(50, sigma_x_problem.state)
         evolved = rq.evolve_block(state, gauge, rq.return_time(natural_params))
         density = rq.position_density(evolved, 512)
 
