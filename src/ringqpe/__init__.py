@@ -51,7 +51,6 @@ from .qpe import (
     qft_inverse,
     qpe_estimate,
     qpe_prepare,
-    success_tail_bound,
 )
 from .ring import (
     VELOCITY_FACTOR,
@@ -122,7 +121,6 @@ __all__ = [
     "qpe_prepare",
     "return_time",
     "run_scaling_suite",
-    "success_tail_bound",
     "unwrap_phase",
     "wrap_to_signed",
     "wrap_to_unit",

@@ -144,6 +144,10 @@ def _warmed_jobs(method: str, sizes, seed: int, n_colors: int) -> list:
     return jobs
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def run_scaling_suite(
     sizes,
     repeats: int = 5,
@@ -161,11 +165,19 @@ def run_scaling_suite(
     each point records the median of its repeats. Measurements run
     strictly sequentially; validation happens outside the timed region.
     """
+    # every count is checked as QpeConfig checks rng_seed: an integer, not a
+    # bool; numpy and range() would refuse the rest with bare errors, and
+    # int() would truncate a fractional size
+    sizes = list(sizes)
+    if not sizes or not all(_is_integer(s) and s >= 1 for s in sizes):
+        raise PreconditionError(f"sizes must be positive integers, got {sizes!r}")
     sizes = [int(s) for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise PreconditionError("sizes must be positive integers")
-    if repeats < 3:
-        raise PreconditionError(f"need >= 3 repeats, got {repeats}")
+    if not _is_integer(repeats) or repeats < 3:
+        raise PreconditionError(f"need an integer >= 3 repeats, got {repeats!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
+    if not _is_integer(n_colors) or n_colors < 1:
+        raise PreconditionError(f"n_colors must be a positive integer, got {n_colors!r}")
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise PreconditionError(f"unknown bench methods: {sorted(unknown)}")

@@ -1,8 +1,8 @@
 """Command line front end.
 
-Subcommands: ring-sim (gauge-field read-out), qpe (register pipeline),
-compare (both routes against direct diagonalization), bench (scaling
-measurements), figure (plot-ready CSV emission). Options resolve as
+Subcommands: ring-sim (gauge-field read-out and density snapshots), qpe
+(register pipeline), compare (both routes against direct
+diagonalization), bench (scaling measurements). Options resolve as
 command-line flags over --config JSON values (null meaning the default)
 over built-in natural-unit defaults; RINGQPE_OUT_DIR supplies the output
 directory when no flag or config value names one.
@@ -94,10 +94,6 @@ _DEFAULTS = {
     "compare": {
         "mode_cutoff_l": 200, "grid_size_n": 1024, "t_bits": 10, "shots": 0,
     },
-    "figure": {
-        "mode_cutoff_l": 50, "grid_size_n": 512, "t_bits": 3,
-        "times": (0.0, 0.5, 1.0),
-    },
     "bench": {
         "sizes": (64, 128, 256, 512), "repeats": 5, "count_ops": False,
     },
@@ -173,19 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("-N", "--grid-size", dest="grid_size_n", type=int)
     comp.add_argument("--t-bits", dest="t_bits", type=int)
     comp.add_argument("--shots", type=int)
-
-    fig = sub.add_parser(
-        "figure",
-        help="emit plot-ready CSV data",
-        description="Writes fig_density_XX.csv snapshots and slice_table.csv "
-                    "mapping read-out values k to phase windows.",
-    )
-    _add_common(fig)
-    fig.add_argument("-l", "--mode-cutoff", dest="mode_cutoff_l", type=int)
-    fig.add_argument("-N", "--grid-size", dest="grid_size_n", type=int)
-    fig.add_argument("--t-bits", dest="t_bits", type=int)
-    fig.add_argument("--times", help="comma-separated snapshot times as "
-                                     "fractions of the return time")
 
     bench = sub.add_parser(
         "bench",
@@ -301,37 +284,27 @@ def _require_problem(cfg: argparse.Namespace):
     return load_problem(cfg.problem)
 
 
-def _densities(cfg: argparse.Namespace, problem, gauge, fractions) -> dict:
-    """Density at each fraction of t_R; each distinct time evolves once."""
-    state = initial_localized_state(cfg.mode_cutoff_l, problem.state)
-    t_r = return_time(cfg.params)
-    return {
-        fraction: position_density(
-            evolve_block(state, gauge, fraction * t_r), cfg.grid_size_n
-        )
-        for fraction in dict.fromkeys(fractions)
-    }
-
-
-def _write_snapshots(cfg: argparse.Namespace, densities: dict,
-                     prefix: str) -> list[str]:
-    written = []
-    for i, fraction in enumerate(cfg.times):
-        path = os.path.join(cfg.out_dir, f"{prefix}_{i:02d}.csv")
-        write_density_csv(densities[fraction], path)
-        written.append(path)
-    return written
-
-
 def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
     require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     gauge = encode_as_gauge(problem, cfg.params)
-    # the read-out takes its peaks from the density at t_R (fraction 1)
-    densities = _densities(cfg, problem, gauge, cfg.times + (1.0,))
-    snapshot_paths = _write_snapshots(cfg, densities, "density")
+    state = initial_localized_state(cfg.mode_cutoff_l, problem.state)
+    t_r = return_time(cfg.params)
+    # each distinct time evolves once; the read-out takes its peaks from the
+    # density at t_R (fraction 1), evolved here only if no snapshot is at t_R
+    densities = {
+        fraction: position_density(
+            evolve_block(state, gauge, fraction * t_r), cfg.grid_size_n
+        )
+        for fraction in dict.fromkeys(cfg.times + (1.0,))
+    }
+    snapshot_paths = []
+    for i, fraction in enumerate(cfg.times):
+        path = os.path.join(cfg.out_dir, f"density_{i:02d}.csv")
+        write_density_csv(densities[fraction], path)
+        snapshot_paths.append(path)
     peaks = revival_peaks(densities[1.0], cfg.mode_cutoff_l)
     peaks_path = os.path.join(cfg.out_dir, "peaks.json")
     with open(peaks_path, "w") as fh:
@@ -340,7 +313,7 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     lines = [
         f"problem: {cfg.problem}",
         f"mode cutoff l = {cfg.mode_cutoff_l}, grid N = {cfg.grid_size_n}",
-        f"return time t_R = {return_time(cfg.params)!r}",
+        f"return time t_R = {t_r!r}",
         f"peaks found: {len(peaks)}",
     ]
     for i, p in enumerate(peaks):
@@ -388,12 +361,13 @@ def cmd_qpe(cfg: argparse.Namespace) -> int:
 def cmd_compare(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
     require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
-    if cfg.grid_size_n < (1 << cfg.t_bits):
+    # built first, so t_bits is checked before 2^t is formed
+    qpe_cfg = QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
+    if cfg.grid_size_n < qpe_cfg.register_size:
         raise ResolutionError(
             f"grid of {cfg.grid_size_n} points is coarser than the "
             f"2^{cfg.t_bits} register; need N >= 2^t"
         )
-    qpe_cfg = QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     gauge = encode_as_gauge(problem, cfg.params)
@@ -453,31 +427,6 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_figure(cfg: argparse.Namespace) -> int:
-    problem = _require_problem(cfg)
-    require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
-    # the slice table spans the register qpe would read out
-    size = QpeConfig(cfg.t_bits).register_size
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
-    gauge = encode_as_gauge(problem, cfg.params)
-    densities = _densities(cfg, problem, gauge, cfg.times)
-    written = _write_snapshots(cfg, densities, "fig_density")
-
-    slice_path = os.path.join(cfg.out_dir, "slice_table.csv")
-    with open(slice_path, "w", newline="") as fh:
-        fh.write("k,phi_lo,phi_hi\n")
-        for k in range(size):
-            lo = TWO_PI * k / size
-            hi = TWO_PI * (k + 1) / size
-            fh.write(f"{k},{lo!r},{hi!r}\n")
-    written.append(slice_path)
-
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
 def cmd_bench(cfg: argparse.Namespace) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     points = run_scaling_suite(
@@ -512,7 +461,6 @@ _HANDLERS = {
     "ring-sim": cmd_ring_sim,
     "qpe": cmd_qpe,
     "compare": cmd_compare,
-    "figure": cmd_figure,
     "bench": cmd_bench,
 }
 

@@ -14,7 +14,7 @@ class ResolutionError(PreconditionError):
 
 
 class ResourceLimitError(RingQpeError, RuntimeError):
-    """A computation would exceed a configured size guard (dimension or bytes)."""
+    """A computation would exceed a size guard (dimension or bytes)."""
 
 
 class ProblemFormatError(RingQpeError, ValueError):

@@ -16,7 +16,6 @@ over it, rather than 2^t matrix powers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -238,15 +237,6 @@ def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
     return QpeEstimate(k_best, phi, dist)
 
 
-def success_tail_bound(e: int) -> float:
-    """Upper bound 1 / (2 (e - 1)) on landing more than e bins away."""
-    if not isinstance(e, (int, np.integer)) or isinstance(e, bool):
-        raise PreconditionError("e must be an integer")
-    if e <= 1:
-        raise PreconditionError(f"tail bound needs e >= 2, got {e}")
-    return 1.0 / (2.0 * (e - 1))
-
-
 def write_distribution_csv(dist: Register1Distribution, path) -> None:
     """Write `k,probability` rows at full precision."""
     probs = dist.probs
@@ -257,25 +247,6 @@ def write_distribution_csv(dist: Register1Distribution, path) -> None:
         for start in range(0, probs.size, _CSV_BLOCK_ROWS):
             block = probs[start:start + _CSV_BLOCK_ROWS].tolist()
             fh.write("".join(f"{k},{p!r}\r\n" for k, p in enumerate(block, start)))
-
-
-def read_distribution_csv(path, mode: str = "exact",
-                          shots: int | None = None,
-                          seed: int | None = None) -> Register1Distribution:
-    """Parse a distribution CSV written by write_distribution_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["k", "probability"]:
-            raise PreconditionError(f"unrecognized distribution CSV header in {path}")
-        rows = [(int(k), float(p)) for k, p in (r for r in reader if r)]
-    if not rows:
-        raise PreconditionError(f"distribution CSV {path} has no data rows")
-    if [k for k, _ in rows] != list(range(len(rows))):
-        raise PreconditionError(f"distribution CSV {path} ks must be 0..2^t-1 in order")
-    return Register1Distribution(
-        np.asarray([p for _, p in rows]), mode, shots=shots, seed=seed
-    )
 
 
 def estimate_to_json(estimate: QpeEstimate, cfg: QpeConfig) -> dict:

@@ -29,7 +29,6 @@ to compensate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -62,7 +61,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RingPhysicalParams:
-    """Ring constants; natural units (all ones) unless configured otherwise."""
+    """Ring constants; natural units (all ones) unless set otherwise."""
 
     hbar: float = 1.0
     charge_q: float = 1.0
@@ -126,7 +125,6 @@ class RingState:
     mode_cutoff_l: int
     n_colors: int
     coeffs: np.ndarray
-    norm_tol: float = UNIT_NORM_TOL
 
     def __post_init__(self):
         if self.mode_cutoff_l < 1:
@@ -142,9 +140,9 @@ class RingState:
         if not np.all(np.isfinite(c)):
             raise PreconditionError("coefficients must be finite")
         norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > self.norm_tol:
+        if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise PreconditionError(
-                f"state norm {norm!r} deviates from 1 beyond tolerance {self.norm_tol}"
+                f"state norm {norm!r} deviates from 1 beyond tolerance {UNIT_NORM_TOL}"
             )
         object.__setattr__(self, "coeffs", _readonly(c))
 
@@ -462,13 +460,6 @@ def revival_peaks(
     return extract_peaks(density, max_peaks, window)
 
 
-def eigenvalue_to_peak_phase(gauge: GaugeField, eigenvalue: float) -> float:
-    """Predicted relocalization angle for a gauge eigencolor."""
-    p = gauge.params
-    shift = -VELOCITY_FACTOR * TWO_PI * p.radius_r * (p.charge_q / p.hbar) * eigenvalue
-    return float(wrap_to_unit(shift))
-
-
 def write_density_csv(density: PositionDensity, path) -> None:
     """Write `phi,density,density_color_0,...` rows at full precision."""
     header = ["phi", "density"] + [
@@ -486,21 +477,6 @@ def write_density_csv(density: PositionDensity, path) -> None:
             fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
-def read_density_csv(path) -> PositionDensity:
-    """Parse a density CSV written by write_density_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["phi", "density"]:
-            raise PreconditionError(f"unrecognized density CSV header in {path}")
-        rows = [[float(x) for x in row] for row in reader if row]
-    if not rows:
-        raise PreconditionError(f"density CSV {path} has no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    per_color = data[:, 2:] if data.shape[1] > 2 else data[:, 1:2]
-    return PositionDensity(data[:, 0], data[:, 1], per_color)
-
-
 def peak_set_to_json(peak_set: PeakSet) -> dict:
     return {
         "peaks": [
@@ -509,14 +485,3 @@ def peak_set_to_json(peak_set: PeakSet) -> dict:
         ],
         "resolution": peak_set.resolution,
     }
-
-
-def peak_set_from_json(obj) -> PeakSet:
-    try:
-        peaks = tuple(
-            Peak(float(p["phi"]), float(p["weight"]), float(p["width"]))
-            for p in obj["peaks"]
-        )
-        return PeakSet(peaks, float(obj["resolution"]))
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"malformed peak set JSON: {exc}") from exc

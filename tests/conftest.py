@@ -53,6 +53,17 @@ def natural_params():
     return rq.RingPhysicalParams()
 
 
+def read_csv(path):
+    """Header names and a 2-D float array of a CSV the package wrote.
+
+    `repr` floats parse back exactly, so round trips can compare with ==.
+    """
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return header, data
+
+
 def write_problem(tmp_path, problem, name="problem.json"):
     path = tmp_path / name
     with open(path, "w") as fh:

@@ -118,7 +118,7 @@ def test_a4_tail_bound_holds_across_random_phases(capsys):
             idx_dist = np.minimum(idx_dist, size - idx_dist)
             for e in (2, 4, 8):
                 tail = float(est.distribution.probs[idx_dist > e].sum())
-                if tail > rq.success_tail_bound(e) + 1e-12:
+                if tail > 1.0 / (2.0 * (e - 1)) + 1e-12:
                     violations += 1
         assert violations == 0, f"{violations} tail-bound violations"
 

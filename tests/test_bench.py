@@ -132,6 +132,27 @@ class TestRunScalingSuite:
             rq.run_scaling_suite((24,), repeats=2)
         with pytest.raises(rq.PreconditionError, match="methods"):
             rq.run_scaling_suite((24,), repeats=3, methods=("fft",))
+        # numpy would refuse these with a bare ValueError or TypeError
+        for seed in (-1, True, 2.5, "7"):
+            with pytest.raises(rq.PreconditionError, match="seed"):
+                rq.run_scaling_suite((24,), repeats=3, seed=seed)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(sizes=(24.9,)), "sizes"),       # was truncated to 24 and run
+        (dict(sizes=(True,)), "sizes"),       # was size 1, skipped silently
+        (dict(sizes=("24",)), "sizes"),       # was parsed by int()
+        (dict(repeats=3.5), "repeats"),       # was a TypeError in range()
+        (dict(repeats="5"), "repeats"),       # was a TypeError in the compare
+        (dict(n_colors=0), "n_colors"),       # was a ZeroDivisionError
+        (dict(n_colors=-2), "n_colors"),
+        (dict(n_colors=1.5), "n_colors"),
+    ], ids=["size-fraction", "size-bool", "size-str", "repeats-fraction",
+            "repeats-str", "colors-zero", "colors-negative", "colors-fraction"])
+    def test_malformed_counts_are_refused(self, kwargs, name):
+        args = dict(sizes=(24,), repeats=3, seed=0, methods=(METHOD_BLOCK,))
+        args.update(kwargs)
+        with pytest.raises(rq.PreconditionError, match=name):
+            rq.run_scaling_suite(**args)
 
 
 class TestSerialization:

@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, outputs, precedence, determinism."""
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,10 +16,11 @@ import ringqpe.cli as cli
 import ringqpe.ring as ring_module
 from ringqpe.cli import main
 
-from conftest import SIGMA_X, random_unitary, write_problem
+from conftest import SIGMA_X, random_unitary, read_csv, write_problem
 
 TWO_PI = 2.0 * np.pi
 PROBLEM_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 @pytest.fixture
@@ -55,6 +58,15 @@ class TestParsing:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["ring-sim", "--bogus"]) == 1
         assert "--bogus" in capsys.readouterr().err
+
+    def test_figure_is_no_longer_a_subcommand(self, tmp_path, sigma_x_file,
+                                              capsys):
+        # ring-sim writes the same density snapshots
+        out = tmp_path / "out"
+        assert main(["figure", "--problem", str(sigma_x_file),
+                     "--out-dir", str(out)]) == 1
+        assert "invalid choice: 'figure'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -128,10 +140,24 @@ class TestRingSim:
         out = tmp_path / "out"
         assert main(["ring-sim", "--problem", str(sigma_x_file),
                      "--out-dir", str(out)]) == 0
-        from ringqpe.ring import read_density_csv
-        density = read_density_csv(out / "density_00.csv")
-        integral = density.density.sum() * TWO_PI / density.grid_size_N
+        header, data = read_csv(out / "density_00.csv")
+        assert header[:2] == ["phi", "density"]
+        integral = data[:, 1].sum() * TWO_PI / len(data)
         assert abs(integral - 1.0) < 1e-8
+
+    def test_packet_drifts_to_the_revival_peak(self, tmp_path, sigma_x_file):
+        out = tmp_path / "out"
+        assert main(["ring-sim", "--problem", str(sigma_x_file),
+                     "--out-dir", str(out)]) == 0
+        argmaxes = []
+        for i in range(3):  # the default times 0, 0.5 and 1 of t_R
+            _, data = read_csv(out / f"density_{i:02d}.csv")
+            argmaxes.append(data[int(np.argmax(data[:, 1])), 0])
+        # packet drifts from the origin to the full-revival peak
+        assert abs(argmaxes[0] - 0.0) < 1e-12
+        assert abs(argmaxes[1] - (np.pi - 1.0)) < 3 * TWO_PI / 512
+        assert abs(argmaxes[2] - (TWO_PI - 2.0)) < 3 * TWO_PI / 512
+        assert argmaxes[0] < argmaxes[1] < argmaxes[2]
 
     def test_zero_hamiltonian_reads_out_zero_energy(self, tmp_path):
         problem = rq.EnergyProblem(
@@ -307,46 +333,21 @@ class TestCompare:
         assert "N >= 2^t" in capsys.readouterr().err
 
 
-class TestFigure:
+class TestRegisterWidth:
+    @pytest.mark.parametrize("sub", ["qpe", "compare"])
     @pytest.mark.parametrize("t_bits", ["-1", "0"])
     def test_bad_register_width_is_refused(self, tmp_path, sigma_x_file,
-                                           capsys, t_bits):
-        # -1 used to raise "negative shift count" with a traceback, and 0
-        # wrote a one-row slice table with exit 0
+                                           capsys, sub, t_bits):
+        # compare formed 2^t before checking t, so -1 raised "negative
+        # shift count" with a traceback
         out = tmp_path / "out"
-        code = main(["figure", "--problem", str(sigma_x_file),
+        code = main([sub, "--problem", str(sigma_x_file),
                      "--out-dir", str(out), "--t-bits", t_bits])
         assert code == 1
-        assert "ringqpe: error: t_bits must be in" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ringqpe: error: t_bits must be in" in err
+        assert "Traceback" not in err
         assert not out.exists()
-
-    def test_slice_table_and_snapshots(self, tmp_path, sigma_x_file):
-        out = tmp_path / "out"
-        code = main(["figure", "--problem", str(sigma_x_file),
-                     "--out-dir", str(out), "--t-bits", "3"])
-        assert code == 0
-
-        with open(out / "slice_table.csv") as fh:
-            header = fh.readline().strip()
-            rows = [line.split(",") for line in fh.read().splitlines()]
-        assert header == "k,phi_lo,phi_hi"
-        assert len(rows) == 8
-        k4 = rows[4]
-        assert int(k4[0]) == 4
-        assert abs(float(k4[1]) - np.pi) < 1e-12
-        assert abs(float(k4[2]) - 5.0 * np.pi / 4.0) < 1e-12
-
-        from ringqpe.ring import read_density_csv
-        argmaxes = []
-        for i in range(3):
-            density = read_density_csv(out / f"fig_density_{i:02d}.csv")
-            j = int(np.argmax(density.density))
-            argmaxes.append(density.phi_grid[j])
-        # packet drifts from the origin to the full-revival peak
-        assert abs(argmaxes[0] - 0.0) < 1e-12
-        assert abs(argmaxes[1] - (np.pi - 1.0)) < 3 * TWO_PI / 512
-        assert abs(argmaxes[2] - (TWO_PI - 2.0)) < 3 * TWO_PI / 512
-        assert argmaxes[0] < argmaxes[1] < argmaxes[2]
 
 
 class TestBench:
@@ -394,7 +395,7 @@ class TestSeed:
 
 
 class TestOneDecompositionPerProblem:
-    @pytest.mark.parametrize("sub", ["ring-sim", "qpe", "compare", "figure"])
+    @pytest.mark.parametrize("sub", ["ring-sim", "qpe", "compare"])
     @pytest.mark.parametrize("name", sorted(os.listdir(PROBLEM_DIR)))
     def test_each_command_decomposes_the_problem_once(
             self, tmp_path, monkeypatch, sub, name):
@@ -557,3 +558,38 @@ class TestDeterminism:
             a = (out_a / name).read_bytes()
             b = (out_b / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+
+class TestNoTestOnlyApi:
+    def test_every_public_name_has_a_caller_in_src_or_is_documented(self):
+        # a name counts as used where src/ loads it outside its own def or
+        # class; imports and the __all__ strings are not uses
+        src_dir = os.path.dirname(rq.__file__)
+        used, public = set(), set(rq.__all__)
+
+        def visit(node, enclosing):
+            for child in ast.iter_child_nodes(node):
+                inner = enclosing
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = enclosing | {child.name}
+                elif isinstance(child, ast.Name) and child.id not in enclosing:
+                    used.add(child.id)
+                elif isinstance(child, ast.Attribute) and child.attr not in enclosing:
+                    used.add(child.attr)
+                visit(child, inner)
+
+        for name in sorted(os.listdir(src_dir)):
+            if name.endswith(".py"):
+                with open(os.path.join(src_dir, name)) as fh:
+                    tree = ast.parse(fh.read())
+                public |= {node.name for node in tree.body
+                           if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                           and not node.name.startswith("_")}
+                visit(tree, frozenset())
+
+        with open(README) as fh:
+            library = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        unused = sorted(name for name in public - used
+                        if not re.search(rf"\b{name}\b", library))
+        assert unused == [], f"public names with neither a caller in src/ " \
+                             f"nor a mention in README's Library section: {unused}"

@@ -6,11 +6,10 @@ import pytest
 import ringqpe as rq
 from ringqpe.qpe import (
     estimate_to_json,
-    read_distribution_csv,
     write_distribution_csv,
 )
 
-from conftest import SIGMA_X, random_hermitian, random_state, random_unitary
+from conftest import SIGMA_X, random_hermitian, random_state, random_unitary, read_csv
 
 TWO_PI = 2.0 * np.pi
 
@@ -436,7 +435,8 @@ class TestEndToEnd:
             idx_dist = np.abs(np.arange(size) - best)
             idx_dist = np.minimum(idx_dist, size - idx_dist)
             tail = float(est.distribution.probs[idx_dist > e].sum())
-            assert tail <= rq.success_tail_bound(e) + 1e-12
+            # Nielsen & Chuang 5.2.1: P(|k - b| > e) <= 1 / (2 (e - 1))
+            assert tail <= 1.0 / (2.0 * (e - 1)) + 1e-12
 
     def test_register2_unchanged_for_eigencolor(self):
         rng = np.random.default_rng(21)
@@ -453,39 +453,16 @@ class TestEndToEnd:
         assert np.max(np.abs(residual)) < 1e-9
 
 
-class TestTailBound:
-    def test_values(self):
-        assert rq.success_tail_bound(2) == 0.5
-        assert rq.success_tail_bound(6) == 0.1
-        assert abs(rq.success_tail_bound(8) - 1.0 / 14.0) < 1e-15
-        assert rq.success_tail_bound(11) == 0.05
-
-    @pytest.mark.parametrize("bad", [1, 0, -2, True, 2.5])
-    def test_rejects_bad_error_radius(self, bad):
-        with pytest.raises(rq.PreconditionError):
-            rq.success_tail_bound(bad)
-
-
 class TestSerialization:
     def test_distribution_csv_round_trip(self, tmp_path):
         u = rq.expm_dense(2.0 * SIGMA_X, -1.0)
         est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0, -1.0]) / np.sqrt(2.0), rq.QpeConfig(6))
         path = tmp_path / "dist.csv"
         write_distribution_csv(est.distribution, path)
-        back = read_distribution_csv(path)
-        assert np.array_equal(back.probs, est.distribution.probs)
-
-    def test_csv_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("index,value\n0,1.0\n")
-        with pytest.raises(rq.PreconditionError, match="header"):
-            read_distribution_csv(path)
-
-    def test_csv_requires_contiguous_ks(self, tmp_path):
-        path = tmp_path / "gap.csv"
-        path.write_text("k,probability\n0,0.5\n2,0.5\n")
-        with pytest.raises(rq.PreconditionError, match="order"):
-            read_distribution_csv(path)
+        header, data = read_csv(path)
+        assert header == ["k", "probability"]
+        assert np.array_equal(data[:, 0], np.arange(64))
+        assert np.array_equal(data[:, 1], est.distribution.probs)
 
     def test_estimate_json_fields(self):
         cfg = rq.QpeConfig(6, shots=100, rng_seed=9)

@@ -1,5 +1,6 @@
 """Ring dynamics: mode energies, revival, relocalization, peaks."""
 
+import json
 import math
 
 import numpy as np
@@ -10,14 +11,18 @@ import ringqpe.ring as ring_module
 from ringqpe.ring import (
     _squared_blocks,
     default_peak_window,
-    eigenvalue_to_peak_phase,
-    peak_set_from_json,
     peak_set_to_json,
-    read_density_csv,
     write_density_csv,
 )
 
-from conftest import SIGMA_X, SIGMA_Z, gauge_from, random_hermitian, random_state
+from conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    gauge_from,
+    random_hermitian,
+    random_state,
+    read_csv,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -101,6 +106,17 @@ class TestGaugeField:
     def test_rejects_a_bad_basis(self, natural_params, w, v, message):
         with pytest.raises(rq.PreconditionError, match=message):
             rq.GaugeField(np.asarray(w), np.asarray(v), natural_params)
+
+
+class TestRingState:
+    def test_norm_tolerance_is_fixed(self):
+        coeffs = 1.001 * np.ones((3, 1)) / math.sqrt(3.0)
+        with pytest.raises(rq.PreconditionError,
+                           match="state norm .* deviates from 1 beyond tolerance 1e-10"):
+            rq.RingState(1, 1, coeffs)
+        # the tolerance is a constant, not a field a caller can loosen
+        with pytest.raises(TypeError):
+            rq.RingState(1, 1, coeffs, norm_tol=0.01)
 
 
 class TestInitialLocalizedState:
@@ -409,7 +425,11 @@ class TestEstimatePhaseViaRing:
         color = vec[:, pick]
         l = 60
         peaks = rq.estimate_phase_via_ring(gauge, color, l, 512)
-        predicted = eigenvalue_to_peak_phase(gauge, float(lam[pick]))
+        # two laps by t_R: the eigencolor lands at -2 * 2 pi r (q / hbar) lam
+        p = gauge.params
+        predicted = rq.wrap_to_unit(
+            -2.0 * TWO_PI * p.radius_r * (p.charge_q / p.hbar) * float(lam[pick])
+        )
         assert rq.circular_distance(peaks.dominant.phi, predicted) < TWO_PI / (2 * l + 1)
         assert peaks.dominant.weight > 0.9
 
@@ -458,10 +478,11 @@ class TestGoldenDensity:
         golden_path = os.path.join(
             os.path.dirname(__file__), "golden", "evolved_density.csv"
         )
-        golden = read_density_csv(golden_path)
-        assert golden.grid_size_N == density.grid_size_N
-        assert np.max(np.abs(golden.density - density.density)) < 1e-6
-        assert np.max(np.abs(golden.per_color - density.per_color)) < 1e-6
+        header, golden = read_csv(golden_path)
+        assert header == ["phi", "density", "density_color_0", "density_color_1"]
+        assert len(golden) == density.grid_size_N
+        assert np.max(np.abs(golden[:, 1] - density.density)) < 1e-6
+        assert np.max(np.abs(golden[:, 2:] - density.per_color)) < 1e-6
 
 
 class TestSerialization:
@@ -470,16 +491,21 @@ class TestSerialization:
         density = rq.position_density(state, 64)
         path = tmp_path / "density.csv"
         write_density_csv(density, path)
-        back = read_density_csv(path)
-        assert np.array_equal(back.phi_grid, density.phi_grid)
-        assert np.array_equal(back.density, density.density)
-        assert np.array_equal(back.per_color, density.per_color)
+        header, back = read_csv(path)
+        assert header == ["phi", "density", "density_color_0", "density_color_1"]
+        assert np.array_equal(back[:, 0], density.phi_grid)
+        assert np.array_equal(back[:, 1], density.density)
+        assert np.array_equal(back[:, 2:], density.per_color)
 
     def test_peak_set_json_round_trip(self):
         peaks = rq.PeakSet(
             (rq.Peak(1.5, 0.75, 0.01), rq.Peak(4.0, 0.25, 0.02)), 0.01
         )
-        back = peak_set_from_json(peak_set_to_json(peaks))
+        obj = json.loads(json.dumps(peak_set_to_json(peaks)))
+        back = rq.PeakSet(
+            tuple(rq.Peak(p["phi"], p["weight"], p["width"]) for p in obj["peaks"]),
+            obj["resolution"],
+        )
         assert back.peaks == peaks.peaks
         assert back.resolution == peaks.resolution
 
