@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -287,11 +288,16 @@ def _require_problem(cfg: argparse.Namespace):
 def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
     require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
+    t_r = return_time(cfg.params)
+    for fraction in cfg.times + (1.0,):
+        if not math.isfinite(fraction * t_r):
+            raise PreconditionError(
+                f"snapshot time {fraction!r} t_R = {fraction * t_r!r} is not finite"
+            )
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     gauge = encode_as_gauge(problem, cfg.params)
     state = initial_localized_state(cfg.mode_cutoff_l, problem.state)
-    t_r = return_time(cfg.params)
     # each distinct time evolves once; the read-out takes its peaks from the
     # density at t_R (fraction 1), evolved here only if no snapshot is at t_R
     densities = {

@@ -9,9 +9,15 @@ is the textbook circuit run on the exact statevector:
 after which register 1 concentrates near k = 2^t phi_u / (2 pi). U enters
 as its eigendecomposition (theta, V), the spectrum a problem computed once
 on construction. The controlled stage follows the circuit, one controlled
-U^(2^j) per bit j of m, applied in U's eigenbasis where each is diagonal:
-its cost is two basis rotations of the statevector and t passes of phases
-over it, rather than 2^t matrix powers.
+U^(2^j) per bit j of m, applied in U's eigenbasis where each is diagonal.
+There the t diagonals multiply into two small phase tables, one over the
+low half of m's bits and one over the high half, so the cost is two basis
+rotations of the statevector and two passes of phases over it, rather than
+2^t matrix powers.
+
+The statevector keeps the shape (2^t, n), amplitudes[m, a], but is stored
+column-major: each color's 2^t amplitudes are contiguous, which is the axis
+the phases and the Fourier transform run along.
 """
 
 from __future__ import annotations
@@ -146,10 +152,28 @@ def qpe_prepare(t_bits: int, color) -> QpeRegisters:
             f"register of 2^{t_bits} x {u.size} amplitudes needs {nbytes} bytes, "
             f"above the guard {REGISTER_BYTES_GUARD}"
         )
-    amps = np.empty((size, u.size), dtype=np.complex128)
+    amps = np.empty((size, u.size), dtype=np.complex128, order="F")
     amps[...] = u / math.sqrt(size)
     amps.setflags(write=False)
     return QpeRegisters(t_bits, u.size, amps)
+
+
+def _phase_table(theta: np.ndarray, first: int, stop: int) -> np.ndarray:
+    """Products of the diagonals e^(i 2^j theta) for bits j in [first, stop).
+
+    Column c of the (n, 2^(stop-first)) table multiplies the diagonals of
+    the bits set in c << first; each bit doubles the table.
+    """
+    n = theta.size
+    table = np.empty((n, 1 << (stop - first)), dtype=np.complex128)
+    table[:, 0] = 1.0
+    for j in range(first, stop):
+        width = 1 << (j - first)
+        # scaling by 2^j is exact in floating point
+        factor = np.exp(1j * ((1 << j) * theta))
+        np.multiply(table[:, :width], factor[:, None], out=table[:, width:2 * width])
+    opcount.add(n * (table.shape[1] - 1))
+    return table
 
 
 def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
@@ -158,10 +182,15 @@ def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
     U = V diag(e^(i theta)) V^dagger comes as its spectrum (theta, V), with
     V orthonormal. The circuit's controlled gates run in that eigenbasis:
     register 2 is rotated once into it, where each controlled U^(2^j) is
-    the diagonal e^(i 2^j theta) applied to every statevector row whose
-    index has bit j set, and is rotated back at the end. A bit costs
-    (2^t / 2) n multiplies, and the phases stay unitary to rounding at any
-    t, where repeated squaring would compound it.
+    the diagonal e^(i 2^j theta) on the rows whose index has bit j set,
+    and is rotated back at the end. The t diagonals are folded into two
+    tables, split at lo = t // 2: low[a, m mod 2^lo] multiplies the factors
+    of m's low lo bits and high[a, m >> lo] those of its high bits, each
+    table built one bit at a time. The column-major statevector, viewed as
+    (n, 2^(t-lo), 2^lo), then takes one broadcast multiply per table: 2^t n
+    multiplies each, plus (2^lo + 2^(t-lo) - 2) n to build the tables. The
+    phases stay unitary to rounding at any t, where repeated squaring would
+    compound it.
     """
     theta, v = require_eigenbasis(spectrum)
     if theta.size != regs.n_colors:
@@ -171,20 +200,24 @@ def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
         )
     size = regs.register_size
     n = regs.n_colors
+    lo = regs.t_bits // 2
     # row convention: row m holds a register-2 state c as c^T, so its
     # eigen-coordinates V^dagger c are the row c^T conj(V)
-    amps = regs.amplitudes @ v.conj()
+    amps = np.empty((size, n), dtype=np.complex128, order="F")
+    np.matmul(regs.amplitudes, v.conj(), out=amps)
     opcount.add(size * n * n)
-    for j in range(regs.t_bits):
-        # the rows whose index has bit j set, as a view into amps
-        rows = amps.reshape(-1, 2, 1 << j, n)[:, 1]
-        # scaling by 2^j is exact in floating point
-        rows *= np.exp(1j * ((1 << j) * theta))
-        opcount.add((size // 2) * n)
-    # back to the computational basis one half at a time, so the product
-    # never holds a second full-size register beside amps
-    for half in amps.reshape(2, -1, n):
-        half[...] = half @ v.T
+    # cols[a, m] is a C-contiguous view: one row of 2^t amplitudes per color
+    cols = amps.T
+    # split m as (m >> lo, m mod 2^lo), one table per index
+    split = cols.reshape(n, -1, 1 << lo)
+    split *= _phase_table(theta, 0, lo)[:, None, :]
+    split *= _phase_table(theta, lo, regs.t_bits)[:, :, None]
+    opcount.add(2 * size * n)
+    # back to the computational basis, V applied to each column m of cols,
+    # one half at a time so the product never holds a second full-size
+    # register beside amps
+    for half in (cols[:, :size // 2], cols[:, size // 2:]):
+        half[...] = v @ half
     opcount.add(size * n * n)
     amps.setflags(write=False)
     return QpeRegisters(regs.t_bits, n, amps)

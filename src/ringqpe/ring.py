@@ -50,7 +50,7 @@ from .linalg import (
 VELOCITY_FACTOR = 2.0
 
 _DENSITY_INTEGRAL_TOL = 1e-8
-_CSV_BLOCK_ROWS = 1 << 12
+_BLOCK_ROWS = 1 << 12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -250,7 +250,10 @@ def initial_localized_state(mode_cutoff_l: int, color) -> RingState:
 
 
 def require_ring_grid(mode_cutoff_l: int, grid_size_N: int) -> None:
-    """Refuse a grid with fewer than 2l+1 points, one frequency per mode."""
+    """Refuse a cutoff below 1, or a grid with fewer than 2l+1 points, one
+    frequency per mode."""
+    if mode_cutoff_l < 1:
+        raise PreconditionError(f"mode cutoff must be >= 1, got {mode_cutoff_l}")
     count = 2 * mode_cutoff_l + 1
     if grid_size_N < count:
         raise ResolutionError(
@@ -278,8 +281,15 @@ def evolve_block(state: RingState, gauge: GaugeField, t: float) -> RingState:
     _require_same_colors(state, gauge)
     if not math.isfinite(t):
         raise PreconditionError("time must be finite")
-    energies = gauge.mode_energies(state.mode_cutoff_l)
-    phases = np.exp(-1j * energies * (t / gauge.params.hbar))
+    hbar = gauge.params.hbar
+    # extreme constants overflow here; the check below names the cause
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = gauge.mode_energies(state.mode_cutoff_l) * (t / hbar)
+    if not np.all(np.isfinite(angles)):
+        raise PreconditionError(
+            f"phase E t / hbar is not finite at t = {t!r}, hbar = {hbar!r}"
+        )
+    phases = np.exp(-1j * angles)
     v = gauge.eigenvectors
     # (V^dagger c_m) per mode, scale by the phases, map back with V
     rotated = (phases * (state.coeffs @ v.conj())) @ v.T
@@ -328,16 +338,30 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     """Sample |psi|^2 on phi_j = 2 pi j / N via zero-padded inverse FFT.
 
     Requires N >= 2l+1 so every mode maps to a distinct grid frequency;
-    the sampled density then integrates to exactly the state norm.
+    the sampled density then integrates to exactly the state norm. The
+    spectrum is padded one color per row, so each color's transform runs
+    over contiguous memory, and per_color keeps the shape (N, n) stored
+    column-major: each color's N samples are contiguous.
     """
     require_ring_grid(state.mode_cutoff_l, grid_size_N)
-    spectrum = np.zeros((grid_size_N, state.n_colors), dtype=np.complex128)
-    spectrum[state.modes % grid_size_N, :] = state.coeffs
+    spectrum = np.zeros((state.n_colors, grid_size_N), dtype=np.complex128)
+    spectrum[:, state.modes % grid_size_N] = state.coeffs.T
     # N * ifft gives sum_m c_m e^{+i m phi_j} with the e^{i m phi} convention
-    psi = np.fft.ifft(spectrum, axis=0) * grid_size_N
+    psi = np.fft.ifft(spectrum, axis=1).T
+    # numpy may back an array this large with huge pages, and the modes at
+    # both ends of every row then make all of the padding resident: release
+    # it before the densities are formed, or it adds to the peak memory
+    del spectrum
+    psi *= grid_size_N
     opcount.add(state.n_colors * (grid_size_N // 2) * max(1, int(math.log2(grid_size_N))))
     per_color = (psi.real ** 2 + psi.imag ** 2) / TWO_PI
-    density = per_color.sum(axis=1)
+    # each row is summed from a row-major copy of its block, so the colors
+    # add in numpy's pairwise order; a sum along the column-major layout
+    # adds them one after another and moves the density by an ulp once n >= 8
+    density = np.empty(grid_size_N)
+    for start in range(0, grid_size_N, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        density[rows] = np.ascontiguousarray(per_color[rows]).sum(axis=1)
     phi_grid = TWO_PI * np.arange(grid_size_N) / grid_size_N
     return PositionDensity(phi_grid, density, per_color)
 
@@ -368,13 +392,12 @@ def extract_peaks(density: PositionDensity, max_peaks: int, window: int = 5) -> 
 
     # strict on one side so flat stretches contribute no candidates
     is_max = (d > np.roll(d, 1)) & (d >= np.roll(d, -1))
-    order = np.argsort(-d, kind="stable")  # ties resolve to the lower index
+    cand = np.flatnonzero(is_max)
+    # candidates by descending height; ties resolve to the lower index
+    order = cand[np.argsort(-d[cand], kind="stable")]
 
     accepted: list[int] = []
-    for j in order:
-        if not is_max[j]:
-            continue
-        j = int(j)
+    for j in order.tolist():
         far = True
         for a in accepted:
             sep = abs(j - a)
@@ -469,8 +492,8 @@ def write_density_csv(density: PositionDensity, path) -> None:
     # the text never holds more than one block
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, density.grid_size_N, _CSV_BLOCK_ROWS):
-            rows = slice(start, start + _CSV_BLOCK_ROWS)
+        for start in range(0, density.grid_size_N, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
             block = np.column_stack(
                 (density.phi_grid[rows], density.density[rows], density.per_color[rows])
             ).tolist()

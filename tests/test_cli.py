@@ -333,6 +333,39 @@ class TestCompare:
         assert "N >= 2^t" in capsys.readouterr().err
 
 
+class TestRingArguments:
+    @pytest.mark.parametrize("argv,message", [
+        (["ring-sim", "-l", "0"], "mode cutoff must be >= 1"),
+        (["ring-sim", "--times", "nan"], "is not finite"),
+        (["ring-sim", "--times", "0,inf"], "is not finite"),
+        (["ring-sim", "--times", "1e308"], "is not finite"),
+        (["compare", "-l", "0"], "mode cutoff must be >= 1"),
+    ], ids=["ring-sim-l0", "nan", "inf", "overflow", "compare-l0"])
+    def test_refused_before_any_output(self, tmp_path, sigma_x_file, capsys,
+                                       argv, message):
+        # these were refused only after the output directory was made
+        out = tmp_path / "out"
+        code = main(argv + ["--problem", str(sigma_x_file), "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ringqpe: error: ") and message in err
+        assert not out.exists()
+
+    def test_non_finite_phase_is_one_error_line(self, tmp_path, sigma_x_file):
+        # numpy's "invalid value encountered in multiply" reached stderr
+        # ahead of the error; run as a process to see stderr as a user does
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringqpe", "ring-sim",
+             "--problem", str(sigma_x_file), "--out-dir", str(tmp_path / "out"),
+             "--hbar", "1e-300"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("ringqpe: error: phase E t / hbar is not finite")
+
+
 class TestRegisterWidth:
     @pytest.mark.parametrize("sub", ["qpe", "compare"])
     @pytest.mark.parametrize("t_bits", ["-1", "0"])

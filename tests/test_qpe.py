@@ -132,6 +132,21 @@ class TestPrepare:
         assert rq.QpeRegisters(1, 1, view).amplitudes is not view
 
 
+class TestColumnMajorLayout:
+    def test_each_stage_keeps_colors_contiguous(self):
+        # amplitudes[m, a] keeps its shape; each color's 2^t amplitudes are
+        # contiguous, the axis the phases and the Fourier transform run along
+        rng = np.random.default_rng(3300)
+        t, n = 6, 3
+        spectrum = rq.eig_unitary(random_unitary(rng, n))
+        prepared = rq.qpe_prepare(t, random_state(rng, n))
+        controlled = rq.controlled_unitary_all(prepared, spectrum)
+        transformed = rq.qft_inverse(controlled)
+        for regs in (prepared, controlled, transformed):
+            assert regs.amplitudes.shape == (1 << t, n)
+            assert regs.amplitudes.flags.f_contiguous
+
+
 class TestControlledStage:
     @pytest.mark.parametrize("seed", [*range(6), "dft8", "perm8"])
     def test_matches_dense_operator(self, seed):
@@ -204,17 +219,22 @@ class TestControlledStage:
         assert abs(est.distribution.probs.sum() - 1.0) < 1e-12
 
     def test_operation_count_formula(self):
-        t, n = 5, 3
-        regs = rq.qpe_prepare(t, np.array([1.0, 0.0, 0.0]))
+        # t = 1 leaves the low table one entry (lo = 0); t = 5 splits the
+        # bits 2 + 3 and t = 6 splits them 3 + 3
+        n = 3
         spectrum = rq.eig_unitary(random_unitary(np.random.default_rng(0), n))
-        with rq.count_macs() as counter:
-            rq.controlled_unitary_all(regs, spectrum)
-        size = 1 << t
-        rows_touched = sum(int(np.sum((np.arange(size) >> j) & 1)) for j in range(t))
-        # two basis rotations of the register, then one phase per touched
-        # amplitude; the spectrum comes in already decomposed
-        expected = 2 * size * n * n + rows_touched * n
-        assert counter.total == expected
+        for t in (1, 2, 5, 6):
+            regs = rq.qpe_prepare(t, np.array([1.0, 0.0, 0.0]))
+            with rq.count_macs() as counter:
+                rq.controlled_unitary_all(regs, spectrum)
+            size, lo = 1 << t, t // 2
+            # two basis rotations of the register, one multiply per amplitude
+            # for each of the two phase tables, and one product per color for
+            # each table entry past the first; the spectrum comes in already
+            # decomposed
+            tables = n * ((1 << lo) - 1) + n * ((1 << (t - lo)) - 1)
+            expected = 2 * size * n * n + 2 * size * n + tables
+            assert counter.total == expected, f"t = {t}"
 
     def test_peak_memory_stays_below_two_registers(self):
         import tracemalloc
@@ -250,7 +270,9 @@ def spectral_register_distribution(t_bits, theta, weights):
 
 
 class TestSpectralOracle:
-    @pytest.mark.parametrize("n,t", [(1, 1), (2, 3), (3, 10), (8, 12), (32, 16)])
+    @pytest.mark.parametrize(
+        "n,t", [(1, 1), (2, 3), (3, 10), (8, 12), (32, 16), (4, 20)]
+    )
     def test_circuit_matches_spectral_distribution(self, n, t):
         rng = np.random.default_rng(7000 + 100 * n + t)
         theta = rng.uniform(-np.pi, np.pi, n)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,18 @@ class TestEvolveBlock:
         with pytest.raises(rq.PreconditionError, match="colors"):
             rq.evolve_dense(state, gauge, 1.0)
 
+    @pytest.mark.parametrize("hbar,t", [(1e-300, 1e10), (1e300, 0.0)])
+    def test_non_finite_phase_is_refused_without_a_warning(self, hbar, t):
+        # t / hbar overflows at hbar = 1e-300; at 1e300 the energies do, and
+        # inf * 0 is NaN; numpy warned before the state check named neither
+        params = rq.RingPhysicalParams(hbar=hbar)
+        gauge = gauge_from(SIGMA_X, params)
+        state = rq.initial_localized_state(4, np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rq.PreconditionError, match="E t / hbar is not finite"):
+                rq.evolve_block(state, gauge, t)
+
     def test_makes_no_eigendecomposition(self, natural_params, monkeypatch):
         rng = np.random.default_rng(44)
         gauge = gauge_from(random_hermitian(rng, 3), natural_params)
@@ -310,10 +323,22 @@ class TestPositionDensity:
         density = rq.position_density(state, 32)
         assert np.max(np.abs(density.per_color.sum(axis=1) - density.density)) < 1e-12
 
+    def test_per_color_keeps_colors_contiguous(self):
+        rng = np.random.default_rng(9)
+        state = rq.initial_localized_state(6, random_state(rng, 3))
+        density = rq.position_density(state, 40)
+        assert density.per_color.shape == (40, 3)
+        assert density.per_color.flags.f_contiguous
+
     def test_too_coarse_grid_rejected(self):
         state = rq.initial_localized_state(10, np.array([1.0]))
         with pytest.raises(rq.ResolutionError, match="N >= 2l\\+1"):
             rq.position_density(state, 20)
+
+    @pytest.mark.parametrize("l", [0, -2])
+    def test_cutoff_below_one_rejected(self, l):
+        with pytest.raises(rq.PreconditionError, match="mode cutoff must be >= 1"):
+            ring_module.require_ring_grid(l, 64)
 
     def test_nan_density_rejected(self):
         phi = TWO_PI * np.arange(4) / 4
@@ -339,7 +364,61 @@ def spike_density(n_grid, spikes):
     return rq.PositionDensity(phi, d, d[:, None])
 
 
+def extract_peaks_by_full_sort(density, max_peaks, window):
+    """extract_peaks as it was written first: every bin sorted by height.
+
+    The reference for the candidate sort; the window refinement is the same.
+    """
+    d = density.density
+    n_bins = d.size
+    half = (window - 1) // 2
+    bin_width = TWO_PI / n_bins
+    is_max = (d > np.roll(d, 1)) & (d >= np.roll(d, -1))
+    accepted = []
+    for j in np.argsort(-d, kind="stable"):
+        if not is_max[j]:
+            continue
+        if all(min(abs(j - a), n_bins - abs(j - a)) >= window for a in accepted):
+            accepted.append(int(j))
+            if len(accepted) == max_peaks:
+                break
+    peaks = []
+    for j in accepted:
+        idx = (j + np.arange(-half, half + 1)) % n_bins
+        mass = float(d[idx].sum())
+        if mass <= 0.0:
+            phi, width = float(density.phi_grid[j]), 0.0
+        else:
+            z = np.sum(d[idx] * np.exp(1j * density.phi_grid[idx]))
+            phi = float(rq.wrap_to_unit(np.angle(z)))
+            dev = rq.wrap_to_signed(density.phi_grid[idx] - phi)
+            width = float(math.sqrt(np.sum(d[idx] * dev ** 2) / mass))
+        peaks.append(rq.Peak(phi, min(mass * bin_width, 1.0 + 1e-9), width))
+    peaks.sort(key=lambda p: (-p.weight, p.phi))
+    return rq.PeakSet(tuple(peaks), bin_width)
+
+
+def quantized_density(levels):
+    """Normalized density proportional to small integers: ties everywhere."""
+    d = np.asarray(levels, dtype=float)
+    d *= d.size / (TWO_PI * d.sum())
+    phi = TWO_PI * np.arange(d.size) / d.size
+    return rq.PositionDensity(phi, d, d[:, None])
+
+
 class TestExtractPeaks:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_peaks,window", [(1, 1), (3, 5), (8, 3), (64, 7)])
+    def test_matches_the_full_sort(self, seed, max_peaks, window):
+        # plateaus, equal maxima and maxima across the seam at bin 0
+        rng = np.random.default_rng(600 + seed)
+        levels = rng.integers(0, 4, size=97)
+        levels[10:14] = 5  # a plateau at the top height
+        levels[40] = levels[70] = levels[0] = levels[-1] = 5
+        density = quantized_density(levels)
+        assert rq.extract_peaks(density, max_peaks, window) \
+            == extract_peaks_by_full_sort(density, max_peaks, window)
+
     def test_single_spike_carries_unit_weight(self):
         density = spike_density(64, [(10, 1.0)])
         peaks = rq.extract_peaks(density, max_peaks=3, window=5)
