@@ -8,12 +8,6 @@ diagonalization, which is the whole point: `compare` checks all three.
 """
 
 from .angles import circular_distance, wrap_to_signed, wrap_to_unit
-from .bench import (
-    BenchPoint,
-    ScalingFit,
-    fit_scaling,
-    run_scaling_suite,
-)
 from .encode import (
     EnergyProblem,
     UnitarySpec,
@@ -70,6 +64,19 @@ from .ring import (
 )
 
 __version__ = "0.1.0"
+
+# only the bench subcommand needs these, so the module (and csv, logging
+# and statistics with it) loads on first use rather than with the package
+_BENCH_NAMES = ("BenchPoint", "ScalingFit", "fit_scaling", "run_scaling_suite")
+
+
+def __getattr__(name):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BenchPoint",

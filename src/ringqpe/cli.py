@@ -26,13 +26,6 @@ import sys
 import numpy as np
 
 from .angles import TWO_PI, circular_distance, wrap_to_unit
-from .bench import (
-    ALL_METHODS,
-    append_bench_csv,
-    fit_scaling,
-    fits_to_json,
-    run_scaling_suite,
-)
 from .encode import (
     EnergyProblem,
     encode_as_gauge,
@@ -294,7 +287,6 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
             raise PreconditionError(
                 f"snapshot time {fraction!r} t_R = {fraction * t_r!r} is not finite"
             )
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
     gauge = encode_as_gauge(problem, cfg.params)
     state = initial_localized_state(cfg.mode_cutoff_l, problem.state)
@@ -306,12 +298,15 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
         )
         for fraction in dict.fromkeys(cfg.times + (1.0,))
     }
+    peaks = revival_peaks(densities[1.0], cfg.mode_cutoff_l)
+
+    # made only once every result exists, so a refused run leaves nothing
+    os.makedirs(cfg.out_dir, exist_ok=True)
     snapshot_paths = []
     for i, fraction in enumerate(cfg.times):
         path = os.path.join(cfg.out_dir, f"density_{i:02d}.csv")
         write_density_csv(densities[fraction], path)
         snapshot_paths.append(path)
-    peaks = revival_peaks(densities[1.0], cfg.mode_cutoff_l)
     peaks_path = os.path.join(cfg.out_dir, "peaks.json")
     with open(peaks_path, "w") as fh:
         json.dump(peak_set_to_json(peaks), fh, indent=2)
@@ -345,9 +340,9 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
 def cmd_qpe(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
     qpe_cfg = QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     estimate = qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
 
+    os.makedirs(cfg.out_dir, exist_ok=True)
     dist_path = os.path.join(cfg.out_dir, "qpe_distribution.csv")
     write_distribution_csv(estimate.distribution, dist_path)
     est_path = os.path.join(cfg.out_dir, "qpe_estimate.json")
@@ -374,7 +369,6 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
             f"grid of {cfg.grid_size_n} points is coarser than the "
             f"2^{cfg.t_bits} register; need N >= 2^t"
         )
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
     gauge = encode_as_gauge(problem, cfg.params)
     peaks = estimate_phase_via_ring(
@@ -411,6 +405,7 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
         "secondary_weight": peaks.peaks[1].weight if len(peaks) > 1 else 0.0,
         "ok": ok,
     }
+    os.makedirs(cfg.out_dir, exist_ok=True)
     report_path = os.path.join(cfg.out_dir, "compare.json")
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -434,10 +429,19 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bench(cfg: argparse.Namespace) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    # imported here so that the other subcommands never load bench
+    from .bench import (
+        ALL_METHODS,
+        append_bench_csv,
+        fit_scaling,
+        fits_to_json,
+        run_scaling_suite,
+    )
+
     points = run_scaling_suite(
         cfg.sizes, repeats=cfg.repeats, seed=cfg.seed, count_ops=cfg.count_ops
     )
+    os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "bench.csv")
     append_bench_csv(points, csv_path, cfg.seed)
 

@@ -88,6 +88,18 @@ def require_unit_vector(v, what: str) -> np.ndarray:
     return arr
 
 
+def readonly(a: np.ndarray) -> np.ndarray:
+    """a as an array no caller can write to.
+
+    An owned read-only array is kept as is, so a stage hands over its
+    result without a copy; anything a caller could still write is copied.
+    """
+    if a.flags.writeable or not a.flags.owndata:
+        a = np.array(a)
+        a.setflags(write=False)
+    return a
+
+
 def unitarity_defect(m) -> float:
     """Max-entry deviation of U^dagger U from the identity."""
     u = require_square(m)

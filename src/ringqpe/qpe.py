@@ -12,8 +12,11 @@ on construction. The controlled stage follows the circuit, one controlled
 U^(2^j) per bit j of m, applied in U's eigenbasis where each is diagonal.
 There the t diagonals multiply into two small phase tables, one over the
 low half of m's bits and one over the high half, so the cost is two basis
-rotations of the statevector and two passes of phases over it, rather than
-2^t matrix powers.
+rotations of the statevector and one multiply per table per amplitude,
+rather than 2^t matrix powers. The stage streams the register through
+blocks of rows: each block is rotated in, takes both tables and is rotated
+back into its place in the result while it is still in cache, so the only
+full-size array the stage makes is that result.
 
 The statevector keeps the shape (2^t, n), amplitudes[m, a], but is stored
 column-major: each color's 2^t amplitudes are contiguous, which is the axis
@@ -31,7 +34,7 @@ import numpy as np
 from . import opcount
 from .angles import TWO_PI
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import UNIT_NORM_TOL, require_eigenbasis, require_unit_vector
+from .linalg import UNIT_NORM_TOL, readonly, require_eigenbasis, require_unit_vector
 
 T_BITS_GUARD = 24
 # largest joint statevector, 2^t * n complex128 amplitudes, that qpe_prepare
@@ -40,6 +43,9 @@ REGISTER_BYTES_GUARD = 1 << 28
 
 _PROB_SUM_TOL = 1e-9
 _CSV_BLOCK_ROWS = 1 << 12
+# rows of the register the controlled stage transforms at a time, or one
+# period of its low phase table if that is longer; 2 MiB at 32 colors
+_STAGE_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -84,18 +90,15 @@ class QpeRegisters:
             raise PreconditionError(
                 f"amplitude array shape {amps.shape} does not match {expected}"
             )
-        norm = float(np.linalg.norm(amps))
+        # one BLAS pass in memory order; NaN and inf make the norm NaN or inf
+        flat = amps.ravel(order="K")
+        norm = math.sqrt(np.vdot(flat, flat).real)
         # written so that a NaN norm fails too
         if not abs(norm - 1.0) <= UNIT_NORM_TOL:
             raise PreconditionError(
                 f"register norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}"
             )
-        # an owned read-only array is kept as is, so a stage hands over its
-        # result without a copy; anything a caller could still write is copied
-        if amps.flags.writeable or not amps.flags.owndata:
-            amps = np.array(amps)
-            amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", readonly(amps))
 
     @property
     def register_size(self) -> int:
@@ -186,11 +189,16 @@ def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
     and is rotated back at the end. The t diagonals are folded into two
     tables, split at lo = t // 2: low[a, m mod 2^lo] multiplies the factors
     of m's low lo bits and high[a, m >> lo] those of its high bits, each
-    table built one bit at a time. The column-major statevector, viewed as
-    (n, 2^(t-lo), 2^lo), then takes one broadcast multiply per table: 2^t n
-    multiplies each, plus (2^lo + 2^(t-lo) - 2) n to build the tables. The
-    phases stay unitary to rounding at any t, where repeated squaring would
-    compound it.
+    table built one bit at a time, (2^lo + 2^(t-lo) - 2) n multiplies.
+
+    The register is streamed through blocks of _STAGE_BLOCK_ROWS rows, or of
+    one low-table period 2^lo if that is longer, so every block starts at a
+    multiple of 2^lo. A block's eigen-coordinates, viewed as (n, rows / 2^lo,
+    2^lo), take one broadcast multiply per table and are rotated back
+    straight into the block's columns of the column-major result: no
+    full-size temporary, and each amplitude leaves memory once and comes
+    back once. The phases stay unitary to rounding at any t, where repeated
+    squaring would compound it.
     """
     theta, v = require_eigenbasis(spectrum)
     if theta.size != regs.n_colors:
@@ -201,24 +209,25 @@ def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
     size = regs.register_size
     n = regs.n_colors
     lo = regs.t_bits // 2
-    # row convention: row m holds a register-2 state c as c^T, so its
-    # eigen-coordinates V^dagger c are the row c^T conj(V)
+    low = _phase_table(theta, 0, lo)
+    high = _phase_table(theta, lo, regs.t_bits)
+    rows = min(size, max(_STAGE_BLOCK_ROWS, 1 << lo))
     amps = np.empty((size, n), dtype=np.complex128, order="F")
-    np.matmul(regs.amplitudes, v.conj(), out=amps)
-    opcount.add(size * n * n)
-    # cols[a, m] is a C-contiguous view: one row of 2^t amplitudes per color
-    cols = amps.T
-    # split m as (m >> lo, m mod 2^lo), one table per index
-    split = cols.reshape(n, -1, 1 << lo)
-    split *= _phase_table(theta, 0, lo)[:, None, :]
-    split *= _phase_table(theta, lo, regs.t_bits)[:, :, None]
-    opcount.add(2 * size * n)
-    # back to the computational basis, V applied to each column m of cols,
-    # one half at a time so the product never holds a second full-size
-    # register beside amps
-    for half in (cols[:, :size // 2], cols[:, size // 2:]):
-        half[...] = v @ half
-    opcount.add(size * n * n)
+    # src[a, m] and dst[a, m]: one row of 2^t amplitudes per color, so
+    # column m is the register-2 state at m and V^dagger rotates it
+    src = regs.amplitudes.T
+    dst = amps.T
+    vh = v.conj().T
+    eig = np.empty((n, rows), dtype=np.complex128)
+    # split each block's m as (m >> lo, m mod 2^lo), one table per index
+    split = eig.reshape(n, -1, 1 << lo)
+    for start in range(0, size, rows):
+        stop = start + rows
+        np.matmul(vh, src[:, start:stop], out=eig)
+        split *= low[:, None, :]
+        split *= high[:, start >> lo:stop >> lo, None]
+        np.matmul(v, eig, out=dst[:, start:stop])
+    opcount.add(2 * size * n * n + 2 * size * n)
     amps.setflags(write=False)
     return QpeRegisters(regs.t_bits, n, amps)
 
@@ -226,9 +235,9 @@ def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
 def qft_inverse(regs: QpeRegisters) -> QpeRegisters:
     """out[k] = 2^(-t/2) sum_m e^(-2 pi i k m / 2^t) in[m], per color."""
     size = regs.register_size
-    # np.fft.fft matches the e^(-2 pi i k m / N) kernel; only normalization differs
-    amps = np.fft.fft(regs.amplitudes, axis=0)
-    amps /= math.sqrt(size)
+    # np.fft.fft matches the e^(-2 pi i k m / N) kernel, scaled by
+    # 2^(-t/2) inside the transform
+    amps = np.fft.fft(regs.amplitudes, axis=0, norm="ortho")
     amps.setflags(write=False)
     opcount.add(regs.n_colors * (size // 2) * regs.t_bits)
     return QpeRegisters(regs.t_bits, regs.n_colors, amps)

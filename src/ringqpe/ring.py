@@ -41,6 +41,7 @@ from .linalg import (
     DENSE_DIMENSION_GUARD,
     UNIT_NORM_TOL,
     expm_dense,
+    readonly,
     require_eigenbasis,
     require_unit_vector,
 )
@@ -51,12 +52,8 @@ VELOCITY_FACTOR = 2.0
 
 _DENSITY_INTEGRAL_TOL = 1e-8
 _BLOCK_ROWS = 1 << 12
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
+# colors position_density transforms at a time; 4 MiB of spectrum at N = 2^16
+_BLOCK_COLORS = 4
 
 
 @dataclass(frozen=True)
@@ -94,8 +91,8 @@ class GaugeField:
 
     def __post_init__(self):
         w, v = require_eigenbasis((self.eigenvalues, self.eigenvectors))
-        object.__setattr__(self, "eigenvalues", _readonly(w))
-        object.__setattr__(self, "eigenvectors", _readonly(v))
+        object.__setattr__(self, "eigenvalues", readonly(w))
+        object.__setattr__(self, "eigenvectors", readonly(v))
 
     @property
     def a_phi(self) -> np.ndarray:
@@ -144,7 +141,7 @@ class RingState:
             raise PreconditionError(
                 f"state norm {norm!r} deviates from 1 beyond tolerance {UNIT_NORM_TOL}"
             )
-        object.__setattr__(self, "coeffs", _readonly(c))
+        object.__setattr__(self, "coeffs", readonly(c))
 
     @property
     def modes(self) -> np.ndarray:
@@ -175,9 +172,9 @@ class PositionDensity:
                 f"density integrates to {integral!r}, expected 1 within "
                 f"{_DENSITY_INTEGRAL_TOL}"
             )
-        object.__setattr__(self, "phi_grid", _readonly(phi))
-        object.__setattr__(self, "density", _readonly(d))
-        object.__setattr__(self, "per_color", _readonly(pc))
+        object.__setattr__(self, "phi_grid", readonly(phi))
+        object.__setattr__(self, "density", readonly(d))
+        object.__setattr__(self, "per_color", readonly(pc))
 
     @property
     def grid_size_N(self) -> int:
@@ -237,8 +234,18 @@ class PeakSet:
 
 
 def return_time(params: RingPhysicalParams) -> float:
-    """t_R = 4 pi m_q r^2 / hbar, the packet revival time."""
-    return 4.0 * np.pi * params.mass_mq * params.radius_r ** 2 / params.hbar
+    """t_R = 4 pi m_q r^2 / hbar, the packet revival time; refused when it
+    is not a finite number."""
+    try:
+        t_r = 4.0 * np.pi * params.mass_mq * params.radius_r ** 2 / params.hbar
+    except OverflowError:
+        t_r = math.inf
+    if not math.isfinite(t_r):
+        raise PreconditionError(
+            f"return time 4 pi m_q r^2 / hbar is not finite at radius = "
+            f"{params.radius_r!r}, mass = {params.mass_mq!r}, hbar = {params.hbar!r}"
+        )
+    return t_r
 
 
 def initial_localized_state(mode_cutoff_l: int, color) -> RingState:
@@ -338,23 +345,36 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     """Sample |psi|^2 on phi_j = 2 pi j / N via zero-padded inverse FFT.
 
     Requires N >= 2l+1 so every mode maps to a distinct grid frequency;
-    the sampled density then integrates to exactly the state norm. The
-    spectrum is padded one color per row, so each color's transform runs
-    over contiguous memory, and per_color keeps the shape (N, n) stored
-    column-major: each color's N samples are contiguous.
+    the sampled density then integrates to exactly the state norm.
+    per_color keeps the shape (N, n) stored column-major: each color's N
+    samples are contiguous. The colors go through the transform
+    _BLOCK_COLORS at a time, one color per row of a reused padded block,
+    and each block's |psi|^2 / 2 pi is written straight into its colors'
+    columns, so the only full-size array made is per_color itself.
     """
     require_ring_grid(state.mode_cutoff_l, grid_size_N)
-    spectrum = np.zeros((state.n_colors, grid_size_N), dtype=np.complex128)
-    spectrum[:, state.modes % grid_size_N] = state.coeffs.T
-    # N * ifft gives sum_m c_m e^{+i m phi_j} with the e^{i m phi} convention
-    psi = np.fft.ifft(spectrum, axis=1).T
-    # numpy may back an array this large with huge pages, and the modes at
-    # both ends of every row then make all of the padding resident: release
-    # it before the densities are formed, or it adds to the peak memory
-    del spectrum
-    psi *= grid_size_N
-    opcount.add(state.n_colors * (grid_size_N // 2) * max(1, int(math.log2(grid_size_N))))
-    per_color = (psi.real ** 2 + psi.imag ** 2) / TWO_PI
+    n = state.n_colors
+    block = min(n, _BLOCK_COLORS)
+    # only the mode columns are ever written, so the padding stays zero
+    padded = np.zeros((block, grid_size_N), dtype=np.complex128)
+    psi = np.empty_like(padded)
+    square = np.empty((block, grid_size_N))
+    per_color = np.empty((grid_size_N, n), order="F")
+    columns = state.modes % grid_size_N
+    for first in range(0, n, block):
+        count = min(block, n - first)
+        colors = slice(first, first + count)
+        padded[:count, columns] = state.coeffs[:, colors].T
+        # the unscaled inverse transform is sum_m c_m e^{+i m phi_j}, with
+        # the e^{i m phi} convention
+        np.fft.ifft(padded[:count], axis=1, norm="forward", out=psi[:count])
+        re, im = psi[:count].real, psi[:count].imag
+        out = per_color.T[colors]
+        np.multiply(re, re, out=out)
+        out += np.multiply(im, im, out=square[:count])
+        out /= TWO_PI
+    opcount.add(n * (grid_size_N // 2) * max(1, int(math.log2(grid_size_N))))
+    per_color.setflags(write=False)
     # each row is summed from a row-major copy of its block, so the colors
     # add in numpy's pairwise order; a sum along the column-major layout
     # adds them one after another and moves the density by an ulp once n >= 8
@@ -362,7 +382,9 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     for start in range(0, grid_size_N, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         density[rows] = np.ascontiguousarray(per_color[rows]).sum(axis=1)
+    density.setflags(write=False)
     phi_grid = TWO_PI * np.arange(grid_size_N) / grid_size_N
+    phi_grid.setflags(write=False)
     return PositionDensity(phi_grid, density, per_color)
 
 
@@ -396,18 +418,17 @@ def extract_peaks(density: PositionDensity, max_peaks: int, window: int = 5) -> 
     # candidates by descending height; ties resolve to the lower index
     order = cand[np.argsort(-d[cand], kind="stable")]
 
+    # a bin is blocked once it lies closer than `window` to an accepted peak
+    blocked = np.zeros(n_bins, dtype=bool)
+    reach = np.arange(-(window - 1), window)
     accepted: list[int] = []
     for j in order.tolist():
-        far = True
-        for a in accepted:
-            sep = abs(j - a)
-            if min(sep, n_bins - sep) < window:
-                far = False
-                break
-        if far:
-            accepted.append(j)
-            if len(accepted) == max_peaks:
-                break
+        if blocked[j]:
+            continue
+        accepted.append(j)
+        if len(accepted) == max_peaks:
+            break
+        blocked[(j + reach) % n_bins] = True
 
     peaks = []
     for j in accepted:

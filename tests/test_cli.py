@@ -85,6 +85,17 @@ class TestParsing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_defers_bench_until_a_bench_name_is_used(self):
+        # only the bench subcommand needs bench (and csv, logging, statistics)
+        code = ("import sys, ringqpe, ringqpe.cli; "
+                "print('ringqpe.bench' in sys.modules); "
+                "print(ringqpe.run_scaling_suite.__module__); "
+                "print('ringqpe.bench' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "ringqpe.bench", "True"]
+
 
 class TestProblemIo:
     def test_missing_problem_flag(self, tmp_path, capsys):
@@ -365,6 +376,27 @@ class TestRingArguments:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("ringqpe: error: phase E t / hbar is not finite")
 
+    @pytest.mark.parametrize("sub", ["ring-sim", "compare"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--radius", "1e200"], "return time 4 pi m_q r^2 / hbar is not finite"),
+        (["--hbar", "1e-300"], "phase E t / hbar is not finite"),
+    ], ids=["radius", "hbar"])
+    def test_extreme_constants_leave_one_line_and_no_output(
+            self, tmp_path, sigma_x_file, sub, flags, message):
+        # r^2 overflowed with a traceback, and the output directory was
+        # made before the refusal
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringqpe", sub, "--problem", str(sigma_x_file),
+             "--out-dir", str(out)] + flags,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(f"ringqpe: error: {message}")
+        assert not out.exists()
+
 
 class TestRegisterWidth:
     @pytest.mark.parametrize("sub", ["qpe", "compare"])
@@ -402,6 +434,12 @@ class TestBench:
         code = main(["bench", "--out-dir", str(tmp_path), "--sizes", "0,24",
                      "--repeats", "3"])
         assert code == 1
+
+    def test_refused_suite_leaves_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["bench", "--out-dir", str(out), "--sizes", "0,24",
+                     "--repeats", "3"]) == 1
+        assert not out.exists()
 
 
 class TestSeed:

@@ -254,6 +254,23 @@ class TestControlledStage:
         # back in one product would hold a second full register (2.0x)
         assert peak < 1.6 * nbytes
 
+    def test_streamed_stage_holds_little_beside_its_result(self):
+        import tracemalloc
+
+        t, n = 16, 32
+        nbytes = (1 << t) * n * 16
+        rng = np.random.default_rng(6)
+        spectrum = rq.eig_unitary(random_unitary(rng, n))
+        regs = rq.qpe_prepare(t, random_state(rng, n))
+        tracemalloc.start()
+        try:
+            rq.controlled_unitary_all(regs, spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the result plus one block of rows and the two phase tables
+        assert peak < 1.25 * nbytes
+
 
 def spectral_register_distribution(t_bits, theta, weights):
     """Exact read-out distribution from the spectrum alone.
@@ -410,6 +427,14 @@ class TestEndToEnd:
     def test_nan_state_rejected(self):
         with pytest.raises(rq.PreconditionError, match="finite"):
             rq.qpe_estimate(rq.eig_unitary(np.eye(2)), np.array([np.nan, 0.0]), rq.QpeConfig(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                     complex(np.inf, np.nan)])
+    def test_non_finite_register_is_refused(self, bad):
+        amps = np.full((4, 2), 0.5 / np.sqrt(2), dtype=complex, order="F")
+        amps[2, 1] = bad
+        with pytest.raises(rq.PreconditionError, match="norm"):
+            rq.QpeRegisters(2, 2, amps)
 
     def test_nan_register_and_distribution_rejected(self):
         with pytest.raises(rq.PreconditionError, match="norm"):

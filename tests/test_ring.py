@@ -36,6 +36,17 @@ class TestReturnTime:
         params = rq.RingPhysicalParams(hbar=2.0, charge_q=1.0, radius_r=3.0, mass_mq=5.0)
         assert abs(rq.return_time(params) - 4.0 * np.pi * 5.0 * 9.0 / 2.0) < 1e-12
 
+    @pytest.mark.parametrize("radius,mass,hbar", [
+        (1e200, 1.0, 1.0),  # r^2 overflows
+        (1e150, 1e100, 1.0),  # the product overflows
+        (1.0, 1.0, 1e-310),  # dividing by a subnormal hbar overflows
+    ])
+    def test_non_finite_return_time_is_refused(self, radius, mass, hbar):
+        params = rq.RingPhysicalParams(hbar=hbar, radius_r=radius, mass_mq=mass)
+        with pytest.raises(rq.PreconditionError,
+                           match="not finite at radius = .*, mass = .*, hbar = "):
+            rq.return_time(params)
+
 
 class TestBuildHamiltonian:
     """Mode-block spectrum: eigenbasis energies and the dense oracle's blocks."""
@@ -329,6 +340,51 @@ class TestPositionDensity:
         density = rq.position_density(state, 40)
         assert density.per_color.shape == (40, 3)
         assert density.per_color.flags.f_contiguous
+
+    def test_peak_memory_stays_below_two_per_color_arrays(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(10)
+        l, n_grid, n = 1000, 65536, 32
+        gauge = gauge_from(random_hermitian(rng, n))
+        state = rq.evolve_block(rq.initial_localized_state(l, random_state(rng, n)),
+                                gauge, 1.0)
+        tracemalloc.start()
+        try:
+            density = rq.position_density(state, n_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # per_color plus blocks of a few colors; a padded spectrum and psi
+        # for every color at once peak above four per_color arrays
+        assert peak < 2.0 * density.per_color.nbytes
+
+    def test_owned_read_only_per_color_is_kept_writeable_one_copied(self):
+        phi = TWO_PI * np.arange(4) / 4
+        d = np.full(4, 1.0 / TWO_PI)
+        frozen = np.array(d[:, None])
+        frozen.setflags(write=False)
+        assert rq.PositionDensity(phi, d, frozen).per_color is frozen
+        writeable = np.array(d[:, None])
+        kept = rq.PositionDensity(phi, d, writeable).per_color
+        assert kept is not writeable and not kept.flags.writeable
+        writeable[0, 0] = 0.0
+        assert kept[0, 0] == 1.0 / TWO_PI
+
+    @pytest.mark.parametrize("n_grid", [64, 1000, 77, 3001])
+    def test_matches_a_dense_sum_over_modes(self, n_grid):
+        # colors run in blocks of four, so n = 9 ends on a partial block
+        rng = np.random.default_rng(13)
+        l, n = 10, 9
+        coeffs = rng.standard_normal((2 * l + 1, n)) + 1j * rng.standard_normal((2 * l + 1, n))
+        coeffs /= np.linalg.norm(coeffs)
+        state = rq.RingState(l, n, coeffs)
+        phi = TWO_PI * np.arange(n_grid) / n_grid
+        psi = np.exp(1j * np.outer(phi, state.modes)) @ coeffs
+        expected = np.abs(psi) ** 2 / TWO_PI
+        density = rq.position_density(state, n_grid)
+        assert np.max(np.abs(density.per_color - expected)) < 1e-13
+        assert np.max(np.abs(density.density - expected.sum(axis=1))) < 1e-13
 
     def test_too_coarse_grid_rejected(self):
         state = rq.initial_localized_state(10, np.array([1.0]))
