@@ -25,6 +25,9 @@ from .errors import PreconditionError, ResourceLimitError
 DENSE_DIMENSION_GUARD = 4096
 # how far a state's norm may stray from 1
 UNIT_NORM_TOL = 1e-10
+# rows a streamed kernel or CSV writer handles at a time: 2 MiB of
+# register at 32 colors, or 1 MiB of density table
+BLOCK_ROWS = 1 << 12
 
 # Pade-13 coefficients and norm threshold for scaling-and-squaring
 # (Higham 2005 constants).

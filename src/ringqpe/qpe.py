@@ -11,12 +11,22 @@ as its eigendecomposition (theta, V), the spectrum a problem computed once
 on construction. The controlled stage follows the circuit, one controlled
 U^(2^j) per bit j of m, applied in U's eigenbasis where each is diagonal.
 There the t diagonals multiply into two small phase tables, one over the
-low half of m's bits and one over the high half, so the cost is two basis
-rotations of the statevector and one multiply per table per amplitude,
-rather than 2^t matrix powers. The stage streams the register through
-blocks of rows: each block is rotated in, takes both tables and is rotated
-back into its place in the result while it is still in cache, so the only
-full-size array the stage makes is that result.
+low half of m's bits and one over the high half, so the cost is one
+multiply per table per amplitude rather than 2^t matrix powers. The stage
+streams the register through blocks of rows: each block is filled with its
+eigen-coordinates, takes both tables and is rotated back into its place in
+the result while it is still in cache, so the only full-size array the
+stage makes is that result.
+
+qpe_prepare, controlled_unitary_all, qft_inverse and measure_register1 run
+the circuit step by step, each stage returning a new read-only register.
+qpe_estimate runs the same steps in one register. The uniform register is
+u / sqrt(2^t) on every row, so it is never built: each block starts from
+w = V^dagger u / sqrt(2^t), rotated once, rather than from a rotation of
+prepared rows. The inverse Fourier transform then runs in place, and the
+read-out sums |amplitude|^2 a block of rows at a time, so the run holds
+one register, the size REGISTER_BYTES_GUARD bounds, and its 2^t
+probabilities.
 
 The statevector keeps the shape (2^t, n), amplitudes[m, a], but is stored
 column-major: each color's 2^t amplitudes are contiguous, which is the axis
@@ -34,18 +44,21 @@ import numpy as np
 from . import opcount
 from .angles import TWO_PI
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import UNIT_NORM_TOL, readonly, require_eigenbasis, require_unit_vector
+from .linalg import (
+    BLOCK_ROWS,
+    UNIT_NORM_TOL,
+    readonly,
+    require_eigenbasis,
+    require_unit_vector,
+)
 
 T_BITS_GUARD = 24
-# largest joint statevector, 2^t * n complex128 amplitudes, that qpe_prepare
-# allocates; the same 256 MiB a DENSE_DIMENSION_GUARD-sized matrix takes
+# largest joint statevector, 2^t * n complex128 amplitudes, that qpe_prepare,
+# the controlled stage and qpe_estimate allocate; the same 256 MiB a
+# DENSE_DIMENSION_GUARD-sized matrix takes
 REGISTER_BYTES_GUARD = 1 << 28
 
 _PROB_SUM_TOL = 1e-9
-_CSV_BLOCK_ROWS = 1 << 12
-# rows of the register the controlled stage transforms at a time, or one
-# period of its low phase table if that is longer; 2 MiB at 32 colors
-_STAGE_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -90,14 +103,7 @@ class QpeRegisters:
             raise PreconditionError(
                 f"amplitude array shape {amps.shape} does not match {expected}"
             )
-        # one BLAS pass in memory order; NaN and inf make the norm NaN or inf
-        flat = amps.ravel(order="K")
-        norm = math.sqrt(np.vdot(flat, flat).real)
-        # written so that a NaN norm fails too
-        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
-            raise PreconditionError(
-                f"register norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}"
-            )
+        _require_unit_norm(amps)
         object.__setattr__(self, "amplitudes", readonly(amps))
 
     @property
@@ -129,13 +135,33 @@ class Register1Distribution:
             )
         if self.mode == "sampled" and (self.shots is None or self.shots < 1):
             raise PreconditionError("sampled distributions must record shots >= 1")
-        p = np.array(p)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", readonly(p))
 
     @property
     def register_size(self) -> int:
         return self.probs.size
+
+
+def _require_unit_norm(amps: np.ndarray) -> None:
+    """Refuse a register whose norm strays from 1 beyond UNIT_NORM_TOL."""
+    # one BLAS pass in memory order; NaN and inf make the norm NaN or inf
+    flat = amps.ravel(order="K")
+    norm = math.sqrt(np.vdot(flat, flat).real)
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+        raise PreconditionError(
+            f"register norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}"
+        )
+
+
+def _require_register_fits(t_bits: int, n: int) -> None:
+    """Refuse a 2^t x n register above REGISTER_BYTES_GUARD before it exists."""
+    nbytes = (1 << t_bits) * n * np.dtype(np.complex128).itemsize
+    if nbytes > REGISTER_BYTES_GUARD:
+        raise ResourceLimitError(
+            f"register of 2^{t_bits} x {n} amplitudes needs {nbytes} bytes, "
+            f"above the guard {REGISTER_BYTES_GUARD}"
+        )
 
 
 class QpeEstimate(NamedTuple):
@@ -149,12 +175,7 @@ def qpe_prepare(t_bits: int, color) -> QpeRegisters:
     cfg_check = QpeConfig(t_bits)  # reuse the guard on t_bits
     u = require_unit_vector(color, "register-2 state")
     size = cfg_check.register_size
-    nbytes = size * u.size * np.dtype(np.complex128).itemsize
-    if nbytes > REGISTER_BYTES_GUARD:
-        raise ResourceLimitError(
-            f"register of 2^{t_bits} x {u.size} amplitudes needs {nbytes} bytes, "
-            f"above the guard {REGISTER_BYTES_GUARD}"
-        )
+    _require_register_fits(t_bits, u.size)
     amps = np.empty((size, u.size), dtype=np.complex128, order="F")
     amps[...] = u / math.sqrt(size)
     amps.setflags(write=False)
@@ -179,6 +200,58 @@ def _phase_table(theta: np.ndarray, first: int, stop: int) -> np.ndarray:
     return table
 
 
+def _controlled_stage(t_bits: int, source: np.ndarray, spectrum) -> np.ndarray:
+    """The controlled stage's block loop; returns its owned, writable result.
+
+    `source` is either a (2^t, n) register, each block of which is rotated
+    into U's eigenbasis with V^dagger, or one register-2 state u standing
+    for the uniform register u / sqrt(2^t) on every row, whose
+    eigen-coordinates w = V^dagger u / sqrt(2^t) are computed once and
+    broadcast into each block.
+    """
+    n = source.shape[-1]
+    _require_register_fits(t_bits, n)
+    theta, v = require_eigenbasis(spectrum)
+    if theta.size != n:
+        raise PreconditionError(
+            f"unitary dimension {theta.size} does not match register-2 "
+            f"dimension {n}"
+        )
+    size = 1 << t_bits
+    lo = t_bits // 2
+    low = _phase_table(theta, 0, lo)
+    high = _phase_table(theta, lo, t_bits)
+    rows = min(size, max(BLOCK_ROWS, 1 << lo))
+    amps = np.empty((size, n), dtype=np.complex128, order="F")
+    eig = np.empty((n, rows), dtype=np.complex128)
+    vh = v.conj().T
+    if source.ndim == 1:
+        w = (vh @ (source / math.sqrt(size)))[:, None]
+        opcount.add(n * n)
+
+        def fill(start, stop):
+            eig[...] = w
+    else:
+        # src[a, m]: one row of 2^t amplitudes per color, so column m is
+        # the register-2 state at m and V^dagger rotates it
+        src = source.T
+        opcount.add(size * n * n)
+
+        def fill(start, stop):
+            np.matmul(vh, src[:, start:stop], out=eig)
+    dst = amps.T
+    # split each block's m as (m >> lo, m mod 2^lo), one table per index
+    split = eig.reshape(n, -1, 1 << lo)
+    for start in range(0, size, rows):
+        stop = start + rows
+        fill(start, stop)
+        split *= low[:, None, :]
+        split *= high[:, start >> lo:stop >> lo, None]
+        np.matmul(v, eig, out=dst[:, start:stop])
+    opcount.add(size * n * n + 2 * size * n)
+    return amps
+
+
 def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
     """Apply |m>|c> -> |m> U^m |c> across the register.
 
@@ -191,8 +264,8 @@ def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
     of m's low lo bits and high[a, m >> lo] those of its high bits, each
     table built one bit at a time, (2^lo + 2^(t-lo) - 2) n multiplies.
 
-    The register is streamed through blocks of _STAGE_BLOCK_ROWS rows, or of
-    one low-table period 2^lo if that is longer, so every block starts at a
+    The register is streamed through blocks of BLOCK_ROWS rows, or of one
+    low-table period 2^lo if that is longer, so every block starts at a
     multiple of 2^lo. A block's eigen-coordinates, viewed as (n, rows / 2^lo,
     2^lo), take one broadcast multiply per table and are rotated back
     straight into the block's columns of the column-major result: no
@@ -200,61 +273,47 @@ def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
     back once. The phases stay unitary to rounding at any t, where repeated
     squaring would compound it.
     """
-    theta, v = require_eigenbasis(spectrum)
-    if theta.size != regs.n_colors:
-        raise PreconditionError(
-            f"unitary dimension {theta.size} does not match register-2 "
-            f"dimension {regs.n_colors}"
-        )
-    size = regs.register_size
-    n = regs.n_colors
-    lo = regs.t_bits // 2
-    low = _phase_table(theta, 0, lo)
-    high = _phase_table(theta, lo, regs.t_bits)
-    rows = min(size, max(_STAGE_BLOCK_ROWS, 1 << lo))
-    amps = np.empty((size, n), dtype=np.complex128, order="F")
-    # src[a, m] and dst[a, m]: one row of 2^t amplitudes per color, so
-    # column m is the register-2 state at m and V^dagger rotates it
-    src = regs.amplitudes.T
-    dst = amps.T
-    vh = v.conj().T
-    eig = np.empty((n, rows), dtype=np.complex128)
-    # split each block's m as (m >> lo, m mod 2^lo), one table per index
-    split = eig.reshape(n, -1, 1 << lo)
-    for start in range(0, size, rows):
-        stop = start + rows
-        np.matmul(vh, src[:, start:stop], out=eig)
-        split *= low[:, None, :]
-        split *= high[:, start >> lo:stop >> lo, None]
-        np.matmul(v, eig, out=dst[:, start:stop])
-    opcount.add(2 * size * n * n + 2 * size * n)
+    amps = _controlled_stage(regs.t_bits, regs.amplitudes, spectrum)
     amps.setflags(write=False)
-    return QpeRegisters(regs.t_bits, n, amps)
+    return QpeRegisters(regs.t_bits, regs.n_colors, amps)
+
+
+def _fourier(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The inverse QFT of each color's column, into `out` (new if None)."""
+    size, n = amps.shape
+    # np.fft.fft matches the e^(-2 pi i k m / N) kernel, scaled by
+    # 2^(-t/2) inside the transform
+    out = np.fft.fft(amps, axis=0, norm="ortho", out=out)
+    opcount.add(n * (size // 2) * (size.bit_length() - 1))
+    return out
 
 
 def qft_inverse(regs: QpeRegisters) -> QpeRegisters:
     """out[k] = 2^(-t/2) sum_m e^(-2 pi i k m / 2^t) in[m], per color."""
-    size = regs.register_size
-    # np.fft.fft matches the e^(-2 pi i k m / N) kernel, scaled by
-    # 2^(-t/2) inside the transform
-    amps = np.fft.fft(regs.amplitudes, axis=0, norm="ortho")
+    amps = _fourier(regs.amplitudes)
     amps.setflags(write=False)
-    opcount.add(regs.n_colors * (size // 2) * regs.t_bits)
     return QpeRegisters(regs.t_bits, regs.n_colors, amps)
 
 
 def measure_register1(regs: QpeRegisters, cfg: QpeConfig) -> Register1Distribution:
     """Trace out register 2; exact probabilities or multinomial samples.
 
-    Sampling uses numpy's default PCG64 generator seeded from cfg.rng_seed,
-    so a fixed config reproduces its histogram exactly.
+    |amplitude|^2 is summed over the colors a block of rows at a time, so
+    the read-out holds one block beside its result. Sampling uses numpy's
+    default PCG64 generator seeded from cfg.rng_seed, so a fixed config
+    reproduces its histogram exactly.
     """
     if regs.t_bits != cfg.t_bits:
         raise PreconditionError(
             f"register width {regs.t_bits} does not match config {cfg.t_bits}"
         )
-    probs = np.sum(np.abs(regs.amplitudes) ** 2, axis=1)
+    amps = regs.amplitudes
+    probs = np.empty(regs.register_size)
+    for start in range(0, probs.size, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        np.sum(np.abs(amps[rows]) ** 2, axis=1, out=probs[rows])
     if cfg.shots == 0:
+        probs.setflags(write=False)
         return Register1Distribution(probs, "exact")
     rng = np.random.default_rng(cfg.rng_seed)
     counts = rng.multinomial(cfg.shots, probs / probs.sum())
@@ -267,14 +326,22 @@ def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
     """Full pipeline; returns the modal read-out and its phase 2 pi k / 2^t.
 
     U comes as its spectrum (theta, V), as controlled_unitary_all takes it.
-    Ties in the distribution break toward the smallest k, which makes the
-    estimate deterministic in both exact and sampled modes.
+    The circuit runs in one register (see the module docstring), with the
+    step-by-step pipeline's guard before it is allocated and its norm check
+    after the controlled stage and after the QFT. Ties in the distribution
+    break toward the smallest k, which makes the estimate deterministic in
+    both exact and sampled modes.
     """
-    regs = qpe_prepare(cfg.t_bits, color)
-    regs = controlled_unitary_all(regs, spectrum)
-    regs = qft_inverse(regs)
-    dist = measure_register1(regs, cfg)
-    k_best = int(np.argmax(dist.probs))
+    u = require_unit_vector(color, "register-2 state")
+    amps = _controlled_stage(cfg.t_bits, u, spectrum)
+    _require_unit_norm(amps)
+    _fourier(amps, out=amps)
+    amps.setflags(write=False)
+    dist = measure_register1(QpeRegisters(cfg.t_bits, u.size, amps), cfg)
+    # np.argmax would copy the read-only probabilities; the first k at the
+    # maximum is the same read-out
+    probs = dist.probs
+    k_best = int(np.flatnonzero(probs == probs.max())[0])
     phi = TWO_PI * k_best / dist.register_size
     return QpeEstimate(k_best, phi, dist)
 
@@ -286,8 +353,8 @@ def write_distribution_csv(dist: Register1Distribution, path) -> None:
     # the text never holds more than one block
     with open(path, "w", newline="") as fh:
         fh.write("k,probability\r\n")
-        for start in range(0, probs.size, _CSV_BLOCK_ROWS):
-            block = probs[start:start + _CSV_BLOCK_ROWS].tolist()
+        for start in range(0, probs.size, BLOCK_ROWS):
+            block = probs[start:start + BLOCK_ROWS].tolist()
             fh.write("".join(f"{k},{p!r}\r\n" for k, p in enumerate(block, start)))
 
 

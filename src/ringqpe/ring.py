@@ -38,6 +38,7 @@ from . import opcount
 from .angles import TWO_PI, wrap_to_signed, wrap_to_unit
 from .errors import PreconditionError, ResolutionError
 from .linalg import (
+    BLOCK_ROWS,
     DENSE_DIMENSION_GUARD,
     UNIT_NORM_TOL,
     expm_dense,
@@ -51,7 +52,6 @@ from .linalg import (
 VELOCITY_FACTOR = 2.0
 
 _DENSITY_INTEGRAL_TOL = 1e-8
-_BLOCK_ROWS = 1 << 12
 # colors position_density transforms at a time; 4 MiB of spectrum at N = 2^16
 _BLOCK_COLORS = 4
 
@@ -379,8 +379,8 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     # add in numpy's pairwise order; a sum along the column-major layout
     # adds them one after another and moves the density by an ulp once n >= 8
     density = np.empty(grid_size_N)
-    for start in range(0, grid_size_N, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+    for start in range(0, grid_size_N, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
         density[rows] = np.ascontiguousarray(per_color[rows]).sum(axis=1)
     density.setflags(write=False)
     phi_grid = TWO_PI * np.arange(grid_size_N) / grid_size_N
@@ -513,8 +513,8 @@ def write_density_csv(density: PositionDensity, path) -> None:
     # the text never holds more than one block
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, density.grid_size_N, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
+        for start in range(0, density.grid_size_N, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
             block = np.column_stack(
                 (density.phi_grid[rows], density.density[rows], density.per_color[rows])
             ).tolist()

@@ -272,6 +272,75 @@ class TestControlledStage:
         assert peak < 1.25 * nbytes
 
 
+class TestOneRegisterPipeline:
+    """qpe_estimate runs the staged circuit in one register."""
+
+    @pytest.mark.parametrize("shots", [0, 500])
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    @pytest.mark.parametrize("t", [1, 2, 5, 6, 9, 16])
+    def test_matches_the_staged_circuit(self, t, n, shots):
+        rng = np.random.default_rng(8000 + 100 * n + t)
+        spectrum = rq.eig_unitary(random_unitary(rng, n))
+        color = random_state(rng, n)
+        cfg = rq.QpeConfig(t, shots=shots, rng_seed=17)
+        regs = rq.qpe_prepare(t, color)
+        regs = rq.controlled_unitary_all(regs, spectrum)
+        regs = rq.qft_inverse(regs)
+        staged = rq.measure_register1(regs, cfg)
+        est = rq.qpe_estimate(spectrum, color, cfg)
+        assert est.distribution.mode == staged.mode
+        assert np.max(np.abs(est.distribution.probs - staged.probs)) <= 1e-15
+        assert est.k_best == int(np.argmax(staged.probs))
+
+    # the register plus one block of rows, the phase tables and the 2^t
+    # probabilities, half a register at n = 1; a prepared register beside
+    # the stage's result, an out-of-place transform, or a copy of the
+    # probabilities (np.argmax makes one of a read-only array) would add a
+    # register at n = 32 or half of one at n = 1
+    @pytest.mark.parametrize("n,bound", [(32, 1.25), (1, 1.8)])
+    def test_peak_memory_stays_near_one_register(self, n, bound):
+        import tracemalloc
+
+        t = 16
+        nbytes = (1 << t) * n * 16
+        rng = np.random.default_rng(9)
+        spectrum = rq.eig_unitary(random_unitary(rng, n))
+        color = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            rq.qpe_estimate(spectrum, color, rq.QpeConfig(t))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * nbytes
+
+    def test_refuses_oversized_register_before_allocating(self, monkeypatch):
+        n = 64
+        spectrum = rq.eig_unitary(np.eye(n))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("register allocated before the guard")
+
+        monkeypatch.setattr(np, "empty", forbidden)
+        with pytest.raises(rq.ResourceLimitError, match="guard"):
+            rq.qpe_estimate(spectrum, np.eye(n)[0], rq.QpeConfig(24))
+
+    def test_operation_count_formula(self):
+        n = 3
+        spectrum = rq.eig_unitary(random_unitary(np.random.default_rng(1), n))
+        for t in (1, 2, 5, 6):
+            with rq.count_macs() as counter:
+                rq.qpe_estimate(spectrum, np.array([1.0, 0.0, 0.0]), rq.QpeConfig(t))
+            size, lo = 1 << t, t // 2
+            # the register-2 state is rotated into the eigenbasis once, not
+            # the register; then the stage's rotation back, its phase tables
+            # and the inverse QFT, as in the staged circuit
+            tables = n * ((1 << lo) - 1) + n * ((1 << (t - lo)) - 1)
+            stage = n * n + size * n * n + 2 * size * n + tables
+            qft = n * (size // 2) * t
+            assert counter.total == stage + qft, f"t = {t}"
+
+
 def spectral_register_distribution(t_bits, theta, weights):
     """Exact read-out distribution from the spectrum alone.
 
@@ -416,6 +485,25 @@ class TestMeasurement:
         assert abs(est.distribution.probs[0] - 0.5) < 1e-12
         assert est.k_best == 0
         assert est.phi_estimate == 0.0
+
+    def test_sums_a_block_of_rows_at_a_time(self):
+        import tracemalloc
+
+        t, n = 16, 32
+        rng = np.random.default_rng(10)
+        regs = rq.qpe_prepare(t, random_state(rng, n))
+        regs = rq.controlled_unitary_all(regs, rq.eig_unitary(random_unitary(rng, n)))
+        regs = rq.qft_inverse(regs)
+        tracemalloc.start()
+        try:
+            dist = rq.measure_register1(regs, rq.QpeConfig(t))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the same sums as over the whole register, bit for bit, without
+        # its (2^t, n) array of |amplitude|^2 (half a register)
+        assert np.array_equal(dist.probs, np.sum(np.abs(regs.amplitudes) ** 2, axis=1))
+        assert peak < 0.07 * regs.amplitudes.nbytes
 
     def test_width_mismatch_rejected(self):
         regs = rq.qpe_prepare(3, np.array([1.0]))
