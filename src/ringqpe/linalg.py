@@ -25,6 +25,8 @@ from .errors import PreconditionError, ResourceLimitError
 DENSE_DIMENSION_GUARD = 4096
 # how far a state's norm may stray from 1
 UNIT_NORM_TOL = 1e-10
+# how far a Hermitian or unitary matrix may stray from that structure
+_STRUCTURE_TOL = 1e-10
 # rows a streamed kernel or CSV writer handles at a time: 2 MiB of
 # register at 32 colors, or 1 MiB of density table
 BLOCK_ROWS = 1 << 12
@@ -66,14 +68,27 @@ def require_square(m) -> np.ndarray:
     return a
 
 
-def require_hermitian(m, tol: float = 1e-10) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     a = require_square(m)
     asym = float(np.max(np.abs(a - a.conj().T)))
-    if asym > tol:
+    if asym > _STRUCTURE_TOL:
         raise PreconditionError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
+            f"tolerance {_STRUCTURE_TOL:.3e}"
         )
     return a
+
+
+def require_unit_norm(a: np.ndarray, what: str) -> None:
+    """Refuse an array whose norm strays from 1 beyond UNIT_NORM_TOL."""
+    # one BLAS pass in memory order; NaN and inf make the norm NaN or inf
+    flat = a.ravel(order="K")
+    norm = math.sqrt(np.vdot(flat, flat).real)
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+        raise PreconditionError(
+            f"{what} norm {norm!r} deviates from 1 beyond tolerance {UNIT_NORM_TOL}"
+        )
 
 
 def require_unit_vector(v, what: str) -> np.ndarray:
@@ -83,11 +98,7 @@ def require_unit_vector(v, what: str) -> np.ndarray:
         raise PreconditionError(f"{what} must be a 1-D vector")
     if not np.all(np.isfinite(arr)):
         raise PreconditionError(f"{what} must be finite")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise PreconditionError(
-            f"{what} norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}"
-        )
+    require_unit_norm(arr, what)
     return arr
 
 
@@ -110,12 +121,13 @@ def unitarity_defect(m) -> float:
     return float(np.max(np.abs(u.conj().T @ u - eye)))
 
 
-def require_unitary(m, tol: float = 1e-10) -> np.ndarray:
+def require_unitary(m) -> np.ndarray:
     u = require_square(m)
     defect = unitarity_defect(u)
-    if defect > tol:
+    if defect > _STRUCTURE_TOL:
         raise PreconditionError(
-            f"matrix is not unitary: max defect {defect:.3e} exceeds tolerance {tol:.3e}"
+            f"matrix is not unitary: max defect {defect:.3e} exceeds "
+            f"tolerance {_STRUCTURE_TOL:.3e}"
         )
     return u
 

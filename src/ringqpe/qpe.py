@@ -13,20 +13,22 @@ U^(2^j) per bit j of m, applied in U's eigenbasis where each is diagonal.
 There the t diagonals multiply into two small phase tables, one over the
 low half of m's bits and one over the high half, so the cost is one
 multiply per table per amplitude rather than 2^t matrix powers. The stage
-streams the register through blocks of rows: each block is filled with its
-eigen-coordinates, takes both tables and is rotated back into its place in
+streams the register through blocks of rows: each block is rotated into
+the eigenbasis, takes both tables and is rotated back into its place in
 the result while it is still in cache, so the only full-size array the
 stage makes is that result.
 
 qpe_prepare, controlled_unitary_all, qft_inverse and measure_register1 run
 the circuit step by step, each stage returning a new read-only register.
-qpe_estimate runs the same steps in one register. The uniform register is
-u / sqrt(2^t) on every row, so it is never built: each block starts from
-w = V^dagger u / sqrt(2^t), rotated once, rather than from a rotation of
-prepared rows. The inverse Fourier transform then runs in place, and the
-read-out sums |amplitude|^2 a block of rows at a time, so the run holds
-one register, the size REGISTER_BYTES_GUARD bounds, and its 2^t
-probabilities.
+qpe_estimate runs the same steps in one register and reads it out in U's
+eigenbasis. Register 2 is never measured, so the read-out does not depend
+on its basis, and the rotation back is skipped. The uniform register is
+u / sqrt(2^t) on every row, so it is never built: w = V^dagger u /
+sqrt(2^t) is rotated once, written into the register times the low table,
+and the high table is multiplied in after. The inverse Fourier transform
+then runs in place, and the read-out sums |amplitude|^2 a block of rows at
+a time, so the run holds one register, the size REGISTER_BYTES_GUARD
+bounds, and its 2^t probabilities.
 
 The statevector keeps the shape (2^t, n), amplitudes[m, a], but is stored
 column-major: each color's 2^t amplitudes are contiguous, which is the axis
@@ -46,9 +48,9 @@ from .angles import TWO_PI
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import (
     BLOCK_ROWS,
-    UNIT_NORM_TOL,
     readonly,
     require_eigenbasis,
+    require_unit_norm,
     require_unit_vector,
 )
 
@@ -103,7 +105,7 @@ class QpeRegisters:
             raise PreconditionError(
                 f"amplitude array shape {amps.shape} does not match {expected}"
             )
-        _require_unit_norm(amps)
+        require_unit_norm(amps, "register")
         object.__setattr__(self, "amplitudes", readonly(amps))
 
     @property
@@ -140,18 +142,6 @@ class Register1Distribution:
     @property
     def register_size(self) -> int:
         return self.probs.size
-
-
-def _require_unit_norm(amps: np.ndarray) -> None:
-    """Refuse a register whose norm strays from 1 beyond UNIT_NORM_TOL."""
-    # one BLAS pass in memory order; NaN and inf make the norm NaN or inf
-    flat = amps.ravel(order="K")
-    norm = math.sqrt(np.vdot(flat, flat).real)
-    # written so that a NaN norm fails too
-    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
-        raise PreconditionError(
-            f"register norm {norm!r} deviates from 1 beyond {UNIT_NORM_TOL}"
-        )
 
 
 def _require_register_fits(t_bits: int, n: int) -> None:
@@ -200,16 +190,12 @@ def _phase_table(theta: np.ndarray, first: int, stop: int) -> np.ndarray:
     return table
 
 
-def _controlled_stage(t_bits: int, source: np.ndarray, spectrum) -> np.ndarray:
-    """The controlled stage's block loop; returns its owned, writable result.
+def _eigenbasis_tables(t_bits: int, n: int, spectrum):
+    """V and the low and high phase tables of a 2^t x n register's stage.
 
-    `source` is either a (2^t, n) register, each block of which is rotated
-    into U's eigenbasis with V^dagger, or one register-2 state u standing
-    for the uniform register u / sqrt(2^t) on every row, whose
-    eigen-coordinates w = V^dagger u / sqrt(2^t) are computed once and
-    broadcast into each block.
+    The register guard runs first, so an oversized register is refused
+    before anything is allocated.
     """
-    n = source.shape[-1]
     _require_register_fits(t_bits, n)
     theta, v = require_eigenbasis(spectrum)
     if theta.size != n:
@@ -217,39 +203,8 @@ def _controlled_stage(t_bits: int, source: np.ndarray, spectrum) -> np.ndarray:
             f"unitary dimension {theta.size} does not match register-2 "
             f"dimension {n}"
         )
-    size = 1 << t_bits
     lo = t_bits // 2
-    low = _phase_table(theta, 0, lo)
-    high = _phase_table(theta, lo, t_bits)
-    rows = min(size, max(BLOCK_ROWS, 1 << lo))
-    amps = np.empty((size, n), dtype=np.complex128, order="F")
-    eig = np.empty((n, rows), dtype=np.complex128)
-    vh = v.conj().T
-    if source.ndim == 1:
-        w = (vh @ (source / math.sqrt(size)))[:, None]
-        opcount.add(n * n)
-
-        def fill(start, stop):
-            eig[...] = w
-    else:
-        # src[a, m]: one row of 2^t amplitudes per color, so column m is
-        # the register-2 state at m and V^dagger rotates it
-        src = source.T
-        opcount.add(size * n * n)
-
-        def fill(start, stop):
-            np.matmul(vh, src[:, start:stop], out=eig)
-    dst = amps.T
-    # split each block's m as (m >> lo, m mod 2^lo), one table per index
-    split = eig.reshape(n, -1, 1 << lo)
-    for start in range(0, size, rows):
-        stop = start + rows
-        fill(start, stop)
-        split *= low[:, None, :]
-        split *= high[:, start >> lo:stop >> lo, None]
-        np.matmul(v, eig, out=dst[:, start:stop])
-    opcount.add(size * n * n + 2 * size * n)
-    return amps
+    return v, _phase_table(theta, 0, lo), _phase_table(theta, lo, t_bits)
 
 
 def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
@@ -266,16 +221,34 @@ def controlled_unitary_all(regs: QpeRegisters, spectrum) -> QpeRegisters:
 
     The register is streamed through blocks of BLOCK_ROWS rows, or of one
     low-table period 2^lo if that is longer, so every block starts at a
-    multiple of 2^lo. A block's eigen-coordinates, viewed as (n, rows / 2^lo,
-    2^lo), take one broadcast multiply per table and are rotated back
-    straight into the block's columns of the column-major result: no
-    full-size temporary, and each amplitude leaves memory once and comes
-    back once. The phases stay unitary to rounding at any t, where repeated
-    squaring would compound it.
+    multiple of 2^lo. A block is rotated in, viewed as (n, rows / 2^lo,
+    2^lo), takes one broadcast multiply per table and is rotated back
+    straight into its columns of the column-major result: no full-size
+    temporary, and each amplitude leaves memory once and comes back once.
+    The phases stay unitary to rounding at any t, where repeated squaring
+    would compound it.
     """
-    amps = _controlled_stage(regs.t_bits, regs.amplitudes, spectrum)
+    t_bits, n = regs.t_bits, regs.n_colors
+    v, low, high = _eigenbasis_tables(t_bits, n, spectrum)
+    size, lo = regs.register_size, t_bits // 2
+    rows = min(size, max(BLOCK_ROWS, 1 << lo))
+    amps = np.empty((size, n), dtype=np.complex128, order="F")
+    eig = np.empty((n, rows), dtype=np.complex128)
+    vh = v.conj().T
+    # src[a, m]: one row of 2^t amplitudes per color, so column m is the
+    # register-2 state at m and V^dagger rotates it
+    src, dst = regs.amplitudes.T, amps.T
+    # split each block's m as (m >> lo, m mod 2^lo), one table per index
+    split = eig.reshape(n, -1, 1 << lo)
+    for start in range(0, size, rows):
+        stop = start + rows
+        np.matmul(vh, src[:, start:stop], out=eig)
+        split *= low[:, None, :]
+        split *= high[:, start >> lo:stop >> lo, None]
+        np.matmul(v, eig, out=dst[:, start:stop])
+    opcount.add(2 * size * n * n + 2 * size * n)
     amps.setflags(write=False)
-    return QpeRegisters(regs.t_bits, regs.n_colors, amps)
+    return QpeRegisters(t_bits, n, amps)
 
 
 def _fourier(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -301,7 +274,9 @@ def measure_register1(regs: QpeRegisters, cfg: QpeConfig) -> Register1Distributi
     |amplitude|^2 is summed over the colors a block of rows at a time, so
     the read-out holds one block beside its result. Sampling uses numpy's
     default PCG64 generator seeded from cfg.rng_seed, so a fixed config
-    reproduces its histogram exactly.
+    reproduces its histogram exactly; the histogram overwrites the
+    probabilities it was drawn from, so it holds only the counts beside
+    them.
     """
     if regs.t_bits != cfg.t_bits:
         raise PreconditionError(
@@ -315,29 +290,39 @@ def measure_register1(regs: QpeRegisters, cfg: QpeConfig) -> Register1Distributi
     if cfg.shots == 0:
         probs.setflags(write=False)
         return Register1Distribution(probs, "exact")
-    rng = np.random.default_rng(cfg.rng_seed)
-    counts = rng.multinomial(cfg.shots, probs / probs.sum())
-    return Register1Distribution(
-        counts / cfg.shots, "sampled", shots=cfg.shots, seed=cfg.rng_seed
-    )
+    probs /= probs.sum()
+    counts = np.random.default_rng(cfg.rng_seed).multinomial(cfg.shots, probs)
+    np.divide(counts, cfg.shots, out=probs)
+    probs.setflags(write=False)
+    return Register1Distribution(probs, "sampled", shots=cfg.shots, seed=cfg.rng_seed)
 
 
 def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
     """Full pipeline; returns the modal read-out and its phase 2 pi k / 2^t.
 
     U comes as its spectrum (theta, V), as controlled_unitary_all takes it.
-    The circuit runs in one register (see the module docstring), with the
-    step-by-step pipeline's guard before it is allocated and its norm check
-    after the controlled stage and after the QFT. Ties in the distribution
-    break toward the smallest k, which makes the estimate deterministic in
-    both exact and sampled modes.
+    The circuit runs in one register held in U's eigenbasis (see the module
+    docstring), with the step-by-step pipeline's guard before it is
+    allocated and its norm check after the controlled stage and after the
+    QFT. Ties in the distribution break toward the smallest k, which makes
+    the estimate deterministic in both exact and sampled modes.
     """
     u = require_unit_vector(color, "register-2 state")
-    amps = _controlled_stage(cfg.t_bits, u, spectrum)
-    _require_unit_norm(amps)
+    t_bits, n = cfg.t_bits, u.size
+    v, low, high = _eigenbasis_tables(t_bits, n, spectrum)
+    size, lo = cfg.register_size, t_bits // 2
+    w = v.conj().T @ (u / math.sqrt(size))
+    amps = np.empty((size, n), dtype=np.complex128, order="F")
+    # amps.T[a, m] split as (m >> lo, m mod 2^lo), one table per index;
+    # w times low, then times high, as each block of the stage takes them
+    split = amps.T.reshape(n, -1, 1 << lo)
+    np.multiply(w[:, None, None], low[:, None, :], out=split)
+    split *= high[:, :, None]
+    opcount.add(n * n + 2 * size * n)
+    require_unit_norm(amps, "register")
     _fourier(amps, out=amps)
     amps.setflags(write=False)
-    dist = measure_register1(QpeRegisters(cfg.t_bits, u.size, amps), cfg)
+    dist = measure_register1(QpeRegisters(t_bits, n, amps), cfg)
     # np.argmax would copy the read-only probabilities; the first k at the
     # maximum is the same read-out
     probs = dist.probs

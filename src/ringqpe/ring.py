@@ -40,10 +40,10 @@ from .errors import PreconditionError, ResolutionError
 from .linalg import (
     BLOCK_ROWS,
     DENSE_DIMENSION_GUARD,
-    UNIT_NORM_TOL,
     expm_dense,
     readonly,
     require_eigenbasis,
+    require_unit_norm,
     require_unit_vector,
 )
 
@@ -136,11 +136,7 @@ class RingState:
             )
         if not np.all(np.isfinite(c)):
             raise PreconditionError("coefficients must be finite")
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise PreconditionError(
-                f"state norm {norm!r} deviates from 1 beyond tolerance {UNIT_NORM_TOL}"
-            )
+        require_unit_norm(c, "state")
         object.__setattr__(self, "coeffs", readonly(c))
 
     @property
@@ -388,7 +384,7 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     return PositionDensity(phi_grid, density, per_color)
 
 
-def extract_peaks(density: PositionDensity, max_peaks: int, window: int = 5) -> PeakSet:
+def extract_peaks(density: PositionDensity, max_peaks: int, window: int) -> PeakSet:
     """Locate up to max_peaks local maxima and weigh them by window mass.
 
     Peaks are circular local maxima of the sampled density, accepted in
@@ -397,7 +393,7 @@ def extract_peaks(density: PositionDensity, max_peaks: int, window: int = 5) -> 
     the circular centroid of the density over its window; its weight is the
     integrated density over the window and its width the weighted circular
     spread. Choose `window` wide enough to cover the resolution lobe when
-    weights matter; the default 5 suits near-delta densities.
+    weights matter.
     """
     if max_peaks < 1:
         raise PreconditionError(f"max_peaks must be >= 1, got {max_peaks}")
@@ -449,30 +445,23 @@ def extract_peaks(density: PositionDensity, max_peaks: int, window: int = 5) -> 
     return PeakSet(tuple(peaks), bin_width)
 
 
-def default_peak_window(mode_cutoff_l: int, grid_size_N: int,
-                        halfwidths: float = 8.0) -> int:
-    """Odd window covering +-halfwidths resolution lobes of the kernel.
+def default_peak_window(mode_cutoff_l: int, grid_size_N: int) -> int:
+    """Odd window covering +-8 resolution lobes of the kernel.
 
     The localized packet's density lobe first touches zero 2 pi/(2l+1) away
     from its center, i.e. N/(2l+1) bins. Integrating +-8 of those captures
     about 99 percent of a lobe's mass, enough for weights good to 0.01.
     """
     lobe_bins = grid_size_N / (2 * mode_cutoff_l + 1)
-    w = 2 * math.ceil(halfwidths * lobe_bins) + 1
+    w = 2 * math.ceil(8 * lobe_bins) + 1
     cap = grid_size_N // 2
     if cap % 2 == 0:
         cap -= 1
     return max(1, min(w, cap))
 
 
-def estimate_phase_via_ring(
-    gauge: GaugeField,
-    color,
-    mode_cutoff_l: int,
-    grid_size_N: int,
-    max_peaks: int | None = None,
-    window: int | None = None,
-) -> PeakSet:
+def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
+                            grid_size_N: int) -> PeakSet:
     """Full read-out: localize, evolve for t_R, locate relocalization peaks.
 
     The grid is checked before anything evolves; peaks are read as
@@ -482,26 +471,18 @@ def estimate_phase_via_ring(
     state = initial_localized_state(mode_cutoff_l, color)
     evolved = evolve_block(state, gauge, return_time(gauge.params))
     density = position_density(evolved, grid_size_N)
-    return revival_peaks(density, mode_cutoff_l, max_peaks, window)
+    return revival_peaks(density, mode_cutoff_l)
 
 
-def revival_peaks(
-    density: PositionDensity,
-    mode_cutoff_l: int,
-    max_peaks: int | None = None,
-    window: int | None = None,
-) -> PeakSet:
-    """Peaks of the density at t_R, with the read-out's defaults.
+def revival_peaks(density: PositionDensity, mode_cutoff_l: int) -> PeakSet:
+    """Peaks of the density at t_R, as the read-out takes them.
 
-    Defaults extract one candidate peak per color with a window matched to
-    the mode-cutoff resolution, so peak weights track the color overlaps
+    One candidate peak per color, each over a window matched to the
+    mode-cutoff resolution, so peak weights track the color overlaps
     |c_k|^2 with the gauge eigencolors.
     """
-    if max_peaks is None:
-        max_peaks = density.n_colors
-    if window is None:
-        window = default_peak_window(mode_cutoff_l, density.grid_size_N)
-    return extract_peaks(density, max_peaks, window)
+    window = default_peak_window(mode_cutoff_l, density.grid_size_N)
+    return extract_peaks(density, density.n_colors, window)
 
 
 def write_density_csv(density: PositionDensity, path) -> None:

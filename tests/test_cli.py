@@ -33,6 +33,14 @@ def sigma_z_file(tmp_path, sigma_z_problem):
     return write_problem(tmp_path, sigma_z_problem, "sigma_z.json")
 
 
+def run_python(args):
+    """Run this interpreter on the ringqpe these tests import, not an installed copy."""
+    paths = [os.path.dirname(os.path.dirname(rq.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True,
+                          env=env)
+
+
 def read_summary_value(out_dir, label):
     text = (out_dir / "summary.txt").read_text()
     for line in text.splitlines():
@@ -69,10 +77,7 @@ class TestParsing:
         assert not out.exists()
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ringqpe", "--help"],
-            capture_output=True, text=True,
-        )
+        proc = run_python(["-m", "ringqpe", "--help"])
         assert proc.returncode == 0
         assert "ring-sim" in proc.stdout
 
@@ -80,8 +85,7 @@ class TestParsing:
         code = ("import sys, ringqpe, ringqpe.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m.partition('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+        proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -91,8 +95,7 @@ class TestParsing:
                 "print('ringqpe.bench' in sys.modules); "
                 "print(ringqpe.run_scaling_suite.__module__); "
                 "print('ringqpe.bench' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+        proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "ringqpe.bench", "True"]
 
@@ -365,11 +368,10 @@ class TestRingArguments:
     def test_non_finite_phase_is_one_error_line(self, tmp_path, sigma_x_file):
         # numpy's "invalid value encountered in multiply" reached stderr
         # ahead of the error; run as a process to see stderr as a user does
-        proc = subprocess.run(
-            [sys.executable, "-m", "ringqpe", "ring-sim",
+        proc = run_python(
+            ["-m", "ringqpe", "ring-sim",
              "--problem", str(sigma_x_file), "--out-dir", str(tmp_path / "out"),
-             "--hbar", "1e-300"],
-            capture_output=True, text=True,
+             "--hbar", "1e-300"]
         )
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
@@ -386,10 +388,9 @@ class TestRingArguments:
         # r^2 overflowed with a traceback, and the output directory was
         # made before the refusal
         out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "ringqpe", sub, "--problem", str(sigma_x_file),
-             "--out-dir", str(out)] + flags,
-            capture_output=True, text=True,
+        proc = run_python(
+            ["-m", "ringqpe", sub, "--problem", str(sigma_x_file),
+             "--out-dir", str(out)] + flags
         )
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()

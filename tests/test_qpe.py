@@ -333,10 +333,10 @@ class TestOneRegisterPipeline:
                 rq.qpe_estimate(spectrum, np.array([1.0, 0.0, 0.0]), rq.QpeConfig(t))
             size, lo = 1 << t, t // 2
             # the register-2 state is rotated into the eigenbasis once, not
-            # the register; then the stage's rotation back, its phase tables
-            # and the inverse QFT, as in the staged circuit
+            # the register, and nothing is rotated back; then the stage's
+            # phase tables and the inverse QFT, as in the staged circuit
             tables = n * ((1 << lo) - 1) + n * ((1 << (t - lo)) - 1)
-            stage = n * n + size * n * n + 2 * size * n + tables
+            stage = n * n + 2 * size * n + tables
             qft = n * (size // 2) * t
             assert counter.total == stage + qft, f"t = {t}"
 
@@ -504,6 +504,31 @@ class TestMeasurement:
         # its (2^t, n) array of |amplitude|^2 (half a register)
         assert np.array_equal(dist.probs, np.sum(np.abs(regs.amplitudes) ** 2, axis=1))
         assert peak < 0.07 * regs.amplitudes.nbytes
+
+    def test_sampled_histogram_overwrites_its_probabilities(self):
+        import tracemalloc
+
+        t, n, shots = 16, 1, 500
+        nbytes = (1 << t) * n * 16
+        rng = np.random.default_rng(13)
+        spectrum = rq.eig_unitary(random_unitary(rng, n))
+        color = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t, shots=shots, rng_seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the histogram drawn from the normalised exact probabilities, bit
+        # for bit
+        exact = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t)).distribution.probs
+        counts = np.random.default_rng(3).multinomial(shots, exact / exact.sum())
+        assert np.array_equal(est.distribution.probs, counts / shots)
+        # the register, its probabilities and the int64 counts, 2.0
+        # registers at n = 1, plus numpy's sampling scratch; a normalised
+        # copy, a new histogram array or a copy of it for the distribution
+        # would add half a register each
+        assert peak < 2.3 * nbytes
 
     def test_width_mismatch_rejected(self):
         regs = rq.qpe_prepare(3, np.array([1.0]))
