@@ -48,6 +48,8 @@ ALL_METHODS = (METHOD_DENSE, METHOD_BLOCK, METHOD_QPE)
 # timed results must agree with the block oracle to this tolerance; looser
 # than the small-dimension contract because squaring counts grow with l^2
 _VALIDATION_ATOL = 1e-6
+# colors of every workload: the gauge field's and register 2's dimension
+_N_COLORS = 2
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ def _qpe_workload(size: int, n_colors: int, rng: np.random.Generator):
     return spectrum, spectrum.eigenvectors[:, 0], QpeConfig(t_bits)
 
 
-def _warmed_jobs(method: str, sizes, seed: int, n_colors: int) -> list:
+def _warmed_jobs(method: str, sizes, seed: int) -> list:
     """(size, size_param, runner, ring workload or None) per size that runs.
 
     Each runner is called once here, untimed, as its warm-up; sizes the
@@ -124,11 +126,11 @@ def _warmed_jobs(method: str, sizes, seed: int, n_colors: int) -> list:
         rng = np.random.default_rng([seed, size_index, ALL_METHODS.index(method)])
         workload = None
         if method == METHOD_QPE:
-            spectrum, color, cfg = _qpe_workload(size, n_colors, rng)
+            spectrum, color, cfg = _qpe_workload(size, _N_COLORS, rng)
             runner = functools.partial(qpe_estimate, spectrum, color, cfg)
             size_param = cfg.t_bits
         else:
-            workload = _ring_workload(size, n_colors, rng)
+            workload = _ring_workload(size, _N_COLORS, rng)
             if workload is None:
                 log.warning("skipping %s at size %d: no ring fits", method, size)
                 continue
@@ -153,7 +155,6 @@ def run_scaling_suite(
     repeats: int = 5,
     seed: int = 0,
     methods=ALL_METHODS,
-    n_colors: int = 2,
     count_ops: bool = False,
 ) -> list[BenchPoint]:
     """Measure each method at each size on seeded random inputs.
@@ -176,15 +177,13 @@ def run_scaling_suite(
         raise PreconditionError(f"need an integer >= 3 repeats, got {repeats!r}")
     if not _is_integer(seed) or seed < 0:
         raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
-    if not _is_integer(n_colors) or n_colors < 1:
-        raise PreconditionError(f"n_colors must be a positive integer, got {n_colors!r}")
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise PreconditionError(f"unknown bench methods: {sorted(unknown)}")
 
     points: list[BenchPoint] = []
     for method in methods:
-        jobs = _warmed_jobs(method, sizes, seed, n_colors)
+        jobs = _warmed_jobs(method, sizes, seed)
         times = [[] for _ in jobs]
         for _ in range(repeats):
             for (_, _, runner, _), runs in zip(jobs, times):

@@ -298,7 +298,7 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
         )
         for fraction in dict.fromkeys(cfg.times + (1.0,))
     }
-    peaks = revival_peaks(densities[1.0], cfg.mode_cutoff_l)
+    peaks = revival_peaks(densities[1.0], cfg.mode_cutoff_l, gauge.n_colors)
 
     # made only once every result exists, so a refused run leaves nothing
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -382,10 +382,10 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
     estimate = qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
     phi_ring = peaks.dominant.phi
     phi_qpe = estimate.phi_estimate
-    # angle(<c|U|c>), summed over the spectrum as |<v_k|c>|^2 e^(i theta_k)
+    # the eigenphase of largest Born weight |<v_k|c>|^2, lowest k on a tie
     theta, v = problem.spectrum
     weights = np.abs(v.conj().T @ problem.state) ** 2
-    phi_eig = wrap_to_unit(np.angle(np.sum(weights * np.exp(1j * theta))))
+    phi_eig = wrap_to_unit(theta[np.argmax(weights)])
 
     bound = TWO_PI / (1 << cfg.t_bits) + TWO_PI / (2 * cfg.mode_cutoff_l + 1)
     distances = {

@@ -28,7 +28,7 @@ UNIT_NORM_TOL = 1e-10
 # how far a Hermitian or unitary matrix may stray from that structure
 _STRUCTURE_TOL = 1e-10
 # rows a streamed kernel or CSV writer handles at a time: 2 MiB of
-# register at 32 colors, or 1 MiB of density table
+# register at 32 colors
 BLOCK_ROWS = 1 << 12
 
 # Pade-13 coefficients and norm threshold for scaling-and-squaring
@@ -203,22 +203,22 @@ def eig_unitary(u) -> EigenDecomposition:
     return EigenDecomposition(theta[order], v[:, order])
 
 
-def expm_dense(m, t: float, max_dim: int = DENSE_DIMENSION_GUARD) -> np.ndarray:
+def expm_dense(m, t: float) -> np.ndarray:
     """exp(-i * M * t) by Pade-13 scaling-and-squaring.
 
     The deliberately brute-force dense path: a fixed number of full matrix
     products plus one solve, then s squarings with s set by the scaled
     1-norm. No eigendecomposition, no structure exploitation; cost is
-    O(dim^3) per product regardless of the matrix contents.
+    O(dim^3) per product regardless of the matrix contents. A matrix above
+    DENSE_DIMENSION_GUARD is refused.
     """
     a = require_square(m)
     if not math.isfinite(t):
         raise PreconditionError("time must be finite")
     dim = a.shape[0]
-    if dim > max_dim:
-        raise ResourceLimitError(
-            f"dense exponential of dimension {dim} exceeds the guard {max_dim}"
-        )
+    if dim > DENSE_DIMENSION_GUARD:
+        raise ResourceLimitError(f"dense exponential of dimension {dim} "
+                                 f"exceeds the guard {DENSE_DIMENSION_GUARD}")
     a = (-1j * t) * a
 
     norm1 = float(np.linalg.norm(a, 1))
@@ -242,6 +242,21 @@ def expm_dense(m, t: float, max_dim: int = DENSE_DIMENSION_GUARD) -> np.ndarray:
         r = r @ r
         opcount.add(dim ** 3)
     return r
+
+
+def write_csv_rows(path, header: str, columns) -> None:
+    """Write `header`, then one row per index of the equal-length columns.
+
+    Each value is written as its repr, in csv.writer's bytes (\r\n rows),
+    one block of BLOCK_ROWS rows of text at a time; a range column is
+    sliced per block and never made into an array.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for start in range(0, len(columns[0]), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            text = [map(repr, np.asarray(c[rows]).tolist()) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 
 def matrix_to_json(m) -> dict:

@@ -28,7 +28,8 @@ sqrt(2^t) is rotated once, written into the register times the low table,
 and the high table is multiplied in after. The inverse Fourier transform
 then runs in place, and the read-out sums |amplitude|^2 a block of rows at
 a time, so the run holds one register, the size REGISTER_BYTES_GUARD
-bounds, and its 2^t probabilities.
+bounds, and its 2^t probabilities. The register is freed once they are
+summed, before a sampled read-out draws its counts.
 
 The statevector keeps the shape (2^t, n), amplitudes[m, a], but is stored
 column-major: each color's 2^t amplitudes are contiguous, which is the axis
@@ -52,6 +53,7 @@ from .linalg import (
     require_eigenbasis,
     require_unit_norm,
     require_unit_vector,
+    write_csv_rows,
 )
 
 T_BITS_GUARD = 24
@@ -282,11 +284,20 @@ def measure_register1(regs: QpeRegisters, cfg: QpeConfig) -> Register1Distributi
         raise PreconditionError(
             f"register width {regs.t_bits} does not match config {cfg.t_bits}"
         )
-    amps = regs.amplitudes
-    probs = np.empty(regs.register_size)
+    return _read_out(_probabilities(regs.amplitudes), cfg)
+
+
+def _probabilities(amps: np.ndarray) -> np.ndarray:
+    """sum_a |amps[m, a]|^2 for each m, summed a block of rows at a time."""
+    probs = np.empty(amps.shape[0])
     for start in range(0, probs.size, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         np.sum(np.abs(amps[rows]) ** 2, axis=1, out=probs[rows])
+    return probs
+
+
+def _read_out(probs: np.ndarray, cfg: QpeConfig) -> Register1Distribution:
+    """The distribution of cfg's read-out, taking over the writable probs."""
     if cfg.shots == 0:
         probs.setflags(write=False)
         return Register1Distribution(probs, "exact")
@@ -321,8 +332,12 @@ def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
     opcount.add(n * n + 2 * size * n)
     require_unit_norm(amps, "register")
     _fourier(amps, out=amps)
-    amps.setflags(write=False)
-    dist = measure_register1(QpeRegisters(t_bits, n, amps), cfg)
+    require_unit_norm(amps, "register")
+    probs = _probabilities(amps)
+    # nothing reads the register after its probabilities, so it is freed
+    # before a sampled read-out allocates its counts
+    del amps, split
+    dist = _read_out(probs, cfg)
     # np.argmax would copy the read-only probabilities; the first k at the
     # maximum is the same read-out
     probs = dist.probs
@@ -333,14 +348,7 @@ def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
 
 def write_distribution_csv(dist: Register1Distribution, path) -> None:
     """Write `k,probability` rows at full precision."""
-    probs = dist.probs
-    # csv.writer's bytes (\r\n rows), joined a block of rows at a time so
-    # the text never holds more than one block
-    with open(path, "w", newline="") as fh:
-        fh.write("k,probability\r\n")
-        for start in range(0, probs.size, BLOCK_ROWS):
-            block = probs[start:start + BLOCK_ROWS].tolist()
-            fh.write("".join(f"{k},{p!r}\r\n" for k, p in enumerate(block, start)))
+    write_csv_rows(path, "k,probability", (range(dist.register_size), dist.probs))
 
 
 def estimate_to_json(estimate: QpeEstimate, cfg: QpeConfig) -> dict:

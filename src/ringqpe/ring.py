@@ -25,6 +25,10 @@ which is the eigenphase read-out. The factor of two is kinematic: by t_R
 each mode has classically completed two laps, so the accumulated holonomy
 angle is twice the single-lap one, and encoders divide by VELOCITY_FACTOR
 to compensate.
+
+A run records where the particle is on the ring, never its color, so
+position_density gives |psi|^2 summed over the colors: the one distribution
+the peak read-out and the density snapshots both take.
 """
 
 from __future__ import annotations
@@ -38,13 +42,12 @@ from . import opcount
 from .angles import TWO_PI, wrap_to_signed, wrap_to_unit
 from .errors import PreconditionError, ResolutionError
 from .linalg import (
-    BLOCK_ROWS,
-    DENSE_DIMENSION_GUARD,
     expm_dense,
     readonly,
     require_eigenbasis,
     require_unit_norm,
     require_unit_vector,
+    write_csv_rows,
 )
 
 # Relocalization shift at t_R is this multiple of the single-lap holonomy
@@ -146,20 +149,16 @@ class RingState:
 
 @dataclass(frozen=True, eq=False)
 class PositionDensity:
-    """|psi|^2 sampled on the uniform grid phi_j = 2 pi j / N."""
+    """|psi|^2 summed over the colors, sampled on phi_j = 2 pi j / N."""
 
     phi_grid: np.ndarray
     density: np.ndarray
-    per_color: np.ndarray
 
     def __post_init__(self):
         phi = np.asarray(self.phi_grid, dtype=np.float64)
         d = np.asarray(self.density, dtype=np.float64)
-        pc = np.asarray(self.per_color, dtype=np.float64)
         if phi.ndim != 1 or d.shape != phi.shape:
             raise PreconditionError("phi grid and density must be matching 1-D arrays")
-        if pc.ndim != 2 or pc.shape[0] != phi.size:
-            raise PreconditionError("per-color density must be (N, n_colors)")
         if np.any(d < -1e-12):
             raise PreconditionError("density must be non-negative")
         integral = float(np.sum(d)) * TWO_PI / phi.size
@@ -170,15 +169,10 @@ class PositionDensity:
             )
         object.__setattr__(self, "phi_grid", readonly(phi))
         object.__setattr__(self, "density", readonly(d))
-        object.__setattr__(self, "per_color", readonly(pc))
 
     @property
     def grid_size_N(self) -> int:
         return self.phi_grid.size
-
-    @property
-    def n_colors(self) -> int:
-        return self.per_color.shape[1]
 
 
 @dataclass(frozen=True)
@@ -311,12 +305,7 @@ def _squared_blocks(gauge: GaugeField, mode_cutoff_l: int) -> np.ndarray:
     return (base @ base) / (2.0 * p.mass_mq)
 
 
-def evolve_dense(
-    state: RingState,
-    gauge: GaugeField,
-    t: float,
-    max_dim: int = DENSE_DIMENSION_GUARD,
-) -> RingState:
+def evolve_dense(state: RingState, gauge: GaugeField, t: float) -> RingState:
     """Assemble the full (2l+1)n matrix and exponentiate it densely.
 
     Same map as evolve_block, deliberately ignoring the block structure:
@@ -331,7 +320,7 @@ def evolve_dense(
     full = np.zeros((dim, dim), dtype=np.complex128)
     for i in range(count):
         full[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
-    propagator = expm_dense(full, t / gauge.params.hbar, max_dim=max_dim)
+    propagator = expm_dense(full, t / gauge.params.hbar)
     flat = propagator @ state.coeffs.reshape(-1)
     opcount.add(dim * dim)
     return RingState(state.mode_cutoff_l, n, flat.reshape(count, n))
@@ -341,12 +330,11 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     """Sample |psi|^2 on phi_j = 2 pi j / N via zero-padded inverse FFT.
 
     Requires N >= 2l+1 so every mode maps to a distinct grid frequency;
-    the sampled density then integrates to exactly the state norm.
-    per_color keeps the shape (N, n) stored column-major: each color's N
-    samples are contiguous. The colors go through the transform
-    _BLOCK_COLORS at a time, one color per row of a reused padded block,
-    and each block's |psi|^2 / 2 pi is written straight into its colors'
-    columns, so the only full-size array made is per_color itself.
+    the sampled density then integrates to exactly the state norm. The
+    colors go through the transform _BLOCK_COLORS at a time, one color per
+    row of a reused padded block, and each color's |psi|^2 / 2 pi is added
+    into the density in color order, so the only full-size arrays made are
+    the density and its grid.
     """
     require_ring_grid(state.mode_cutoff_l, grid_size_N)
     n = state.n_colors
@@ -355,33 +343,26 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     padded = np.zeros((block, grid_size_N), dtype=np.complex128)
     psi = np.empty_like(padded)
     square = np.empty((block, grid_size_N))
-    per_color = np.empty((grid_size_N, n), order="F")
+    spare = np.empty_like(square)
+    density = np.zeros(grid_size_N)
     columns = state.modes % grid_size_N
     for first in range(0, n, block):
         count = min(block, n - first)
-        colors = slice(first, first + count)
-        padded[:count, columns] = state.coeffs[:, colors].T
+        padded[:count, columns] = state.coeffs[:, first:first + count].T
         # the unscaled inverse transform is sum_m c_m e^{+i m phi_j}, with
         # the e^{i m phi} convention
         np.fft.ifft(padded[:count], axis=1, norm="forward", out=psi[:count])
         re, im = psi[:count].real, psi[:count].imag
-        out = per_color.T[colors]
-        np.multiply(re, re, out=out)
-        out += np.multiply(im, im, out=square[:count])
+        out = np.multiply(re, re, out=square[:count])
+        out += np.multiply(im, im, out=spare[:count])
         out /= TWO_PI
+        for color in out:
+            density += color
     opcount.add(n * (grid_size_N // 2) * max(1, int(math.log2(grid_size_N))))
-    per_color.setflags(write=False)
-    # each row is summed from a row-major copy of its block, so the colors
-    # add in numpy's pairwise order; a sum along the column-major layout
-    # adds them one after another and moves the density by an ulp once n >= 8
-    density = np.empty(grid_size_N)
-    for start in range(0, grid_size_N, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        density[rows] = np.ascontiguousarray(per_color[rows]).sum(axis=1)
     density.setflags(write=False)
     phi_grid = TWO_PI * np.arange(grid_size_N) / grid_size_N
     phi_grid.setflags(write=False)
-    return PositionDensity(phi_grid, density, per_color)
+    return PositionDensity(phi_grid, density)
 
 
 def extract_peaks(density: PositionDensity, max_peaks: int, window: int) -> PeakSet:
@@ -471,35 +452,24 @@ def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
     state = initial_localized_state(mode_cutoff_l, color)
     evolved = evolve_block(state, gauge, return_time(gauge.params))
     density = position_density(evolved, grid_size_N)
-    return revival_peaks(density, mode_cutoff_l)
+    return revival_peaks(density, mode_cutoff_l, gauge.n_colors)
 
 
-def revival_peaks(density: PositionDensity, mode_cutoff_l: int) -> PeakSet:
+def revival_peaks(density: PositionDensity, mode_cutoff_l: int,
+                  n_colors: int) -> PeakSet:
     """Peaks of the density at t_R, as the read-out takes them.
 
-    One candidate peak per color, each over a window matched to the
-    mode-cutoff resolution, so peak weights track the color overlaps
-    |c_k|^2 with the gauge eigencolors.
+    One candidate peak per color, n_colors in all, each over a window
+    matched to the mode-cutoff resolution, so peak weights track the color
+    overlaps |c_k|^2 with the gauge eigencolors.
     """
     window = default_peak_window(mode_cutoff_l, density.grid_size_N)
-    return extract_peaks(density, density.n_colors, window)
+    return extract_peaks(density, n_colors, window)
 
 
 def write_density_csv(density: PositionDensity, path) -> None:
-    """Write `phi,density,density_color_0,...` rows at full precision."""
-    header = ["phi", "density"] + [
-        f"density_color_{a}" for a in range(density.n_colors)
-    ]
-    # csv.writer's bytes (\r\n rows), joined a block of rows at a time so
-    # the text never holds more than one block
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, density.grid_size_N, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            block = np.column_stack(
-                (density.phi_grid[rows], density.density[rows], density.per_color[rows])
-            ).tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
+    """Write `phi,density` rows at full precision."""
+    write_csv_rows(path, "phi,density", (density.phi_grid, density.density))
 
 
 def peak_set_to_json(peak_set: PeakSet) -> dict:

@@ -6,6 +6,11 @@ propagator and the density sampling, not against this script. Rerun only
 when the physical conventions intentionally change, and say so in the
 commit message.
 
+The script writes `phi,density`, the two columns write_density_csv writes.
+The frozen file predates that and keeps two per-color columns after them;
+the test reads only its density column, so the file stays as it is until a
+convention change calls for a rerun.
+
 Usage: python3 tests/golden/regen.py
 """
 

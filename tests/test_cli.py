@@ -311,21 +311,45 @@ class TestCompare:
         assert report["secondary_weight"] >= 0.1
         assert "ambiguous" in capsys.readouterr().err
 
-    def test_weak_contamination_trips_mismatch(self, tmp_path, capsys):
-        # 6 percent of a second eigencolor stays under the ambiguity
-        # threshold but drags the Rayleigh phase past the bound
-        h = np.diag([1.0, -2.78])
-        state = np.array([math.sqrt(0.94), math.sqrt(0.06)])
-        problem = rq.EnergyProblem(h, 1.0, state)
+    @pytest.mark.parametrize("energies,weight", [
+        ((1.0, -2.78), 0.94), ((2.0, -2.0), 0.95),
+    ], ids=["0.94", "0.95"])
+    def test_weak_contamination_reads_the_dominant_eigenphase(
+        self, tmp_path, energies, weight
+    ):
+        # a few percent of a second eigencolor stays under the ambiguity
+        # threshold; the angle of the weighted phasor sum would sit past the
+        # bound, but phi_eig is the eigenphase both routes read
+        state = np.array([math.sqrt(weight), math.sqrt(1.0 - weight)])
+        problem = rq.EnergyProblem(np.diag(energies), 1.0, state)
         path = write_problem(tmp_path, problem, "mixed.json")
         out = tmp_path / "out"
         code = main(["compare", "--problem", str(path), "--out-dir", str(out)])
-        assert code == 3
+        assert code == 0
         report = json.loads((out / "compare.json").read_text())
         assert report["ambiguous"] is False
         assert report["secondary_weight"] < 0.1
+        assert report["ok"] is True
+        assert abs(report["phi_eig"] - energies[0]) < 1e-12
+
+    def test_injected_register_error_trips_mismatch(
+        self, tmp_path, sigma_x_file, monkeypatch, capsys
+    ):
+        exact = cli.qpe_estimate
+
+        def shifted(*args):
+            est = exact(*args)
+            return est._replace(phi_estimate=(est.phi_estimate + 0.1) % TWO_PI)
+
+        monkeypatch.setattr(cli, "qpe_estimate", shifted)
+        out = tmp_path / "out"
+        code = main(["compare", "--problem", str(sigma_x_file),
+                     "--out-dir", str(out)])
+        assert code == 3
+        report = json.loads((out / "compare.json").read_text())
         assert report["ok"] is False
-        assert report["distances"]["ring_eig"] > report["bound"]
+        assert report["distances"]["qpe_eig"] > report["bound"]
+        assert report["distances"]["ring_eig"] <= report["bound"]
         assert "disagree" in capsys.readouterr().err
 
     def test_phi_eig_at_phase_zero_is_zero_not_two_pi(self, tmp_path):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import ringqpe.linalg as linalg_module
+
 from ringqpe import (
     EigenDecomposition,
     PreconditionError,
@@ -200,9 +202,10 @@ class TestExpmDense:
         m = random_hermitian(rng, 16, scale=500.0)
         assert unitarity_defect(expm_dense(m, 1.0)) < 1e-9
 
-    def test_dimension_guard(self):
+    def test_dimension_guard(self, monkeypatch):
+        monkeypatch.setattr(linalg_module, "DENSE_DIMENSION_GUARD", 4)
         with pytest.raises(ResourceLimitError, match="guard"):
-            expm_dense(np.eye(8), 1.0, max_dim=4)
+            expm_dense(np.eye(8), 1.0)
 
     def test_group_property(self):
         rng = np.random.default_rng(31)

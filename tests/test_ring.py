@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ringqpe as rq
+import ringqpe.linalg as linalg_module
 import ringqpe.ring as ring_module
 from ringqpe.ring import (
     _squared_blocks,
@@ -298,11 +299,12 @@ class TestEvolveDense:
         dense = rq.evolve_dense(state, gauge, t)
         assert np.max(np.abs(block.coeffs - dense.coeffs)) < 1e-8
 
-    def test_dimension_guard(self, natural_params):
+    def test_dimension_guard(self, natural_params, monkeypatch):
+        monkeypatch.setattr(linalg_module, "DENSE_DIMENSION_GUARD", 8)
         gauge = gauge_from(np.zeros((2, 2)))
         state = rq.initial_localized_state(5, np.array([1.0, 0.0]))
         with pytest.raises(rq.ResourceLimitError):
-            rq.evolve_dense(state, gauge, 1.0, max_dim=8)
+            rq.evolve_dense(state, gauge, 1.0)
 
 
 class TestPositionDensity:
@@ -326,22 +328,7 @@ class TestPositionDensity:
         integral = density.density.sum() * TWO_PI / n_grid
         assert abs(integral - 1.0) < 1e-10
 
-    def test_per_color_sums_to_total(self):
-        rng = np.random.default_rng(8)
-        coeffs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
-        coeffs /= np.linalg.norm(coeffs)
-        state = rq.RingState(3, 3, coeffs)
-        density = rq.position_density(state, 32)
-        assert np.max(np.abs(density.per_color.sum(axis=1) - density.density)) < 1e-12
-
-    def test_per_color_keeps_colors_contiguous(self):
-        rng = np.random.default_rng(9)
-        state = rq.initial_localized_state(6, random_state(rng, 3))
-        density = rq.position_density(state, 40)
-        assert density.per_color.shape == (40, 3)
-        assert density.per_color.flags.f_contiguous
-
-    def test_peak_memory_stays_below_two_per_color_arrays(self):
+    def test_peak_memory_stays_below_one_per_color_table(self):
         import tracemalloc
 
         rng = np.random.default_rng(10)
@@ -355,21 +342,20 @@ class TestPositionDensity:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # per_color plus blocks of a few colors; a padded spectrum and psi
-        # for every color at once peak above four per_color arrays
-        assert peak < 2.0 * density.per_color.nbytes
+        # the density and its grid plus blocks of a few colors; an (N, n)
+        # float table of the colors alone is 16 MiB here
+        assert peak < 16 * 2 ** 20
 
-    def test_owned_read_only_per_color_is_kept_writeable_one_copied(self):
+    def test_owned_read_only_density_is_kept_writeable_one_copied(self):
         phi = TWO_PI * np.arange(4) / 4
-        d = np.full(4, 1.0 / TWO_PI)
-        frozen = np.array(d[:, None])
+        frozen = np.full(4, 1.0 / TWO_PI)
         frozen.setflags(write=False)
-        assert rq.PositionDensity(phi, d, frozen).per_color is frozen
-        writeable = np.array(d[:, None])
-        kept = rq.PositionDensity(phi, d, writeable).per_color
+        assert rq.PositionDensity(phi, frozen).density is frozen
+        writeable = np.full(4, 1.0 / TWO_PI)
+        kept = rq.PositionDensity(phi, writeable).density
         assert kept is not writeable and not kept.flags.writeable
-        writeable[0, 0] = 0.0
-        assert kept[0, 0] == 1.0 / TWO_PI
+        writeable[0] = 0.0
+        assert kept[0] == 1.0 / TWO_PI
 
     @pytest.mark.parametrize("n_grid", [64, 1000, 77, 3001])
     def test_matches_a_dense_sum_over_modes(self, n_grid):
@@ -383,7 +369,6 @@ class TestPositionDensity:
         psi = np.exp(1j * np.outer(phi, state.modes)) @ coeffs
         expected = np.abs(psi) ** 2 / TWO_PI
         density = rq.position_density(state, n_grid)
-        assert np.max(np.abs(density.per_color - expected)) < 1e-13
         assert np.max(np.abs(density.density - expected.sum(axis=1))) < 1e-13
 
     def test_too_coarse_grid_rejected(self):
@@ -400,7 +385,7 @@ class TestPositionDensity:
         phi = TWO_PI * np.arange(4) / 4
         d = np.full(4, np.nan)
         with pytest.raises(rq.PreconditionError, match="integrates"):
-            rq.PositionDensity(phi, d, d[:, None])
+            rq.PositionDensity(phi, d)
 
     def test_first_zero_at_kernel_width(self):
         l, n_grid = 16, 330  # grid multiple of 2l+1: zeros land on grid points
@@ -417,7 +402,7 @@ def spike_density(n_grid, spikes):
     for j, mass in spikes:
         d[j] = mass / total * n_grid / TWO_PI
     phi = TWO_PI * np.arange(n_grid) / n_grid
-    return rq.PositionDensity(phi, d, d[:, None])
+    return rq.PositionDensity(phi, d)
 
 
 def extract_peaks_by_full_sort(density, max_peaks, window):
@@ -459,7 +444,7 @@ def quantized_density(levels):
     d = np.asarray(levels, dtype=float)
     d *= d.size / (TWO_PI * d.sum())
     phi = TWO_PI * np.arange(d.size) / d.size
-    return rq.PositionDensity(phi, d, d[:, None])
+    return rq.PositionDensity(phi, d)
 
 
 class TestExtractPeaks:
@@ -495,7 +480,7 @@ class TestExtractPeaks:
         n_grid = 64
         phi = TWO_PI * np.arange(n_grid) / n_grid
         d = np.full(n_grid, 1.0 / TWO_PI)
-        density = rq.PositionDensity(phi, d, d[:, None])
+        density = rq.PositionDensity(phi, d)
         peaks = rq.extract_peaks(density, max_peaks=4, window=5)
         assert all(p.weight <= 2.0 * 5 / n_grid + 1e-12 for p in peaks)
 
@@ -617,7 +602,6 @@ class TestGoldenDensity:
         assert header == ["phi", "density", "density_color_0", "density_color_1"]
         assert len(golden) == density.grid_size_N
         assert np.max(np.abs(golden[:, 1] - density.density)) < 1e-6
-        assert np.max(np.abs(golden[:, 2:] - density.per_color)) < 1e-6
 
 
 class TestSerialization:
@@ -627,10 +611,9 @@ class TestSerialization:
         path = tmp_path / "density.csv"
         write_density_csv(density, path)
         header, back = read_csv(path)
-        assert header == ["phi", "density", "density_color_0", "density_color_1"]
+        assert header == ["phi", "density"]
         assert np.array_equal(back[:, 0], density.phi_grid)
         assert np.array_equal(back[:, 1], density.density)
-        assert np.array_equal(back[:, 2:], density.per_color)
 
     def test_peak_set_json_round_trip(self):
         peaks = rq.PeakSet(
