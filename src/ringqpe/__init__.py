@@ -38,13 +38,8 @@ from .opcount import MacCounter, count_macs
 from .qpe import (
     QpeConfig,
     QpeEstimate,
-    QpeRegisters,
     Register1Distribution,
-    controlled_unitary_all,
-    measure_register1,
-    qft_inverse,
     qpe_estimate,
-    qpe_prepare,
 )
 from .ring import (
     VELOCITY_FACTOR,
@@ -92,7 +87,6 @@ __all__ = [
     "ProblemFormatError",
     "QpeConfig",
     "QpeEstimate",
-    "QpeRegisters",
     "Register1Distribution",
     "ResolutionError",
     "ResourceLimitError",
@@ -103,7 +97,6 @@ __all__ = [
     "UnitarySpec",
     "VELOCITY_FACTOR",
     "circular_distance",
-    "controlled_unitary_all",
     "count_macs",
     "eig_hermitian",
     "eig_unitary",
@@ -118,14 +111,11 @@ __all__ = [
     "load_problem",
     "matrix_from_json",
     "matrix_to_json",
-    "measure_register1",
     "phase_to_energy",
     "position_density",
     "problem_from_json",
     "problem_to_json",
-    "qft_inverse",
     "qpe_estimate",
-    "qpe_prepare",
     "return_time",
     "run_scaling_suite",
     "unwrap_phase",

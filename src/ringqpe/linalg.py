@@ -23,6 +23,9 @@ from .angles import TWO_PI
 from .errors import PreconditionError, ResourceLimitError
 
 DENSE_DIMENSION_GUARD = 4096
+# the most bytes one working set may take: 256 MiB, what a
+# DENSE_DIMENSION_GUARD-sized complex128 matrix takes
+BYTES_GUARD = 1 << 28
 # how far a state's norm may stray from 1
 UNIT_NORM_TOL = 1e-10
 # how far a Hermitian or unitary matrix may stray from that structure

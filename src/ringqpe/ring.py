@@ -40,8 +40,9 @@ import numpy as np
 
 from . import opcount
 from .angles import TWO_PI, wrap_to_signed, wrap_to_unit
-from .errors import PreconditionError, ResolutionError
+from .errors import PreconditionError, ResolutionError, ResourceLimitError
 from .linalg import (
+    BYTES_GUARD,
     expm_dense,
     readonly,
     require_eigenbasis,
@@ -57,6 +58,10 @@ VELOCITY_FACTOR = 2.0
 _DENSITY_INTEGRAL_TOL = 1e-8
 # colors position_density transforms at a time; 4 MiB of spectrum at N = 2^16
 _BLOCK_COLORS = 4
+# position_density's bytes per grid point at most: a block of colors, each
+# with a padded spectrum and its transform (complex) and two squares (real),
+# plus the density and its grid
+_DENSITY_BYTES_PER_POINT = _BLOCK_COLORS * (16 + 16 + 8 + 8) + 8 + 8
 
 
 @dataclass(frozen=True)
@@ -120,27 +125,32 @@ class GaugeField:
 
 @dataclass(frozen=True, eq=False)
 class RingState:
-    """Mode-space coefficients c_{m,a}, rows ordered m = -l ... +l."""
+    """Mode-space coefficients c_{m,a}, rows ordered m = -l ... +l.
 
-    mode_cutoff_l: int
-    n_colors: int
+    The cutoff l and the color count n are read off the (2l+1, n) shape.
+    """
+
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.mode_cutoff_l < 1:
-            raise PreconditionError(f"mode cutoff must be >= 1, got {self.mode_cutoff_l}")
-        if self.n_colors < 1:
-            raise PreconditionError(f"need at least one color, got {self.n_colors}")
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        expected = (2 * self.mode_cutoff_l + 1, self.n_colors)
-        if c.shape != expected:
+        if c.ndim != 2 or c.shape[0] < 3 or c.shape[0] % 2 == 0 or c.shape[1] < 1:
             raise PreconditionError(
-                f"coefficient array shape {c.shape} does not match {expected}"
+                f"coefficients must be a (2l+1, n) array with l >= 1 and "
+                f"n >= 1, got shape {c.shape}"
             )
         if not np.all(np.isfinite(c)):
             raise PreconditionError("coefficients must be finite")
         require_unit_norm(c, "state")
         object.__setattr__(self, "coeffs", readonly(c))
+
+    @property
+    def mode_cutoff_l(self) -> int:
+        return self.coeffs.shape[0] // 2
+
+    @property
+    def n_colors(self) -> int:
+        return self.coeffs.shape[1]
 
     @property
     def modes(self) -> np.ndarray:
@@ -243,12 +253,13 @@ def initial_localized_state(mode_cutoff_l: int, color) -> RingState:
     c = require_unit_vector(color, "color")
     count = 2 * mode_cutoff_l + 1
     coeffs = np.tile(c / math.sqrt(count), (count, 1))
-    return RingState(mode_cutoff_l, c.size, coeffs)
+    return RingState(coeffs)
 
 
 def require_ring_grid(mode_cutoff_l: int, grid_size_N: int) -> None:
-    """Refuse a cutoff below 1, or a grid with fewer than 2l+1 points, one
-    frequency per mode."""
+    """Refuse a cutoff below 1, a grid with fewer than 2l+1 points, one
+    frequency per mode, or one whose density would take more than
+    BYTES_GUARD bytes to compute."""
     if mode_cutoff_l < 1:
         raise PreconditionError(f"mode cutoff must be >= 1, got {mode_cutoff_l}")
     count = 2 * mode_cutoff_l + 1
@@ -256,6 +267,12 @@ def require_ring_grid(mode_cutoff_l: int, grid_size_N: int) -> None:
         raise ResolutionError(
             f"grid of {grid_size_N} points cannot resolve {count} modes; "
             f"need N >= 2l+1"
+        )
+    nbytes = grid_size_N * _DENSITY_BYTES_PER_POINT
+    if nbytes > BYTES_GUARD:
+        raise ResourceLimitError(
+            f"grid of {grid_size_N} points needs {nbytes} bytes for its "
+            f"density, above the guard {BYTES_GUARD}"
         )
 
 
@@ -293,7 +310,7 @@ def evolve_block(state: RingState, gauge: GaugeField, t: float) -> RingState:
     count, n = rotated.shape
     opcount.add(2 * count * n * n)
     # unitary per mode: renormalization would only mask a bug
-    return RingState(state.mode_cutoff_l, state.n_colors, rotated)
+    return RingState(rotated)
 
 
 def _squared_blocks(gauge: GaugeField, mode_cutoff_l: int) -> np.ndarray:
@@ -323,7 +340,7 @@ def evolve_dense(state: RingState, gauge: GaugeField, t: float) -> RingState:
     propagator = expm_dense(full, t / gauge.params.hbar)
     flat = propagator @ state.coeffs.reshape(-1)
     opcount.add(dim * dim)
-    return RingState(state.mode_cutoff_l, n, flat.reshape(count, n))
+    return RingState(flat.reshape(count, n))
 
 
 def position_density(state: RingState, grid_size_N: int) -> PositionDensity:

@@ -34,6 +34,20 @@ def random_state(rng, n):
     return v / np.linalg.norm(v)
 
 
+def spectral_register_distribution(t_bits, theta, weights):
+    """Exact read-out distribution from the spectrum alone.
+
+    Component k contributes sqrt(w_k) e^(i m theta_k) / 2^(t/2) at row m;
+    the inverse QFT is one FFT per component, and the components, being
+    orthogonal in register 2, add in probability.
+    """
+    size = 1 << t_bits
+    m = np.arange(size)[:, None]
+    amps = np.sqrt(weights) * np.exp(1j * m * theta) / np.sqrt(size)
+    out = np.fft.fft(amps, axis=0) / np.sqrt(size)
+    return np.sum(np.abs(out) ** 2, axis=1)
+
+
 @pytest.fixture
 def sigma_x_problem():
     """Two-level system with level splitting twice the reference scale."""

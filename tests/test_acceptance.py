@@ -6,7 +6,6 @@ live). Every criterion states its tolerance and wall-time budget inline.
 
 import contextlib
 import json
-import math
 import os
 import sys
 import time
@@ -18,7 +17,14 @@ import ringqpe as rq
 from ringqpe.bench import METHOD_BLOCK, METHOD_DENSE
 from ringqpe.cli import main
 
-from conftest import gauge_from, random_hermitian, random_state, write_problem
+from conftest import (
+    gauge_from,
+    random_hermitian,
+    random_state,
+    random_unitary,
+    spectral_register_distribution,
+    write_problem,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -190,18 +196,19 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
             b = rq.evolve_dense(state, gauge, t)
             assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-8, f"case {i}"
 
-        # the read-out transform round-trips
+        # the register read-out matches the spectrum's closed form
         for i in range(100):
             rng = np.random.default_rng([7300, i])
             t_bits = int(rng.integers(1, 11))
             n = int(rng.integers(1, 4))
-            size = 1 << t_bits
-            amps = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
-            amps /= np.linalg.norm(amps)
-            regs = rq.QpeRegisters(t_bits, n, amps)
-            out = rq.qft_inverse(regs)
-            back = np.fft.ifft(out.amplitudes, axis=0) * math.sqrt(size)
-            assert np.max(np.abs(back - amps)) < 1e-10, f"case {i}"
+            v = random_unitary(rng, n)
+            theta = rng.uniform(-np.pi, np.pi, n)
+            color = random_state(rng, n)
+            weights = np.abs(v.conj().T @ color) ** 2
+            want = spectral_register_distribution(t_bits, theta, weights)
+            est = rq.qpe_estimate(rq.EigenDecomposition(theta, v), color,
+                                  rq.QpeConfig(t_bits))
+            assert np.max(np.abs(est.distribution.probs - want)) < 1e-12, f"case {i}"
 
         # encoding a problem and rolling the holonomy returns its unitary
         for i in range(100):

@@ -279,7 +279,7 @@ class TestQpe:
         def forbidden(*args, **kwargs):
             raise AssertionError("register allocated before the guard")
 
-        # qpe_prepare allocates the register with np.empty
+        # qpe_estimate allocates the register with np.empty
         monkeypatch.setattr(np, "empty", forbidden)
         code = main(["qpe", "--problem", str(sigma_x_file),
                      "--out-dir", str(tmp_path), "--t-bits", "24"])
@@ -420,6 +420,39 @@ class TestRingArguments:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith(f"ringqpe: error: {message}")
+        assert not out.exists()
+
+
+class TestMemoryGuards:
+    @pytest.mark.parametrize("sub", ["ring-sim", "compare"])
+    def test_oversized_grid_is_refused_before_allocating(
+            self, tmp_path, sigma_x_file, capsys, monkeypatch, sub):
+        # numpy's memory error used to end ring-sim with a traceback
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid allocated before the guard")
+
+        monkeypatch.setattr(np, "zeros", forbidden)
+        monkeypatch.setattr(np, "empty", forbidden)
+        out = tmp_path / "out"
+        code = main([sub, "--problem", str(sigma_x_file), "--out-dir", str(out),
+                     "-N", str(2 ** 40)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ringqpe: error: ") and "guard" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_shots_past_the_sampler_are_refused(self, tmp_path, sigma_x_file):
+        # numpy's multinomial raised an OverflowError traceback on these
+        out = tmp_path / "out"
+        proc = run_python(
+            ["-m", "ringqpe", "qpe", "--problem", str(sigma_x_file),
+             "--out-dir", str(out), "--shots", "99999999999999999999"]
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("ringqpe: error: shots must be in")
         assert not out.exists()
 
 

@@ -20,6 +20,7 @@ from ringqpe import (
 )
 from ringqpe.linalg import (
     require_eigenbasis,
+    require_unit_norm,
     require_unit_vector,
     require_unitary,
     unitarity_defect,
@@ -263,6 +264,18 @@ class TestRequireUnitVector:
     def test_rejects(self, bad, message):
         with pytest.raises(PreconditionError, match=message):
             require_unit_vector(bad, "probe")
+
+
+class TestRequireUnitNorm:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                     complex(np.inf, np.nan)])
+    def test_non_finite_register_is_refused(self, bad):
+        # a column-major register, read in memory order; NaN and inf make
+        # the norm NaN or inf, and either must fail the check
+        amps = np.full((4, 2), 0.5 / np.sqrt(2), dtype=complex, order="F")
+        amps[2, 1] = bad
+        with pytest.raises(PreconditionError, match="register norm"):
+            require_unit_norm(amps, "register")
 
 
 class TestRequireEigenbasis:

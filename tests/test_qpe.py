@@ -9,7 +9,14 @@ from ringqpe.qpe import (
     write_distribution_csv,
 )
 
-from conftest import SIGMA_X, random_hermitian, random_state, random_unitary, read_csv
+from conftest import (
+    SIGMA_X,
+    random_hermitian,
+    random_state,
+    random_unitary,
+    read_csv,
+    spectral_register_distribution,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,6 +31,21 @@ def dense_controlled_operator(t_bits, u):
         op[m * n:(m + 1) * n, m * n:(m + 1) * n] = power
         power = power @ u
     return op
+
+
+def literal_circuit_distribution(t_bits, u, color):
+    """Read-out distribution of the literal circuit, for small t and n.
+
+    The uniform register times the color, then sum_m |m><m| (x) U^m, then
+    the dense inverse-QFT matrix e^(-2 pi i k m / 2^t) / 2^(t/2) on
+    register 1, and |amplitude|^2 summed over register 2.
+    """
+    size = 1 << t_bits
+    register = np.kron(np.full(size, 1.0 / np.sqrt(size)), color)
+    controlled = (dense_controlled_operator(t_bits, u) @ register).reshape(size, -1)
+    k, m = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    inverse_qft = np.exp(-2j * np.pi * k * m / size) / np.sqrt(size)
+    return np.sum(np.abs(inverse_qft @ controlled) ** 2, axis=1)
 
 
 def fejer_probability(t_bits, phi_u, k):
@@ -44,9 +66,12 @@ class TestQpeConfig:
         with pytest.raises(rq.PreconditionError):
             rq.QpeConfig(bad)
 
-    def test_rejects_negative_shots(self):
+    # numpy's multinomial sampler takes at most an int64 count; above it
+    # sampling died with an OverflowError
+    @pytest.mark.parametrize("bad", [-1, 2 ** 63])
+    def test_rejects_negative_shots(self, bad):
         with pytest.raises(rq.PreconditionError, match="shots"):
-            rq.QpeConfig(4, shots=-1)
+            rq.QpeConfig(4, shots=bad)
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, True])
     def test_rejects_non_integer_shots(self, bad):
@@ -73,78 +98,10 @@ class TestQpeConfig:
 
 
 class TestPrepare:
-    def test_single_bit_register(self):
-        color = np.array([0.6, 0.8j])
-        regs = rq.qpe_prepare(1, color)
-        expected = np.array([color, color]) / np.sqrt(2.0)
-        assert np.max(np.abs(regs.amplitudes - expected)) < 1e-15
-
     def test_rejects_unnormalized_color(self):
         with pytest.raises(rq.PreconditionError, match="norm"):
-            rq.qpe_prepare(3, np.array([1.0, 1.0]))
-
-    def test_refuses_oversized_register_before_allocating(self, monkeypatch):
-        from ringqpe.qpe import REGISTER_BYTES_GUARD
-
-        # the defect-probe shape (t = 20, n = 4) fits; t = 24, n = 64 is 16 GiB
-        assert (1 << 20) * 4 * 16 <= REGISTER_BYTES_GUARD < (1 << 24) * 64 * 16
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("register allocated before the guard")
-
-        monkeypatch.setattr(np, "empty", forbidden)
-        with pytest.raises(rq.ResourceLimitError, match="guard"):
-            rq.qpe_prepare(24, np.eye(64)[0])
-
-    def test_register_is_allocated_once(self):
-        import tracemalloc
-
-        t, n = 12, 8
-        nbytes = (1 << t) * n * 16
-        color = np.eye(n)[3]
-        tracemalloc.start()
-        try:
-            regs = rq.qpe_prepare(t, color)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # a built-then-copied register would peak at twice its size
-        assert peak < 1.5 * nbytes
-        amps = regs.amplitudes
-        assert amps.flags.owndata and not amps.flags.writeable
-        assert np.array_equal(amps, np.tile(color / 2 ** (t / 2), (1 << t, 1)))
-
-    def test_amplitudes_read_only(self):
-        regs = rq.qpe_prepare(2, np.array([1.0]))
-        with pytest.raises(ValueError):
-            regs.amplitudes[0, 0] = 0.0
-
-    def test_writable_input_is_copied_owned_read_only_input_kept(self):
-        amps = np.full((2, 1), np.sqrt(0.5), dtype=complex)
-        regs = rq.QpeRegisters(1, 1, amps)
-        amps[0, 0] = 0.0
-        assert regs.amplitudes[0, 0] == np.sqrt(0.5)
-
-        frozen = np.full((2, 1), np.sqrt(0.5), dtype=complex)
-        frozen.setflags(write=False)
-        assert rq.QpeRegisters(1, 1, frozen).amplitudes is frozen
-        view = frozen[:]
-        assert rq.QpeRegisters(1, 1, view).amplitudes is not view
-
-
-class TestColumnMajorLayout:
-    def test_each_stage_keeps_colors_contiguous(self):
-        # amplitudes[m, a] keeps its shape; each color's 2^t amplitudes are
-        # contiguous, the axis the phases and the Fourier transform run along
-        rng = np.random.default_rng(3300)
-        t, n = 6, 3
-        spectrum = rq.eig_unitary(random_unitary(rng, n))
-        prepared = rq.qpe_prepare(t, random_state(rng, n))
-        controlled = rq.controlled_unitary_all(prepared, spectrum)
-        transformed = rq.qft_inverse(controlled)
-        for regs in (prepared, controlled, transformed):
-            assert regs.amplitudes.shape == (1 << t, n)
-            assert regs.amplitudes.flags.f_contiguous
+            rq.qpe_estimate(rq.eig_unitary(np.eye(2)), np.array([1.0, 1.0]),
+                            rq.QpeConfig(3))
 
 
 class TestControlledStage:
@@ -165,22 +122,10 @@ class TestControlledStage:
                 u = np.fft.fft(np.eye(n)) / np.sqrt(n)
             else:
                 u = np.eye(n)[[1, 2, 3, 0, 5, 6, 7, 4]]
-        size = 1 << t
-        amps = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
-        amps /= np.linalg.norm(amps)
-        regs = rq.QpeRegisters(t, n, amps)
-        got = rq.controlled_unitary_all(regs, rq.eig_unitary(u)).amplitudes
-        want = (dense_controlled_operator(t, u) @ amps.reshape(-1)).reshape(size, n)
+        color = random_state(rng, n)
+        got = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(t)).distribution.probs
+        want = literal_circuit_distribution(t, u, color)
         assert np.max(np.abs(got - want)) < 1e-10
-
-    def test_eigencolor_picks_up_mode_phases(self):
-        phi_u = 0.9
-        u = np.array([[np.exp(1j * phi_u)]])
-        regs = rq.qpe_prepare(4, np.array([1.0]))
-        out = rq.controlled_unitary_all(regs, rq.eig_unitary(u)).amplitudes[:, 0]
-        m = np.arange(16)
-        want = np.exp(1j * m * phi_u) / 4.0
-        assert np.max(np.abs(out - want)) < 1e-12
 
     def test_deep_register_keeps_its_norm(self):
         # repeated squaring left this problem's register norm 2.2e-10 off 1
@@ -195,15 +140,14 @@ class TestControlledStage:
         assert abs(est.k_best - k_true) <= 1.0
 
     def test_dimension_mismatch_rejected(self):
-        regs = rq.qpe_prepare(2, np.array([1.0, 0.0]))
         with pytest.raises(rq.PreconditionError, match="dimension"):
-            rq.controlled_unitary_all(regs, rq.eig_unitary(np.eye(3)))
+            rq.qpe_estimate(rq.eig_unitary(np.eye(3)), np.array([1.0, 0.0]),
+                            rq.QpeConfig(2))
 
     def test_refuses_a_basis_that_is_not_orthonormal(self):
-        regs = rq.qpe_prepare(2, np.array([1.0, 0.0]))
         skew = rq.EigenDecomposition(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(rq.PreconditionError, match="not unitary"):
-            rq.controlled_unitary_all(regs, skew)
+            rq.qpe_estimate(skew, np.array([1.0, 0.0]), rq.QpeConfig(2))
 
     def test_makes_no_decomposition(self, monkeypatch):
         rng = np.random.default_rng(3200)
@@ -218,83 +162,33 @@ class TestControlledStage:
         est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(6))
         assert abs(est.distribution.probs.sum() - 1.0) < 1e-12
 
-    def test_operation_count_formula(self):
-        # t = 1 leaves the low table one entry (lo = 0); t = 5 splits the
-        # bits 2 + 3 and t = 6 splits them 3 + 3
-        n = 3
-        spectrum = rq.eig_unitary(random_unitary(np.random.default_rng(0), n))
-        for t in (1, 2, 5, 6):
-            regs = rq.qpe_prepare(t, np.array([1.0, 0.0, 0.0]))
-            with rq.count_macs() as counter:
-                rq.controlled_unitary_all(regs, spectrum)
-            size, lo = 1 << t, t // 2
-            # two basis rotations of the register, one multiply per amplitude
-            # for each of the two phase tables, and one product per color for
-            # each table entry past the first; the spectrum comes in already
-            # decomposed
-            tables = n * ((1 << lo) - 1) + n * ((1 << (t - lo)) - 1)
-            expected = 2 * size * n * n + 2 * size * n + tables
-            assert counter.total == expected, f"t = {t}"
-
-    def test_peak_memory_stays_below_two_registers(self):
-        import tracemalloc
-
-        t, n = 16, 32
-        nbytes = (1 << t) * n * 16
-        rng = np.random.default_rng(5)
-        spectrum = rq.eig_unitary(random_unitary(rng, n))
-        regs = rq.qpe_prepare(t, random_state(rng, n))
-        tracemalloc.start()
-        try:
-            rq.controlled_unitary_all(regs, spectrum)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the output plus half a register for the back-rotation; rotating
-        # back in one product would hold a second full register (2.0x)
-        assert peak < 1.6 * nbytes
-
-    def test_streamed_stage_holds_little_beside_its_result(self):
-        import tracemalloc
-
-        t, n = 16, 32
-        nbytes = (1 << t) * n * 16
-        rng = np.random.default_rng(6)
-        spectrum = rq.eig_unitary(random_unitary(rng, n))
-        regs = rq.qpe_prepare(t, random_state(rng, n))
-        tracemalloc.start()
-        try:
-            rq.controlled_unitary_all(regs, spectrum)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the result plus one block of rows and the two phase tables
-        assert peak < 1.25 * nbytes
-
 
 class TestOneRegisterPipeline:
-    """qpe_estimate runs the staged circuit in one register."""
+    """qpe_estimate runs the circuit in one register."""
 
     @pytest.mark.parametrize("shots", [0, 500])
     @pytest.mark.parametrize("n", [1, 3, 32])
     @pytest.mark.parametrize("t", [1, 2, 5, 6, 9, 16])
-    def test_matches_the_staged_circuit(self, t, n, shots):
+    def test_matches_the_spectral_closed_form(self, t, n, shots):
         rng = np.random.default_rng(8000 + 100 * n + t)
         spectrum = rq.eig_unitary(random_unitary(rng, n))
         color = random_state(rng, n)
-        cfg = rq.QpeConfig(t, shots=shots, rng_seed=17)
-        regs = rq.qpe_prepare(t, color)
-        regs = rq.controlled_unitary_all(regs, spectrum)
-        regs = rq.qft_inverse(regs)
-        staged = rq.measure_register1(regs, cfg)
-        est = rq.qpe_estimate(spectrum, color, cfg)
-        assert est.distribution.mode == staged.mode
-        assert np.max(np.abs(est.distribution.probs - staged.probs)) <= 1e-15
-        assert est.k_best == int(np.argmax(staged.probs))
+        theta, v = spectrum
+        exact = spectral_register_distribution(t, theta, np.abs(v.conj().T @ color) ** 2)
+        est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t, shots=shots, rng_seed=17))
+        if shots == 0:
+            assert est.distribution.mode == "exact"
+            assert np.max(np.abs(est.distribution.probs - exact)) <= 1e-12
+            assert est.k_best == int(np.argmax(exact))
+        else:
+            counts = np.random.default_rng(17).multinomial(shots, exact / exact.sum())
+            assert est.distribution.mode == "sampled"
+            assert np.array_equal(est.distribution.probs, counts / shots)
+            assert est.k_best == int(np.argmax(counts))
 
     # the register plus one block of rows, the phase tables and the 2^t
-    # probabilities, half a register at n = 1; a prepared register beside
-    # the stage's result, an out-of-place transform, or a copy of the
+    # probabilities, half a register at n = 1; a uniform register built
+    # beside it, an out-of-place transform, or a copy of the
     # probabilities (np.argmax makes one of a read-only array) would add a
     # register at n = 32 or half of one at n = 1. A sampled read-out adds
     # its counts and numpy's multinomial, and stays below 1.7 only if the
@@ -319,6 +213,10 @@ class TestOneRegisterPipeline:
         assert peak < bound * nbytes
 
     def test_refuses_oversized_register_before_allocating(self, monkeypatch):
+        from ringqpe.qpe import REGISTER_BYTES_GUARD
+
+        # the defect-probe shape (t = 20, n = 4) fits; t = 24, n = 64 is 16 GiB
+        assert (1 << 20) * 4 * 16 <= REGISTER_BYTES_GUARD < (1 << 24) * 64 * 16
         n = 64
         spectrum = rq.eig_unitary(np.eye(n))
 
@@ -337,26 +235,14 @@ class TestOneRegisterPipeline:
                 rq.qpe_estimate(spectrum, np.array([1.0, 0.0, 0.0]), rq.QpeConfig(t))
             size, lo = 1 << t, t // 2
             # the register-2 state is rotated into the eigenbasis once, not
-            # the register, and nothing is rotated back; then the stage's
-            # phase tables and the inverse QFT, as in the staged circuit
+            # the register, and nothing is rotated back; then one multiply
+            # per amplitude for each of the two phase tables, one product
+            # per color for each table entry past the first, and the
+            # inverse QFT
             tables = n * ((1 << lo) - 1) + n * ((1 << (t - lo)) - 1)
             stage = n * n + 2 * size * n + tables
             qft = n * (size // 2) * t
             assert counter.total == stage + qft, f"t = {t}"
-
-
-def spectral_register_distribution(t_bits, theta, weights):
-    """Exact read-out distribution from the spectrum alone.
-
-    Component k contributes sqrt(w_k) e^(i m theta_k) / 2^(t/2) at row m;
-    the inverse QFT is one FFT per component, and the components, being
-    orthogonal in register 2, add in probability.
-    """
-    size = 1 << t_bits
-    m = np.arange(size)[:, None]
-    amps = np.sqrt(weights) * np.exp(1j * m * theta) / np.sqrt(size)
-    out = np.fft.fft(amps, axis=0) / np.sqrt(size)
-    return np.sum(np.abs(out) ** 2, axis=1)
 
 
 class TestSpectralOracle:
@@ -378,34 +264,6 @@ class TestSpectralOracle:
         want = spectral_register_distribution(t, theta, weights)
         got = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(t)).distribution.probs
         assert np.max(np.abs(got - want)) < 1e-12
-
-
-class TestQftInverse:
-    def test_matches_dense_dft_matrix(self):
-        rng = np.random.default_rng(9)
-        t, n = 5, 2
-        size = 1 << t
-        amps = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
-        amps /= np.linalg.norm(amps)
-        regs = rq.QpeRegisters(t, n, amps)
-        k, m = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-        f = np.exp(-2j * np.pi * k * m / size) / np.sqrt(size)
-        want = f @ amps
-        got = rq.qft_inverse(regs).amplitudes
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_unitary_round_trip(self, seed):
-        rng = np.random.default_rng(4000 + seed)
-        t = int(rng.integers(1, 9))
-        size = 1 << t
-        amps = rng.standard_normal((size, 1)) + 1j * rng.standard_normal((size, 1))
-        amps /= np.linalg.norm(amps)
-        regs = rq.QpeRegisters(t, 1, amps)
-        out = rq.qft_inverse(regs)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-        back = np.fft.ifft(out.amplitudes, axis=0) * np.sqrt(size)
-        assert np.max(np.abs(back - amps)) < 1e-10
 
 
 class TestMeasurement:
@@ -490,25 +348,6 @@ class TestMeasurement:
         assert est.k_best == 0
         assert est.phi_estimate == 0.0
 
-    def test_sums_a_block_of_rows_at_a_time(self):
-        import tracemalloc
-
-        t, n = 16, 32
-        rng = np.random.default_rng(10)
-        regs = rq.qpe_prepare(t, random_state(rng, n))
-        regs = rq.controlled_unitary_all(regs, rq.eig_unitary(random_unitary(rng, n)))
-        regs = rq.qft_inverse(regs)
-        tracemalloc.start()
-        try:
-            dist = rq.measure_register1(regs, rq.QpeConfig(t))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the same sums as over the whole register, bit for bit, without
-        # its (2^t, n) array of |amplitude|^2 (half a register)
-        assert np.array_equal(dist.probs, np.sum(np.abs(regs.amplitudes) ** 2, axis=1))
-        assert peak < 0.07 * regs.amplitudes.nbytes
-
     def test_sampled_histogram_overwrites_its_probabilities(self):
         import tracemalloc
 
@@ -534,28 +373,13 @@ class TestMeasurement:
         # would add half a register each
         assert peak < 2.3 * nbytes
 
-    def test_width_mismatch_rejected(self):
-        regs = rq.qpe_prepare(3, np.array([1.0]))
-        with pytest.raises(rq.PreconditionError, match="width"):
-            rq.measure_register1(regs, rq.QpeConfig(4))
-
 
 class TestEndToEnd:
     def test_nan_state_rejected(self):
         with pytest.raises(rq.PreconditionError, match="finite"):
             rq.qpe_estimate(rq.eig_unitary(np.eye(2)), np.array([np.nan, 0.0]), rq.QpeConfig(4))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
-                                     complex(np.inf, np.nan)])
-    def test_non_finite_register_is_refused(self, bad):
-        amps = np.full((4, 2), 0.5 / np.sqrt(2), dtype=complex, order="F")
-        amps[2, 1] = bad
-        with pytest.raises(rq.PreconditionError, match="norm"):
-            rq.QpeRegisters(2, 2, amps)
-
     def test_nan_register_and_distribution_rejected(self):
-        with pytest.raises(rq.PreconditionError, match="norm"):
-            rq.QpeRegisters(1, 1, np.array([[np.nan], [0.0]]))
         with pytest.raises(rq.PreconditionError, match="sum"):
             rq.Register1Distribution(np.array([np.nan, 1.0]), "exact")
 
@@ -601,20 +425,6 @@ class TestEndToEnd:
             tail = float(est.distribution.probs[idx_dist > e].sum())
             # Nielsen & Chuang 5.2.1: P(|k - b| > e) <= 1 / (2 (e - 1))
             assert tail <= 1.0 / (2.0 * (e - 1)) + 1e-12
-
-    def test_register2_unchanged_for_eigencolor(self):
-        rng = np.random.default_rng(21)
-        u = random_unitary(rng, 3)
-        lam, vec = np.linalg.eig(u)
-        color = vec[:, 0] / np.linalg.norm(vec[:, 0])
-        regs = rq.qpe_prepare(5, color)
-        regs = rq.controlled_unitary_all(regs, rq.eig_unitary(u))
-        regs = rq.qft_inverse(regs)
-        # every row should stay proportional to the eigencolor
-        amps = regs.amplitudes
-        coeff = amps @ np.conj(color)
-        residual = amps - np.outer(coeff, color)
-        assert np.max(np.abs(residual)) < 1e-9
 
 
 class TestSerialization:

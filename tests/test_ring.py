@@ -126,10 +126,27 @@ class TestRingState:
         coeffs = 1.001 * np.ones((3, 1)) / math.sqrt(3.0)
         with pytest.raises(rq.PreconditionError,
                            match="state norm .* deviates from 1 beyond tolerance 1e-10"):
-            rq.RingState(1, 1, coeffs)
+            rq.RingState(coeffs)
         # the tolerance is a constant, not a field a caller can loosen
         with pytest.raises(TypeError):
-            rq.RingState(1, 1, coeffs, norm_tol=0.01)
+            rq.RingState(coeffs, norm_tol=0.01)
+
+    def test_sizes_come_from_the_coefficients(self):
+        coeffs = np.ones((7, 2)) / math.sqrt(14.0)
+        state = rq.RingState(coeffs)
+        assert (state.mode_cutoff_l, state.n_colors) == (3, 2)
+        assert np.array_equal(state.modes, np.arange(-3, 4))
+        # the sizes are read off the array, not fields that could disagree
+        with pytest.raises(AttributeError):
+            state.mode_cutoff_l = 4
+
+    @pytest.mark.parametrize("shape", [(7,), (1, 1), (4, 2), (7, 0), (3, 1, 1)],
+                             ids=["1-d", "l0", "even-rows", "no-colors", "3-d"])
+    def test_rejects_a_shape_that_is_not_2l_plus_1_by_n(self, shape):
+        coeffs = np.zeros(shape, dtype=complex)
+        coeffs.flat[:1] = 1.0
+        with pytest.raises(rq.PreconditionError, match="2l\\+1, n"):
+            rq.RingState(coeffs)
 
 
 class TestInitialLocalizedState:
@@ -221,7 +238,7 @@ class TestEvolveBlock:
         modes = np.arange(-l, l + 1)
         stripped_energies = (modes ** 2 - 2.0 * modes * lam) / 2.0
         stripped = rq.RingState(
-            l, 2, np.exp(-1j * stripped_energies * t_r)[:, None] * state.coeffs
+            np.exp(-1j * stripped_energies * t_r)[:, None] * state.coeffs
         )
         global_phase = np.exp(-1j * lam ** 2 / 2.0 * t_r)
         assert np.max(np.abs(full.coeffs - global_phase * stripped.coeffs)) < 1e-9
@@ -311,7 +328,7 @@ class TestPositionDensity:
     def test_single_mode_is_flat(self):
         coeffs = np.zeros((11, 1), dtype=complex)
         coeffs[7, 0] = 1.0
-        state = rq.RingState(5, 1, coeffs)
+        state = rq.RingState(coeffs)
         density = rq.position_density(state, 64)
         assert np.max(np.abs(density.density - 1.0 / TWO_PI)) < 1e-12
 
@@ -322,7 +339,7 @@ class TestPositionDensity:
         n = int(rng.integers(1, 4))
         coeffs = rng.standard_normal((2 * l + 1, n)) + 1j * rng.standard_normal((2 * l + 1, n))
         coeffs /= np.linalg.norm(coeffs)
-        state = rq.RingState(l, n, coeffs)
+        state = rq.RingState(coeffs)
         n_grid = int(rng.integers(2 * l + 1, 4 * l + 64))
         density = rq.position_density(state, n_grid)
         integral = density.density.sum() * TWO_PI / n_grid
@@ -364,7 +381,7 @@ class TestPositionDensity:
         l, n = 10, 9
         coeffs = rng.standard_normal((2 * l + 1, n)) + 1j * rng.standard_normal((2 * l + 1, n))
         coeffs /= np.linalg.norm(coeffs)
-        state = rq.RingState(l, n, coeffs)
+        state = rq.RingState(coeffs)
         phi = TWO_PI * np.arange(n_grid) / n_grid
         psi = np.exp(1j * np.outer(phi, state.modes)) @ coeffs
         expected = np.abs(psi) ** 2 / TWO_PI
@@ -380,6 +397,27 @@ class TestPositionDensity:
     def test_cutoff_below_one_rejected(self, l):
         with pytest.raises(rq.PreconditionError, match="mode cutoff must be >= 1"):
             ring_module.require_ring_grid(l, 64)
+
+    def test_grid_above_the_memory_guard_is_refused(self):
+        # a 4-color block of padded spectrum, transform and two squares, 192
+        # bytes a point, and the density and its grid, 16: the guard admits
+        # about 1.29 M points, ring-wide's 65536 with room to spare
+        ring_module.require_ring_grid(50, 1_290_555)
+        with pytest.raises(rq.ResourceLimitError, match="guard"):
+            ring_module.require_ring_grid(50, 1_290_556)
+
+    def test_oversized_grid_is_refused_before_allocating(self, monkeypatch):
+        # 2^40 points used to die in np.zeros with numpy's memory error; a
+        # few 2^30 could be granted and then killed
+        state = rq.initial_localized_state(10, np.array([1.0]))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("density allocated before the guard")
+
+        monkeypatch.setattr(np, "zeros", forbidden)
+        monkeypatch.setattr(np, "empty", forbidden)
+        with pytest.raises(rq.ResourceLimitError, match="guard"):
+            rq.position_density(state, 2 ** 40)
 
     def test_nan_density_rejected(self):
         phi = TWO_PI * np.arange(4) / 4
