@@ -48,6 +48,22 @@ def literal_circuit_distribution(t_bits, u, color):
     return np.sum(np.abs(inverse_qft @ controlled) ** 2, axis=1)
 
 
+def staged_circuit_distribution(t_bits, spectrum, color):
+    """Read-out distribution of the circuit run stage by stage in U's own basis.
+
+    Register 1 uniform and register 2 the color; row m of the controlled
+    stage holds U^m color = V e^(i m theta) V^dagger color, in the
+    computational basis of register 2; then the inverse QFT on register 1
+    and |amplitude|^2 summed over register 2.
+    """
+    theta, v = spectrum
+    size = 1 << t_bits
+    m = np.arange(size)[:, None]
+    rows = (np.exp(1j * m * theta) * (v.conj().T @ color)) @ v.T / np.sqrt(size)
+    out = np.fft.fft(rows, axis=0) / np.sqrt(size)
+    return np.sum(np.abs(out) ** 2, axis=1)
+
+
 def fejer_probability(t_bits, phi_u, k):
     """Closed-form read-out probability for an eigencolor input."""
     delta = phi_u - TWO_PI * k / (1 << t_bits)
@@ -66,12 +82,15 @@ class TestQpeConfig:
         with pytest.raises(rq.PreconditionError):
             rq.QpeConfig(bad)
 
-    # numpy's multinomial sampler takes at most an int64 count; above it
-    # sampling died with an OverflowError
-    @pytest.mark.parametrize("bad", [-1, 2 ** 63])
-    def test_rejects_negative_shots(self, bad):
+    def test_rejects_negative_shots(self):
         with pytest.raises(rq.PreconditionError, match="shots"):
-            rq.QpeConfig(4, shots=bad)
+            rq.QpeConfig(4, shots=-1)
+
+    def test_rejects_shots_past_int64(self):
+        # numpy's multinomial sampler takes at most an int64 count; above it
+        # sampling died with an OverflowError
+        with pytest.raises(rq.PreconditionError, match="shots"):
+            rq.QpeConfig(4, shots=2 ** 63)
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, True])
     def test_rejects_non_integer_shots(self, bad):
@@ -185,6 +204,24 @@ class TestOneRegisterPipeline:
             assert est.distribution.mode == "sampled"
             assert np.array_equal(est.distribution.probs, counts / shots)
             assert est.k_best == int(np.argmax(counts))
+
+    @pytest.mark.parametrize("shots", [0, 500])
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    @pytest.mark.parametrize("t", [1, 2, 5, 6, 9, 16])
+    def test_matches_the_staged_circuit(self, t, n, shots):
+        # qpe_estimate reads out in U's eigenbasis; the staged circuit keeps
+        # register 2 in the computational basis, which the read-out must not see
+        rng = np.random.default_rng(8000 + 100 * n + t)
+        spectrum = rq.eig_unitary(random_unitary(rng, n))
+        color = random_state(rng, n)
+        staged = staged_circuit_distribution(t, spectrum, color)
+        est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t, shots=shots, rng_seed=17))
+        if shots == 0:
+            assert np.max(np.abs(est.distribution.probs - staged)) <= 1e-12
+            assert est.k_best == int(np.argmax(staged))
+        else:
+            counts = np.random.default_rng(17).multinomial(shots, staged / staged.sum())
+            assert np.array_equal(est.distribution.probs, counts / shots)
 
     # the register plus one block of rows, the phase tables and the 2^t
     # probabilities, half a register at n = 1; a uniform register built
