@@ -71,22 +71,20 @@ EXIT_IO = 2
 EXIT_MISMATCH = 3
 EXIT_AMBIGUOUS = 4
 
-_COMMON_DEFAULTS = {
-    "seed": 0,
-    "hbar": 1.0,
-    "charge_q": 1.0,
-    "radius_r": 1.0,
-    "mass_mq": 1.0,
-    "out_dir": None,
-}
+_COMMON_DEFAULTS = {"seed": 0, "out_dir": None}
+
+# read only by the ring route, so only ring-sim and compare take them
+_RING_CONSTANTS = {"hbar": 1.0, "charge_q": 1.0, "radius_r": 1.0, "mass_mq": 1.0}
 
 _DEFAULTS = {
     "ring-sim": {
         "mode_cutoff_l": 50, "grid_size_n": 512, "times": (0.0, 0.5, 1.0),
+        **_RING_CONSTANTS,
     },
     "qpe": {"t_bits": 10, "shots": 0},
     "compare": {
         "mode_cutoff_l": 200, "grid_size_n": 1024, "t_bits": 10, "shots": 0,
+        **_RING_CONSTANTS,
     },
     "bench": {
         "sizes": (64, 128, 256, 512), "repeats": 5, "count_ops": False,
@@ -109,6 +107,9 @@ def _add_common(sub: argparse.ArgumentParser, with_problem: bool = True) -> None
                      help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
     sub.add_argument("--config", help="JSON file of default option values")
     sub.add_argument("--seed", type=int, help="seed for any sampling")
+
+
+def _add_ring_constants(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--hbar", type=float, help="reduced Planck constant")
     sub.add_argument("--charge", dest="charge_q", type=float, help="particle charge")
     sub.add_argument("--radius", dest="radius_r", type=float, help="ring radius")
@@ -133,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "summary.txt into the output directory.",
     )
     _add_common(ring)
+    _add_ring_constants(ring)
     ring.add_argument("-l", "--mode-cutoff", dest="mode_cutoff_l", type=int,
                       help="angular momentum cutoff (modes -l..l)")
     ring.add_argument("-N", "--grid-size", dest="grid_size_n", type=int,
@@ -159,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "ambiguous spectrum.",
     )
     _add_common(comp)
+    _add_ring_constants(comp)
     comp.add_argument("-l", "--mode-cutoff", dest="mode_cutoff_l", type=int)
     comp.add_argument("-N", "--grid-size", dest="grid_size_n", type=int)
     comp.add_argument("--t-bits", dest="t_bits", type=int)
@@ -236,7 +239,7 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill every option as flag, else config value, else default.
 
     A JSON null in the config means "use the default". Returns `args` with
-    each option cast, `out_dir` and `problem` resolved and `params` attached.
+    each option cast and `out_dir` and `problem` resolved.
     """
     defaults = {**_COMMON_DEFAULTS, **_DEFAULTS[args.subcommand]}
     file_values = _read_config(args.config) if args.config else {}
@@ -264,10 +267,11 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     args.problem = getattr(args, "problem", None) or file_values.get("problem")
     if not isinstance(args.problem, (str, type(None))):
         raise PreconditionError(f"bad problem value {args.problem!r}: expected a path")
-    args.params = RingPhysicalParams(
-        args.hbar, args.charge_q, args.radius_r, args.mass_mq
-    )
     return args
+
+
+def _ring_params(cfg: argparse.Namespace) -> RingPhysicalParams:
+    return RingPhysicalParams(cfg.hbar, cfg.charge_q, cfg.radius_r, cfg.mass_mq)
 
 
 def _require_problem(cfg: argparse.Namespace):
@@ -279,16 +283,17 @@ def _require_problem(cfg: argparse.Namespace):
 
 
 def cmd_ring_sim(cfg: argparse.Namespace) -> int:
+    params = _ring_params(cfg)
     problem = _require_problem(cfg)
-    require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
-    t_r = return_time(cfg.params)
+    require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
+    t_r = return_time(params)
     for fraction in cfg.times + (1.0,):
         if not math.isfinite(fraction * t_r):
             raise PreconditionError(
                 f"snapshot time {fraction!r} t_R = {fraction * t_r!r} is not finite"
             )
 
-    gauge = encode_as_gauge(problem, cfg.params)
+    gauge = encode_as_gauge(problem, params)
     state = initial_localized_state(cfg.mode_cutoff_l, problem.state)
     # each distinct time evolves once; the read-out takes its peaks from the
     # density at t_R (fraction 1), evolved here only if no snapshot is at t_R
@@ -360,8 +365,9 @@ def cmd_qpe(cfg: argparse.Namespace) -> int:
 
 
 def cmd_compare(cfg: argparse.Namespace) -> int:
+    params = _ring_params(cfg)
     problem = _require_problem(cfg)
-    require_ring_grid(cfg.mode_cutoff_l, cfg.grid_size_n)
+    require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
     # built first, so t_bits is checked before 2^t is formed
     qpe_cfg = QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
     if cfg.grid_size_n < qpe_cfg.register_size:
@@ -370,7 +376,7 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
             f"2^{cfg.t_bits} register; need N >= 2^t"
         )
 
-    gauge = encode_as_gauge(problem, cfg.params)
+    gauge = encode_as_gauge(problem, params)
     peaks = estimate_phase_via_ring(
         gauge, problem.state, cfg.mode_cutoff_l, cfg.grid_size_n
     )

@@ -28,7 +28,10 @@ to compensate.
 
 A run records where the particle is on the ring, never its color, so
 position_density gives |psi|^2 summed over the colors: the one distribution
-the peak read-out and the density snapshots both take.
+the peak read-out and the density snapshots both take. That sum is a
+trigonometric polynomial of degree 2l, fixed by any 4l+1 equispaced
+samples, so it is computed on about that many points and resampled to the
+grid.
 """
 
 from __future__ import annotations
@@ -56,12 +59,16 @@ from .linalg import (
 VELOCITY_FACTOR = 2.0
 
 _DENSITY_INTEGRAL_TOL = 1e-8
-# colors position_density transforms at a time; 4 MiB of spectrum at N = 2^16
-_BLOCK_COLORS = 4
-# position_density's bytes per grid point at most: a block of colors, each
-# with a padded spectrum and its transform (complex) and two squares (real),
-# plus the density and its grid
-_DENSITY_BYTES_PER_POINT = _BLOCK_COLORS * (16 + 16 + 8 + 8) + 8 + 8
+# The ring route's working set, bytes per mode and color plus bytes per
+# grid point, each the largest peak measured under tracemalloc rounded up:
+# 94.5 at l = 1024, n = 64, N = 8192 and 87.3 for ring-sim at l = 3,
+# N = 2^18. Per mode and color, the packet and the evolved state are held
+# while the density's (L, n) transform takes under 64 (L < 4(2l+1));
+# evolve_block alone peaks at 72. Per grid point, ring-sim holds its three
+# default snapshots, each a density and its grid, while the peak read-out
+# makes shifted copies of the density.
+_BYTES_PER_MODE_COLOR = 96
+_BYTES_PER_POINT = 96
 
 
 @dataclass(frozen=True)
@@ -114,8 +121,7 @@ class GaugeField:
 
     def mode_energies(self, mode_cutoff_l: int) -> np.ndarray:
         """E_{m,k} = (hbar m / r - q lam_k)^2 / (2 m_q), rows m = -l ... +l."""
-        if mode_cutoff_l < 1:
-            raise PreconditionError(f"mode cutoff must be >= 1, got {mode_cutoff_l}")
+        _require_mode_cutoff(mode_cutoff_l)
         p = self.params
         modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
         momentum = (p.hbar * modes / p.radius_r)[:, None] \
@@ -248,31 +254,36 @@ def return_time(params: RingPhysicalParams) -> float:
     return t_r
 
 
+def _require_mode_cutoff(mode_cutoff_l: int) -> None:
+    if mode_cutoff_l < 1:
+        raise PreconditionError(f"mode cutoff must be >= 1, got {mode_cutoff_l}")
+
+
 def initial_localized_state(mode_cutoff_l: int, color) -> RingState:
     """Packet at phi = 0: every mode carries the same unit color vector."""
+    _require_mode_cutoff(mode_cutoff_l)
     c = require_unit_vector(color, "color")
     count = 2 * mode_cutoff_l + 1
     coeffs = np.tile(c / math.sqrt(count), (count, 1))
     return RingState(coeffs)
 
 
-def require_ring_grid(mode_cutoff_l: int, grid_size_N: int) -> None:
+def require_ring_grid(mode_cutoff_l: int, n_colors: int, grid_size_N: int) -> None:
     """Refuse a cutoff below 1, a grid with fewer than 2l+1 points, one
-    frequency per mode, or one whose density would take more than
-    BYTES_GUARD bytes to compute."""
-    if mode_cutoff_l < 1:
-        raise PreconditionError(f"mode cutoff must be >= 1, got {mode_cutoff_l}")
+    frequency per mode, or a ring route whose working set, modes x colors
+    plus grid points, would take more than BYTES_GUARD bytes."""
+    _require_mode_cutoff(mode_cutoff_l)
     count = 2 * mode_cutoff_l + 1
     if grid_size_N < count:
         raise ResolutionError(
             f"grid of {grid_size_N} points cannot resolve {count} modes; "
             f"need N >= 2l+1"
         )
-    nbytes = grid_size_N * _DENSITY_BYTES_PER_POINT
+    nbytes = _BYTES_PER_MODE_COLOR * count * n_colors + _BYTES_PER_POINT * grid_size_N
     if nbytes > BYTES_GUARD:
         raise ResourceLimitError(
-            f"grid of {grid_size_N} points needs {nbytes} bytes for its "
-            f"density, above the guard {BYTES_GUARD}"
+            f"{count} modes x {n_colors} colors on a grid of {grid_size_N} "
+            f"points need {nbytes} bytes, above the guard {BYTES_GUARD}"
         )
 
 
@@ -343,39 +354,46 @@ def evolve_dense(state: RingState, gauge: GaugeField, t: float) -> RingState:
     return RingState(flat.reshape(count, n))
 
 
-def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
-    """Sample |psi|^2 on phi_j = 2 pi j / N via zero-padded inverse FFT.
+def _fft_macs(size: int) -> int:
+    return (size // 2) * max(1, int(math.log2(size)))
 
-    Requires N >= 2l+1 so every mode maps to a distinct grid frequency;
-    the sampled density then integrates to exactly the state norm. The
-    colors go through the transform _BLOCK_COLORS at a time, one color per
-    row of a reused padded block, and each color's |psi|^2 / 2 pi is added
-    into the density in color order, so the only full-size arrays made are
-    the density and its grid.
+
+def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
+    """Sample |psi|^2 summed over the colors on phi_j = 2 pi j / N.
+
+    Summed over the colors, |psi|^2 is a trigonometric polynomial of degree
+    2l, so any 4l+1 equispaced samples fix it. The density is computed on
+    L = min(N, the power of two at or above 4l+1) points: every color's
+    modes go into one zero-padded (L, n) array, one inverse FFT runs down
+    all its columns in place, and the squares are summed over the colors.
+    When L < N the sum is carried to the N-point grid by zero-padding its
+    spectrum, which is exact for a band limit 2l < L/2. Requires N >= 2l+1
+    so every mode maps to a distinct frequency; the sampled density then
+    integrates to exactly the state norm.
     """
-    require_ring_grid(state.mode_cutoff_l, grid_size_N)
-    n = state.n_colors
-    block = min(n, _BLOCK_COLORS)
-    # only the mode columns are ever written, so the padding stays zero
-    padded = np.zeros((block, grid_size_N), dtype=np.complex128)
-    psi = np.empty_like(padded)
-    square = np.empty((block, grid_size_N))
-    spare = np.empty_like(square)
-    density = np.zeros(grid_size_N)
-    columns = state.modes % grid_size_N
-    for first in range(0, n, block):
-        count = min(block, n - first)
-        padded[:count, columns] = state.coeffs[:, first:first + count].T
-        # the unscaled inverse transform is sum_m c_m e^{+i m phi_j}, with
-        # the e^{i m phi} convention
-        np.fft.ifft(padded[:count], axis=1, norm="forward", out=psi[:count])
-        re, im = psi[:count].real, psi[:count].imag
-        out = np.multiply(re, re, out=square[:count])
-        out += np.multiply(im, im, out=spare[:count])
-        out /= TWO_PI
-        for color in out:
-            density += color
-    opcount.add(n * (grid_size_N // 2) * max(1, int(math.log2(grid_size_N))))
+    l, n = state.mode_cutoff_l, state.n_colors
+    require_ring_grid(l, n, grid_size_N)
+    size_L = min(grid_size_N, 1 << (4 * l).bit_length())
+    # mode m goes to row m mod L: 0..l at the top, -l..-1 at the bottom
+    psi = np.zeros((size_L, n), dtype=np.complex128, order="F")
+    psi[:l + 1] = state.coeffs[l:]
+    psi[size_L - l:] = state.coeffs[:l]
+    # the unscaled inverse transform is sum_m c_m e^{+i m phi_j}, with the
+    # e^{i m phi} convention
+    np.fft.ifft(psi, axis=0, norm="forward", out=psi)
+    density = np.einsum("ij,ij->i", psi.real, psi.real)
+    density += np.einsum("ij,ij->i", psi.imag, psi.imag)
+    del psi
+    macs = n * _fft_macs(size_L)
+    if size_L < grid_size_N:
+        density = np.fft.irfft(np.fft.rfft(density), n=grid_size_N)
+        # where the density vanishes the resample's rounding can leave a
+        # sample a few ulps of the peak below zero, which no sum of squares
+        # gives and PositionDensity would refuse
+        np.maximum(density, 0.0, out=density)
+        macs += _fft_macs(size_L) + _fft_macs(grid_size_N)
+    density *= grid_size_N / size_L / TWO_PI
+    opcount.add(macs)
     density.setflags(write=False)
     phi_grid = TWO_PI * np.arange(grid_size_N) / grid_size_N
     phi_grid.setflags(write=False)
@@ -465,7 +483,7 @@ def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
     The grid is checked before anything evolves; peaks are read as
     revival_peaks reads them.
     """
-    require_ring_grid(mode_cutoff_l, grid_size_N)
+    require_ring_grid(mode_cutoff_l, gauge.n_colors, grid_size_N)
     state = initial_localized_state(mode_cutoff_l, color)
     evolved = evolve_block(state, gauge, return_time(gauge.params))
     density = position_density(evolved, grid_size_N)

@@ -16,7 +16,14 @@ import ringqpe.cli as cli
 import ringqpe.ring as ring_module
 from ringqpe.cli import main
 
-from conftest import SIGMA_X, random_unitary, read_csv, write_problem
+from conftest import (
+    SIGMA_X,
+    random_hermitian,
+    random_state,
+    random_unitary,
+    read_csv,
+    write_problem,
+)
 
 TWO_PI = 2.0 * np.pi
 PROBLEM_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -442,6 +449,49 @@ class TestMemoryGuards:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub", ["ring-sim", "compare"])
+    def test_large_cutoff_times_colors_is_refused_before_allocating(
+            self, tmp_path, capsys, monkeypatch, sub):
+        # 1290555 modes x 32 colors: evolve_block alone would take about
+        # 2.8 GiB, though the grid by itself is well inside the guard
+        rng = np.random.default_rng(16)
+        problem = rq.EnergyProblem(random_hermitian(rng, 32, 0.1), 1.0,
+                                   random_state(rng, 32))
+        path = write_problem(tmp_path, problem)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated before the guard")
+
+        for name in ("tile", "zeros", "empty"):
+            monkeypatch.setattr(np, name, forbidden)
+        out = tmp_path / "out"
+        code = main([sub, "--problem", str(path), "--out-dir", str(out),
+                     "-l", "645277", "-N", "1290555"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ringqpe: error: ") and "guard" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_ring_sim_peak_stays_under_the_guard(self, tmp_path, sigma_x_file):
+        # the grid-bound side: three density snapshots, each with its grid,
+        # and the peak read-out's shifted copies of the density
+        import tracemalloc
+
+        l, n_grid = 3, 1 << 16
+        tracemalloc.start()
+        try:
+            code = main(["ring-sim", "--problem", str(sigma_x_file),
+                         "--out-dir", str(tmp_path / "out"),
+                         "-l", str(l), "-N", str(n_grid)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        bound = (ring_module._BYTES_PER_MODE_COLOR * (2 * l + 1) * 2
+                 + ring_module._BYTES_PER_POINT * n_grid)
+        assert peak <= bound
+
     def test_shots_past_the_sampler_are_refused(self, tmp_path, sigma_x_file):
         # numpy's multinomial raised an OverflowError traceback on these
         out = tmp_path / "out"
@@ -650,7 +700,29 @@ class TestConfigPrecedence:
                 assert getattr(cfg, key) == value
                 assert type(getattr(cfg, key)) is type(value)
         assert cfg.out_dir == str(tmp_path)
-        assert cfg.params == rq.RingPhysicalParams()
+        # the physical constants belong to the subcommands that read them
+        if sub in ("ring-sim", "compare"):
+            assert cli._ring_params(cfg) == rq.RingPhysicalParams()
+        else:
+            assert not hasattr(cfg, "hbar")
+
+    @pytest.mark.parametrize("sub,code", [
+        ("ring-sim", 0), ("compare", 0), ("qpe", 1), ("bench", 1),
+    ])
+    def test_physical_constants_only_where_the_ring_reads_them(
+            self, tmp_path, sigma_x_file, capsys, sub, code):
+        # qpe and bench took --radius and never read it
+        argv = [sub, "--out-dir", str(tmp_path / "out")]
+        if sub != "bench":
+            argv += ["--problem", str(sigma_x_file)]
+        assert main(argv + ["--radius", "5"]) == code
+        if code:
+            assert "unrecognized arguments: --radius 5" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"hbar": 2.0}))
+            assert main(argv + ["--config", str(config)]) == 1
+            assert f"keys not used by {sub}: ['hbar']" in capsys.readouterr().err
 
     def test_corrupt_config_is_io_error(self, tmp_path, sigma_x_file):
         config = tmp_path / "config.json"

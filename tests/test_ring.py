@@ -168,6 +168,12 @@ class TestInitialLocalizedState:
         with pytest.raises(rq.PreconditionError, match="norm"):
             rq.initial_localized_state(3, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_rejects_a_cutoff_below_one(self, l):
+        # -1 died in math.sqrt with a bare "math domain error"
+        with pytest.raises(rq.PreconditionError, match="mode cutoff must be >= 1"):
+            rq.initial_localized_state(l, np.array([1.0]))
+
 
 class TestEvolveBlock:
     def test_zero_time_is_identity(self, natural_params):
@@ -374,11 +380,17 @@ class TestPositionDensity:
         writeable[0] = 0.0
         assert kept[0] == 1.0 / TWO_PI
 
-    @pytest.mark.parametrize("n_grid", [64, 1000, 77, 3001])
-    def test_matches_a_dense_sum_over_modes(self, n_grid):
-        # colors run in blocks of four, so n = 9 ends on a partial block
+    # the density is computed on L = min(N, 2^k >= 4l+1) points: L = N from
+    # N = 2l+1 up to that power of two, and a resample from L < N points above
+    @pytest.mark.parametrize("l,n_grid", [
+        pytest.param(l, n_grid, id=f"{n_grid}" if l == 10 else f"l{l}-{n_grid}")
+        for l, grids in [(10, (21, 31, 41, 64, 77, 1000, 3001)),
+                         (37, (75, 111, 149, 256, 1000, 3001))]
+        for n_grid in grids
+    ])
+    def test_matches_a_dense_sum_over_modes(self, l, n_grid):
         rng = np.random.default_rng(13)
-        l, n = 10, 9
+        n = 9
         coeffs = rng.standard_normal((2 * l + 1, n)) + 1j * rng.standard_normal((2 * l + 1, n))
         coeffs /= np.linalg.norm(coeffs)
         state = rq.RingState(coeffs)
@@ -388,6 +400,16 @@ class TestPositionDensity:
         density = rq.position_density(state, n_grid)
         assert np.max(np.abs(density.density - expected.sum(axis=1))) < 1e-13
 
+    def test_resampled_packet_at_a_large_cutoff_is_not_refused(self):
+        # resampled from L = 2^19 points, the packet's density rounds to
+        # -3.6e-12 (a few ulps of its peak) at its zeros unless clipped, and
+        # PositionDensity refuses anything below -1e-12
+        l, n_grid = 65536, 1 << 20
+        state = rq.initial_localized_state(l, np.array([1.0]))
+        density = rq.position_density(state, n_grid).density
+        assert density.min() >= 0.0
+        assert abs(density[0] - (2 * l + 1) / TWO_PI) < 1e-15 * density[0]
+
     def test_too_coarse_grid_rejected(self):
         state = rq.initial_localized_state(10, np.array([1.0]))
         with pytest.raises(rq.ResolutionError, match="N >= 2l\\+1"):
@@ -396,15 +418,57 @@ class TestPositionDensity:
     @pytest.mark.parametrize("l", [0, -2])
     def test_cutoff_below_one_rejected(self, l):
         with pytest.raises(rq.PreconditionError, match="mode cutoff must be >= 1"):
-            ring_module.require_ring_grid(l, 64)
+            ring_module.require_ring_grid(l, 1, 64)
 
     def test_grid_above_the_memory_guard_is_refused(self):
-        # a 4-color block of padded spectrum, transform and two squares, 192
-        # bytes a point, and the density and its grid, 16: the guard admits
-        # about 1.29 M points, ring-wide's 65536 with room to spare
-        ring_module.require_ring_grid(50, 1_290_555)
+        # the largest grid the working set A (2l+1) n + B N admits, where
+        # ring-wide's l = 1000, n = 32, N = 65536 fits with room to spare
+        for l, n in [(50, 4), (1000, 32)]:
+            fixed = ring_module._BYTES_PER_MODE_COLOR * (2 * l + 1) * n
+            largest = (linalg_module.BYTES_GUARD - fixed) // ring_module._BYTES_PER_POINT
+            assert largest > 40 * 65536
+            ring_module.require_ring_grid(l, n, largest)
+            with pytest.raises(rq.ResourceLimitError, match="guard"):
+                ring_module.require_ring_grid(l, n, largest + 1)
+
+    def test_large_cutoff_times_colors_is_refused_before_allocating(
+            self, monkeypatch):
+        # 1290555 modes x 32 colors: evolve_block alone would take about
+        # 2.8 GiB, though the grid by itself is well inside the guard
+        rng = np.random.default_rng(14)
+        gauge = gauge_from(random_hermitian(rng, 32))
+        color = random_state(rng, 32)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated before the guard")
+
+        for name in ("tile", "zeros", "empty"):
+            monkeypatch.setattr(np, name, forbidden)
         with pytest.raises(rq.ResourceLimitError, match="guard"):
-            ring_module.require_ring_grid(50, 1_290_556)
+            rq.estimate_phase_via_ring(gauge, color, 645277, 1290555)
+
+    @pytest.mark.parametrize("l,n,n_grid", [
+        (1024, 64, 8192), (1000, 32, 65536), (20000, 4, 40001), (10, 2, 1 << 20),
+    ], ids=["transform-bound", "ring-wide", "grid-equals-L", "grid-bound"])
+    def test_route_peak_stays_under_the_guard(self, l, n, n_grid):
+        # the packet and the evolved state are held while the density's
+        # (L, n) transform runs; at l = 1024, L = 8192 is the worst ratio
+        import tracemalloc
+
+        rng = np.random.default_rng(15)
+        gauge = gauge_from(random_hermitian(rng, n))
+        color = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            state = rq.initial_localized_state(l, color)
+            evolved = rq.evolve_block(state, gauge, 1.0)
+            rq.position_density(evolved, n_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = (ring_module._BYTES_PER_MODE_COLOR * (2 * l + 1) * n
+                 + ring_module._BYTES_PER_POINT * n_grid)
+        assert peak <= bound
 
     def test_oversized_grid_is_refused_before_allocating(self, monkeypatch):
         # 2^40 points used to die in np.zeros with numpy's memory error; a
