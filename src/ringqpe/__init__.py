@@ -2,8 +2,8 @@
 
 The ring route encodes the problem in a constant U(n) gauge potential on a
 ring and reads eigenphases off the relocalization peaks of an evolved
-packet. The register route runs textbook phase estimation on an exact
-statevector. The two agree with each other and with direct
+packet. The register route evaluates the exact read-out of textbook phase
+estimation in closed form. The two agree with each other and with direct
 diagonalization, which is the whole point: `compare` checks all three.
 """
 

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -51,6 +52,7 @@ from .ring import (
     evolve_block,
     initial_localized_state,
     peak_set_to_json,
+    phase_angles,
     position_density,
     require_ring_grid,
     return_time,
@@ -287,31 +289,38 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     problem = _require_problem(cfg)
     require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
     t_r = return_time(params)
-    for fraction in cfg.times + (1.0,):
+    fractions = cfg.times + (1.0,)
+    for fraction in fractions:
         if not math.isfinite(fraction * t_r):
             raise PreconditionError(
                 f"snapshot time {fraction!r} t_R = {fraction * t_r!r} is not finite"
             )
 
     gauge = encode_as_gauge(problem, params)
+    # the largest |t| checks every snapshot before any is evolved
+    phase_angles(gauge, cfg.mode_cutoff_l, max(fractions, key=abs) * t_r)
     state = initial_localized_state(cfg.mode_cutoff_l, problem.state)
-    # each distinct time evolves once; the read-out takes its peaks from the
-    # density at t_R (fraction 1), evolved here only if no snapshot is at t_R
-    densities = {
-        fraction: position_density(
-            evolve_block(state, gauge, fraction * t_r), cfg.grid_size_n
-        )
-        for fraction in dict.fromkeys(cfg.times + (1.0,))
-    }
-    peaks = revival_peaks(densities[1.0], cfg.mode_cutoff_l, gauge.n_colors)
+    density = position_density(evolve_block(state, gauge, t_r), cfg.grid_size_n)
+    peaks = revival_peaks(density, cfg.mode_cutoff_l, gauge.n_colors)
 
-    # made only once every result exists, so a refused run leaves nothing
+    # made only once every refusal is past, so a refused run leaves nothing
     os.makedirs(cfg.out_dir, exist_ok=True)
-    snapshot_paths = []
-    for i, fraction in enumerate(cfg.times):
-        path = os.path.join(cfg.out_dir, f"density_{i:02d}.csv")
-        write_density_csv(densities[fraction], path)
-        snapshot_paths.append(path)
+    snapshot_paths = [os.path.join(cfg.out_dir, f"density_{i:02d}.csv")
+                      for i in range(len(cfg.times))]
+    # each distinct time evolves once, t_R's first, and is written to its
+    # first path as soon as its density exists, so one snapshot is held at
+    # a time; a repeated time copies that file
+    first = dict(zip(reversed(cfg.times), reversed(snapshot_paths)))
+    if 1.0 in first:
+        write_density_csv(density, first[1.0])
+    del density
+    for fraction, path in first.items():
+        if fraction != 1.0:
+            evolved = evolve_block(state, gauge, fraction * t_r)
+            write_density_csv(position_density(evolved, cfg.grid_size_n), path)
+    for fraction, path in zip(cfg.times, snapshot_paths):
+        if path != first[fraction]:
+            shutil.copyfile(first[fraction], path)
     peaks_path = os.path.join(cfg.out_dir, "peaks.json")
     with open(peaks_path, "w") as fh:
         json.dump(peak_set_to_json(peaks), fh, indent=2)

@@ -5,7 +5,7 @@ the eigenstate with energy E shows up as the eigenphase E / E_R. Each
 problem decomposes its matrix once, on construction, into
 `spectrum = EigenDecomposition(theta, V)`: U's eigenphases on (-pi, pi] and
 an orthonormal eigenbasis. Every consumer reads that one spectrum. The
-register applies U's controlled powers in it, and encode_as_gauge builds the
+register's read-out is evaluated in it, and encode_as_gauge builds the
 Hermitian gauge potential whose ring read-out reproduces the same phases,
 
     A_phi = -(hbar / (q * 2 pi r * VELOCITY_FACTOR)) * V diag(theta) V^dagger.

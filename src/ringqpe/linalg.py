@@ -30,8 +30,7 @@ BYTES_GUARD = 1 << 28
 UNIT_NORM_TOL = 1e-10
 # how far a Hermitian or unitary matrix may stray from that structure
 _STRUCTURE_TOL = 1e-10
-# rows a streamed kernel or CSV writer handles at a time: 2 MiB of
-# register at 32 colors
+# rows a blocked kernel or CSV writer handles at a time
 BLOCK_ROWS = 1 << 12
 
 # Pade-13 coefficients and norm threshold for scaling-and-squaring

@@ -1,32 +1,22 @@
 """Register-level simulation of quantum phase estimation.
 
 Register 1 is a t-bit read-out register indexed by m in [0, 2^t); register 2
-is an n-dimensional system prepared in a candidate eigenstate. qpe_estimate
-runs the textbook circuit on the exact statevector, in one register:
+is an n-dimensional system prepared in a candidate eigenstate u. The
+textbook circuit, uniform register 1 -> controlled U^m -> inverse Fourier
+transform, leaves register 1 concentrated near k = 2^t phi_u / (2 pi).
+qpe_estimate returns that read-out distribution exactly, from U's spectrum
+(theta, V). Register 2 is never measured, so its basis does not matter; in
+U's eigenbasis color a of the register is the geometric sequence
+w_a e^(i m theta_a) / sqrt(M), with M = 2^t and w = V^dagger u, its inverse
+Fourier transform is a Dirichlet kernel, and the colors add in probability
+(Cleve, Ekert, Macchiavello and Mosca, Proc. R. Soc. A 454, 339 (1998)):
 
-    uniform register 1  ->  controlled U^m  ->  inverse Fourier transform,
+    P(k) = sum_a |w_a|^2 sin^2(M d / 2) / (M^2 sin^2(d / 2)),
+    d = theta_a - 2 pi k / M.
 
-after which register 1 concentrates near k = 2^t phi_u / (2 pi). U enters
-as its eigendecomposition (theta, V), the spectrum a problem computed once
-on construction. Each controlled U^(2^j) is diagonal in U's eigenbasis: the
-phase e^(i 2^j theta) on the rows whose index m has bit j set. There the t
-diagonals multiply into two small phase tables, one over the low half of
-m's bits and one over the high half, so the cost is one multiply per table
-per amplitude rather than 2^t matrix powers.
-
-Register 2 is never measured, so the read-out does not depend on its basis,
-and the register stays in the eigenbasis throughout. The uniform register
-is u / sqrt(2^t) on every row, so it is never built: w = V^dagger u /
-sqrt(2^t) is rotated once, written into the register times the low table,
-and the high table is multiplied in after. The inverse Fourier transform
-then runs in place, and the read-out sums |amplitude|^2 a block of rows at
-a time, so the run holds one register, the size REGISTER_BYTES_GUARD
-bounds, and its 2^t probabilities. The register is freed once they are
-summed, before a sampled read-out draws its counts.
-
-The register keeps the shape (2^t, n), amplitudes[m, a], but is stored
-column-major: each color's 2^t amplitudes are contiguous, which is the axis
-the phases and the Fourier transform run along.
+It agrees with the transformed circuit to about 1e-15 at any t, costs
+n^2 + n 2^t operations, and holds the 2^t probabilities and three blocks
+of BLOCK_ROWS rows, for any n.
 """
 
 from __future__ import annotations
@@ -51,11 +41,14 @@ from .linalg import (
 )
 
 T_BITS_GUARD = 24
-# largest register, 2^t * n complex128 amplitudes, qpe_estimate allocates
+# bounds the 2^t * n kernel evaluations of qpe_estimate, at the bytes a
+# (2^t, n) complex128 register of them would take
 REGISTER_BYTES_GUARD = BYTES_GUARD
 _SHOTS_MAX = int(np.iinfo(np.int64).max)  # the most numpy's multinomial takes
 
 _PROB_SUM_TOL = 1e-9
+# 2 pi - fl(2 pi), the part of 2 pi that TWO_PI drops
+_TWO_PI_LOW = 2.4492935982947064e-16
 
 
 @dataclass(frozen=True)
@@ -124,33 +117,6 @@ class QpeEstimate(NamedTuple):
     distribution: Register1Distribution
 
 
-def _phase_table(theta: np.ndarray, first: int, stop: int) -> np.ndarray:
-    """Products of the diagonals e^(i 2^j theta) for bits j in [first, stop).
-
-    Column c of the (n, 2^(stop-first)) table multiplies the diagonals of
-    the bits set in c << first; each bit doubles the table.
-    """
-    n = theta.size
-    table = np.empty((n, 1 << (stop - first)), dtype=np.complex128)
-    table[:, 0] = 1.0
-    for j in range(first, stop):
-        width = 1 << (j - first)
-        # scaling by 2^j is exact in floating point
-        factor = np.exp(1j * ((1 << j) * theta))
-        np.multiply(table[:, :width], factor[:, None], out=table[:, width:2 * width])
-    opcount.add(n * (table.shape[1] - 1))
-    return table
-
-
-def _probabilities(amps: np.ndarray) -> np.ndarray:
-    """sum_a |amps[m, a]|^2 for each m, summed a block of rows at a time."""
-    probs = np.empty(amps.shape[0])
-    for start in range(0, probs.size, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        np.sum(np.abs(amps[rows]) ** 2, axis=1, out=probs[rows])
-    return probs
-
-
 def _read_out(probs: np.ndarray, cfg: QpeConfig) -> Register1Distribution:
     """The distribution of cfg's read-out, taking over the writable probs.
 
@@ -169,21 +135,74 @@ def _read_out(probs: np.ndarray, cfg: QpeConfig) -> Register1Distribution:
     return Register1Distribution(probs, "sampled", shots=cfg.shots, seed=cfg.rng_seed)
 
 
+def _fejer_rows(theta: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """P(k) of the module docstring, M = size, weights[a] = |w_a|^2.
+
+    Each theta is split exactly into its nearest row k0 and r = theta -
+    2 pi k0 / M. At row k0 + j, sin^2(M d / 2) = sin^2(M r / 2) and
+    sin(d / 2) = cos(r / 2) cos(o) (tan(r / 2) - tan(o)), o = pi j / M, so
+    the colors share tan(o) and cos(o), made a block of j at a time.
+    """
+    step = TWO_PI / size
+    probs = np.zeros(size)
+    colors = []
+    for phase, weight in zip(theta.tolist(), weights.tolist()):
+        # math.remainder is exact against fl(2 pi) and fl(2 pi) / M; r then
+        # takes off what each turn and step drops of 2 pi, which moves r out
+        # of its bin only past |theta| ~ 1e16 / M
+        wrapped = math.remainder(phase, TWO_PI)
+        r = math.remainder(wrapped, step)
+        k0 = round((wrapped - r) / step)
+        r -= ((phase - wrapped) / TWO_PI + k0 / size) * _TWO_PI_LOW
+        shift = round(r / step)
+        k0, r = (k0 + shift) % size, r - shift * step
+        # scaling by size, a power of two, is exact
+        edge = math.sin(0.5 * size * r)
+        numerator = weight * (edge / (size * math.cos(0.5 * r))) ** 2
+        colors.append((k0, math.tan(0.5 * r), numerator))
+        # the kernel at j = 0 is 0/0 at r == 0, and 1 to rounding wherever
+        # halving r may round
+        if abs(r) >= 1e-300:
+            weight *= (edge / (size * math.sin(0.5 * r))) ** 2
+        probs[k0] += weight
+    opcount.add(theta.size * size)
+
+    # size and BLOCK_ROWS are powers of two, so every block is full
+    x = np.empty(min(size, BLOCK_ROWS))
+    for start in range(-(size // 2), size // 2, x.size):
+        # each o is pi / M times its own exact j; an o added to the block
+        # start's can round by ulp(pi), 1e-12 of the kernel next to j = 0
+        offsets = np.arange(start, start + x.size, dtype=np.float64) * (math.pi / size)
+        tangents = np.tan(offsets)
+        cosines = np.cos(offsets, out=offsets)
+        if -x.size < start <= 0:
+            tangents[-start] = math.inf  # j = 0 takes no term here
+        for k0, tan_half_r, numerator in colors:
+            np.subtract(tan_half_r, tangents, out=x)
+            x *= cosines
+            np.square(x, out=x)
+            np.divide(numerator, x, out=x)
+            row = (k0 + start) % size
+            head = min(x.size, size - row)
+            probs[row:row + head] += x[:head]
+            probs[:x.size - head] += x[head:]
+        # freed before the next block's tables are made
+        del offsets, tangents, cosines
+    return probs
+
+
 def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
     """Full pipeline; returns the modal read-out and its phase 2 pi k / 2^t.
 
-    U comes as its spectrum (theta, V), with V orthonormal. The circuit
-    runs in one register held in U's eigenbasis (see the module docstring).
-    A register above REGISTER_BYTES_GUARD is refused before anything is
-    allocated, and the register's norm is checked to within 1e-10 after the
-    controlled powers and after the QFT. Ties in the distribution break
-    toward the smallest k, which makes the estimate deterministic in both
-    exact and sampled modes.
+    U comes as its spectrum (theta, V), with V orthonormal. A problem whose
+    2^t x n register would pass REGISTER_BYTES_GUARD is refused before
+    anything is allocated, and V^dagger u must have norm 1 within 1e-10.
+    Ties in the distribution break toward the smallest k, which makes the
+    estimate deterministic in both exact and sampled modes.
     """
     u = require_unit_vector(color, "register-2 state")
     t_bits, n = cfg.t_bits, u.size
-    size, lo = cfg.register_size, t_bits // 2
-    nbytes = size * n * np.dtype(np.complex128).itemsize
+    nbytes = cfg.register_size * n * np.dtype(np.complex128).itemsize
     if nbytes > REGISTER_BYTES_GUARD:
         raise ResourceLimitError(
             f"register of 2^{t_bits} x {n} amplitudes needs {nbytes} bytes, "
@@ -195,28 +214,12 @@ def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
             f"unitary dimension {theta.size} does not match register-2 "
             f"dimension {n}"
         )
-    # the phases stay unitary to rounding at any t, where repeated squaring
-    # would compound it
-    low, high = _phase_table(theta, 0, lo), _phase_table(theta, lo, t_bits)
-    w = v.conj().T @ (u / math.sqrt(size))
-    amps = np.empty((size, n), dtype=np.complex128, order="F")
-    # amps.T[a, m] split as (m >> lo, m mod 2^lo), one table per index;
-    # w times low, then times high
-    split = amps.T.reshape(n, -1, 1 << lo)
-    np.multiply(w[:, None, None], low[:, None, :], out=split)
-    split *= high[:, :, None]
-    opcount.add(n * n + 2 * size * n)
-    require_unit_norm(amps, "register")
-    # the inverse QFT, out[k] = 2^(-t/2) sum_m e^(-2 pi i k m / 2^t) in[m]
-    # per color: np.fft.fft's kernel, scaled by 2^(-t/2) inside the transform
-    np.fft.fft(amps, axis=0, norm="ortho", out=amps)
-    opcount.add(n * (size // 2) * t_bits)
-    require_unit_norm(amps, "register")
-    probs = _probabilities(amps)
-    # nothing reads the register after its probabilities, so it is freed
-    # before a sampled read-out allocates its counts
-    del amps, split
-    dist = _read_out(probs, cfg)
+    w = v.conj().T @ u
+    opcount.add(n * n)
+    require_unit_norm(w, "register")
+    # the blocks are freed on return, before a sampled read-out allocates
+    # its counts
+    dist = _read_out(_fejer_rows(theta, np.abs(w) ** 2, cfg.register_size), cfg)
     # np.argmax would copy the read-only probabilities; the first k at the
     # maximum is the same read-out
     probs = dist.probs

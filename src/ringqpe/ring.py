@@ -62,11 +62,11 @@ _DENSITY_INTEGRAL_TOL = 1e-8
 # The ring route's working set, bytes per mode and color plus bytes per
 # grid point, each the largest peak measured under tracemalloc rounded up:
 # 94.5 at l = 1024, n = 64, N = 8192 and 87.3 for ring-sim at l = 3,
-# N = 2^18. Per mode and color, the packet and the evolved state are held
-# while the density's (L, n) transform takes under 64 (L < 4(2l+1));
-# evolve_block alone peaks at 72. Per grid point, ring-sim holds its three
-# default snapshots, each a density and its grid, while the peak read-out
-# makes shifted copies of the density.
+# N = 2^18 while it held every snapshot (55.2 since it holds one at a time).
+# Per mode and color, the packet and the evolved state are held while the
+# density's (L, n) transform takes under 64 (L < 4(2l+1)); evolve_block
+# alone peaks at 72. Per grid point, ring-sim holds the density at t_R and
+# its grid while the peak read-out makes shifted copies of the density.
 _BYTES_PER_MODE_COLOR = 96
 _BYTES_PER_POINT = 96
 
@@ -294,6 +294,22 @@ def _require_same_colors(state: RingState, gauge: GaugeField) -> None:
         )
 
 
+def phase_angles(gauge: GaugeField, mode_cutoff_l: int, t: float) -> np.ndarray:
+    """E_{m,k} t / hbar per mode m and gauge eigencolor k; refuses a time or
+    phase that is not finite, which holds for every smaller |t| too."""
+    if not math.isfinite(t):
+        raise PreconditionError("time must be finite")
+    hbar = gauge.params.hbar
+    # extreme constants overflow here; the check below names the cause
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = gauge.mode_energies(mode_cutoff_l) * (t / hbar)
+    if not np.all(np.isfinite(angles)):
+        raise PreconditionError(
+            f"phase E t / hbar is not finite at t = {t!r}, hbar = {hbar!r}"
+        )
+    return angles
+
+
 def evolve_block(state: RingState, gauge: GaugeField, t: float) -> RingState:
     """Apply exp(-i H_m t / hbar) to every mode in the gauge eigenbasis.
 
@@ -304,17 +320,7 @@ def evolve_block(state: RingState, gauge: GaugeField, t: float) -> RingState:
     benchmarked against.
     """
     _require_same_colors(state, gauge)
-    if not math.isfinite(t):
-        raise PreconditionError("time must be finite")
-    hbar = gauge.params.hbar
-    # extreme constants overflow here; the check below names the cause
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = gauge.mode_energies(state.mode_cutoff_l) * (t / hbar)
-    if not np.all(np.isfinite(angles)):
-        raise PreconditionError(
-            f"phase E t / hbar is not finite at t = {t!r}, hbar = {hbar!r}"
-        )
-    phases = np.exp(-1j * angles)
+    phases = np.exp(-1j * phase_angles(gauge, state.mode_cutoff_l, t))
     v = gauge.eigenvectors
     # (V^dagger c_m) per mode, scale by the phases, map back with V
     rotated = (phases * (state.coeffs @ v.conj())) @ v.T

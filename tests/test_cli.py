@@ -206,7 +206,7 @@ class TestRingSim:
         signed = read_summary_value(out, "dominant eigenphase (signed)")
         assert abs(signed - np.pi / 2) < TWO_PI / 101
 
-    @pytest.mark.parametrize("times", [None, "0,0.25"])
+    @pytest.mark.parametrize("times", [None, "0,0.25", "1,0,0.25,0,1"])
     def test_evolves_each_time_once_and_reads_peaks_at_t_r(
             self, tmp_path, sigma_x_file, sigma_x_problem, monkeypatch, times):
         calls = {"evolve_block": 0, "position_density": 0}
@@ -226,8 +226,14 @@ class TestRingSim:
         out = tmp_path / "out"
         argv = ["ring-sim", "--problem", str(sigma_x_file), "--out-dir", str(out)]
         assert main(argv + (["--times", times] if times else [])) == 0
-        # snapshots at 0, 0.5 (or 0.25) and 1; t_R is fraction 1 either way
+        # snapshots at 0, 0.5 (or 0.25) and 1; t_R is fraction 1 either way,
+        # and a repeated time's file is a copy of its first
         assert calls == {"evolve_block": 3, "position_density": 3}
+        fractions = (times or "0,0.5,1").split(",")
+        for i, fraction in enumerate(fractions):
+            first = fractions.index(fraction)
+            assert ((out / f"density_{i:02d}.csv").read_bytes()
+                    == (out / f"density_{first:02d}.csv").read_bytes())
 
         gauge = rq.encode_as_gauge(sigma_x_problem, rq.RingPhysicalParams())
         library = rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 512)
@@ -384,8 +390,10 @@ class TestRingArguments:
         (["ring-sim", "--times", "nan"], "is not finite"),
         (["ring-sim", "--times", "0,inf"], "is not finite"),
         (["ring-sim", "--times", "1e308"], "is not finite"),
+        # t is finite, but E t / hbar overflows at the last snapshot only
+        (["ring-sim", "--times", "0,0.5,1e305"], "phase E t / hbar is not finite"),
         (["compare", "-l", "0"], "mode cutoff must be >= 1"),
-    ], ids=["ring-sim-l0", "nan", "inf", "overflow", "compare-l0"])
+    ], ids=["ring-sim-l0", "nan", "inf", "overflow", "late-phase", "compare-l0"])
     def test_refused_before_any_output(self, tmp_path, sigma_x_file, capsys,
                                        argv, message):
         # these were refused only after the output directory was made
@@ -474,8 +482,8 @@ class TestMemoryGuards:
         assert not out.exists()
 
     def test_ring_sim_peak_stays_under_the_guard(self, tmp_path, sigma_x_file):
-        # the grid-bound side: three density snapshots, each with its grid,
-        # and the peak read-out's shifted copies of the density
+        # the grid-bound side: the density at t_R with its grid, and the
+        # peak read-out's shifted copies of the density
         import tracemalloc
 
         l, n_grid = 3, 1 << 16
@@ -491,6 +499,30 @@ class TestMemoryGuards:
         bound = (ring_module._BYTES_PER_MODE_COLOR * (2 * l + 1) * 2
                  + ring_module._BYTES_PER_POINT * n_grid)
         assert peak <= bound
+
+    def test_ring_sim_holds_one_snapshot_at_a_time(self, tmp_path, sigma_x_file,
+                                                    monkeypatch):
+        # every snapshot used to be held until all were written, 16 bytes a
+        # point more for each time; the CSV text is stubbed out, as its
+        # repr of every float takes half a minute under tracemalloc here
+        import tracemalloc
+
+        monkeypatch.setattr(cli, "write_density_csv",
+                            lambda density, path: open(path, "w").close())
+        n_grid = 1 << 18
+        peaks = []
+        for times in ("0,0.5,1", ",".join(str(i / 10) for i in range(10))):
+            tracemalloc.start()
+            try:
+                code = main(["ring-sim", "--problem", str(sigma_x_file),
+                             "--out-dir", str(tmp_path / times),
+                             "-l", "3", "-N", str(n_grid), "--times", times])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + n_grid
 
     def test_shots_past_the_sampler_are_refused(self, tmp_path, sigma_x_file):
         # numpy's multinomial raised an OverflowError traceback on these

@@ -168,6 +168,20 @@ class TestControlledStage:
         with pytest.raises(rq.PreconditionError, match="not unitary"):
             rq.qpe_estimate(skew, np.array([1.0, 0.0]), rq.QpeConfig(2))
 
+    def test_makes_no_fft(self, monkeypatch):
+        # the read-out is the closed form of the inverse QFT, not a transform
+        rng = np.random.default_rng(3201)
+        spectrum = rq.eig_unitary(random_unitary(rng, 3))
+        color = random_state(rng, 3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran a Fourier transform")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(6))
+        assert abs(est.distribution.probs.sum() - 1.0) < 1e-12
+
     def test_makes_no_decomposition(self, monkeypatch):
         rng = np.random.default_rng(3200)
         spectrum = rq.eig_unitary(random_unitary(rng, 3))
@@ -223,13 +237,13 @@ class TestOneRegisterPipeline:
             counts = np.random.default_rng(17).multinomial(shots, staged / staged.sum())
             assert np.array_equal(est.distribution.probs, counts / shots)
 
-    # the register plus one block of rows, the phase tables and the 2^t
-    # probabilities, half a register at n = 1; a uniform register built
-    # beside it, an out-of-place transform, or a copy of the
-    # probabilities (np.argmax makes one of a read-only array) would add a
-    # register at n = 32 or half of one at n = 1. A sampled read-out adds
+    # bounds in registers, 2^t n complex amplitudes, which qpe_estimate
+    # never builds; a (2^t, n) array of any kind would break 1.25 at n = 32.
+    # At n = 1 the run holds the 2^t probabilities, half a register, and
+    # its blocks; a copy of the probabilities (np.argmax makes one of a
+    # read-only array) would add half a register. A sampled read-out adds
     # its counts and numpy's multinomial, and stays below 1.7 only if the
-    # register is freed before it
+    # blocks are freed before it
     @pytest.mark.parametrize("n,shots,bound", [
         (32, 0, 1.25), (1, 0, 1.8), (1, 500, 1.7),
     ], ids=["32-1.25", "1-1.8", "1-sampled-1.7"])
@@ -248,6 +262,26 @@ class TestOneRegisterPipeline:
         finally:
             tracemalloc.stop()
         assert peak < bound * nbytes
+
+    @pytest.mark.parametrize("n", [1, 32])
+    def test_peak_memory_is_the_probabilities_and_its_blocks(self, n):
+        import tracemalloc
+
+        # the 2^t probabilities and three blocks of BLOCK_ROWS rows, about
+        # 1.2 of the probabilities at t = 16 for any n; a fourth block, or
+        # any temporary that grows with n, would pass 1.25
+        t = 16
+        nbytes = (1 << t) * 8
+        rng = np.random.default_rng(10)
+        spectrum = rq.eig_unitary(random_unitary(rng, n))
+        color = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            rq.qpe_estimate(spectrum, color, rq.QpeConfig(t))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * nbytes
 
     def test_refuses_oversized_register_before_allocating(self, monkeypatch):
         from ringqpe.qpe import REGISTER_BYTES_GUARD
@@ -270,16 +304,9 @@ class TestOneRegisterPipeline:
         for t in (1, 2, 5, 6):
             with rq.count_macs() as counter:
                 rq.qpe_estimate(spectrum, np.array([1.0, 0.0, 0.0]), rq.QpeConfig(t))
-            size, lo = 1 << t, t // 2
-            # the register-2 state is rotated into the eigenbasis once, not
-            # the register, and nothing is rotated back; then one multiply
-            # per amplitude for each of the two phase tables, one product
-            # per color for each table entry past the first, and the
-            # inverse QFT
-            tables = n * ((1 << lo) - 1) + n * ((1 << (t - lo)) - 1)
-            stage = n * n + 2 * size * n + tables
-            qft = n * (size // 2) * t
-            assert counter.total == stage + qft, f"t = {t}"
+            # the register-2 state is rotated into the eigenbasis once, and
+            # each color's kernel is evaluated once on every read-out row
+            assert counter.total == n * n + n * (1 << t), f"t = {t}"
 
 
 class TestSpectralOracle:
@@ -301,6 +328,48 @@ class TestSpectralOracle:
         want = spectral_register_distribution(t, theta, weights)
         got = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(t)).distribution.probs
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestEdgePhases:
+    """The closed form against the staged circuit where its kernel is 0/0,
+    splits evenly or wraps around the circle."""
+
+    @staticmethod
+    def staged_and_closed_form(t, theta, rng, color=None):
+        n = len(theta)
+        spectrum = rq.EigenDecomposition(np.asarray(theta, dtype=float),
+                                         random_unitary(rng, n))
+        if color is None:
+            color = random_state(rng, n)
+        want = staged_circuit_distribution(t, spectrum, color)
+        got = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t)).distribution.probs
+        assert np.max(np.abs(got - want)) < 1e-12
+        return got
+
+    @pytest.mark.parametrize("t", [3, 6, 10, 16, 20])
+    def test_phase_on_a_bin(self, t):
+        k = (1 << t) // 3
+        probs = self.staged_and_closed_form(
+            t, [TWO_PI * k / (1 << t)], np.random.default_rng(t), np.array([1.0])
+        )
+        assert probs[k] >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("t", [6, 16, 20])
+    def test_half_bin_phase_splits_evenly(self, t):
+        probs = self.staged_and_closed_form(
+            t, [TWO_PI * 5.5 / (1 << t)], np.random.default_rng(t), np.array([1.0])
+        )
+        assert abs(probs[5] - probs[6]) < 1e-12
+
+    @pytest.mark.parametrize("t", [6, 16, 20])
+    @pytest.mark.parametrize("phase", [TWO_PI - 1e-9, -1e-12, np.pi, -np.pi],
+                             ids=["2pi-1e-9", "-1e-12", "+pi", "-pi"])
+    def test_phases_at_the_seams(self, t, phase):
+        self.staged_and_closed_form(t, [phase, 1.0], np.random.default_rng(t))
+
+    @pytest.mark.parametrize("t", [6, 16, 20])
+    def test_degenerate_pair(self, t):
+        self.staged_and_closed_form(t, [0.7, 0.7, -2.0], np.random.default_rng(t))
 
 
 class TestMeasurement:
@@ -404,11 +473,11 @@ class TestMeasurement:
         exact = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t)).distribution.probs
         counts = np.random.default_rng(3).multinomial(shots, exact / exact.sum())
         assert np.array_equal(est.distribution.probs, counts / shots)
-        # the register, its probabilities and the int64 counts, 2.0
-        # registers at n = 1, plus numpy's sampling scratch; a normalised
-        # copy, a new histogram array or a copy of it for the distribution
-        # would add half a register each
-        assert peak < 2.3 * nbytes
+        # the probabilities and the int64 counts, 1.0 register at n = 1,
+        # plus numpy's sampling scratch; a normalised copy, a new histogram
+        # array or a copy of it for the distribution would add half a
+        # register each
+        assert peak < 1.4 * nbytes
 
 
 class TestEndToEnd:
