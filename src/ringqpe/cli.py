@@ -50,13 +50,13 @@ from .ring import (
     RingPhysicalParams,
     estimate_phase_via_ring,
     evolve_block,
+    extract_peaks,
     initial_localized_state,
     peak_set_to_json,
     phase_angles,
     position_density,
     require_ring_grid,
     return_time,
-    revival_peaks,
     write_density_csv,
 )
 
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     ring.add_argument("-l", "--mode-cutoff", dest="mode_cutoff_l", type=int,
                       help="angular momentum cutoff (modes -l..l)")
     ring.add_argument("-N", "--grid-size", dest="grid_size_n", type=int,
-                      help="position grid size (N >= 2l+1)")
+                      help="position grid size (N >= 4l+1, for the peak read-out)")
     ring.add_argument("--times", help="comma-separated snapshot times as "
                                       "fractions of the return time")
 
@@ -299,9 +299,15 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     gauge = encode_as_gauge(problem, params)
     # the largest |t| checks every snapshot before any is evolved
     phase_angles(gauge, cfg.mode_cutoff_l, max(fractions, key=abs) * t_r)
-    state = initial_localized_state(cfg.mode_cutoff_l, problem.state)
-    density = position_density(evolve_block(state, gauge, t_r), cfg.grid_size_n)
-    peaks = revival_peaks(density, cfg.mode_cutoff_l, gauge.n_colors)
+
+    def density_at(fraction):
+        # a fresh packet each time, freed as soon as it has evolved
+        evolved = evolve_block(initial_localized_state(cfg.mode_cutoff_l, problem.state),
+                               gauge, fraction * t_r)
+        return position_density(evolved, cfg.grid_size_n)
+
+    density = density_at(1.0)
+    peaks = extract_peaks(density, cfg.mode_cutoff_l, gauge.n_colors)
 
     # made only once every refusal is past, so a refused run leaves nothing
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -316,8 +322,7 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     del density
     for fraction, path in first.items():
         if fraction != 1.0:
-            evolved = evolve_block(state, gauge, fraction * t_r)
-            write_density_csv(position_density(evolved, cfg.grid_size_n), path)
+            write_density_csv(density_at(fraction), path)
     for fraction, path in zip(cfg.times, snapshot_paths):
         if path != first[fraction]:
             shutil.copyfile(first[fraction], path)
@@ -332,10 +337,7 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
         f"peaks found: {len(peaks)}",
     ]
     for i, p in enumerate(peaks):
-        lines.append(
-            f"  peak {i}: phi = {p.phi:.6f}, weight = {p.weight:.4f}, "
-            f"width = {p.width:.6f}"
-        )
+        lines.append(f"  peak {i}: phi = {p.phi:.6f}, weight = {p.weight:.4f}")
     if len(peaks):
         signed = unwrap_phase(peaks.dominant.phi)
         lines.append(f"dominant eigenphase (signed) = {signed:.6f}")

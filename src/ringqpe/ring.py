@@ -61,14 +61,21 @@ VELOCITY_FACTOR = 2.0
 _DENSITY_INTEGRAL_TOL = 1e-8
 # The ring route's working set, bytes per mode and color plus bytes per
 # grid point, each the largest peak measured under tracemalloc rounded up:
-# 94.5 at l = 1024, n = 64, N = 8192 and 87.3 for ring-sim at l = 3,
-# N = 2^18 while it held every snapshot (55.2 since it holds one at a time).
-# Per mode and color, the packet and the evolved state are held while the
-# density's (L, n) transform takes under 64 (L < 4(2l+1)); evolve_block
-# alone peaks at 72. Per grid point, ring-sim holds the density at t_R and
-# its grid while the peak read-out makes shifted copies of the density.
+# 94.5 at l = 1024, n = 64, N = 8192 for a caller that holds the packet and
+# the evolved state beside the density's (L, n) transform (ring-sim and
+# estimate_phase_via_ring free the packet first and, with the peak
+# read-out's R factor and SVD, peak at 86), and
+# 29.6 for ring-sim at l = 3, N = 2^16, its density at t_R and grid beside
+# the CSV rows being written (the read-out's transform takes under 25).
 _BYTES_PER_MODE_COLOR = 96
-_BYTES_PER_POINT = 96
+_BYTES_PER_POINT = 32
+
+# the peak read-out factors its Hankel matrix this many rows at a time,
+# merges poles closer than this many lobes 2 pi/(2l+1) and drops weights
+# at or below the floor
+_QR_BLOCK_ROWS = 256
+_MERGE_LOBES = 0.25
+_WEIGHT_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -193,19 +200,16 @@ class PositionDensity:
 
 @dataclass(frozen=True)
 class Peak:
-    """One relocalization peak: position, integrated weight, spread."""
+    """One relocalization peak: its eigenphase and weight."""
 
     phi: float
     weight: float
-    width: float
 
     def __post_init__(self):
         if not (0.0 <= self.phi < TWO_PI):
             raise PreconditionError(f"peak phase {self.phi} outside [0, 2*pi)")
         if not (-1e-12 <= self.weight <= 1.0 + 1e-6):
             raise PreconditionError(f"peak weight {self.weight} outside [0, 1]")
-        if self.width < 0:
-            raise PreconditionError("peak width must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -406,106 +410,93 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     return PositionDensity(phi_grid, density)
 
 
-def extract_peaks(density: PositionDensity, max_peaks: int, window: int) -> PeakSet:
-    """Locate up to max_peaks local maxima and weigh them by window mass.
+def _stacked_r(rows: int, block) -> np.ndarray:
+    """R of the QR of a tall matrix given as block(start, stop) row slices.
 
-    Peaks are circular local maxima of the sampled density, accepted in
-    descending height order subject to a minimum separation of `window`
-    bins, so their windows never overlap. Each accepted peak is refined to
-    the circular centroid of the density over its window; its weight is the
-    integrated density over the window and its width the weighted circular
-    spread. Choose `window` wide enough to cover the resolution lobe when
-    weights matter.
+    Each slice of up to _QR_BLOCK_ROWS rows is stacked under the running R
+    and factored again, so only one slice and R are held at a time.
     """
-    if max_peaks < 1:
-        raise PreconditionError(f"max_peaks must be >= 1, got {max_peaks}")
-    if window < 1 or window % 2 == 0:
-        raise PreconditionError(f"window must be a positive odd integer, got {window}")
-    n_bins = density.grid_size_N
-    if window > n_bins:
-        raise PreconditionError(
-            f"window of {window} bins exceeds the {n_bins}-point grid"
-        )
-    d = density.density
-    half = (window - 1) // 2
-    bin_width = TWO_PI / n_bins
+    r = None
+    for start in range(0, rows, _QR_BLOCK_ROWS):
+        part = block(start, min(rows, start + _QR_BLOCK_ROWS))
+        r = np.linalg.qr(part if r is None else np.vstack((r, part)), mode="r")
+    return r
 
-    # strict on one side so flat stretches contribute no candidates
-    is_max = (d > np.roll(d, 1)) & (d >= np.roll(d, -1))
-    cand = np.flatnonzero(is_max)
-    # candidates by descending height; ties resolve to the lower index
-    order = cand[np.argsort(-d[cand], kind="stable")]
 
-    # a bin is blocked once it lies closer than `window` to an accepted peak
-    blocked = np.zeros(n_bins, dtype=bool)
-    reach = np.arange(-(window - 1), window)
-    accepted: list[int] = []
-    for j in order.tolist():
-        if blocked[j]:
-            continue
-        accepted.append(j)
-        if len(accepted) == max_peaks:
-            break
-        blocked[(j + reach) % n_bins] = True
+def extract_peaks(density: PositionDensity, mode_cutoff_l: int,
+                  n_colors: int) -> PeakSet:
+    """Read the eigenphases and their weights off the density at t_R.
 
-    peaks = []
-    for j in accepted:
-        idx = (j + np.arange(-half, half + 1)) % n_bins
-        mass = float(d[idx].sum())
-        weight = mass * bin_width
-        if mass <= 0.0:
-            phi = float(density.phi_grid[j])
-            width = 0.0
-        else:
-            z = np.sum(d[idx] * np.exp(1j * density.phi_grid[idx]))
-            phi = float(wrap_to_unit(np.angle(z)))
-            dev = wrap_to_signed(density.phi_grid[idx] - phi)
-            width = float(math.sqrt(np.sum(d[idx] * dev ** 2) / mass))
-        peaks.append(Peak(phi, min(weight, 1.0 + 1e-9), width))
+    There the density is sum_k w_k F(phi - phi_k), one Fejer kernel of the
+    2l+1 modes per eigenphase, so its Fourier moments with the kernel's
+    triangle divided out are y_q = sum_k w_k e^{i q phi_k}, q = 0..2l. A
+    matrix pencil (Hua and Sarkar, IEEE TASSP 1990) inverts them exactly:
+    the singular values of their Hankel matrix, K+1 = min(l, 2 n_colors)+1
+    columns, above (2l+1)^2 eps of the largest (the rounding of the
+    2 pi m^2 phase at the top mode) count at most n_colors components; the
+    shift invariance of the top right singular vectors gives the poles
+    e^{i phi_k}, and least squares of y on them the weights. Poles closer
+    than a quarter lobe 2 pi/(2l+1) are one component, of their summed
+    weight at the weighted circular mean. The moments alias unless
+    N >= 4l+1, so a coarser grid is refused.
+    """
+    l = mode_cutoff_l
+    _require_read_out_grid(l, density.grid_size_N)
+    count = 2 * l + 1
+    q = np.arange(count)
+    y = np.fft.rfft(density.density)[:count].conj()
+    y *= TWO_PI * count / (density.grid_size_N * (count - q))
 
+    hankel = np.lib.stride_tricks.sliding_window_view(y, min(l, 2 * n_colors) + 1)
+    _, sv, vh = np.linalg.svd(_stacked_r(len(hankel), lambda a, b: hankel[a:b]))
+    cut = count ** 2 * np.finfo(float).eps * sv[0]
+    order = min(n_colors, int(np.count_nonzero(sv > cut)))
+    # the top rows of vh span the Hankel rows (z_k^j)_j, so one shift maps
+    # that span onto itself with eigenvalues z_k
+    basis = vh[:order].T
+    shift = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0]
+    phases = np.angle(np.linalg.eigvals(shift))
+    r = _stacked_r(count, lambda a, b: np.column_stack(
+        (np.exp(1j * np.outer(q[a:b], phases)), y[a:b])))
+    weights = np.linalg.solve(r[:order, :order], r[:order, order]).real
+
+    tolerance = _MERGE_LOBES * TWO_PI / count
+    clusters = []  # [phase of its heaviest pole, weight, sum of w e^{i phi}]
+    for w, phi in sorted(zip(weights, phases), reverse=True):
+        home = next((c for c in clusters
+                     if abs(wrap_to_signed(phi - c[0])) < tolerance), None)
+        if home is None:
+            home = [phi, 0.0, 0j]
+            clusters.append(home)
+        home[1] += w
+        home[2] += w * np.exp(1j * phi)
+    peaks = [Peak(wrap_to_unit(np.angle(z)), float(w))
+             for _, w, z in clusters if w > _WEIGHT_FLOOR]
     peaks.sort(key=lambda p: (-p.weight, p.phi))
-    return PeakSet(tuple(peaks), bin_width)
+    return PeakSet(tuple(peaks), TWO_PI / density.grid_size_N)
 
 
-def default_peak_window(mode_cutoff_l: int, grid_size_N: int) -> int:
-    """Odd window covering +-8 resolution lobes of the kernel.
-
-    The localized packet's density lobe first touches zero 2 pi/(2l+1) away
-    from its center, i.e. N/(2l+1) bins. Integrating +-8 of those captures
-    about 99 percent of a lobe's mass, enough for weights good to 0.01.
-    """
-    lobe_bins = grid_size_N / (2 * mode_cutoff_l + 1)
-    w = 2 * math.ceil(8 * lobe_bins) + 1
-    cap = grid_size_N // 2
-    if cap % 2 == 0:
-        cap -= 1
-    return max(1, min(w, cap))
+def _require_read_out_grid(mode_cutoff_l: int, grid_size_N: int) -> None:
+    if grid_size_N < 4 * mode_cutoff_l + 1:
+        raise ResolutionError(
+            f"grid of {grid_size_N} points aliases the density's moments up "
+            f"to 2l = {2 * mode_cutoff_l}; the peak read-out needs N >= 4l+1"
+        )
 
 
 def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
                             grid_size_N: int) -> PeakSet:
-    """Full read-out: localize, evolve for t_R, locate relocalization peaks.
+    """Full read-out: localize, evolve for t_R, read the peaks.
 
-    The grid is checked before anything evolves; peaks are read as
-    revival_peaks reads them.
+    Both grid rules are checked before anything evolves, and the packet and
+    the evolved state are freed once used.
     """
     require_ring_grid(mode_cutoff_l, gauge.n_colors, grid_size_N)
-    state = initial_localized_state(mode_cutoff_l, color)
-    evolved = evolve_block(state, gauge, return_time(gauge.params))
-    density = position_density(evolved, grid_size_N)
-    return revival_peaks(density, mode_cutoff_l, gauge.n_colors)
-
-
-def revival_peaks(density: PositionDensity, mode_cutoff_l: int,
-                  n_colors: int) -> PeakSet:
-    """Peaks of the density at t_R, as the read-out takes them.
-
-    One candidate peak per color, n_colors in all, each over a window
-    matched to the mode-cutoff resolution, so peak weights track the color
-    overlaps |c_k|^2 with the gauge eigencolors.
-    """
-    window = default_peak_window(mode_cutoff_l, density.grid_size_N)
-    return extract_peaks(density, n_colors, window)
+    _require_read_out_grid(mode_cutoff_l, grid_size_N)
+    density = position_density(evolve_block(
+        initial_localized_state(mode_cutoff_l, color), gauge, return_time(gauge.params)
+    ), grid_size_N)
+    return extract_peaks(density, mode_cutoff_l, gauge.n_colors)
 
 
 def write_density_csv(density: PositionDensity, path) -> None:
@@ -516,8 +507,7 @@ def write_density_csv(density: PositionDensity, path) -> None:
 def peak_set_to_json(peak_set: PeakSet) -> dict:
     return {
         "peaks": [
-            {"phi": p.phi, "weight": p.weight, "width": p.width}
-            for p in peak_set.peaks
+            {"phi": p.phi, "weight": p.weight} for p in peak_set.peaks
         ],
         "resolution": peak_set.resolution,
     }

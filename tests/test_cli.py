@@ -246,6 +246,29 @@ class TestRingSim:
         assert code == 1
         assert "N >= 2l+1" in capsys.readouterr().err
 
+    def test_grid_that_aliases_the_read_out_leaves_no_output(
+            self, tmp_path, sigma_x_file, capsys):
+        out = tmp_path / "out"
+        code = main(["ring-sim", "--problem", str(sigma_x_file),
+                     "--out-dir", str(out), "-l", "50", "-N", "150"])
+        assert code == 1
+        assert "N >= 4l+1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_components_eight_lobes_apart_are_both_read(self, tmp_path, capsys):
+        # the +-8-lobe peak window merged these into one peak at 1.305
+        problem = rq.EnergyProblem(np.diag([1.0, 1.5]), 1.0,
+                                   np.array([1.0, 1.0]) / math.sqrt(2.0))
+        path = write_problem(tmp_path, problem, "pair.json")
+        out = tmp_path / "out"
+        assert main(["ring-sim", "--problem", str(path), "--out-dir", str(out),
+                     "-l", "50", "-N", "512"]) == 0
+        peaks = json.loads((out / "peaks.json").read_text())["peaks"]
+        assert sorted(p["phi"] for p in peaks) == pytest.approx([1.0, 1.5], abs=1e-9)
+        assert [p["weight"] for p in peaks] == pytest.approx([0.5, 0.5], abs=1e-9)
+        energy = read_summary_value(out, "energy = E_R * phase")
+        assert min(abs(energy - 1.0), abs(energy - 1.5)) < 1e-6
+
 
 class TestQpe:
     def test_exact_estimate(self, tmp_path, sigma_x_file):
@@ -344,6 +367,24 @@ class TestCompare:
         assert report["secondary_weight"] < 0.1
         assert report["ok"] is True
         assert abs(report["phi_eig"] - energies[0]) < 1e-12
+
+    @pytest.mark.parametrize("gap_lobes", [1, 2, 3, 5, 9])
+    def test_close_pair_is_ambiguous_and_reads_its_dominant_phase(
+            self, tmp_path, gap_lobes):
+        # lobes of compare's default l = 200; the peak window merged pairs
+        # closer than 16 of them and put phi_ring between the two
+        energies = np.array([0.4, 0.4 + gap_lobes * TWO_PI / 401])
+        rng = np.random.default_rng(gap_lobes)
+        v = random_unitary(rng, 3)
+        h = (v[:, :2] * energies) @ v[:, :2].conj().T + 2.5 * np.outer(v[:, 2], v[:, 2].conj())
+        state = v[:, :2] @ np.sqrt([0.7, 0.3])
+        path = write_problem(tmp_path, rq.EnergyProblem(h, 1.0, state), "pair.json")
+        out = tmp_path / "out"
+        code = main(["compare", "--problem", str(path), "--out-dir", str(out)])
+        assert code == 4
+        report = json.loads((out / "compare.json").read_text())
+        assert abs(report["phi_ring"] - energies[0]) < 1e-9
+        assert abs(report["secondary_weight"] - 0.3) < 1e-6
 
     def test_injected_register_error_trips_mismatch(
         self, tmp_path, sigma_x_file, monkeypatch, capsys

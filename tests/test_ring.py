@@ -12,7 +12,6 @@ import ringqpe.linalg as linalg_module
 import ringqpe.ring as ring_module
 from ringqpe.ring import (
     _squared_blocks,
-    default_peak_window,
     peak_set_to_json,
     write_density_csv,
 )
@@ -497,100 +496,71 @@ class TestPositionDensity:
         assert density.density[zero_bin] < 1e-10
 
 
-def spike_density(n_grid, spikes):
-    """Artificial normalized density with given (bin, mass) spikes."""
-    d = np.zeros(n_grid)
-    total = sum(mass for _, mass in spikes)
-    for j, mass in spikes:
-        d[j] = mass / total * n_grid / TWO_PI
-    phi = TWO_PI * np.arange(n_grid) / n_grid
-    return rq.PositionDensity(phi, d)
+def revival_density(l, n_grid, phases, weights):
+    """The colour-summed density at t_R of eigencolours at `phases`.
 
-
-def extract_peaks_by_full_sort(density, max_peaks, window):
-    """extract_peaks as it was written first: every bin sorted by height.
-
-    The reference for the candidate sort; the window refinement is the same.
+    Colour k carries sqrt(w_k / (2l+1)) e^{-i m phi_k} in every mode m, so
+    its density is w_k times the Fejer kernel of the 2l+1 modes at phi_k.
     """
-    d = density.density
-    n_bins = d.size
-    half = (window - 1) // 2
-    bin_width = TWO_PI / n_bins
-    is_max = (d > np.roll(d, 1)) & (d >= np.roll(d, -1))
-    accepted = []
-    for j in np.argsort(-d, kind="stable"):
-        if not is_max[j]:
-            continue
-        if all(min(abs(j - a), n_bins - abs(j - a)) >= window for a in accepted):
-            accepted.append(int(j))
-            if len(accepted) == max_peaks:
-                break
-    peaks = []
-    for j in accepted:
-        idx = (j + np.arange(-half, half + 1)) % n_bins
-        mass = float(d[idx].sum())
-        if mass <= 0.0:
-            phi, width = float(density.phi_grid[j]), 0.0
-        else:
-            z = np.sum(d[idx] * np.exp(1j * density.phi_grid[idx]))
-            phi = float(rq.wrap_to_unit(np.angle(z)))
-            dev = rq.wrap_to_signed(density.phi_grid[idx] - phi)
-            width = float(math.sqrt(np.sum(d[idx] * dev ** 2) / mass))
-        peaks.append(rq.Peak(phi, min(mass * bin_width, 1.0 + 1e-9), width))
-    peaks.sort(key=lambda p: (-p.weight, p.phi))
-    return rq.PeakSet(tuple(peaks), bin_width)
+    modes = np.arange(-l, l + 1)[:, None]
+    coeffs = np.sqrt(np.asarray(weights) / (2 * l + 1)) \
+        * np.exp(-1j * modes * np.asarray(phases))
+    return rq.position_density(rq.RingState(coeffs), n_grid)
 
 
-def quantized_density(levels):
-    """Normalized density proportional to small integers: ties everywhere."""
-    d = np.asarray(levels, dtype=float)
-    d *= d.size / (TWO_PI * d.sum())
-    phi = TWO_PI * np.arange(d.size) / d.size
-    return rq.PositionDensity(phi, d)
+def separated_phases(rng, count, lobe, pinned):
+    """`count` phases on the circle at least one lobe apart, the first at `pinned`."""
+    while True:
+        phases = np.concatenate(([pinned], rng.uniform(0.0, TWO_PI, count - 1)))
+        gaps = rq.circular_distance(phases[:, None], phases[None, :])
+        if np.all(gaps[np.triu_indices(count, 1)] >= lobe):
+            return phases
 
 
 class TestExtractPeaks:
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("max_peaks,window", [(1, 1), (3, 5), (8, 3), (64, 7)])
-    def test_matches_the_full_sort(self, seed, max_peaks, window):
-        # plateaus, equal maxima and maxima across the seam at bin 0
-        rng = np.random.default_rng(600 + seed)
-        levels = rng.integers(0, 4, size=97)
-        levels[10:14] = 5  # a plateau at the top height
-        levels[40] = levels[70] = levels[0] = levels[-1] = 5
-        density = quantized_density(levels)
-        assert rq.extract_peaks(density, max_peaks, window) \
-            == extract_peaks_by_full_sort(density, max_peaks, window)
-
-    def test_single_spike_carries_unit_weight(self):
-        density = spike_density(64, [(10, 1.0)])
-        peaks = rq.extract_peaks(density, max_peaks=3, window=5)
-        assert len(peaks) >= 1
-        top = peaks.dominant
-        assert abs(top.phi - TWO_PI * 10 / 64) < 1e-9
-        assert abs(top.weight - 1.0) < 1e-9
-
-    def test_two_spikes_sorted_by_weight(self):
-        density = spike_density(64, [(8, 0.3), (40, 0.7)])
-        peaks = rq.extract_peaks(density, max_peaks=2, window=5)
-        assert len(peaks) == 2
-        assert abs(peaks.peaks[0].phi - TWO_PI * 40 / 64) < 1e-9
-        assert abs(peaks.peaks[0].weight - 0.7) < 1e-9
-        assert abs(peaks.peaks[1].weight - 0.3) < 1e-9
-
     def test_flat_density_yields_only_trivial_weights(self):
         n_grid = 64
         phi = TWO_PI * np.arange(n_grid) / n_grid
         d = np.full(n_grid, 1.0 / TWO_PI)
         density = rq.PositionDensity(phi, d)
-        peaks = rq.extract_peaks(density, max_peaks=4, window=5)
+        peaks = rq.extract_peaks(density, 15, 4)
         assert all(p.weight <= 2.0 * 5 / n_grid + 1e-12 for p in peaks)
 
-    def test_minimum_separation_enforced(self):
-        # the secondary spike inside the exclusion zone must be absorbed
-        density = spike_density(64, [(10, 0.6), (12, 0.4)])
-        peaks = rq.extract_peaks(density, max_peaks=2, window=7)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_separated_components_are_read_exactly(self, seed):
+        # the seam at 0 = 2 pi (from either side) and pi are pinned in turn
+        rng = np.random.default_rng(1700 + seed)
+        pins = (0.0, TWO_PI * (1.0 - 1e-16), np.pi, -np.pi % TWO_PI)
+        for l in (10, 50, 200):
+            lobe = TWO_PI / (2 * l + 1)
+            for case in range(12):
+                n = int(rng.integers(2, 5))
+                count = int(rng.integers(2, n + 1))
+                phases = separated_phases(rng, count, lobe, pins[case % 4])
+                weights = rng.dirichlet(np.ones(count))
+                n_grid = int(rng.choice([4 * l + 1, 4 * l + 2, 8 * l, 1024]))
+                peaks = rq.extract_peaks(
+                    revival_density(l, n_grid, phases, weights), l, n)
+                assert len(peaks) == count
+                for phi, w in zip(phases, weights):
+                    nearest = min(peaks, key=lambda p: rq.circular_distance(p.phi, phi))
+                    assert rq.circular_distance(nearest.phi, phi) < 1e-9
+                    assert abs(nearest.weight - w) < 1e-6
+
+    @pytest.mark.parametrize("l,first", [(10, 0.5), (50, 0.7), (50, 0.3), (200, 0.99)])
+    def test_pair_closer_than_resolution_is_one_component(self, l, first):
+        phases = np.array([1.0, 1.0 + 1e-6])
+        density = revival_density(l, 4 * l + 1, phases, [first, 1.0 - first])
+        peaks = rq.extract_peaks(density, l, 2)
         assert len(peaks) == 1
+        assert abs(peaks.dominant.weight - 1.0) < 1e-9
+        assert abs(peaks.dominant.phi - (1.0 + (1.0 - first) * 1e-6)) < 1e-9
+
+    def test_grid_that_aliases_the_moments_is_refused(self):
+        density = revival_density(10, 40, [1.0], [1.0])
+        with pytest.raises(rq.ResolutionError, match="N >= 4l\\+1"):
+            rq.extract_peaks(density, 10, 1)
+        assert len(rq.extract_peaks(revival_density(10, 41, [1.0], [1.0]), 10, 1)) == 1
 
     def test_weight_sum_bounded(self, sigma_z_problem, natural_params):
         gauge = rq.encode_as_gauge(sigma_z_problem, natural_params)
@@ -598,13 +568,6 @@ class TestExtractPeaks:
             gauge, sigma_z_problem.state, 50, 512
         )
         assert sum(p.weight for p in peaks) <= 1.0 + 1e-6
-
-    def test_bad_window_rejected(self):
-        density = spike_density(32, [(4, 1.0)])
-        with pytest.raises(rq.PreconditionError):
-            rq.extract_peaks(density, max_peaks=1, window=4)
-        with pytest.raises(rq.PreconditionError):
-            rq.extract_peaks(density, max_peaks=0, window=5)
 
 
 class TestEstimatePhaseViaRing:
@@ -673,18 +636,9 @@ class TestEstimatePhaseViaRing:
         monkeypatch.setattr(ring_module, "evolve_block", forbidden)
         with pytest.raises(rq.ResolutionError, match="N >= 2l\\+1"):
             rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 64)
-
-
-class TestDefaultPeakWindow:
-    def test_odd_and_resolution_scaled(self):
-        w = default_peak_window(50, 512)
-        assert w % 2 == 1
-        assert w >= 2 * math.ceil(8 * 512 / 101)  # covers +-8 kernel lobes
-
-    def test_capped_on_tiny_grids(self):
-        w = default_peak_window(3, 16)
-        assert w % 2 == 1
-        assert w <= 8
+        # a grid that resolves the modes but aliases the read-out's moments
+        with pytest.raises(rq.ResolutionError, match="N >= 4l\\+1"):
+            rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 150)
 
 
 class TestGoldenDensity:
@@ -719,11 +673,11 @@ class TestSerialization:
 
     def test_peak_set_json_round_trip(self):
         peaks = rq.PeakSet(
-            (rq.Peak(1.5, 0.75, 0.01), rq.Peak(4.0, 0.25, 0.02)), 0.01
+            (rq.Peak(1.5, 0.75), rq.Peak(4.0, 0.25)), 0.01
         )
         obj = json.loads(json.dumps(peak_set_to_json(peaks)))
         back = rq.PeakSet(
-            tuple(rq.Peak(p["phi"], p["weight"], p["width"]) for p in obj["peaks"]),
+            tuple(rq.Peak(p["phi"], p["weight"]) for p in obj["peaks"]),
             obj["resolution"],
         )
         assert back.peaks == peaks.peaks
@@ -731,4 +685,4 @@ class TestSerialization:
 
     def test_peak_set_rejects_overweight(self):
         with pytest.raises(rq.PreconditionError):
-            rq.PeakSet((rq.Peak(1.0, 0.8, 0.0), rq.Peak(2.0, 0.4, 0.0)), 0.1)
+            rq.PeakSet((rq.Peak(1.0, 0.8), rq.Peak(2.0, 0.4)), 0.1)
