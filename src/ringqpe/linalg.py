@@ -13,6 +13,7 @@ Matrices cross module and file boundaries as JSON objects
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -30,8 +31,20 @@ BYTES_GUARD = 1 << 28
 UNIT_NORM_TOL = 1e-10
 # how far a Hermitian or unitary matrix may stray from that structure
 _STRUCTURE_TOL = 1e-10
-# rows a blocked kernel or CSV writer handles at a time
+# rows a blocked kernel handles at a time
 BLOCK_ROWS = 1 << 12
+# rows write_csv_rows lays out at a time, under 300 bytes each in flight
+_CSV_BLOCK_ROWS = 1 << 11
+# len(format(-1.7976931348623157e308, ".16e")), the longest float field
+_FLOAT_WIDTH = 24
+# the range of |x| whose format the float kernel certifies, and how close
+# to a rounding tie (in units of the 17th digit) it leaves to Python
+_FAST_MIN, _FAST_MAX = 1e-280, 1e290
+_TIE_MARGIN = 1e-6
+# 10^s for every s = 16 - e10 the kernel may try for such x
+_POW10_MIN, _POW10_MAX = -276, 298
+_LOG10_2 = 0.30102999566398120
+_ZERO, _MINUS = ord("0"), ord("-")
 
 # Pade-13 coefficients and norm threshold for scaling-and-squaring
 # (Higham 2005 constants).
@@ -246,19 +259,168 @@ def expm_dense(m, t: float) -> np.ndarray:
     return r
 
 
+@functools.cache
+def _float_tables():
+    """The float kernel's tables, made on first use and kept.
+
+    Column s - _POW10_MIN of `powers` is 10^s as hi + lo, hi = fl(10^s)
+    and lo = fl(10^s - hi) from exact integer division, then hi's two
+    Veltkamp halves. Entry i of `digits` holds the 4 ASCII digits of i as
+    one 4-byte word, so a gather moves them whole; only their bytes are
+    ever read, so the byte order does not matter.
+    """
+    his, los = [], []
+    for s in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        # int / int rounds correctly, however large its operands
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * b - a * den) / (den * b))
+    hi = np.array(his)
+    powers = np.stack((hi, np.array(los)) + _veltkamp(hi))
+    powers.setflags(write=False)
+    i = np.arange(10000, dtype=np.uint16)
+    digits = np.empty((i.size, 4), np.uint8)
+    for at, place in enumerate((1000, 100, 10, 1)):
+        digits[:, at] = i // place % 10 + _ZERO
+    digits = digits.view(np.uint32).ravel()
+    digits.setflags(write=False)
+    return powers, digits
+
+
+def _veltkamp(x):
+    """x as hi + lo with 26-bit halves, so their products are exact."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _scaled(a, e10, powers):
+    """floor and fraction of a * 10^(16 - e10), within 1e-13 below 1e18.
+
+    The product is a double-double: Dekker's exact product of a with
+    10^s's hi part, plus a times its lo part, each a separate IEEE
+    rounding, so the result does not depend on FMA or SIMD.
+    """
+    hi, lo, hi_hi, hi_lo = powers.take(16 - _POW10_MIN - e10, axis=1)
+    p = a * hi
+    a_hi, a_lo = _veltkamp(a)
+    q = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
+    q += a * lo
+    whole = np.floor(p)
+    frac = (p - whole) + q
+    step = np.floor(frac)
+    frac -= step
+    # whole is an integer, but past 2^53 not every one is a double
+    return whole.astype(np.int64) + step.astype(np.int64), frac
+
+
+def _write_floats(field, v):
+    """Write format(x, ".16e") of each x in v into its row of field.
+
+    field is a zeroed (len(v), _FLOAT_WIDTH) uint8 view; bytes a value does
+    not use stay 0. A value the kernel cannot certify is formatted by
+    Python: a non-finite one, a nonzero one outside [_FAST_MIN, _FAST_MAX],
+    and one whose scaled value lies within _TIE_MARGIN of a rounding tie.
+    """
+    powers, digits = _float_tables()
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)  # NaN compares False
+    a[~fast] = 1.0
+    # (e - 1) log10(2) <= log10(a) < e log10(2), so the guess is the
+    # exponent or one below it; the scaled value then tells which
+    e10 = np.floor((np.frexp(a)[1] - 1) * _LOG10_2).astype(np.int64)
+    whole, frac = _scaled(a, e10, powers)
+    off = (whole >= 10 ** 17).astype(np.int64) - (whole < 10 ** 16)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        e10[redo] += off[redo]
+        whole[redo], frac[redo] = _scaled(a[redo], e10[redo], powers)
+    slow = ~(fast | zero) | (np.abs(frac - 0.5) < _TIE_MARGIN)
+    slow |= (whole < 10 ** 16) | (whole >= 10 ** 17)
+    whole += frac > 0.5
+    # a carry to 10^17 is 1.0000000000000000 at the next exponent
+    carry = whole == 10 ** 17
+    whole[carry] = 10 ** 16
+    e10 += carry
+    # a zero was scaled as 1.0, at exponent 0
+    whole[zero] = 0
+
+    lead, rest = np.divmod(whole, 10 ** 16)
+    groups = np.empty((v.size, 4), np.int64)
+    high, low = np.divmod(rest, 10 ** 8)
+    np.divmod(high, 10 ** 4, out=(groups[:, 0], groups[:, 1]))
+    np.divmod(low, 10 ** 4, out=(groups[:, 2], groups[:, 3]))
+    field[:, 0] = np.signbit(v) * _MINUS
+    field[:, 1] = lead + _ZERO
+    field[:, 2] = ord(".")
+    field[:, 3:19] = digits[groups].view(np.uint8)
+    field[:, 19] = ord("e")
+    field[:, 20] = np.where(e10 < 0, _MINUS, ord("+"))
+    np.abs(e10, out=e10)
+    field[:, 21:24] = digits[e10].view(np.uint8).reshape(-1, 4)[:, 1:]
+    field[:, 21] *= e10 >= 100
+    for i in np.flatnonzero(slow).tolist():
+        text = format(float(v[i]), ".16e").encode("ascii")
+        field[i] = 0
+        field[i, :len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _write_ints(field, ints):
+    """Write str(k) of each k in ints, a range of k >= 0, into its row of field.
+
+    field is a zeroed (len(ints), 4 g) uint8 view, room for g 4-digit
+    groups; their leading zeros are set back to 0.
+    """
+    _, digits = _float_tables()
+    k = np.arange(ints.start, ints.stop, ints.step, dtype=np.int64)
+    groups = np.empty((k.size, field.shape[1] // 4), np.int64)
+    rest = k
+    for g in reversed(range(groups.shape[1])):
+        rest, groups[:, g] = np.divmod(rest, 10 ** 4)
+    field[:] = digits[groups].view(np.uint8)
+    # the units digit is always written
+    places = 10 ** np.arange(field.shape[1] - 1, 0, -1)
+    field[:, :-1][k[:, None] < places] = 0
+
+
 def write_csv_rows(path, header: str, columns) -> None:
     """Write `header`, then one row per index of the equal-length columns.
 
-    Each value is written as its repr, in csv.writer's bytes (\r\n rows),
-    one block of BLOCK_ROWS rows of text at a time; a range column is
-    sliced per block and never made into an array.
+    A column is a range of integers k >= 0, written as str(k), or an array
+    of floats, each written as format(x, ".16e"): 17 significant digits,
+    which read back exactly. Rows end in \r\n, as csv.writer's do. Each
+    block of _CSV_BLOCK_ROWS rows is laid out in a zeroed uint8 table, one
+    fixed-width field per column, and written with its zero bytes dropped;
+    a range column is sliced per block and never made whole.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for start in range(0, len(columns[0]), BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            text = [map(repr, np.asarray(c[rows]).tolist()) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
+    widths = []
+    for c in columns:
+        if isinstance(c, range):
+            places = len(str(max(c[0], c[-1]) if c else 0))
+            widths.append(4 * -(-places // 4))
+        else:
+            widths.append(_FLOAT_WIDTH)
+    # each field is followed by a "," or, after the last, by "\r\n"
+    starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()
+    total = len(columns[0])
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\r\n")
+        for first in range(0, total, _CSV_BLOCK_ROWS):
+            rows = slice(first, first + _CSV_BLOCK_ROWS)
+            table = np.zeros((min(_CSV_BLOCK_ROWS, total - first), starts[-1] + 1),
+                             np.uint8)
+            for c, at, width in zip(columns, starts, widths):
+                field = table[:, at:at + width]
+                if isinstance(c, range):
+                    _write_ints(field, c[rows])
+                else:
+                    _write_floats(field, np.asarray(c[rows], dtype=np.float64))
+            table[:, [at - 1 for at in starts[1:-1]]] = ord(",")
+            table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+            fh.write(table[table != 0])
 
 
 def matrix_to_json(m) -> dict:

@@ -229,7 +229,7 @@ def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
 
 
 def write_distribution_csv(dist: Register1Distribution, path) -> None:
-    """Write `k,probability` rows at full precision."""
+    """Write `k,probability` rows, each probability as format(p, ".16e")."""
     write_csv_rows(path, "k,probability", (range(dist.register_size), dist.probs))
 
 

@@ -65,8 +65,9 @@ _DENSITY_INTEGRAL_TOL = 1e-8
 # the evolved state beside the density's (L, n) transform (ring-sim and
 # estimate_phase_via_ring free the packet first and, with the peak
 # read-out's R factor and SVD, peak at 86), and
-# 29.6 for ring-sim at l = 3, N = 2^16, its density at t_R and grid beside
-# the CSV rows being written (the read-out's transform takes under 25).
+# 28.9 for ring-sim at l = 3, N = 2^16, its density and grid while the next
+# snapshot is made, beside the CSV writer's tables (writing a CSV peaks at
+# 25.6; the read-out's transform takes under 25).
 _BYTES_PER_MODE_COLOR = 96
 _BYTES_PER_POINT = 32
 
@@ -500,7 +501,7 @@ def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
 
 
 def write_density_csv(density: PositionDensity, path) -> None:
-    """Write `phi,density` rows at full precision."""
+    """Write `phi,density` rows, each value as format(x, ".16e")."""
     write_csv_rows(path, "phi,density", (density.phi_grid, density.density))
 
 

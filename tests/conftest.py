@@ -70,7 +70,8 @@ def natural_params():
 def read_csv(path):
     """Header names and a 2-D float array of a CSV the package wrote.
 
-    `repr` floats parse back exactly, so round trips can compare with ==.
+    Its floats are written as format(x, ".16e"), 17 significant digits,
+    which parse back exactly, so round trips can compare with ==.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")

@@ -9,7 +9,9 @@ commit message.
 The script writes `phi,density`, the two columns write_density_csv writes.
 The frozen file predates that and keeps two per-color columns after them;
 the test reads only its density column, so the file stays as it is until a
-convention change calls for a rerun.
+convention change calls for a rerun. A rerun writes each value as
+format(x, ".16e") (17 significant digits), where the frozen file holds
+each value's repr; both parse back to the same floats.
 
 Usage: python3 tests/golden/regen.py
 """

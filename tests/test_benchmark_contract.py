@@ -1,10 +1,10 @@
 """The benchmark's own output checker accepts what the command line writes.
 
 perfbench/check.py marks a command malformed when an output file lacks the
-header, row count or keys it reads. Running a few cli-small commands, and
-ring-wide's first two, through it here catches an output-format change
-before a benchmark run does. The perfbench modules are imported as they
-are, never edited.
+header, row count or keys it reads. Running a few cli-small commands,
+ring-wide's first two and register-deep's first two, through it here
+catches an output-format change before a benchmark run does. The
+perfbench modules are imported as they are, never edited.
 """
 
 import os
@@ -59,4 +59,13 @@ def test_ring_wide_outputs_pass_the_benchmark_checker(perfbench, tmp_path, capsy
     commands = workloads.build("ring-wide", 9001, str(tmp_path / "problems"), REPO)
     chosen = commands[:2]
     assert [cmd.expected_exit for cmd in chosen] == [0, 4]
+    _run_and_check(check, chosen, tmp_path, capsys)
+
+
+def test_register_deep_outputs_pass_the_benchmark_checker(perfbench, tmp_path, capsys):
+    # qpe at t = 16 writes all 2^16 rows of qpe_distribution.csv
+    workloads, check = perfbench
+    commands = workloads.build("register-deep", 9001, str(tmp_path / "problems"), REPO)
+    chosen = commands[:2]
+    assert [(cmd.sub, cmd.flags) for cmd in chosen] == [("qpe", ["--t-bits", "16"])] * 2
     _run_and_check(check, chosen, tmp_path, capsys)

@@ -106,6 +106,14 @@ class TestParsing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "ringqpe.bench", "True"]
 
+    def test_import_builds_no_csv_tables(self):
+        # the CSV writer's power-of-ten and digit tables are made on first use
+        code = ("import ringqpe, ringqpe.cli, ringqpe.linalg as linalg; "
+                "print(linalg._float_tables.cache_info().currsize)")
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
 
 class TestProblemIo:
     def test_missing_problem_flag(self, tmp_path, capsys):
@@ -541,15 +549,11 @@ class TestMemoryGuards:
                  + ring_module._BYTES_PER_POINT * n_grid)
         assert peak <= bound
 
-    def test_ring_sim_holds_one_snapshot_at_a_time(self, tmp_path, sigma_x_file,
-                                                    monkeypatch):
+    def test_ring_sim_holds_one_snapshot_at_a_time(self, tmp_path, sigma_x_file):
         # every snapshot used to be held until all were written, 16 bytes a
-        # point more for each time; the CSV text is stubbed out, as its
-        # repr of every float takes half a minute under tracemalloc here
+        # point more for each time
         import tracemalloc
 
-        monkeypatch.setattr(cli, "write_density_csv",
-                            lambda density, path: open(path, "w").close())
         n_grid = 1 << 18
         peaks = []
         for times in ("0,0.5,1", ",".join(str(i / 10) for i in range(10))):

@@ -303,3 +303,69 @@ def test_require_unitary_accepts_rotation():
         [math.sin(theta), math.cos(theta)],
     ])
     require_unitary(u)
+
+
+def _float_column_bytes(values):
+    """The reference: Python's own format of each value, one row each."""
+    return "".join(format(v, ".16e") + "\r\n" for v in values.tolist()).encode()
+
+
+def _written(tmp_path, header, columns):
+    path = tmp_path / "rows.csv"
+    linalg_module.write_csv_rows(path, header, columns)
+    return path.read_bytes()
+
+
+class TestWriteCsvRows:
+    SWEEP = 100_000
+
+    @pytest.mark.parametrize("kind", ["uniform", "log-uniform", "bit-patterns"])
+    def test_seeded_sweep_matches_python_format(self, tmp_path, kind):
+        rng = np.random.default_rng(["uniform", "log-uniform", "bit-patterns"].index(kind))
+        if kind == "uniform":
+            values = rng.random(self.SWEEP)
+        elif kind == "log-uniform":
+            values = rng.choice([-1.0, 1.0], self.SWEEP) * 10.0 ** rng.uniform(
+                -300, 300, self.SWEEP)
+        else:
+            # every finite, subnormal and non-finite kind a double can be
+            values = rng.integers(0, 1 << 64, self.SWEEP, dtype=np.uint64).view(np.float64)
+        written = _written(tmp_path, "x", (values,))
+        assert written == b"x\r\n" + _float_column_bytes(values)
+
+    def test_edge_values_match_python_format(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        values = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+             1.7976931348623157e308, 1e-280, 1e290],
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            # m 2^-25 has at most 25 decimals, so thousands of these sit
+            # exactly on a 17-digit rounding tie, which Python settles
+            np.arange(-(1 << 18), 1 << 18) * 2.0 ** -25,
+            np.ldexp(np.arange(1, 4096), -1074),  # subnormals
+        ])
+        written = _written(tmp_path, "x", (values,))
+        assert written == b"x\r\n" + _float_column_bytes(values)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049, 5000])
+    def test_rows_are_csv_writer_bytes(self, tmp_path, rows):
+        # a range column is str(k); rows end in \r\n across block edges
+        rng = np.random.default_rng(rows)
+        ks = range(0, 100_003 * rows, 100_003)
+        values = rng.standard_normal(len(ks))
+        written = _written(tmp_path, "k,value,again", (ks, values, -values))
+        expected = "k,value,again\r\n" + "".join(
+            f"{k},{format(v, '.16e')},{format(-v, '.16e')}\r\n"
+            for k, v in zip(ks, values.tolist()))
+        assert written == expected.encode()
+
+    def test_zeros_take_no_python_format(self, tmp_path, monkeypatch):
+        # a sampled distribution is mostly 0.0 rows
+        def forbidden(*args):
+            raise AssertionError("value formatted by Python")
+
+        monkeypatch.setattr(linalg_module, "format", forbidden, raising=False)
+        written = _written(tmp_path, "x", (np.array([0.0, -0.0, 0.5]),))
+        assert written == (b"x\r\n0.0000000000000000e+00\r\n"
+                           b"-0.0000000000000000e+00\r\n5.0000000000000000e-01\r\n")

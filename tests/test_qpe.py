@@ -544,6 +544,23 @@ class TestSerialization:
         assert np.array_equal(data[:, 0], np.arange(64))
         assert np.array_equal(data[:, 1], est.distribution.probs)
 
+    def test_sampled_distribution_takes_no_python_format(self, tmp_path, monkeypatch):
+        # mostly 0.0 rows, then multiples of 1 / shots: the CSV writer's
+        # numpy kernel formats every one of them
+        import ringqpe.linalg as linalg_module
+
+        def forbidden(*args):
+            raise AssertionError("value formatted by Python")
+
+        u = np.array([[np.exp(0.7j)]])
+        cfg = rq.QpeConfig(12, shots=2000, rng_seed=4)
+        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), cfg)
+        path = tmp_path / "dist.csv"
+        monkeypatch.setattr(linalg_module, "format", forbidden, raising=False)
+        write_distribution_csv(est.distribution, path)
+        _, data = read_csv(path)
+        assert np.array_equal(data[:, 1], est.distribution.probs)
+
     def test_estimate_json_fields(self):
         cfg = rq.QpeConfig(6, shots=100, rng_seed=9)
         u = np.array([[np.exp(0.5j)]])
