@@ -42,12 +42,12 @@ from .qpe import (
     qpe_estimate,
 )
 from .ring import (
+    RETURN_TIME,
     VELOCITY_FACTOR,
     GaugeField,
     Peak,
     PeakSet,
     PositionDensity,
-    RingPhysicalParams,
     RingState,
     estimate_phase_via_ring,
     evolve_block,
@@ -55,7 +55,6 @@ from .ring import (
     extract_peaks,
     initial_localized_state,
     position_density,
-    return_time,
 )
 
 __version__ = "0.1.0"
@@ -89,8 +88,8 @@ __all__ = [
     "QpeEstimate",
     "Register1Distribution",
     "ResolutionError",
+    "RETURN_TIME",
     "ResourceLimitError",
-    "RingPhysicalParams",
     "RingQpeError",
     "RingState",
     "ScalingFit",
@@ -116,7 +115,6 @@ __all__ = [
     "problem_from_json",
     "problem_to_json",
     "qpe_estimate",
-    "return_time",
     "run_scaling_suite",
     "unwrap_phase",
     "wrap_to_signed",

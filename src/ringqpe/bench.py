@@ -30,12 +30,11 @@ from .errors import PreconditionError, ResourceLimitError
 from .linalg import eig_hermitian
 from .qpe import QpeConfig, qpe_estimate
 from .ring import (
+    RETURN_TIME,
     GaugeField,
-    RingPhysicalParams,
     evolve_block,
     evolve_dense,
     initial_localized_state,
-    return_time,
 )
 
 log = logging.getLogger(__name__)
@@ -97,14 +96,13 @@ def _ring_workload(size: int, n_colors: int, rng: np.random.Generator):
     l = ((size // n_colors) - 1) // 2
     if l < 1:
         return None
-    params = RingPhysicalParams()
     # keep gauge amplitudes ~1/(2 pi) so read-out phases spread over the circle
     a_phi = _random_hermitian(rng, n_colors, 1.0 / (2.0 * np.pi))
-    gauge = GaugeField(*eig_hermitian(a_phi), params)
+    gauge = GaugeField(*eig_hermitian(a_phi))
     color = rng.standard_normal(n_colors) + 1j * rng.standard_normal(n_colors)
     color = color / np.linalg.norm(color)
     state = initial_localized_state(l, color)
-    return state, gauge, return_time(params), (2 * l + 1) * n_colors
+    return state, gauge, (2 * l + 1) * n_colors
 
 
 def _qpe_workload(size: int, n_colors: int, rng: np.random.Generator):
@@ -134,9 +132,9 @@ def _warmed_jobs(method: str, sizes, seed: int) -> list:
             if workload is None:
                 log.warning("skipping %s at size %d: no ring fits", method, size)
                 continue
-            state, gauge, t_r, size_param = workload
+            state, gauge, size_param = workload
             evolve = evolve_dense if method == METHOD_DENSE else evolve_block
-            runner = functools.partial(evolve, state, gauge, t_r)
+            runner = functools.partial(evolve, state, gauge, RETURN_TIME)
         try:
             runner()
         except ResourceLimitError as exc:
@@ -193,8 +191,8 @@ def run_scaling_suite(
 
         for (size, size_param, runner, workload), runs in zip(jobs, times):
             if workload is not None:
-                state, gauge, t_r, _ = workload
-                reference = evolve_block(state, gauge, t_r)
+                state, gauge, _ = workload
+                reference = evolve_block(state, gauge, RETURN_TIME)
                 drift = float(np.max(np.abs(runner().coeffs - reference.coeffs)))
                 if drift > _VALIDATION_ATOL:
                     raise PreconditionError(

@@ -4,7 +4,7 @@ Subcommands: ring-sim (gauge-field read-out and density snapshots), qpe
 (register pipeline), compare (both routes against direct
 diagonalization), bench (scaling measurements). Options resolve as
 command-line flags over --config JSON values (null meaning the default)
-over built-in natural-unit defaults; RINGQPE_OUT_DIR supplies the output
+over built-in defaults; RINGQPE_OUT_DIR supplies the output
 directory when no flag or config value names one.
 
 Exit codes:
@@ -47,7 +47,7 @@ from .qpe import (
     write_distribution_csv,
 )
 from .ring import (
-    RingPhysicalParams,
+    RETURN_TIME,
     estimate_phase_via_ring,
     evolve_block,
     extract_peaks,
@@ -56,7 +56,6 @@ from .ring import (
     phase_angles,
     position_density,
     require_ring_grid,
-    return_time,
     write_density_csv,
 )
 
@@ -75,18 +74,16 @@ EXIT_AMBIGUOUS = 4
 
 _COMMON_DEFAULTS = {"seed": 0, "out_dir": None}
 
-# read only by the ring route, so only ring-sim and compare take them
-_RING_CONSTANTS = {"hbar": 1.0, "charge_q": 1.0, "radius_r": 1.0, "mass_mq": 1.0}
-
+# bench reads no problem, so its config may not name one
 _DEFAULTS = {
     "ring-sim": {
-        "mode_cutoff_l": 50, "grid_size_n": 512, "times": (0.0, 0.5, 1.0),
-        **_RING_CONSTANTS,
+        "problem": None, "mode_cutoff_l": 50, "grid_size_n": 512,
+        "times": (0.0, 0.5, 1.0),
     },
-    "qpe": {"t_bits": 10, "shots": 0},
+    "qpe": {"problem": None, "t_bits": 10, "shots": 0},
     "compare": {
-        "mode_cutoff_l": 200, "grid_size_n": 1024, "t_bits": 10, "shots": 0,
-        **_RING_CONSTANTS,
+        "problem": None, "mode_cutoff_l": 200, "grid_size_n": 1024,
+        "t_bits": 10, "shots": 0,
     },
     "bench": {
         "sizes": (64, 128, 256, 512), "repeats": 5, "count_ops": False,
@@ -111,13 +108,6 @@ def _add_common(sub: argparse.ArgumentParser, with_problem: bool = True) -> None
     sub.add_argument("--seed", type=int, help="seed for any sampling")
 
 
-def _add_ring_constants(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--hbar", type=float, help="reduced Planck constant")
-    sub.add_argument("--charge", dest="charge_q", type=float, help="particle charge")
-    sub.add_argument("--radius", dest="radius_r", type=float, help="ring radius")
-    sub.add_argument("--mass", dest="mass_mq", type=float, help="particle mass")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog=PROG,
@@ -136,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "summary.txt into the output directory.",
     )
     _add_common(ring)
-    _add_ring_constants(ring)
     ring.add_argument("-l", "--mode-cutoff", dest="mode_cutoff_l", type=int,
                       help="angular momentum cutoff (modes -l..l)")
     ring.add_argument("-N", "--grid-size", dest="grid_size_n", type=int,
@@ -163,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "ambiguous spectrum.",
     )
     _add_common(comp)
-    _add_ring_constants(comp)
     comp.add_argument("-l", "--mode-cutoff", dest="mode_cutoff_l", type=int)
     comp.add_argument("-N", "--grid-size", dest="grid_size_n", type=int)
     comp.add_argument("--t-bits", dest="t_bits", type=int)
@@ -215,10 +203,15 @@ def _boolean(value) -> bool:
     return value
 
 
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a path")
+    return value
+
+
 # one caster per option key in _COMMON_DEFAULTS and _DEFAULTS
 _CASTERS = {
-    "seed": _seed, "hbar": float, "charge_q": float, "radius_r": float,
-    "mass_mq": float, "out_dir": str,
+    "seed": _seed, "out_dir": _path, "problem": _path,
     "mode_cutoff_l": _integer, "grid_size_n": _integer, "t_bits": _integer,
     "shots": _integer, "repeats": _integer,
     "times": _list_of(float), "sizes": _list_of(_integer),
@@ -241,11 +234,11 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill every option as flag, else config value, else default.
 
     A JSON null in the config means "use the default". Returns `args` with
-    each option cast and `out_dir` and `problem` resolved.
+    each option cast and `out_dir` resolved.
     """
     defaults = {**_COMMON_DEFAULTS, **_DEFAULTS[args.subcommand]}
     file_values = _read_config(args.config) if args.config else {}
-    unknown = set(file_values) - set(defaults) - {"problem"}
+    unknown = set(file_values) - set(defaults)
     if unknown:
         raise PreconditionError(
             f"--config has keys not used by {args.subcommand}: {sorted(unknown)}"
@@ -266,14 +259,7 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 
     if args.out_dir is None:
         args.out_dir = os.environ.get(OUT_DIR_ENV) or os.getcwd()
-    args.problem = getattr(args, "problem", None) or file_values.get("problem")
-    if not isinstance(args.problem, (str, type(None))):
-        raise PreconditionError(f"bad problem value {args.problem!r}: expected a path")
     return args
-
-
-def _ring_params(cfg: argparse.Namespace) -> RingPhysicalParams:
-    return RingPhysicalParams(cfg.hbar, cfg.charge_q, cfg.radius_r, cfg.mass_mq)
 
 
 def _require_problem(cfg: argparse.Namespace):
@@ -285,25 +271,24 @@ def _require_problem(cfg: argparse.Namespace):
 
 
 def cmd_ring_sim(cfg: argparse.Namespace) -> int:
-    params = _ring_params(cfg)
     problem = _require_problem(cfg)
     require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
-    t_r = return_time(params)
     fractions = cfg.times + (1.0,)
     for fraction in fractions:
-        if not math.isfinite(fraction * t_r):
+        t = fraction * RETURN_TIME
+        if not math.isfinite(t):
             raise PreconditionError(
-                f"snapshot time {fraction!r} t_R = {fraction * t_r!r} is not finite"
+                f"snapshot time {fraction!r} t_R = {t!r} is not finite"
             )
 
-    gauge = encode_as_gauge(problem, params)
+    gauge = encode_as_gauge(problem)
     # the largest |t| checks every snapshot before any is evolved
-    phase_angles(gauge, cfg.mode_cutoff_l, max(fractions, key=abs) * t_r)
+    phase_angles(gauge, cfg.mode_cutoff_l, max(fractions, key=abs) * RETURN_TIME)
 
     def density_at(fraction):
         # a fresh packet each time, freed as soon as it has evolved
         evolved = evolve_block(initial_localized_state(cfg.mode_cutoff_l, problem.state),
-                               gauge, fraction * t_r)
+                               gauge, fraction * RETURN_TIME)
         return position_density(evolved, cfg.grid_size_n)
 
     density = density_at(1.0)
@@ -333,7 +318,7 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     lines = [
         f"problem: {cfg.problem}",
         f"mode cutoff l = {cfg.mode_cutoff_l}, grid N = {cfg.grid_size_n}",
-        f"return time t_R = {t_r!r}",
+        f"return time t_R = {RETURN_TIME!r}",
         f"peaks found: {len(peaks)}",
     ]
     for i, p in enumerate(peaks):
@@ -376,7 +361,6 @@ def cmd_qpe(cfg: argparse.Namespace) -> int:
 
 
 def cmd_compare(cfg: argparse.Namespace) -> int:
-    params = _ring_params(cfg)
     problem = _require_problem(cfg)
     require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
     # built first, so t_bits is checked before 2^t is formed
@@ -387,7 +371,7 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
             f"2^{cfg.t_bits} register; need N >= 2^t"
         )
 
-    gauge = encode_as_gauge(problem, params)
+    gauge = encode_as_gauge(problem)
     peaks = estimate_phase_via_ring(
         gauge, problem.state, cfg.mode_cutoff_l, cfg.grid_size_n
     )

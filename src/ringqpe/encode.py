@@ -7,8 +7,9 @@ problem decomposes its matrix once, on construction, into
 an orthonormal eigenbasis. Every consumer reads that one spectrum. The
 register's read-out is evaluated in it, and encode_as_gauge builds the
 Hermitian gauge potential whose ring read-out reproduces the same phases,
+on the ring's natural units hbar = q = r = m_q = 1,
 
-    A_phi = -(hbar / (q * 2 pi r * VELOCITY_FACTOR)) * V diag(theta) V^dagger.
+    A_phi = -(1 / (2 pi * VELOCITY_FACTOR)) * V diag(theta) V^dagger.
 
 An energy problem wraps its eigenvalues onto (-pi, pi] in the eigenbasis;
 an elementwise matrix modulo would not commute with diagonalization.
@@ -37,7 +38,7 @@ from .linalg import (
     require_unit_vector,
     require_unitary,
 )
-from .ring import VELOCITY_FACTOR, GaugeField, RingPhysicalParams
+from .ring import VELOCITY_FACTOR, GaugeField
 
 
 def _require_state(state, n: int, what: str) -> np.ndarray:
@@ -116,17 +117,14 @@ class UnitarySpec:
         return self.u_matrix.shape[0]
 
 
-def encode_as_gauge(problem, params: RingPhysicalParams) -> GaugeField:
+def encode_as_gauge(problem) -> GaugeField:
     """Gauge field whose ring read-out gives the problem's eigenphases.
 
     Scales the problem's spectrum; the field shares its eigenbasis, so no
     matrix is decomposed here.
     """
-    scale = -params.hbar / (
-        params.charge_q * TWO_PI * params.radius_r * VELOCITY_FACTOR
-    )
     theta, v = problem.spectrum
-    return GaugeField(scale * theta, v, params)
+    return GaugeField(-1.0 / (TWO_PI * VELOCITY_FACTOR) * theta, v)
 
 
 def phase_to_energy(phi: float, E_R: float) -> float:

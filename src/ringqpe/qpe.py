@@ -41,9 +41,6 @@ from .linalg import (
 )
 
 T_BITS_GUARD = 24
-# bounds the 2^t * n kernel evaluations of qpe_estimate, at the bytes a
-# (2^t, n) complex128 register of them would take
-REGISTER_BYTES_GUARD = BYTES_GUARD
 _SHOTS_MAX = int(np.iinfo(np.int64).max)  # the most numpy's multinomial takes
 
 _PROB_SUM_TOL = 1e-9
@@ -195,18 +192,20 @@ def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
     """Full pipeline; returns the modal read-out and its phase 2 pi k / 2^t.
 
     U comes as its spectrum (theta, V), with V orthonormal. A problem whose
-    2^t x n register would pass REGISTER_BYTES_GUARD is refused before
-    anything is allocated, and V^dagger u must have norm 1 within 1e-10.
+    2^t x n register would pass BYTES_GUARD is refused before anything is
+    allocated, and V^dagger u must have norm 1 within 1e-10.
     Ties in the distribution break toward the smallest k, which makes the
     estimate deterministic in both exact and sampled modes.
     """
     u = require_unit_vector(color, "register-2 state")
     t_bits, n = cfg.t_bits, u.size
+    # the 2^t * n kernel evaluations are bounded at the bytes a (2^t, n)
+    # complex128 register of them would take
     nbytes = cfg.register_size * n * np.dtype(np.complex128).itemsize
-    if nbytes > REGISTER_BYTES_GUARD:
+    if nbytes > BYTES_GUARD:
         raise ResourceLimitError(
             f"register of 2^{t_bits} x {n} amplitudes needs {nbytes} bytes, "
-            f"above the guard {REGISTER_BYTES_GUARD}"
+            f"above the guard {BYTES_GUARD}"
         )
     theta, v = require_eigenbasis(spectrum)
     if theta.size != n:

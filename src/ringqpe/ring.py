@@ -1,25 +1,28 @@
 """Charged particle on a ring threaded by a constant U(n) gauge potential.
 
+Units are natural, hbar = q = r = m_q = 1: encoders scale the potential so
+that those constants cancel from every eigenphase the ring reads.
+
 The state is a truncated angular-momentum expansion psi(phi) =
 sum_m c_{m,a} e^{i m phi} / sqrt(2 pi) with a color index a for the internal
 n-dimensional space. A phi-independent Hermitian gauge potential couples
 only to color, so the Hamiltonian splits into independent n x n blocks
 
-    H_m = ((hbar m / r) I - q A_phi)^2 / (2 m_q),
+    H_m = (m I - A_phi)^2 / 2,
 
 one per mode. Every block is a polynomial in A_phi, so all of them share its
 eigenvectors: with A_phi = V diag(lam) V^dagger the block energies are
 
-    E_{m,k} = (hbar m / r - q lam_k)^2 / (2 m_q),
+    E_{m,k} = (m - lam_k)^2 / 2,
 
 and evolution is a projection onto V, one phase per (mode, eigencolor), and
-the map back. At the return time t_R = 4 pi m_q r^2 / hbar the free part of
-the phase, -2 pi m^2, is a multiple of 2 pi for every mode, so a packet that
-started localized at phi = 0 relocalizes. The surviving mode-linear phase
-shifts each gauge eigencolor to its own angle: an eigencolor with A_phi
+the map back. At the return time t_R = 4 pi the free part of the phase,
+-2 pi m^2, is a multiple of 2 pi for every mode, so a packet that started
+localized at phi = 0 relocalizes. The surviving mode-linear phase shifts
+each gauge eigencolor to its own angle: an eigencolor with A_phi
 eigenvalue lam reappears at
 
-    phi = -VELOCITY_FACTOR * 2 pi r (q / hbar) lam   (mod 2 pi),
+    phi = -VELOCITY_FACTOR * 2 pi lam   (mod 2 pi),
 
 which is the eigenphase read-out. The factor of two is kinematic: by t_R
 each mode has classically completed two laps, so the accumulated holonomy
@@ -37,7 +40,7 @@ grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +60,9 @@ from .linalg import (
 # Relocalization shift at t_R is this multiple of the single-lap holonomy
 # phase (the classical angular velocity is twice the quantum phase velocity).
 VELOCITY_FACTOR = 2.0
+
+# t_R = 4 pi m_q r^2 / hbar, the packet revival time
+RETURN_TIME = 4.0 * np.pi
 
 _DENSITY_INTEGRAL_TOL = 1e-8
 # The ring route's working set, bytes per mode and color plus bytes per
@@ -79,26 +85,6 @@ _MERGE_LOBES = 0.25
 _WEIGHT_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class RingPhysicalParams:
-    """Ring constants; natural units (all ones) unless set otherwise."""
-
-    hbar: float = 1.0
-    charge_q: float = 1.0
-    radius_r: float = 1.0
-    mass_mq: float = 1.0
-
-    def __post_init__(self):
-        for name in ("hbar", "charge_q", "radius_r", "mass_mq"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise PreconditionError(f"{name} must be finite")
-        if self.hbar <= 0 or self.radius_r <= 0 or self.mass_mq <= 0:
-            raise PreconditionError("hbar, radius_r and mass_mq must be positive")
-        if self.charge_q == 0:
-            raise PreconditionError("charge_q must be non-zero")
-
-
 @dataclass(frozen=True, eq=False)
 class GaugeField:
     """Constant Hermitian gauge potential A_phi = V diag(lam) V^dagger.
@@ -110,7 +96,6 @@ class GaugeField:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    params: RingPhysicalParams = field(default_factory=RingPhysicalParams)
 
     def __post_init__(self):
         w, v = require_eigenbasis((self.eigenvalues, self.eigenvectors))
@@ -128,13 +113,10 @@ class GaugeField:
         return self.eigenvalues.size
 
     def mode_energies(self, mode_cutoff_l: int) -> np.ndarray:
-        """E_{m,k} = (hbar m / r - q lam_k)^2 / (2 m_q), rows m = -l ... +l."""
+        """E_{m,k} = (m - lam_k)^2 / 2, rows m = -l ... +l."""
         _require_mode_cutoff(mode_cutoff_l)
-        p = self.params
         modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
-        momentum = (p.hbar * modes / p.radius_r)[:, None] \
-            - p.charge_q * self.eigenvalues
-        return momentum ** 2 / (2.0 * p.mass_mq)
+        return (modes[:, None] - self.eigenvalues) ** 2 / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,21 +226,6 @@ class PeakSet:
         return self.peaks[0]
 
 
-def return_time(params: RingPhysicalParams) -> float:
-    """t_R = 4 pi m_q r^2 / hbar, the packet revival time; refused when it
-    is not a finite number."""
-    try:
-        t_r = 4.0 * np.pi * params.mass_mq * params.radius_r ** 2 / params.hbar
-    except OverflowError:
-        t_r = math.inf
-    if not math.isfinite(t_r):
-        raise PreconditionError(
-            f"return time 4 pi m_q r^2 / hbar is not finite at radius = "
-            f"{params.radius_r!r}, mass = {params.mass_mq!r}, hbar = {params.hbar!r}"
-        )
-    return t_r
-
-
 def _require_mode_cutoff(mode_cutoff_l: int) -> None:
     if mode_cutoff_l < 1:
         raise PreconditionError(f"mode cutoff must be >= 1, got {mode_cutoff_l}")
@@ -300,26 +267,23 @@ def _require_same_colors(state: RingState, gauge: GaugeField) -> None:
 
 
 def phase_angles(gauge: GaugeField, mode_cutoff_l: int, t: float) -> np.ndarray:
-    """E_{m,k} t / hbar per mode m and gauge eigencolor k; refuses a time or
-    phase that is not finite, which holds for every smaller |t| too."""
+    """E_{m,k} t per mode m and gauge eigencolor k; refuses a time or phase
+    that is not finite, which holds for every smaller |t| too."""
     if not math.isfinite(t):
         raise PreconditionError("time must be finite")
-    hbar = gauge.params.hbar
-    # extreme constants overflow here; the check below names the cause
+    # a huge t overflows here; the check below names the cause
     with np.errstate(over="ignore", invalid="ignore"):
-        angles = gauge.mode_energies(mode_cutoff_l) * (t / hbar)
+        angles = gauge.mode_energies(mode_cutoff_l) * t
     if not np.all(np.isfinite(angles)):
-        raise PreconditionError(
-            f"phase E t / hbar is not finite at t = {t!r}, hbar = {hbar!r}"
-        )
+        raise PreconditionError(f"phase E t is not finite at t = {t!r}")
     return angles
 
 
 def evolve_block(state: RingState, gauge: GaugeField, t: float) -> RingState:
-    """Apply exp(-i H_m t / hbar) to every mode in the gauge eigenbasis.
+    """Apply exp(-i H_m t) to every mode in the gauge eigenbasis.
 
     Projects the coefficients onto the eigenvectors of A_phi, multiplies by
-    exp(-i E_{m,k} t / hbar) and maps back. The eigendecomposition is the
+    exp(-i E_{m,k} t) and maps back. The eigendecomposition is the
     one GaugeField was built from, so the cost is two (2l+1) x n x n
     products. This is the structure-exploiting route the dense path is
     benchmarked against.
@@ -336,12 +300,11 @@ def evolve_block(state: RingState, gauge: GaugeField, t: float) -> RingState:
 
 
 def _squared_blocks(gauge: GaugeField, mode_cutoff_l: int) -> np.ndarray:
-    """Per-mode blocks ((hbar m / r) I - q A_phi)^2 / (2 m_q), squared directly."""
-    p = gauge.params
+    """Per-mode blocks (m I - A_phi)^2 / 2, squared directly."""
     modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
     eye = np.eye(gauge.n_colors, dtype=np.complex128)
-    base = (p.hbar * modes / p.radius_r)[:, None, None] * eye - p.charge_q * gauge.a_phi
-    return (base @ base) / (2.0 * p.mass_mq)
+    base = modes[:, None, None] * eye - gauge.a_phi
+    return (base @ base) / 2.0
 
 
 def evolve_dense(state: RingState, gauge: GaugeField, t: float) -> RingState:
@@ -359,7 +322,7 @@ def evolve_dense(state: RingState, gauge: GaugeField, t: float) -> RingState:
     full = np.zeros((dim, dim), dtype=np.complex128)
     for i in range(count):
         full[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
-    propagator = expm_dense(full, t / gauge.params.hbar)
+    propagator = expm_dense(full, t)
     flat = propagator @ state.coeffs.reshape(-1)
     opcount.add(dim * dim)
     return RingState(flat.reshape(count, n))
@@ -495,7 +458,7 @@ def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
     require_ring_grid(mode_cutoff_l, gauge.n_colors, grid_size_N)
     _require_read_out_grid(mode_cutoff_l, grid_size_N)
     density = position_density(evolve_block(
-        initial_localized_state(mode_cutoff_l, color), gauge, return_time(gauge.params)
+        initial_localized_state(mode_cutoff_l, color), gauge, RETURN_TIME
     ), grid_size_N)
     return extract_peaks(density, mode_cutoff_l, gauge.n_colors)
 

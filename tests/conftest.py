@@ -23,10 +23,9 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def gauge_from(a_phi, params=None):
+def gauge_from(a_phi):
     """GaugeField of a Hermitian matrix, from its eigendecomposition."""
-    return rq.GaugeField(*rq.eig_hermitian(np.asarray(a_phi, dtype=complex)),
-                         params or rq.RingPhysicalParams())
+    return rq.GaugeField(*rq.eig_hermitian(np.asarray(a_phi, dtype=complex)))
 
 
 def random_state(rng, n):
@@ -60,11 +59,6 @@ def sigma_z_problem():
     """Diagonal two-level system probed in an 0.8/0.2 superposition."""
     mix = np.array([np.sqrt(0.8), np.sqrt(0.2)], dtype=complex)
     return rq.EnergyProblem(2.0 * SIGMA_Z, 1.0, mix)
-
-
-@pytest.fixture
-def natural_params():
-    return rq.RingPhysicalParams()
 
 
 def read_csv(path):

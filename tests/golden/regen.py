@@ -22,13 +22,12 @@ import sys
 import numpy as np
 
 from ringqpe import (
+    RETURN_TIME,
     EnergyProblem,
-    RingPhysicalParams,
     encode_as_gauge,
     initial_localized_state,
     evolve_block,
     position_density,
-    return_time,
 )
 from ringqpe.ring import write_density_csv
 
@@ -40,11 +39,10 @@ def main() -> int:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     ground = np.array([1, -1]) / np.sqrt(2)
     problem = EnergyProblem(2.0 * sx, 1.0, ground)
-    params = RingPhysicalParams()
 
-    gauge = encode_as_gauge(problem, params)
+    gauge = encode_as_gauge(problem)
     state = initial_localized_state(MODE_CUTOFF, ground)
-    evolved = evolve_block(state, gauge, return_time(params))
+    evolved = evolve_block(state, gauge, RETURN_TIME)
     density = position_density(evolved, GRID)
 
     out = os.path.join(os.path.dirname(__file__), "evolved_density.csv")

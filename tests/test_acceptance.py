@@ -79,7 +79,7 @@ def test_a2_superposition_weights_match_born_rule(tmp_path, capsys):
         problem = rq.load_problem(
             os.path.join(PROBLEM_DIR, "sigma_z_superposition.json")
         )
-        gauge = rq.encode_as_gauge(problem, rq.RingPhysicalParams())
+        gauge = rq.encode_as_gauge(problem)
         peaks = rq.estimate_phase_via_ring(gauge, problem.state, 50, 512)
         assert len(peaks) == 2, f"expected exactly 2 peaks, got {len(peaks)}"
         first, second = peaks.peaks
@@ -179,7 +179,7 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
             l = int(rng.integers(1, 41))
             gauge = gauge_from(random_hermitian(rng, n, scale=0.3))
             state = rq.initial_localized_state(l, random_state(rng, n))
-            t = float(rng.uniform(0.0, 2.0 * rq.return_time(gauge.params)))
+            t = float(rng.uniform(0.0, 2.0 * rq.RETURN_TIME))
             evolved = rq.evolve_block(state, gauge, t)
             assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10, f"case {i}"
 
@@ -191,7 +191,7 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
             l = int(rng.integers(1, l_max + 1))
             gauge = gauge_from(random_hermitian(rng, n, scale=0.3))
             state = rq.initial_localized_state(l, random_state(rng, n))
-            t = float(rng.uniform(0.0, rq.return_time(gauge.params)))
+            t = float(rng.uniform(0.0, rq.RETURN_TIME))
             a = rq.evolve_block(state, gauge, t)
             b = rq.evolve_dense(state, gauge, t)
             assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-8, f"case {i}"
@@ -214,11 +214,10 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
         for i in range(100):
             rng = np.random.default_rng([7400, i])
             n = int(rng.integers(1, 5))
-            params = rq.RingPhysicalParams()
             if i % 2 == 0:
                 h = random_hermitian(rng, n, scale=0.5)
                 problem = rq.EnergyProblem(h, 1.0, random_state(rng, n))
-                gauge = rq.encode_as_gauge(problem, params)
+                gauge = rq.encode_as_gauge(problem)
                 want = rq.expm_dense(h, -1.0)
             else:
                 q, r = np.linalg.qr(
@@ -226,11 +225,7 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
                 )
                 u = q * (np.diag(r) / np.abs(np.diag(r)))
                 spec = rq.UnitarySpec(u, random_state(rng, n))
-                gauge = rq.encode_as_gauge(spec, params)
+                gauge = rq.encode_as_gauge(spec)
                 want = u
-            inv_scale = -(
-                params.charge_q * TWO_PI * params.radius_r
-                * rq.VELOCITY_FACTOR / params.hbar
-            )
-            got = rq.expm_dense(gauge.a_phi, -inv_scale)
+            got = rq.expm_dense(gauge.a_phi, TWO_PI * rq.VELOCITY_FACTOR)
             assert np.max(np.abs(got - want)) < 1e-8, f"case {i}"

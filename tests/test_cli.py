@@ -243,7 +243,7 @@ class TestRingSim:
             assert ((out / f"density_{i:02d}.csv").read_bytes()
                     == (out / f"density_{first:02d}.csv").read_bytes())
 
-        gauge = rq.encode_as_gauge(sigma_x_problem, rq.RingPhysicalParams())
+        gauge = rq.encode_as_gauge(sigma_x_problem)
         library = rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 512)
         peaks = json.loads((out / "peaks.json").read_text())
         assert peaks == ring_module.peak_set_to_json(library)
@@ -439,8 +439,8 @@ class TestRingArguments:
         (["ring-sim", "--times", "nan"], "is not finite"),
         (["ring-sim", "--times", "0,inf"], "is not finite"),
         (["ring-sim", "--times", "1e308"], "is not finite"),
-        # t is finite, but E t / hbar overflows at the last snapshot only
-        (["ring-sim", "--times", "0,0.5,1e305"], "phase E t / hbar is not finite"),
+        # t is finite, but E t overflows at the last snapshot only
+        (["ring-sim", "--times", "0,0.5,1e305"], "phase E t is not finite"),
         (["compare", "-l", "0"], "mode cutoff must be >= 1"),
     ], ids=["ring-sim-l0", "nan", "inf", "overflow", "late-phase", "compare-l0"])
     def test_refused_before_any_output(self, tmp_path, sigma_x_file, capsys,
@@ -454,36 +454,18 @@ class TestRingArguments:
         assert not out.exists()
 
     def test_non_finite_phase_is_one_error_line(self, tmp_path, sigma_x_file):
-        # numpy's "invalid value encountered in multiply" reached stderr
-        # ahead of the error; run as a process to see stderr as a user does
-        proc = run_python(
-            ["-m", "ringqpe", "ring-sim",
-             "--problem", str(sigma_x_file), "--out-dir", str(tmp_path / "out"),
-             "--hbar", "1e-300"]
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("ringqpe: error: phase E t / hbar is not finite")
-
-    @pytest.mark.parametrize("sub", ["ring-sim", "compare"])
-    @pytest.mark.parametrize("flags,message", [
-        (["--radius", "1e200"], "return time 4 pi m_q r^2 / hbar is not finite"),
-        (["--hbar", "1e-300"], "phase E t / hbar is not finite"),
-    ], ids=["radius", "hbar"])
-    def test_extreme_constants_leave_one_line_and_no_output(
-            self, tmp_path, sigma_x_file, sub, flags, message):
-        # r^2 overflowed with a traceback, and the output directory was
-        # made before the refusal
+        # numpy's "overflow encountered in multiply" reached stderr ahead of
+        # the error; run as a process to see stderr as a user does
         out = tmp_path / "out"
         proc = run_python(
-            ["-m", "ringqpe", sub, "--problem", str(sigma_x_file),
-             "--out-dir", str(out)] + flags
+            ["-m", "ringqpe", "ring-sim",
+             "--problem", str(sigma_x_file), "--out-dir", str(out),
+             "--times", "0,0.5,1e305"]
         )
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith(f"ringqpe: error: {message}")
+        assert lines[0].startswith("ringqpe: error: phase E t is not finite")
         assert not out.exists()
 
 
@@ -727,7 +709,7 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("sub,key,value", [
         ("compare", "mode_cutoff_l", "abc"),
         ("ring-sim", "times", "0,x"),
-        ("ring-sim", "hbar", [1.0]),
+        ("ring-sim", "out_dir", ["x", 1]),
         ("qpe", "t_bits", 1e400),
         ("ring-sim", "mode_cutoff_l", 10.7),
         ("qpe", "t_bits", True),
@@ -738,17 +720,23 @@ class TestConfigPrecedence:
         ("qpe", "problem", 5),
     ])
     def test_wrong_typed_config_value_is_usage_error(
-            self, tmp_path, sigma_x_file, capsys, sub, key, value):
+            self, tmp_path, sigma_x_file, capsys, monkeypatch, sub, key, value):
+        # an out_dir list made a directory named "['x', 1]" and wrote into it
+        monkeypatch.delenv("RINGQPE_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: value}))
-        argv = [sub, "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        argv = [sub, "--config", str(config)]
+        if key != "out_dir":
+            argv += ["--out-dir", str(tmp_path / "out")]
         if sub != "bench" and key != "problem":
             argv += ["--problem", str(sigma_x_file)]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"ringqpe: error: bad {key} value" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ringqpe: error: bad {key} value" in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "sigma_x.json"]
 
     @pytest.mark.parametrize("key,value,want", [
         ("mode_cutoff_l", 12.0, 12),
@@ -777,29 +765,30 @@ class TestConfigPrecedence:
                 assert getattr(cfg, key) == value
                 assert type(getattr(cfg, key)) is type(value)
         assert cfg.out_dir == str(tmp_path)
-        # the physical constants belong to the subcommands that read them
-        if sub in ("ring-sim", "compare"):
-            assert cli._ring_params(cfg) == rq.RingPhysicalParams()
-        else:
-            assert not hasattr(cfg, "hbar")
 
-    @pytest.mark.parametrize("sub,code", [
-        ("ring-sim", 0), ("compare", 0), ("qpe", 1), ("bench", 1),
-    ])
-    def test_physical_constants_only_where_the_ring_reads_them(
-            self, tmp_path, sigma_x_file, capsys, sub, code):
-        # qpe and bench took --radius and never read it
+    @pytest.mark.parametrize("sub", sorted(cli._DEFAULTS))
+    def test_physical_constants_are_refused(self, tmp_path, sigma_x_file, capsys,
+                                            sub):
+        # the ring runs at hbar = q = r = m_q = 1, which no output could see
         argv = [sub, "--out-dir", str(tmp_path / "out")]
         if sub != "bench":
             argv += ["--problem", str(sigma_x_file)]
-        assert main(argv + ["--radius", "5"]) == code
-        if code:
-            assert "unrecognized arguments: --radius 5" in capsys.readouterr().err
-            assert not (tmp_path / "out").exists()
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps({"hbar": 2.0}))
-            assert main(argv + ["--config", str(config)]) == 1
-            assert f"keys not used by {sub}: ['hbar']" in capsys.readouterr().err
+        assert main(argv + ["--radius", "5"]) == 1
+        assert "unrecognized arguments: --radius 5" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hbar": 2.0}))
+        assert main(argv + ["--config", str(config)]) == 1
+        assert f"keys not used by {sub}: ['hbar']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bench_refuses_a_problem_key(self, tmp_path, capsys):
+        # only the subcommands that take --problem read the key
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"problem": "nope.json"}))
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert "keys not used by bench: ['problem']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_config_is_io_error(self, tmp_path, sigma_x_file):
         config = tmp_path / "config.json"

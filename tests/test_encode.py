@@ -16,11 +16,7 @@ TWO_PI = 2.0 * np.pi
 
 def reconstructed_unitary(gauge):
     """The holonomy the ring applies per revival, exp(i W), by Pade."""
-    inv_scale = -(
-        gauge.params.charge_q * TWO_PI * gauge.params.radius_r
-        * rq.VELOCITY_FACTOR / gauge.params.hbar
-    )
-    return rq.expm_dense(gauge.a_phi, -inv_scale)
+    return rq.expm_dense(gauge.a_phi, TWO_PI * rq.VELOCITY_FACTOR)
 
 
 def forbid_decompositions(monkeypatch):
@@ -97,70 +93,56 @@ class TestUnitarySpec:
 
 
 class TestEncodeHamiltonian:
-    def test_zero_hamiltonian_gives_zero_gauge(self, natural_params):
+    def test_zero_hamiltonian_gives_zero_gauge(self):
         problem = rq.EnergyProblem(np.zeros((3, 3)), 1.0, np.array([1.0, 0.0, 0.0]))
-        gauge = rq.encode_as_gauge(problem, natural_params)
+        gauge = rq.encode_as_gauge(problem)
         assert np.max(np.abs(gauge.a_phi)) < 1e-14
 
-    def test_two_level_closed_form(self, sigma_x_problem, natural_params):
-        gauge = rq.encode_as_gauge(sigma_x_problem, natural_params)
+    def test_two_level_closed_form(self, sigma_x_problem):
+        gauge = rq.encode_as_gauge(sigma_x_problem)
         expected = -SIGMA_X / TWO_PI
         assert np.max(np.abs(gauge.a_phi - expected)) < 1e-12
 
     # a spectral radius past pi may alias; the holonomy survives either way
     @pytest.mark.filterwarnings("ignore::ringqpe.PhaseAliasingWarning")
     @pytest.mark.parametrize("seed", range(10))
-    def test_holonomy_round_trip(self, seed, natural_params):
+    def test_holonomy_round_trip(self, seed):
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(1, 6))
         h = random_hermitian(rng, n, scale=0.8)
         problem = rq.EnergyProblem(h, 1.0, random_state(rng, n))
-        gauge = rq.encode_as_gauge(problem, natural_params)
+        gauge = rq.encode_as_gauge(problem)
         want = rq.expm_dense(h, -1.0)  # exp(i H / E_R)
         assert np.max(np.abs(reconstructed_unitary(gauge) - want)) < 1e-8
 
-    def test_round_trip_with_physical_units(self):
-        params = rq.RingPhysicalParams(hbar=3.0, charge_q=-0.5, radius_r=2.0, mass_mq=0.7)
-        rng = np.random.default_rng(42)
-        h = random_hermitian(rng, 3, scale=0.5)
-        problem = rq.EnergyProblem(h, 2.0, random_state(rng, 3))
-        gauge = rq.encode_as_gauge(problem, params)
-        want = rq.expm_dense(h, -1.0 / 2.0)
-        assert np.max(np.abs(reconstructed_unitary(gauge) - want)) < 1e-8
-
-    def test_reference_energy_rescales_gauge(self, natural_params):
+    def test_reference_energy_rescales_gauge(self):
         state = np.array([1.0, 0.0])
-        g1 = rq.encode_as_gauge(
-            rq.EnergyProblem(SIGMA_Z, 1.0, state), natural_params
-        )
-        g2 = rq.encode_as_gauge(
-            rq.EnergyProblem(SIGMA_Z, 2.0, state), natural_params
-        )
+        g1 = rq.encode_as_gauge(rq.EnergyProblem(SIGMA_Z, 1.0, state))
+        g2 = rq.encode_as_gauge(rq.EnergyProblem(SIGMA_Z, 2.0, state))
         assert np.max(np.abs(g1.a_phi - 2.0 * g2.a_phi)) < 1e-12
 
-    def test_aliasing_warns_but_preserves_holonomy(self, natural_params):
+    def test_aliasing_warns_but_preserves_holonomy(self):
         h = 8.0 * SIGMA_Z  # eigenvalues far outside (-pi, pi]
         # the problem warns once, when it decomposes H / E_R
         with pytest.warns(rq.PhaseAliasingWarning):
             problem = rq.EnergyProblem(h, 1.0, np.array([1.0, 0.0]))
-        gauge = rq.encode_as_gauge(problem, natural_params)
+        gauge = rq.encode_as_gauge(problem)
         want = rq.expm_dense(h, -1.0)
         assert np.max(np.abs(reconstructed_unitary(gauge) - want)) < 1e-8
         # the gauge itself stays in the fundamental branch
         lam = gauge.eigenvalues
         assert np.max(np.abs(lam)) <= (np.pi / TWO_PI / rq.VELOCITY_FACTOR) + 1e-12
 
-    def test_no_warning_inside_branch(self, natural_params):
+    def test_no_warning_inside_branch(self):
         import warnings as w
         with w.catch_warnings():
             w.simplefilter("error", rq.PhaseAliasingWarning)
             problem = rq.EnergyProblem(2.0 * SIGMA_X, 1.0, np.array([1.0, 0.0]))
-            rq.encode_as_gauge(problem, natural_params)
+            rq.encode_as_gauge(problem)
 
-    def test_shares_the_problem_eigenbasis(self, sigma_z_problem, natural_params,
-                                           monkeypatch):
+    def test_shares_the_problem_eigenbasis(self, sigma_z_problem, monkeypatch):
         forbid_decompositions(monkeypatch)
-        gauge = rq.encode_as_gauge(sigma_z_problem, natural_params)
+        gauge = rq.encode_as_gauge(sigma_z_problem)
         theta, v = sigma_z_problem.spectrum
         assert np.array_equal(gauge.eigenvectors, v)
         want = -theta / (TWO_PI * rq.VELOCITY_FACTOR)
@@ -168,41 +150,41 @@ class TestEncodeHamiltonian:
 
 
 class TestEncodeUnitary:
-    def test_identity_gives_zero_gauge(self, natural_params):
+    def test_identity_gives_zero_gauge(self):
         spec = rq.UnitarySpec(np.eye(2), np.array([1.0, 0.0]))
-        gauge = rq.encode_as_gauge(spec, natural_params)
+        gauge = rq.encode_as_gauge(spec)
         assert np.max(np.abs(gauge.a_phi)) < 1e-14
 
-    def test_diagonal_quarter_turns(self, natural_params):
+    def test_diagonal_quarter_turns(self):
         u = np.diag(np.exp(1j * np.array([np.pi / 2, -np.pi / 2])))
         spec = rq.UnitarySpec(u, np.array([1.0, 0.0]))
-        gauge = rq.encode_as_gauge(spec, natural_params)
+        gauge = rq.encode_as_gauge(spec)
         expected = np.diag([-1.0 / 8.0, 1.0 / 8.0])
         assert np.max(np.abs(gauge.a_phi - expected)) < 1e-12
 
-    def test_global_phase_is_scalar_gauge(self, natural_params):
+    def test_global_phase_is_scalar_gauge(self):
         theta = 0.4
         spec = rq.UnitarySpec(
             np.exp(1j * theta) * np.eye(3), np.array([1.0, 0.0, 0.0])
         )
-        gauge = rq.encode_as_gauge(spec, natural_params)
+        gauge = rq.encode_as_gauge(spec)
         expected = -theta / (2.0 * TWO_PI) * np.eye(3)
         assert np.max(np.abs(gauge.a_phi - expected)) < 1e-12
 
-    def test_makes_no_decomposition(self, natural_params, monkeypatch):
+    def test_makes_no_decomposition(self, monkeypatch):
         spec = rq.UnitarySpec(random_unitary(np.random.default_rng(2200), 4),
                               np.eye(4)[0])
         forbid_decompositions(monkeypatch)
-        gauge = rq.encode_as_gauge(spec, natural_params)
+        gauge = rq.encode_as_gauge(spec)
         assert np.array_equal(gauge.eigenvectors, spec.spectrum.eigenvectors)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_holonomy_round_trip(self, seed, natural_params):
+    def test_holonomy_round_trip(self, seed):
         rng = np.random.default_rng(2000 + seed)
         n = int(rng.integers(1, 9))
         u = random_unitary(rng, n)
         spec = rq.UnitarySpec(u, random_state(rng, n))
-        gauge = rq.encode_as_gauge(spec, natural_params)
+        gauge = rq.encode_as_gauge(spec)
         assert np.max(np.abs(reconstructed_unitary(gauge) - u)) < 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
@@ -210,26 +192,19 @@ class TestEncodeUnitary:
         rng = np.random.default_rng(2100 + seed)
         n = int(rng.integers(1, 9))
         u = random_unitary(rng, n)
-        params = rq.RingPhysicalParams(hbar=1.3, charge_q=0.7, radius_r=2.0)
-        gauge = rq.encode_as_gauge(
-            rq.UnitarySpec(u, random_state(rng, n)), params
-        )
+        gauge = rq.encode_as_gauge(rq.UnitarySpec(u, random_state(rng, n)))
         t_form, q = scipy.linalg.schur(u, output="complex")
         phase_matrix = (q * np.angle(np.diag(t_form))) @ q.conj().T
-        scale = -params.hbar / (
-            params.charge_q * TWO_PI * params.radius_r * rq.VELOCITY_FACTOR
-        )
+        scale = -1.0 / (TWO_PI * rq.VELOCITY_FACTOR)
         assert np.max(np.abs(gauge.a_phi - scale * phase_matrix)) < 1e-12
 
-    def test_agrees_with_hamiltonian_route(self, natural_params):
+    def test_agrees_with_hamiltonian_route(self):
         rng = np.random.default_rng(77)
         h = random_hermitian(rng, 4, scale=0.6)
         state = random_state(rng, 4)
-        g_h = rq.encode_as_gauge(
-            rq.EnergyProblem(h, 1.0, state), natural_params
-        )
+        g_h = rq.encode_as_gauge(rq.EnergyProblem(h, 1.0, state))
         u = rq.expm_dense(h, -1.0)
-        g_u = rq.encode_as_gauge(rq.UnitarySpec(u, state), natural_params)
+        g_u = rq.encode_as_gauge(rq.UnitarySpec(u, state))
         assert np.max(np.abs(g_h.a_phi - g_u.a_phi)) < 1e-8
 
 

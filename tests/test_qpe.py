@@ -284,10 +284,10 @@ class TestOneRegisterPipeline:
         assert peak < 1.25 * nbytes
 
     def test_refuses_oversized_register_before_allocating(self, monkeypatch):
-        from ringqpe.qpe import REGISTER_BYTES_GUARD
+        from ringqpe.linalg import BYTES_GUARD
 
         # the defect-probe shape (t = 20, n = 4) fits; t = 24, n = 64 is 16 GiB
-        assert (1 << 20) * 4 * 16 <= REGISTER_BYTES_GUARD < (1 << 24) * 64 * 16
+        assert (1 << 20) * 4 * 16 <= BYTES_GUARD < (1 << 24) * 64 * 16
         n = 64
         spectrum = rq.eig_unitary(np.eye(n))
 

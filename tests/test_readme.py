@@ -1,12 +1,13 @@
 """README examples run: the Library code and each command transcript."""
 
+import argparse
 import os
 import re
 import shlex
 
 import pytest
 
-from ringqpe.cli import main
+from ringqpe.cli import build_parser, main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -28,6 +29,19 @@ def test_library_example_runs(monkeypatch):
     code = re.search(r"^```python\n(.*?)^```$", library, flags=re.M | re.S).group(1)
     monkeypatch.chdir(ROOT)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_command_line_section_names_exactly_the_parser_flags():
+    section = README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {flag for sub in subparsers.choices.values()
+               for action in sub._actions
+               if not isinstance(action, argparse._HelpAction)
+               for flag in action.option_strings if flag.startswith("--")}
+    assert sorted(named - defined) == [], "README names flags no subcommand takes"
+    assert sorted(defined - named) == [], "flags the README does not name"
 
 
 def test_every_command_has_a_transcript():

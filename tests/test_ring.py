@@ -29,83 +29,68 @@ TWO_PI = 2.0 * np.pi
 
 
 class TestReturnTime:
-    def test_natural_units(self, natural_params):
-        assert abs(rq.return_time(natural_params) - 4.0 * np.pi) < 1e-12
-
-    def test_parameter_scaling(self):
-        params = rq.RingPhysicalParams(hbar=2.0, charge_q=1.0, radius_r=3.0, mass_mq=5.0)
-        assert abs(rq.return_time(params) - 4.0 * np.pi * 5.0 * 9.0 / 2.0) < 1e-12
-
-    @pytest.mark.parametrize("radius,mass,hbar", [
-        (1e200, 1.0, 1.0),  # r^2 overflows
-        (1e150, 1e100, 1.0),  # the product overflows
-        (1.0, 1.0, 1e-310),  # dividing by a subnormal hbar overflows
-    ])
-    def test_non_finite_return_time_is_refused(self, radius, mass, hbar):
-        params = rq.RingPhysicalParams(hbar=hbar, radius_r=radius, mass_mq=mass)
-        with pytest.raises(rq.PreconditionError,
-                           match="not finite at radius = .*, mass = .*, hbar = "):
-            rq.return_time(params)
+    def test_natural_units(self):
+        assert abs(rq.RETURN_TIME - 4.0 * np.pi) < 1e-12
 
 
 class TestBuildHamiltonian:
     """Mode-block spectrum: eigenbasis energies and the dense oracle's blocks."""
 
-    def test_free_spectrum_without_gauge(self, natural_params):
-        gauge = gauge_from(np.zeros((1, 1), dtype=complex), natural_params)
+    def test_free_spectrum_without_gauge(self):
+        gauge = gauge_from(np.zeros((1, 1), dtype=complex))
         energies = gauge.mode_energies(3)
         for row, m in enumerate(range(-3, 4)):
-            expected = m * m / 2.0  # hbar^2 m^2 / (2 m_q r^2) in natural units
+            expected = m * m / 2.0
             assert abs(energies[row, 0] - expected) < 1e-12
 
-    def test_symbolic_expansion_single_mode(self, natural_params):
+    def test_symbolic_expansion_single_mode(self):
         a = 0.3 * SIGMA_X
-        gauge = gauge_from(a, natural_params)
+        gauge = gauge_from(a)
         blocks = _squared_blocks(gauge, 1)
         m = 1
         expected = (np.eye(2) * (m * m) - 2.0 * m * a + a @ a) / 2.0
         row = m + 1  # rows ordered -l..l
         assert np.max(np.abs(blocks[row] - expected)) < 1e-12
 
-    def test_blocks_hermitian_and_counted(self, natural_params):
+    def test_blocks_hermitian_and_counted(self):
         rng = np.random.default_rng(7)
-        gauge = gauge_from(random_hermitian(rng, 3), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 3))
         blocks = _squared_blocks(gauge, 5)
         assert blocks.shape == (11, 3, 3)
         assert gauge.mode_energies(5).shape == (11, 3)
         stack_dagger = np.conj(np.transpose(blocks, (0, 2, 1)))
         assert np.max(np.abs(blocks - stack_dagger)) < 1e-12
 
-    def test_cross_term_breaks_mode_reflection(self, natural_params):
+    def test_cross_term_breaks_mode_reflection(self):
         # E_{-m,k} differs from E_{m,k} exactly by the sign of the linear term
-        gauge = gauge_from(0.2 * SIGMA_Z, natural_params)
+        gauge = gauge_from(0.2 * SIGMA_Z)
         energies = gauge.mode_energies(2)
         e_plus, e_minus = energies[2 + 1], energies[2 - 1]
         assert np.max(np.abs(gauge.eigenvalues - [-0.2, 0.2])) < 1e-15
         assert np.max(np.abs(e_plus - e_minus - (-2.0 * gauge.eigenvalues))) < 1e-12
 
-    def test_rejects_bad_cutoff(self, natural_params):
-        gauge = gauge_from(np.zeros((1, 1)), natural_params)
+    def test_rejects_bad_cutoff(self):
+        gauge = gauge_from(np.zeros((1, 1)))
         with pytest.raises(rq.PreconditionError):
             gauge.mode_energies(0)
 
 
 class TestGaugeField:
-    def test_built_from_its_basis_without_eigh(self, natural_params, monkeypatch):
+    def test_built_from_its_basis_without_eigh(self, monkeypatch):
         v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("GaugeField called eigh")
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        gauge = rq.GaugeField(np.array([-0.1, 0.3]), v, natural_params)
+        gauge = rq.GaugeField(np.array([-0.1, 0.3]), v)
         assert gauge.n_colors == 2
         assert np.max(np.abs(gauge.a_phi - (0.1 * np.eye(2) - 0.2 * SIGMA_X))) < 1e-15
         for arr in (gauge.eigenvalues, gauge.eigenvectors):
             assert not arr.flags.writeable
 
-    def test_a_phi_is_derived_and_read_only(self, natural_params):
-        gauge = gauge_from(0.3 * SIGMA_X, natural_params)
+    def test_a_phi_is_derived_and_read_only(self):
+        gauge = gauge_from(0.3 * SIGMA_X)
         assert np.max(np.abs(gauge.a_phi - 0.3 * SIGMA_X)) < 1e-15
         with pytest.raises(AttributeError):
             gauge.a_phi = np.zeros((2, 2))
@@ -115,9 +100,9 @@ class TestGaugeField:
         ([0.1 + 1e-3j, 0.2], np.eye(2), "finite reals"),
         ([0.1, 0.2], [[1.0, 0.0], [1.0, 1.0]], "not unitary"),
     ])
-    def test_rejects_a_bad_basis(self, natural_params, w, v, message):
+    def test_rejects_a_bad_basis(self, w, v, message):
         with pytest.raises(rq.PreconditionError, match=message):
-            rq.GaugeField(np.asarray(w), np.asarray(v), natural_params)
+            rq.GaugeField(np.asarray(w), np.asarray(v))
 
 
 class TestRingState:
@@ -175,38 +160,38 @@ class TestInitialLocalizedState:
 
 
 class TestEvolveBlock:
-    def test_zero_time_is_identity(self, natural_params):
+    def test_zero_time_is_identity(self):
         rng = np.random.default_rng(41)
-        gauge = gauge_from(random_hermitian(rng, 2), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 2))
         state = rq.initial_localized_state(8, random_state(rng, 2))
         evolved = rq.evolve_block(state, gauge, 0.0)
         assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-12
 
-    def test_revival_at_return_time(self, natural_params):
-        gauge = gauge_from(np.zeros((2, 2), dtype=complex), natural_params)
+    def test_revival_at_return_time(self):
+        gauge = gauge_from(np.zeros((2, 2), dtype=complex))
         state = rq.initial_localized_state(12, np.array([0.6, 0.8]))
-        evolved = rq.evolve_block(state, gauge, rq.return_time(natural_params))
+        evolved = rq.evolve_block(state, gauge, rq.RETURN_TIME)
         # free phases e^{-i 2 pi m^2} are exactly 1: the packet reassembles
         assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_norm_conserved(self, seed, natural_params):
+    def test_norm_conserved(self, seed):
         rng = np.random.default_rng(400 + seed)
         n = int(rng.integers(1, 4))
         l = int(rng.integers(1, 20))
-        gauge = gauge_from(random_hermitian(rng, n), natural_params)
+        gauge = gauge_from(random_hermitian(rng, n))
         state = rq.initial_localized_state(l, random_state(rng, n))
         evolved = rq.evolve_block(state, gauge, rng.uniform(0.0, 20.0))
         assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10
 
-    def test_abelian_shift_matches_dense_oracle(self, natural_params):
+    def test_abelian_shift_matches_dense_oracle(self):
         # scalar gauge tuned so the packet relocalizes at phi_u = 1.0
         phi_u = 1.0
-        a = -phi_u / (2.0 * TWO_PI)  # (q/hbar) 2 pi r a = -phi_u/2
+        a = -phi_u / (2.0 * TWO_PI)  # 2 pi a = -phi_u/2
         gauge = gauge_from([[a]])
         l, n_grid = 24, 256
         state = rq.initial_localized_state(l, np.array([1.0]))
-        t_r = rq.return_time(natural_params)
+        t_r = rq.RETURN_TIME
         block = rq.evolve_block(state, gauge, t_r)
         dense = rq.evolve_dense(state, gauge, t_r)
         d_block = rq.position_density(block, n_grid)
@@ -215,7 +200,7 @@ class TestEvolveBlock:
         nearest = round(phi_u / (TWO_PI / n_grid)) % n_grid
         assert int(np.argmax(d_block.density)) == nearest
 
-    def test_grid_aligned_shift_is_exact_rotation(self, natural_params):
+    def test_grid_aligned_shift_is_exact_rotation(self):
         # pick the relocalization angle on the grid: the evolved density is
         # the initial one rolled by that many bins
         n_grid = 128
@@ -224,12 +209,12 @@ class TestEvolveBlock:
         gauge = gauge_from([[-phi_u / (2.0 * TWO_PI)]])
         l = 20
         state = rq.initial_localized_state(l, np.array([1.0]))
-        evolved = rq.evolve_block(state, gauge, rq.return_time(natural_params))
+        evolved = rq.evolve_block(state, gauge, rq.RETURN_TIME)
         before = rq.position_density(state, n_grid).density
         after = rq.position_density(evolved, n_grid).density
         assert np.max(np.abs(after - np.roll(before, shift_bins))) < 1e-6
 
-    def test_gauge_squared_term_does_not_move_the_peak(self, natural_params):
+    def test_gauge_squared_term_does_not_move_the_peak(self):
         # for an eigencolor the A_phi^2 block term only contributes a global
         # phase; dropping it must leave the relocalization angle unchanged
         lam = 0.07
@@ -237,7 +222,7 @@ class TestEvolveBlock:
         l, n_grid = 30, 512
         color = np.array([1.0, 0.0])
         state = rq.initial_localized_state(l, color)
-        t_r = rq.return_time(natural_params)
+        t_r = rq.RETURN_TIME
         full = rq.evolve_block(state, gauge, t_r)
         # blocks without the A^2 term, (m^2 - 2 m lam) / 2, on this eigencolor
         modes = np.arange(-l, l + 1)
@@ -251,7 +236,7 @@ class TestEvolveBlock:
         d_stripped = rq.position_density(stripped, n_grid)
         assert int(np.argmax(d_full.density)) == int(np.argmax(d_stripped.density))
 
-    def test_incompatible_shapes_rejected(self, natural_params):
+    def test_incompatible_shapes_rejected(self):
         gauge = gauge_from(np.zeros((3, 3)))
         state = rq.initial_localized_state(3, np.array([1.0, 0.0]))
         with pytest.raises(rq.PreconditionError, match="colors"):
@@ -259,21 +244,20 @@ class TestEvolveBlock:
         with pytest.raises(rq.PreconditionError, match="colors"):
             rq.evolve_dense(state, gauge, 1.0)
 
-    @pytest.mark.parametrize("hbar,t", [(1e-300, 1e10), (1e300, 0.0)])
-    def test_non_finite_phase_is_refused_without_a_warning(self, hbar, t):
-        # t / hbar overflows at hbar = 1e-300; at 1e300 the energies do, and
-        # inf * 0 is NaN; numpy warned before the state check named neither
-        params = rq.RingPhysicalParams(hbar=hbar)
-        gauge = gauge_from(SIGMA_X, params)
+    @pytest.mark.parametrize("scale,t", [(1.0, 1e308), (1e300, 0.0)])
+    def test_non_finite_phase_is_refused_without_a_warning(self, scale, t):
+        # E t overflows at t = 1e308; at a gauge of 1e300 the energies do,
+        # and inf * 0 is NaN; numpy warned before the state check named neither
+        gauge = gauge_from(scale * SIGMA_X)
         state = rq.initial_localized_state(4, np.array([1.0, 0.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(rq.PreconditionError, match="E t / hbar is not finite"):
+            with pytest.raises(rq.PreconditionError, match="E t is not finite"):
                 rq.evolve_block(state, gauge, t)
 
-    def test_makes_no_eigendecomposition(self, natural_params, monkeypatch):
+    def test_makes_no_eigendecomposition(self, monkeypatch):
         rng = np.random.default_rng(44)
-        gauge = gauge_from(random_hermitian(rng, 3), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 3))
         state = rq.initial_localized_state(5, random_state(rng, 3))
 
         def forbidden(*args, **kwargs):
@@ -285,43 +269,24 @@ class TestEvolveBlock:
 
 
 class TestEvolveDense:
-    def test_zero_time_is_identity(self, natural_params):
+    def test_zero_time_is_identity(self):
         rng = np.random.default_rng(43)
-        gauge = gauge_from(random_hermitian(rng, 2), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 2))
         state = rq.initial_localized_state(6, random_state(rng, 2))
         evolved = rq.evolve_dense(state, gauge, 0.0)
         assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-12
 
-    def test_matches_block_route_at_contract_dimension(self, natural_params):
+    def test_matches_block_route_at_contract_dimension(self):
         rng = np.random.default_rng(99)
         l = 50  # dimension (2l+1)*2 = 202
-        gauge = gauge_from(random_hermitian(rng, 2, scale=0.2), natural_params)
+        gauge = gauge_from(random_hermitian(rng, 2, scale=0.2))
         state = rq.initial_localized_state(l, random_state(rng, 2))
-        t_r = rq.return_time(natural_params)
+        t_r = rq.RETURN_TIME
         block = rq.evolve_block(state, gauge, t_r)
         dense = rq.evolve_dense(state, gauge, t_r)
         assert np.max(np.abs(block.coeffs - dense.coeffs)) < 1e-8
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_block_route_in_physical_units(self, seed):
-        rng = np.random.default_rng(950 + seed)
-        params = rq.RingPhysicalParams(
-            hbar=0.7, charge_q=-1.3, radius_r=1.6, mass_mq=0.45
-        )
-        n = int(rng.integers(2, 5))
-        l = int(rng.integers(5, 21))
-        gauge = gauge_from(random_hermitian(rng, n, scale=0.3), params)
-        # eigenbasis energies are the spectra of the directly squared blocks
-        blocks = _squared_blocks(gauge, l)
-        energies = np.sort(gauge.mode_energies(l), axis=1)
-        assert np.max(np.abs(energies - np.linalg.eigvalsh(blocks))) < 1e-10
-        state = rq.initial_localized_state(l, random_state(rng, n))
-        t = float(rng.uniform(0.0, rq.return_time(params)))
-        block = rq.evolve_block(state, gauge, t)
-        dense = rq.evolve_dense(state, gauge, t)
-        assert np.max(np.abs(block.coeffs - dense.coeffs)) < 1e-8
-
-    def test_dimension_guard(self, natural_params, monkeypatch):
+    def test_dimension_guard(self, monkeypatch):
         monkeypatch.setattr(linalg_module, "DENSE_DIMENSION_GUARD", 8)
         gauge = gauge_from(np.zeros((2, 2)))
         state = rq.initial_localized_state(5, np.array([1.0, 0.0]))
@@ -562,8 +527,8 @@ class TestExtractPeaks:
             rq.extract_peaks(density, 10, 1)
         assert len(rq.extract_peaks(revival_density(10, 41, [1.0], [1.0]), 10, 1)) == 1
 
-    def test_weight_sum_bounded(self, sigma_z_problem, natural_params):
-        gauge = rq.encode_as_gauge(sigma_z_problem, natural_params)
+    def test_weight_sum_bounded(self, sigma_z_problem):
+        gauge = rq.encode_as_gauge(sigma_z_problem)
         peaks = rq.estimate_phase_via_ring(
             gauge, sigma_z_problem.state, 50, 512
         )
@@ -571,16 +536,16 @@ class TestExtractPeaks:
 
 
 class TestEstimatePhaseViaRing:
-    def test_zero_gauge_relocalizes_at_origin(self, natural_params):
-        gauge = gauge_from(np.zeros((2, 2), dtype=complex), natural_params)
+    def test_zero_gauge_relocalizes_at_origin(self):
+        gauge = gauge_from(np.zeros((2, 2), dtype=complex))
         peaks = rq.estimate_phase_via_ring(
             gauge, np.array([1.0, 0.0]), 40, 256
         )
         assert rq.circular_distance(peaks.dominant.phi, 0.0) < TWO_PI / 256
         assert peaks.dominant.weight > 0.9
 
-    def test_two_level_ground_state_read_out(self, sigma_x_problem, natural_params):
-        gauge = rq.encode_as_gauge(sigma_x_problem, natural_params)
+    def test_two_level_ground_state_read_out(self, sigma_x_problem):
+        gauge = rq.encode_as_gauge(sigma_x_problem)
         peaks = rq.estimate_phase_via_ring(
             gauge, sigma_x_problem.state, 50, 512
         )
@@ -588,8 +553,8 @@ class TestEstimatePhaseViaRing:
         assert abs(peaks.dominant.phi - expected) < TWO_PI / 512
         assert peaks.dominant.weight > 0.9
 
-    def test_superposition_weights_track_overlaps(self, sigma_z_problem, natural_params):
-        gauge = rq.encode_as_gauge(sigma_z_problem, natural_params)
+    def test_superposition_weights_track_overlaps(self, sigma_z_problem):
+        gauge = rq.encode_as_gauge(sigma_z_problem)
         peaks = rq.estimate_phase_via_ring(
             gauge, sigma_z_problem.state, 50, 512
         )
@@ -601,33 +566,22 @@ class TestEstimatePhaseViaRing:
         assert rq.circular_distance(second.phi, TWO_PI - 2.0) < 2 * TWO_PI / 512
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_eigencolor_lands_at_predicted_angle(self, seed, natural_params):
+    def test_eigencolor_lands_at_predicted_angle(self, seed):
         rng = np.random.default_rng(700 + seed)
         n = int(rng.integers(1, 5))
-        gauge = gauge_from(random_hermitian(rng, n, scale=0.1), natural_params)
+        gauge = gauge_from(random_hermitian(rng, n, scale=0.1))
         lam, vec = gauge.eigenvalues, gauge.eigenvectors
         pick = int(rng.integers(0, n))
         color = vec[:, pick]
         l = 60
         peaks = rq.estimate_phase_via_ring(gauge, color, l, 512)
-        # two laps by t_R: the eigencolor lands at -2 * 2 pi r (q / hbar) lam
-        p = gauge.params
-        predicted = rq.wrap_to_unit(
-            -2.0 * TWO_PI * p.radius_r * (p.charge_q / p.hbar) * float(lam[pick])
-        )
+        # two laps by t_R: the eigencolor lands at -2 * 2 pi lam
+        predicted = rq.wrap_to_unit(-2.0 * TWO_PI * float(lam[pick]))
         assert rq.circular_distance(peaks.dominant.phi, predicted) < TWO_PI / (2 * l + 1)
         assert peaks.dominant.weight > 0.9
 
-    def test_non_natural_units_same_read_out(self, sigma_x_problem):
-        params = rq.RingPhysicalParams(hbar=3.0, charge_q=-0.5, radius_r=2.0, mass_mq=0.7)
-        gauge = rq.encode_as_gauge(sigma_x_problem, params)
-        peaks = rq.estimate_phase_via_ring(
-            gauge, sigma_x_problem.state, 50, 512
-        )
-        assert abs(peaks.dominant.phi - (TWO_PI - 2.0)) < TWO_PI / 512
-
-    def test_resolution_check(self, sigma_x_problem, natural_params, monkeypatch):
-        gauge = rq.encode_as_gauge(sigma_x_problem, natural_params)
+    def test_resolution_check(self, sigma_x_problem, monkeypatch):
+        gauge = rq.encode_as_gauge(sigma_x_problem)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("evolved before the grid check")
@@ -643,11 +597,11 @@ class TestEstimatePhaseViaRing:
 
 class TestGoldenDensity:
     def test_evolved_density_matches_frozen_reference(
-        self, sigma_x_problem, natural_params, tmp_path
+        self, sigma_x_problem, tmp_path
     ):
-        gauge = rq.encode_as_gauge(sigma_x_problem, natural_params)
+        gauge = rq.encode_as_gauge(sigma_x_problem)
         state = rq.initial_localized_state(50, sigma_x_problem.state)
-        evolved = rq.evolve_block(state, gauge, rq.return_time(natural_params))
+        evolved = rq.evolve_block(state, gauge, rq.RETURN_TIME)
         density = rq.position_density(evolved, 512)
 
         import os
