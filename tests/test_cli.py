@@ -468,6 +468,25 @@ class TestRingArguments:
         assert lines[0].startswith("ringqpe: error: phase E t is not finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub", ["ring-sim"])
+    @pytest.mark.parametrize("flags,message", [
+        # hbar = 1 in natural units, so the overflow of E t / hbar that a
+        # tiny hbar caused is now reached by a huge first snapshot time
+        (["--times", "1e306"], "phase E t is not finite"),
+    ], ids=["hbar"])
+    def test_extreme_constants_leave_one_line_and_no_output(
+            self, tmp_path, sigma_x_file, sub, flags, message):
+        out = tmp_path / "out"
+        proc = run_python(
+            ["-m", "ringqpe", sub, "--problem", str(sigma_x_file),
+             "--out-dir", str(out)] + flags
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(f"ringqpe: error: {message}")
+        assert not out.exists()
+
 
 class TestMemoryGuards:
     @pytest.mark.parametrize("sub", ["ring-sim", "compare"])
