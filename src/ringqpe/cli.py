@@ -40,24 +40,6 @@ from .errors import (
     ResolutionError,
     RingQpeError,
 )
-from .qpe import (
-    QpeConfig,
-    estimate_to_json,
-    qpe_estimate,
-    write_distribution_csv,
-)
-from .ring import (
-    RETURN_TIME,
-    estimate_phase_via_ring,
-    evolve_block,
-    extract_peaks,
-    initial_localized_state,
-    peak_set_to_json,
-    phase_angles,
-    position_density,
-    require_ring_grid,
-    write_density_csv,
-)
 
 PROG = "ringqpe"
 OUT_DIR_ENV = "RINGQPE_OUT_DIR"
@@ -180,6 +162,13 @@ def _list_of(kind):
     return cast
 
 
+def _real(value) -> float:
+    """float(), but a bool is refused."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, got a boolean")
+    return float(value)
+
+
 def _integer(value) -> int:
     """int(), but a bool or a number with a fractional part is refused."""
     if isinstance(value, bool):
@@ -214,7 +203,7 @@ _CASTERS = {
     "seed": _seed, "out_dir": _path, "problem": _path,
     "mode_cutoff_l": _integer, "grid_size_n": _integer, "t_bits": _integer,
     "shots": _integer, "repeats": _integer,
-    "times": _list_of(float), "sizes": _list_of(_integer),
+    "times": _list_of(_real), "sizes": _list_of(_integer),
     "count_ops": _boolean,
 }
 
@@ -271,11 +260,14 @@ def _require_problem(cfg: argparse.Namespace):
 
 
 def cmd_ring_sim(cfg: argparse.Namespace) -> int:
+    # each handler imports only its own route, so ring-sim never loads qpe
+    from . import ring
+
     problem = _require_problem(cfg)
-    require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
+    ring.require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
     fractions = cfg.times + (1.0,)
     for fraction in fractions:
-        t = fraction * RETURN_TIME
+        t = fraction * ring.RETURN_TIME
         if not math.isfinite(t):
             raise PreconditionError(
                 f"snapshot time {fraction!r} t_R = {t!r} is not finite"
@@ -283,16 +275,18 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
 
     gauge = encode_as_gauge(problem)
     # the largest |t| checks every snapshot before any is evolved
-    phase_angles(gauge, cfg.mode_cutoff_l, max(fractions, key=abs) * RETURN_TIME)
+    ring.phase_angles(gauge, cfg.mode_cutoff_l,
+                      max(fractions, key=abs) * ring.RETURN_TIME)
 
     def density_at(fraction):
         # a fresh packet each time, freed as soon as it has evolved
-        evolved = evolve_block(initial_localized_state(cfg.mode_cutoff_l, problem.state),
-                               gauge, fraction * RETURN_TIME)
-        return position_density(evolved, cfg.grid_size_n)
+        evolved = ring.evolve_block(
+            ring.initial_localized_state(cfg.mode_cutoff_l, problem.state),
+            gauge, fraction * ring.RETURN_TIME)
+        return ring.position_density(evolved, cfg.grid_size_n)
 
     density = density_at(1.0)
-    peaks = extract_peaks(density, cfg.mode_cutoff_l, gauge.n_colors)
+    peaks = ring.extract_peaks(density, cfg.mode_cutoff_l, gauge.n_colors)
 
     # made only once every refusal is past, so a refused run leaves nothing
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -303,22 +297,22 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     # a time; a repeated time copies that file
     first = dict(zip(reversed(cfg.times), reversed(snapshot_paths)))
     if 1.0 in first:
-        write_density_csv(density, first[1.0])
+        ring.write_density_csv(density, first[1.0])
     del density
     for fraction, path in first.items():
         if fraction != 1.0:
-            write_density_csv(density_at(fraction), path)
+            ring.write_density_csv(density_at(fraction), path)
     for fraction, path in zip(cfg.times, snapshot_paths):
         if path != first[fraction]:
             shutil.copyfile(first[fraction], path)
     peaks_path = os.path.join(cfg.out_dir, "peaks.json")
     with open(peaks_path, "w") as fh:
-        json.dump(peak_set_to_json(peaks), fh, indent=2)
+        json.dump(ring.peak_set_to_json(peaks), fh, indent=2)
 
     lines = [
         f"problem: {cfg.problem}",
         f"mode cutoff l = {cfg.mode_cutoff_l}, grid N = {cfg.grid_size_n}",
-        f"return time t_R = {RETURN_TIME!r}",
+        f"return time t_R = {ring.RETURN_TIME!r}",
         f"peaks found: {len(peaks)}",
     ]
     for i, p in enumerate(peaks):
@@ -339,16 +333,18 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
 
 
 def cmd_qpe(cfg: argparse.Namespace) -> int:
+    from . import qpe
+
     problem = _require_problem(cfg)
-    qpe_cfg = QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
-    estimate = qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
+    qpe_cfg = qpe.QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
+    estimate = qpe.qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     dist_path = os.path.join(cfg.out_dir, "qpe_distribution.csv")
-    write_distribution_csv(estimate.distribution, dist_path)
+    qpe.write_distribution_csv(estimate.distribution, dist_path)
     est_path = os.path.join(cfg.out_dir, "qpe_estimate.json")
     with open(est_path, "w") as fh:
-        json.dump(estimate_to_json(estimate, qpe_cfg), fh, indent=2)
+        json.dump(qpe.estimate_to_json(estimate, qpe_cfg), fh, indent=2)
 
     print(
         f"k = {estimate.k_best} of 2^{cfg.t_bits}, "
@@ -361,10 +357,12 @@ def cmd_qpe(cfg: argparse.Namespace) -> int:
 
 
 def cmd_compare(cfg: argparse.Namespace) -> int:
+    from . import qpe, ring
+
     problem = _require_problem(cfg)
-    require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
+    ring.require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
     # built first, so t_bits is checked before 2^t is formed
-    qpe_cfg = QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
+    qpe_cfg = qpe.QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
     if cfg.grid_size_n < qpe_cfg.register_size:
         raise ResolutionError(
             f"grid of {cfg.grid_size_n} points is coarser than the "
@@ -372,7 +370,7 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
         )
 
     gauge = encode_as_gauge(problem)
-    peaks = estimate_phase_via_ring(
+    peaks = ring.estimate_phase_via_ring(
         gauge, problem.state, cfg.mode_cutoff_l, cfg.grid_size_n
     )
     if not len(peaks):
@@ -380,7 +378,7 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
 
     ambiguous = len(peaks) > 1 and peaks.peaks[1].weight >= AMBIGUITY_WEIGHT
 
-    estimate = qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
+    estimate = qpe.qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
     phi_ring = peaks.dominant.phi
     phi_qpe = estimate.phi_estimate
     # the eigenphase of largest Born weight |<v_k|c>|^2, lowest k on a tie

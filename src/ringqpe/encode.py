@@ -23,6 +23,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,7 +39,9 @@ from .linalg import (
     require_unit_vector,
     require_unitary,
 )
-from .ring import VELOCITY_FACTOR, GaugeField
+
+if TYPE_CHECKING:
+    from .ring import GaugeField
 
 
 def _require_state(state, n: int, what: str) -> np.ndarray:
@@ -121,10 +124,13 @@ def encode_as_gauge(problem) -> GaugeField:
     """Gauge field whose ring read-out gives the problem's eigenphases.
 
     Scales the problem's spectrum; the field shares its eigenbasis, so no
-    matrix is decomposed here.
+    matrix is decomposed here. The ring module loads on the first call, so
+    a register-only caller never loads it.
     """
+    from . import ring
+
     theta, v = problem.spectrum
-    return GaugeField(-1.0 / (TWO_PI * VELOCITY_FACTOR) * theta, v)
+    return ring.GaugeField(-1.0 / (TWO_PI * ring.VELOCITY_FACTOR) * theta, v)
 
 
 def phase_to_energy(phi: float, E_R: float) -> float:

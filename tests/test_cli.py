@@ -13,6 +13,8 @@ import pytest
 
 import ringqpe as rq
 import ringqpe.cli as cli
+import ringqpe.linalg as linalg_module
+import ringqpe.qpe as qpe_module
 import ringqpe.ring as ring_module
 from ringqpe.cli import main
 
@@ -106,6 +108,41 @@ class TestParsing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "ringqpe.bench", "True"]
 
+    def test_import_loads_neither_numpy_nor_a_submodule(self):
+        code = ("import sys, ringqpe; "
+                "print(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] in ('numpy', 'ringqpe')))")
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['ringqpe']"
+
+    def test_every_exported_name_resolves(self):
+        code = ("import ringqpe; "
+                "print(all(getattr(ringqpe, n) is not None for n in ringqpe.__all__)); "
+                "print(set(ringqpe.__all__) <= set(dir(ringqpe)))")
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
+
+    @pytest.mark.parametrize("sub,unused", [("qpe", "ringqpe.ring"),
+                                            ("ring-sim", "ringqpe.qpe")])
+    def test_command_loads_only_its_route(self, tmp_path, sub, unused):
+        problem = os.path.join(PROBLEM_DIR, "sigma_x_ground_state.json")
+        proc = run_python(["-X", "importtime", "-m", "ringqpe", sub,
+                           "--problem", problem, "--out-dir", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rpartition("|")[2].strip()
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert f"ringqpe.{sub.partition('-')[0]}" in loaded
+        assert unused not in loaded
+
+    def test_module_entry_point_freezes_the_start_up_heap(self):
+        code = "import gc, ringqpe.__main__; print(gc.get_freeze_count() > 0)"
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
     def test_import_builds_no_csv_tables(self):
         # the CSV writer's power-of-ten and digit tables are made on first use
         code = ("import ringqpe, ringqpe.cli, ringqpe.linalg as linalg; "
@@ -113,6 +150,17 @@ class TestParsing:
         proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
+
+    def test_a_csv_write_builds_only_the_powers_of_ten_it_uses(self, tmp_path):
+        # 1.5 and 2.5e-3 scale by 10^16 and 10^19; a guess one exponent low
+        # may also build its neighbour
+        path = str(tmp_path / "rows.csv")
+        code = ("import numpy as np, ringqpe.linalg as linalg; "
+                f"linalg.write_csv_rows({path!r}, 'x', [np.array([1.5, 2.5e-3])]); "
+                "print(int(np.count_nonzero(linalg._float_tables()[0][0])))")
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert 2 <= int(proc.stdout) <= 4
 
 
 class TestProblemIo:
@@ -228,9 +276,7 @@ class TestRingSim:
             return wrapper
 
         for name in calls:
-            wrapper = counted(name)
-            for module in (cli, ring_module):
-                monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(ring_module, name, counted(name))
         out = tmp_path / "out"
         argv = ["ring-sim", "--problem", str(sigma_x_file), "--out-dir", str(out)]
         assert main(argv + (["--times", times] if times else [])) == 0
@@ -397,13 +443,13 @@ class TestCompare:
     def test_injected_register_error_trips_mismatch(
         self, tmp_path, sigma_x_file, monkeypatch, capsys
     ):
-        exact = cli.qpe_estimate
+        exact = qpe_module.qpe_estimate
 
         def shifted(*args):
             est = exact(*args)
             return est._replace(phi_estimate=(est.phi_estimate + 0.1) % TWO_PI)
 
-        monkeypatch.setattr(cli, "qpe_estimate", shifted)
+        monkeypatch.setattr(qpe_module, "qpe_estimate", shifted)
         out = tmp_path / "out"
         code = main(["compare", "--problem", str(sigma_x_file),
                      "--out-dir", str(out)])
@@ -413,6 +459,20 @@ class TestCompare:
         assert report["distances"]["qpe_eig"] > report["bound"]
         assert report["distances"]["ring_eig"] <= report["bound"]
         assert "disagree" in capsys.readouterr().err
+
+    def test_checks_the_problem_eigenbasis_once(self, tmp_path, sigma_x_file,
+                                                monkeypatch):
+        # the ring's gauge field and the register read the same read-only V
+        checks = []
+        defect = linalg_module.unitarity_defect
+
+        def counted(m):
+            checks.append(m.shape)
+            return defect(m)
+        monkeypatch.setattr(linalg_module, "unitarity_defect", counted)
+        assert main(["compare", "--problem", str(sigma_x_file),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert checks == [(2, 2)]
 
     def test_phi_eig_at_phase_zero_is_zero_not_two_pi(self, tmp_path):
         # the state is U's phase-0 eigenvector; the angle of its spectral sum
@@ -737,6 +797,7 @@ class TestConfigPrecedence:
         ("bench", "sizes", [64, False]),
         ("bench", "count_ops", "false"),
         ("qpe", "problem", 5),
+        ("ring-sim", "times", [True, False]),
     ])
     def test_wrong_typed_config_value_is_usage_error(
             self, tmp_path, sigma_x_file, capsys, monkeypatch, sub, key, value):
