@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -39,17 +38,15 @@ _CSV_BLOCK_ROWS = 1 << 11
 # len(format(-1.7976931348623157e308, ".16e")), the longest float field
 _FLOAT_WIDTH = 24
 # the range of |x| whose format the float kernel certifies, and how close
-# to a rounding tie (in units of the 17th digit) it leaves to Python
-_FAST_MIN, _FAST_MAX = 1e-280, 1e290
+# to a rounding tie (in units of the 17th digit) it leaves to Python; the
+# CSVs hold probabilities and densities, whose rounding noise sits near
+# 1e-34 and whose peaks stay below (2l + 1) / 2 pi
+_FAST_MIN, _FAST_MAX = 1e-100, 1e20
 _TIE_MARGIN = 1e-6
 # 10^s for every s = 16 - e10 the kernel may try for such x
-_POW10_MIN, _POW10_MAX = -276, 298
+_POW10_MIN, _POW10_MAX = -6, 118
 _LOG10_2 = 0.30102999566398120
 _ZERO, _MINUS = ord("0"), ord("-")
-
-# read-only, owned eigenbases that passed require_eigenbasis, by id: no
-# caller can write to them, so their n^3 unitarity check is not repeated
-_CERTIFIED_BASES = weakref.WeakValueDictionary()
 
 # Pade-13 coefficients and norm threshold for scaling-and-squaring
 # (Higham 2005 constants).
@@ -157,18 +154,13 @@ def require_eigenbasis(spectrum) -> EigenDecomposition:
 
     V must be square and unitary within 1e-10, with one column per
     eigenvalue; that is what lets a consumer rotate into the basis and back
-    without decomposing anything itself. A read-only V that owns its data
-    is checked once: a problem's spectrum, which `compare` hands to both
-    routes, is not checked again. Any other V is checked on every call.
+    without decomposing anything itself.
     """
     w, v = spectrum
     w = np.asarray(w)
     if w.ndim != 1 or not np.isrealobj(w) or not np.all(np.isfinite(w)):
         raise PreconditionError("eigenvalues must be a 1-D array of finite reals")
-    if _CERTIFIED_BASES.get(id(v)) is not v or v.flags.writeable:
-        v = require_unitary(v)
-        if not v.flags.writeable and v.flags.owndata:
-            _CERTIFIED_BASES[id(v)] = v
+    v = require_unitary(v)
     if v.shape[0] != w.size:
         raise PreconditionError(
             f"{w.size} eigenvalues do not match a {v.shape[0]}-dimensional basis"
@@ -275,12 +267,21 @@ def _float_tables():
 
     Column s - _POW10_MIN of `powers` is 10^s as hi + lo, hi = fl(10^s)
     and lo = fl(10^s - hi) from exact integer division, then hi's two
-    Veltkamp halves. A column stays zero until `_powers_for` fills it, the
-    first time a write needs it. Entry i of `digits` holds the 4 ASCII
-    digits of i as one 4-byte word, so a gather moves them whole; only
-    their bytes are ever read, so the byte order does not matter.
+    Veltkamp halves. Entry i of `digits` holds the 4 ASCII digits of i as
+    one 4-byte word, so a gather moves them whole; only their bytes are
+    ever read, so the byte order does not matter.
     """
-    powers = np.zeros((4, _POW10_MAX - _POW10_MIN + 1))
+    his, los = [], []
+    for s in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        # int / int rounds correctly, however large its operands
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * b - a * den) / (den * b))
+    hi = np.array(his)
+    powers = np.stack((hi, np.array(los)) + _veltkamp(hi))
+    powers.setflags(write=False)
     i = np.arange(10000, dtype=np.uint16)
     digits = np.empty((i.size, 4), np.uint8)
     for at, place in enumerate((1000, 100, 10, 1)):
@@ -288,25 +289,6 @@ def _float_tables():
     digits = digits.view(np.uint32).ravel()
     digits.setflags(write=False)
     return powers, digits
-
-
-def _powers_for(e10):
-    """The powers table, with 10^(16 - e) built for each e in e10.
-
-    A CSV's values span a few dozen exponents, so a process builds those
-    columns rather than all of them.
-    """
-    powers, _ = _float_tables()
-    todo = np.zeros(powers.shape[1], dtype=bool)
-    todo[16 - _POW10_MIN - e10] = True
-    for col in np.flatnonzero(todo & (powers[0] == 0)).tolist():
-        s = col + _POW10_MIN
-        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
-        # int / int rounds correctly, however large its operands
-        hi = num / den
-        a, b = hi.as_integer_ratio()
-        powers[:, col] = (hi, (num * b - a * den) / (den * b)) + _veltkamp(hi)
-    return powers
 
 
 def _veltkamp(x):
@@ -344,7 +326,7 @@ def _write_floats(field, v):
     Python: a non-finite one, a nonzero one outside [_FAST_MIN, _FAST_MAX],
     and one whose scaled value lies within _TIE_MARGIN of a rounding tie.
     """
-    _, digits = _float_tables()
+    powers, digits = _float_tables()
     a = np.abs(v)
     zero = a == 0
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)  # NaN compares False
@@ -352,12 +334,12 @@ def _write_floats(field, v):
     # (e - 1) log10(2) <= log10(a) < e log10(2), so the guess is the
     # exponent or one below it; the scaled value then tells which
     e10 = np.floor((np.frexp(a)[1] - 1) * _LOG10_2).astype(np.int64)
-    whole, frac = _scaled(a, e10, _powers_for(e10))
+    whole, frac = _scaled(a, e10, powers)
     off = (whole >= 10 ** 17).astype(np.int64) - (whole < 10 ** 16)
     redo = np.flatnonzero(off)
     if redo.size:
         e10[redo] += off[redo]
-        whole[redo], frac[redo] = _scaled(a[redo], e10[redo], _powers_for(e10[redo]))
+        whole[redo], frac[redo] = _scaled(a[redo], e10[redo], powers)
     slow = ~(fast | zero) | (np.abs(frac - 0.5) < _TIE_MARGIN)
     slow |= (whole < 10 ** 16) | (whole >= 10 ** 17)
     whole += frac > 0.5

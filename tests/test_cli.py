@@ -13,7 +13,6 @@ import pytest
 
 import ringqpe as rq
 import ringqpe.cli as cli
-import ringqpe.linalg as linalg_module
 import ringqpe.qpe as qpe_module
 import ringqpe.ring as ring_module
 from ringqpe.cli import main
@@ -150,17 +149,6 @@ class TestParsing:
         proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
-
-    def test_a_csv_write_builds_only_the_powers_of_ten_it_uses(self, tmp_path):
-        # 1.5 and 2.5e-3 scale by 10^16 and 10^19; a guess one exponent low
-        # may also build its neighbour
-        path = str(tmp_path / "rows.csv")
-        code = ("import numpy as np, ringqpe.linalg as linalg; "
-                f"linalg.write_csv_rows({path!r}, 'x', [np.array([1.5, 2.5e-3])]); "
-                "print(int(np.count_nonzero(linalg._float_tables()[0][0])))")
-        proc = run_python(["-c", code])
-        assert proc.returncode == 0, proc.stderr
-        assert 2 <= int(proc.stdout) <= 4
 
 
 class TestProblemIo:
@@ -459,20 +447,6 @@ class TestCompare:
         assert report["distances"]["qpe_eig"] > report["bound"]
         assert report["distances"]["ring_eig"] <= report["bound"]
         assert "disagree" in capsys.readouterr().err
-
-    def test_checks_the_problem_eigenbasis_once(self, tmp_path, sigma_x_file,
-                                                monkeypatch):
-        # the ring's gauge field and the register read the same read-only V
-        checks = []
-        defect = linalg_module.unitarity_defect
-
-        def counted(m):
-            checks.append(m.shape)
-            return defect(m)
-        monkeypatch.setattr(linalg_module, "unitarity_defect", counted)
-        assert main(["compare", "--problem", str(sigma_x_file),
-                     "--out-dir", str(tmp_path / "out")]) == 0
-        assert checks == [(2, 2)]
 
     def test_phi_eig_at_phase_zero_is_zero_not_two_pi(self, tmp_path):
         # the state is U's phase-0 eigenvector; the angle of its spectral sum

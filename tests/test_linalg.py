@@ -295,47 +295,6 @@ class TestRequireEigenbasis:
         with pytest.raises(PreconditionError, match=message):
             require_eigenbasis((np.asarray(w), v))
 
-    @staticmethod
-    def count_checks(monkeypatch):
-        calls = []
-        defect = linalg_module.unitarity_defect
-
-        def counted(m):
-            calls.append(m)
-            return defect(m)
-        monkeypatch.setattr(linalg_module, "unitarity_defect", counted)
-        return calls
-
-    def test_read_only_owned_basis_is_checked_once(self, monkeypatch):
-        calls = self.count_checks(monkeypatch)
-        v = np.eye(3, dtype=complex)
-        v.setflags(write=False)
-        for _ in range(3):
-            assert require_eigenbasis((np.zeros(3), v)).eigenvectors is v
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("kind", ["writable", "read-only view", "list"])
-    def test_any_other_basis_is_checked_on_every_call(self, monkeypatch, kind):
-        calls = self.count_checks(monkeypatch)
-        base = np.eye(3, dtype=complex)
-        v = {"writable": base, "read-only view": base[:], "list": base.tolist()}[kind]
-        if kind == "read-only view":
-            v.setflags(write=False)
-        for _ in range(3):
-            require_eigenbasis((np.zeros(3), v))
-        assert len(calls) == 3
-
-    def test_a_certified_basis_made_writable_is_checked_again(self, monkeypatch):
-        calls = self.count_checks(monkeypatch)
-        v = np.eye(2, dtype=complex)
-        v.setflags(write=False)
-        require_eigenbasis((np.zeros(2), v))
-        v.setflags(write=True)
-        v[0, 0] = 2.0
-        with pytest.raises(PreconditionError, match="not unitary"):
-            require_eigenbasis((np.zeros(2), v))
-        assert len(calls) == 2
-
 
 def test_require_unitary_accepts_rotation():
     theta = 0.3
