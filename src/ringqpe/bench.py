@@ -1,11 +1,11 @@
 """Wall-time scaling of the dense exponential against the block route.
 
-Both ring methods run the same seeded workload, a random gauge field evolved
-for one return time, differing only in the evolution routine: `dense_expm`
-squares the 2l+1 blocks, assembles the full (2l+1)n matrix and
-exponentiates it, `block_evolve` applies one phase per mode and gauge
-eigencolor in the eigenbasis the gauge field is built from (decomposed
-outside the timed region). `qpe_statevector` times the register pipeline on
+Both ring methods run the same seeded workload, a packet in a random gauge
+field evolved for one return time, differing only in the evolution
+routine: `dense_expm` builds the packet, squares the 2l+1 blocks,
+assembles the full (2l+1)n matrix and exponentiates it, `block_evolve`
+takes two n x n exponentials and steps the packet from mode to mode with
+them. `qpe_statevector` times the register pipeline on
 the spectrum of exp(i H), with the read-out width t chosen so the register
 matches the requested size. Every timed result is validated against the block
 oracle before being recorded; a benchmark that returns wrong numbers is
@@ -29,13 +29,7 @@ from . import opcount
 from .errors import PreconditionError, ResourceLimitError
 from .linalg import eig_hermitian
 from .qpe import QpeConfig, qpe_estimate
-from .ring import (
-    RETURN_TIME,
-    GaugeField,
-    evolve_block,
-    evolve_dense,
-    initial_localized_state,
-)
+from .ring import RETURN_TIME, GaugeField, evolve_block, evolve_dense
 
 log = logging.getLogger(__name__)
 
@@ -92,17 +86,15 @@ def _random_hermitian(rng: np.random.Generator, n: int, scale: float) -> np.ndar
 
 
 def _ring_workload(size: int, n_colors: int, rng: np.random.Generator):
-    """Largest (2l+1)*n_colors ring that fits in `size` dimensions."""
+    """(gauge, color, l) of the largest (2l+1)*n_colors ring in `size` dims."""
     l = ((size // n_colors) - 1) // 2
     if l < 1:
         return None
     # keep gauge amplitudes ~1/(2 pi) so read-out phases spread over the circle
-    a_phi = _random_hermitian(rng, n_colors, 1.0 / (2.0 * np.pi))
-    gauge = GaugeField(*eig_hermitian(a_phi))
+    gauge = GaugeField(_random_hermitian(rng, n_colors, 1.0 / (2.0 * np.pi)))
     color = rng.standard_normal(n_colors) + 1j * rng.standard_normal(n_colors)
     color = color / np.linalg.norm(color)
-    state = initial_localized_state(l, color)
-    return state, gauge, (2 * l + 1) * n_colors
+    return gauge, color, l
 
 
 def _qpe_workload(size: int, n_colors: int, rng: np.random.Generator):
@@ -132,9 +124,9 @@ def _warmed_jobs(method: str, sizes, seed: int) -> list:
             if workload is None:
                 log.warning("skipping %s at size %d: no ring fits", method, size)
                 continue
-            state, gauge, size_param = workload
+            size_param = (2 * workload[2] + 1) * _N_COLORS
             evolve = evolve_dense if method == METHOD_DENSE else evolve_block
-            runner = functools.partial(evolve, state, gauge, RETURN_TIME)
+            runner = functools.partial(evolve, *workload, RETURN_TIME)
         try:
             runner()
         except ResourceLimitError as exc:
@@ -191,8 +183,7 @@ def run_scaling_suite(
 
         for (size, size_param, runner, workload), runs in zip(jobs, times):
             if workload is not None:
-                state, gauge, _ = workload
-                reference = evolve_block(state, gauge, RETURN_TIME)
+                reference = evolve_block(*workload, RETURN_TIME)
                 drift = float(np.max(np.abs(runner().coeffs - reference.coeffs)))
                 if drift > _VALIDATION_ATOL:
                     raise PreconditionError(

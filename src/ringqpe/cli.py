@@ -275,14 +275,12 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
 
     gauge = encode_as_gauge(problem)
     # the largest |t| checks every snapshot before any is evolved
-    ring.phase_angles(gauge, cfg.mode_cutoff_l,
-                      max(fractions, key=abs) * ring.RETURN_TIME)
+    ring.require_finite_phase(gauge, cfg.mode_cutoff_l,
+                              max(fractions, key=abs) * ring.RETURN_TIME)
 
     def density_at(fraction):
-        # a fresh packet each time, freed as soon as it has evolved
-        evolved = ring.evolve_block(
-            ring.initial_localized_state(cfg.mode_cutoff_l, problem.state),
-            gauge, fraction * ring.RETURN_TIME)
+        evolved = ring.evolve_block(gauge, problem.state, cfg.mode_cutoff_l,
+                                    fraction * ring.RETURN_TIME)
         return ring.position_density(evolved, cfg.grid_size_n)
 
     density = density_at(1.0)
@@ -321,8 +319,13 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
         signed = unwrap_phase(peaks.dominant.phi)
         lines.append(f"dominant eigenphase (signed) = {signed:.6f}")
         if isinstance(problem, EnergyProblem):
-            energy = phase_to_energy(signed, problem.E_R)
-            lines.append(f"energy = E_R * phase = {energy:.6f}")
+            radius = problem.spectral_radius
+            # past pi a wrapped phase names the energy only up to whole turns
+            lines.append(
+                f"energy = E_R * phase = {phase_to_energy(signed, problem.E_R):.6f}"
+                if radius < np.pi else
+                f"energy: known only modulo 2 pi E_R = {TWO_PI * problem.E_R:.6f} "
+                f"(H/E_R has spectral radius {radius:.6g} >= pi)")
     summary = "\n".join(lines) + "\n"
     with open(os.path.join(cfg.out_dir, "summary.txt"), "w") as fh:
         fh.write(summary)

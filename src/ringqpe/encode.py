@@ -4,10 +4,10 @@ An energy problem (H, E_R) is carried by the unitary U = exp(i H / E_R):
 the eigenstate with energy E shows up as the eigenphase E / E_R. Each
 problem decomposes its matrix once, on construction, into
 `spectrum = EigenDecomposition(theta, V)`: U's eigenphases on (-pi, pi] and
-an orthonormal eigenbasis. Every consumer reads that one spectrum. The
-register's read-out is evaluated in it, and encode_as_gauge builds the
-Hermitian gauge potential whose ring read-out reproduces the same phases,
-on the ring's natural units hbar = q = r = m_q = 1,
+an orthonormal eigenbasis. The register's read-out is evaluated in that
+spectrum, and encode_as_gauge forms from it, once, the Hermitian gauge
+potential whose ring read-out reproduces the same phases, on the ring's
+natural units hbar = q = r = m_q = 1,
 
     A_phi = -(1 / (2 pi * VELOCITY_FACTOR)) * V diag(theta) V^dagger.
 
@@ -65,13 +65,16 @@ class EnergyProblem:
     """Hermitian H with a reference scale E_R and a candidate state.
 
     `spectrum` holds the eigenphases of exp(i H / E_R), the eigenvalues of
-    H / E_R wrapped onto (-pi, pi], over H's orthonormal eigenbasis.
+    H / E_R wrapped onto (-pi, pi], over H's orthonormal eigenbasis;
+    `spectral_radius` is the largest |eigenvalue| of H / E_R before the
+    wrap, so an energy read back from a phase is E_R * phase only below pi.
     """
 
     hamiltonian: np.ndarray
     E_R: float
     state: np.ndarray
     spectrum: EigenDecomposition = field(init=False, repr=False)
+    spectral_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
         h = require_hermitian(self.hamiltonian)
@@ -85,6 +88,7 @@ class EnergyProblem:
         w, v = eig_hermitian(h)
         w = w / self.E_R
         radius = float(np.max(np.abs(w)))
+        object.__setattr__(self, "spectral_radius", radius)
         if radius >= np.pi:
             warnings.warn(
                 f"spectral radius of H/E_R is {radius:.6g} >= pi; "
@@ -123,14 +127,16 @@ class UnitarySpec:
 def encode_as_gauge(problem) -> GaugeField:
     """Gauge field whose ring read-out gives the problem's eigenphases.
 
-    Scales the problem's spectrum; the field shares its eigenbasis, so no
-    matrix is decomposed here. The ring module loads on the first call, so
-    a register-only caller never loads it.
+    Forms the matrix once from the problem's spectrum, so no matrix is
+    decomposed here and an aliased problem keeps its wrapped branch; the
+    ring reads only the matrix. The ring module loads on the first call,
+    so a register-only caller never loads it.
     """
     from . import ring
 
     theta, v = problem.spectrum
-    return ring.GaugeField(-1.0 / (TWO_PI * ring.VELOCITY_FACTOR) * theta, v)
+    scaled = -1.0 / (TWO_PI * ring.VELOCITY_FACTOR) * theta
+    return ring.GaugeField((v * scaled) @ v.conj().T)
 
 
 def phase_to_energy(phi: float, E_R: float) -> float:

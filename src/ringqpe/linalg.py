@@ -2,10 +2,11 @@
 
 All operations are pure functions on ndarrays. eig_hermitian and
 eig_unitary are the only places a spectrum is computed; a problem calls one
-of them once and hands the EigenDecomposition to every consumer.
-expm_dense is scaling-and-squaring with a Pade core and never
-diagonalizes. The bench module times it as the brute-force cost baseline,
-so keep it free of spectral shortcuts.
+of them once, and the register and encode_as_gauge read the result.
+expm_dense is scaling-and-squaring with a Pade core and never diagonalizes;
+the ring's block route takes two n x n exponentials from it, and bench
+times it on the full (2l+1)n matrix as the brute-force cost baseline, so
+keep it free of spectral shortcuts.
 
 Matrices cross module and file boundaries as JSON objects
 {"rows": r, "cols": c, "re": [...], "im": [...]} with row-major flattening.

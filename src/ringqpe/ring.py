@@ -10,17 +10,18 @@ only to color, so the Hamiltonian splits into independent n x n blocks
 
     H_m = (m I - A_phi)^2 / 2,
 
-one per mode. Every block is a polynomial in A_phi, so all of them share its
-eigenvectors: with A_phi = V diag(lam) V^dagger the block energies are
+one per mode. Each is a polynomial in A_phi, which commutes with m I, so
 
-    E_{m,k} = (m - lam_k)^2 / 2,
+    exp(-i H_m t) = e^{-i t m^2 / 2} W^m G,  W = exp(i t A_phi),
+                                             G = exp(-i t A_phi^2 / 2).
 
-and evolution is a projection onto V, one phase per (mode, eigencolor), and
-the map back. At the return time t_R = 4 pi the free part of the phase,
--2 pi m^2, is a multiple of 2 pi for every mode, so a packet that started
-localized at phi = 0 relocalizes. The surviving mode-linear phase shifts
-each gauge eigencolor to its own angle: an eigencolor with A_phi
-eigenvalue lam reappears at
+The packet localized at phi = 0 holds one color c in every mode, and its
+mode m evolves to e^{-i t m^2 / 2} W^m G c / sqrt(2l+1): a recurrence on
+powers of W, the time-series view of phase estimation (Somma, New J.
+Phys. 21, 123025 (2019)), with nothing diagonalized. At the return time
+t_R = 4 pi the free phase -2 pi m^2 is a multiple of 2 pi for every mode,
+so the packet relocalizes, and an eigencolor of A_phi with eigenvalue lam
+reappears at
 
     phi = -VELOCITY_FACTOR * 2 pi lam   (mod 2 pi),
 
@@ -51,7 +52,7 @@ from .linalg import (
     BYTES_GUARD,
     expm_dense,
     readonly,
-    require_eigenbasis,
+    require_hermitian,
     require_unit_norm,
     require_unit_vector,
     write_csv_rows,
@@ -66,14 +67,13 @@ RETURN_TIME = 4.0 * np.pi
 
 _DENSITY_INTEGRAL_TOL = 1e-8
 # The ring route's working set, bytes per mode and color plus bytes per
-# grid point, each the largest peak measured under tracemalloc rounded up:
-# 94.5 at l = 1024, n = 64, N = 8192 for a caller that holds the packet and
-# the evolved state beside the density's (L, n) transform (ring-sim and
-# estimate_phase_via_ring free the packet first and, with the peak
-# read-out's R factor and SVD, peak at 86), and
-# 28.9 for ring-sim at l = 3, N = 2^16, its density and grid while the next
-# snapshot is made, beside the CSV writer's tables (writing a CSV peaks at
-# 25.6; the read-out's transform takes under 25).
+# grid point, peaks measured under tracemalloc and rounded up: 82 at
+# l = 1024, n = 64, N = 8192 for the evolved state beside the density's
+# (L, n) transform (96 dates from when the packet was held too, and keeps
+# the refusals where they were), and 28.9 for ring-sim at l = 3, N = 2^16,
+# its density and grid while the next snapshot is made, beside the CSV
+# writer's tables (writing a CSV peaks at 25.6; the read-out's transform
+# takes under 25).
 _BYTES_PER_MODE_COLOR = 96
 _BYTES_PER_POINT = 32
 
@@ -87,36 +87,17 @@ _WEIGHT_FLOOR = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class GaugeField:
-    """Constant Hermitian gauge potential A_phi = V diag(lam) V^dagger.
+    """Constant gauge potential A_phi: one n x n matrix, checked Hermitian
+    within 1e-10, kept read-only and never diagonalized."""
 
-    Built from its eigendecomposition, which it keeps read-only as
-    `eigenvalues` and `eigenvectors`; nothing here diagonalizes. The
-    eigenvalues must be real and finite and V orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    a_phi: np.ndarray
 
     def __post_init__(self):
-        w, v = require_eigenbasis((self.eigenvalues, self.eigenvectors))
-        object.__setattr__(self, "eigenvalues", readonly(w))
-        object.__setattr__(self, "eigenvectors", readonly(v))
-
-    @property
-    def a_phi(self) -> np.ndarray:
-        """The potential as a matrix, assembled for the dense oracle."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        object.__setattr__(self, "a_phi", readonly(require_hermitian(self.a_phi)))
 
     @property
     def n_colors(self) -> int:
-        return self.eigenvalues.size
-
-    def mode_energies(self, mode_cutoff_l: int) -> np.ndarray:
-        """E_{m,k} = (m - lam_k)^2 / 2, rows m = -l ... +l."""
-        _require_mode_cutoff(mode_cutoff_l)
-        modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
-        return (modes[:, None] - self.eigenvalues) ** 2 / 2.0
+        return self.a_phi.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +128,6 @@ class RingState:
     @property
     def n_colors(self) -> int:
         return self.coeffs.shape[1]
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(-self.mode_cutoff_l, self.mode_cutoff_l + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,44 +236,67 @@ def require_ring_grid(mode_cutoff_l: int, n_colors: int, grid_size_N: int) -> No
         )
 
 
-def _require_same_colors(state: RingState, gauge: GaugeField) -> None:
-    if state.n_colors != gauge.n_colors:
+def _require_same_colors(color, gauge: GaugeField) -> np.ndarray:
+    c = require_unit_vector(color, "color")
+    if c.size != gauge.n_colors:
         raise PreconditionError(
-            f"state has {state.n_colors} colors, gauge field has {gauge.n_colors}"
+            f"color has {c.size} entries, gauge field has {gauge.n_colors} colors"
         )
+    return c
 
 
-def phase_angles(gauge: GaugeField, mode_cutoff_l: int, t: float) -> np.ndarray:
-    """E_{m,k} t per mode m and gauge eigencolor k; refuses a time or phase
-    that is not finite, which holds for every smaller |t| too."""
+def require_finite_phase(gauge: GaugeField, mode_cutoff_l: int, t: float) -> None:
+    """Refuse a time, or a phase E t, that is not finite: every block
+    energy is at most (l + ||A_phi||_1)^2 / 2, and that bound times |t| must
+    be finite, which then holds at any smaller |t| too."""
     if not math.isfinite(t):
         raise PreconditionError("time must be finite")
-    # a huge t overflows here; the check below names the cause
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = gauge.mode_energies(mode_cutoff_l) * t
-    if not np.all(np.isfinite(angles)):
+    _require_mode_cutoff(mode_cutoff_l)
+    with np.errstate(over="ignore"):
+        reach = mode_cutoff_l + float(np.linalg.norm(gauge.a_phi, 1))
+    # float products overflow to inf silently, and inf * 0 is NaN
+    if not math.isfinite(reach * reach * abs(t) / 2.0):
         raise PreconditionError(f"phase E t is not finite at t = {t!r}")
-    return angles
 
 
-def evolve_block(state: RingState, gauge: GaugeField, t: float) -> RingState:
-    """Apply exp(-i H_m t) to every mode in the gauge eigenbasis.
+def _unitary_exp(a: np.ndarray, t: float) -> np.ndarray:
+    """exp(i t A) of a Hermitian A, held on the unitary group at any t: Pade
+    at t / 2^s with ||t A||_1 / 2^s <= 1, then s squarings, each followed by
+    a Newton-Schulz step X (3 I - X^dagger X) / 2, since bare squarings
+    leave the group by 2^s eps, which 2l powers would carry into the norm."""
+    s = max(0, math.ceil(math.log2(max(1.0, abs(t) * np.linalg.norm(a, 1)))))
+    x, eye = expm_dense(a, math.ldexp(-t, -s)), np.eye(len(a))
+    for _ in range(s):
+        x = x @ x
+        x = x @ (1.5 * eye - 0.5 * (x.conj().T @ x))
+    opcount.add(3 * s * len(a) ** 3)
+    return x
 
-    Projects the coefficients onto the eigenvectors of A_phi, multiplies by
-    exp(-i E_{m,k} t) and maps back. The eigendecomposition is the
-    one GaugeField was built from, so the cost is two (2l+1) x n x n
-    products. This is the structure-exploiting route the dense path is
-    benchmarked against.
+
+def evolve_block(gauge: GaugeField, color, mode_cutoff_l: int,
+                 t: float) -> RingState:
+    """Evolve the packet localized at phi = 0 with color `color` for time t.
+
+    Row m = 0 is G c / sqrt(2l+1), each row above or below follows from its
+    neighbor by one product with W or W^dagger, and each takes its free
+    phase e^{-i t m^2 / 2} (module docstring): two n x n exponentials and
+    2l matrix-vector products, the route the dense one is timed against.
     """
-    _require_same_colors(state, gauge)
-    phases = np.exp(-1j * phase_angles(gauge, state.mode_cutoff_l, t))
-    v = gauge.eigenvectors
-    # (V^dagger c_m) per mode, scale by the phases, map back with V
-    rotated = (phases * (state.coeffs @ v.conj())) @ v.T
-    count, n = rotated.shape
-    opcount.add(2 * count * n * n)
+    require_finite_phase(gauge, mode_cutoff_l, t)
+    c = _require_same_colors(color, gauge)
+    l, a, n = mode_cutoff_l, gauge.a_phi, gauge.n_colors
+    w, g = _unitary_exp(a, t), _unitary_exp(a @ a, -t / 2.0)
+    # on row vectors W x is x W^T, and W^dagger x is x conj(W)
+    up, down = np.ascontiguousarray(w.T), w.conj()
+    rows = np.empty((2 * l + 1, n), dtype=np.complex128)
+    rows[l] = g @ c / math.sqrt(2 * l + 1)
+    for m in range(1, l + 1):
+        np.dot(rows[l + m - 1], up, out=rows[l + m])
+        np.dot(rows[l - m + 1], down, out=rows[l - m])
+    rows *= np.exp(-1j * (t * (np.arange(-l, l + 1) ** 2 / 2.0)))[:, None]
+    opcount.add(n ** 3 + (2 * l + 1) * n * n)
     # unitary per mode: renormalization would only mask a bug
-    return RingState(rotated)
+    return RingState(rows)
 
 
 def _squared_blocks(gauge: GaugeField, mode_cutoff_l: int) -> np.ndarray:
@@ -307,23 +307,25 @@ def _squared_blocks(gauge: GaugeField, mode_cutoff_l: int) -> np.ndarray:
     return (base @ base) / 2.0
 
 
-def evolve_dense(state: RingState, gauge: GaugeField, t: float) -> RingState:
+def evolve_dense(gauge: GaugeField, color, mode_cutoff_l: int,
+                 t: float) -> RingState:
     """Assemble the full (2l+1)n matrix and exponentiate it densely.
 
     Same map as evolve_block, deliberately ignoring the block structure:
-    the blocks are squared directly from the A_phi matrix and the whole is
-    exponentiated by Pade, never evolved in the gauge eigenbasis. Exists as
-    the brute-force cross-check and cost baseline.
+    it builds the packet, squares the blocks directly from the A_phi
+    matrix and exponentiates the whole by Pade. Exists as the brute-force
+    cross-check and cost baseline.
     """
-    _require_same_colors(state, gauge)
-    blocks = _squared_blocks(gauge, state.mode_cutoff_l)
+    packet = initial_localized_state(mode_cutoff_l,
+                                     _require_same_colors(color, gauge))
+    blocks = _squared_blocks(gauge, mode_cutoff_l)
     count, n, _ = blocks.shape
     dim = count * n
     full = np.zeros((dim, dim), dtype=np.complex128)
     for i in range(count):
         full[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
     propagator = expm_dense(full, t)
-    flat = propagator @ state.coeffs.reshape(-1)
+    flat = propagator @ packet.coeffs.reshape(-1)
     opcount.add(dim * dim)
     return RingState(flat.reshape(count, n))
 
@@ -396,13 +398,16 @@ def extract_peaks(density: PositionDensity, mode_cutoff_l: int,
     triangle divided out are y_q = sum_k w_k e^{i q phi_k}, q = 0..2l. A
     matrix pencil (Hua and Sarkar, IEEE TASSP 1990) inverts them exactly:
     the singular values of their Hankel matrix, K+1 = min(l, 2 n_colors)+1
-    columns, above (2l+1)^2 eps of the largest (the rounding of the
-    2 pi m^2 phase at the top mode) count at most n_colors components; the
-    shift invariance of the top right singular vectors gives the poles
-    e^{i phi_k}, and least squares of y on them the weights. Poles closer
-    than a quarter lobe 2 pi/(2l+1) are one component, of their summed
-    weight at the weighted circular mean. The moments alias unless
-    N >= 4l+1, so a coarser grid is refused.
+    columns, above (2l+1)^2 eps of the largest count at most n_colors
+    components; the shift invariance of the top right singular vectors
+    gives the poles e^{i phi_k}, and least squares of y on them the
+    weights. The cut is the moments' rounding: evolve_block rounds each free
+    phase t m^2 / 2 once, about 2 pi l^2 eps rad at the top mode at t_R, of
+    order (2l+1)^2 eps, which dominates its 2l products with W (about
+    2l eps), so the cut stands. Poles closer than a quarter lobe
+    2 pi/(2l+1) are one component, of their summed weight at the weighted
+    circular mean. The moments alias unless N >= 4l+1, so a coarser grid
+    is refused.
     """
     l = mode_cutoff_l
     _require_read_out_grid(l, density.grid_size_N)
@@ -452,14 +457,13 @@ def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
                             grid_size_N: int) -> PeakSet:
     """Full read-out: localize, evolve for t_R, read the peaks.
 
-    Both grid rules are checked before anything evolves, and the packet and
-    the evolved state are freed once used.
+    Both grid rules are checked before anything evolves, and the evolved
+    state is freed once its density exists.
     """
     require_ring_grid(mode_cutoff_l, gauge.n_colors, grid_size_N)
     _require_read_out_grid(mode_cutoff_l, grid_size_N)
-    density = position_density(evolve_block(
-        initial_localized_state(mode_cutoff_l, color), gauge, RETURN_TIME
-    ), grid_size_N)
+    density = position_density(
+        evolve_block(gauge, color, mode_cutoff_l, RETURN_TIME), grid_size_N)
     return extract_peaks(density, mode_cutoff_l, gauge.n_colors)
 
 

@@ -1,11 +1,13 @@
 """Shared fixtures and random-matrix helpers for the test suite."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import ringqpe as rq
+import ringqpe.linalg as linalg
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -23,9 +25,47 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def gauge_from(a_phi):
-    """GaugeField of a Hermitian matrix, from its eigendecomposition."""
-    return rq.GaugeField(*rq.eig_hermitian(np.asarray(a_phi, dtype=complex)))
+def eigenbasis_evolve(a_phi, color, mode_cutoff_l, t):
+    """Reference for evolve_block: the packet evolved in A_phi's eigenbasis.
+
+    With A_phi = V diag(lam) V^dagger every block (m I - A_phi)^2 / 2 has
+    the energies E_{m,k} = (m - lam_k)^2 / 2 on the columns of V, so each
+    mode of the packet is projected onto V, scaled by exp(-i E_{m,k} t) and
+    mapped back. Returns the (2l+1, n) coefficients.
+    """
+    lam, v = np.linalg.eigh(np.asarray(a_phi, dtype=complex))
+    packet = rq.initial_localized_state(mode_cutoff_l, color).coeffs
+    modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
+    phases = np.exp(-1j * ((modes[:, None] - lam) ** 2 / 2.0 * t))
+    return (phases * (packet @ v.conj())) @ v.T
+
+
+def forbid_spectra(monkeypatch, problem):
+    """Make every eigendecomposition, and `problem.spectrum`, raise.
+
+    Covers np.linalg.eigh and, wherever a ringqpe module bound them by
+    name, eig_hermitian, eig_unitary and require_eigenbasis. np.linalg.eigvals
+    stays: the peak read-out takes the eigenvalues of its own small pencil.
+    """
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decomposed a matrix after encoding")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "ringqpe" or key.startswith("ringqpe.")]
+    for fn in (rq.eig_hermitian, rq.eig_unitary, linalg.require_eigenbasis):
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, forbidden)
+
+    class Guarded(type(problem)):
+        @property
+        def spectrum(self):
+            raise AssertionError("read the problem's spectrum after encoding")
+
+    # a frozen dataclass refuses setattr, not a class swap by object's
+    object.__setattr__(problem, "__class__", Guarded)
 
 
 def random_state(rng, n):

@@ -1,8 +1,8 @@
 """Regenerate the frozen density snapshot used by the golden-file test.
 
 The reference is the block-evolution pipeline itself, run once and frozen:
-the test guards against regressions in the mode energies, the block
-propagator and the density sampling, not against this script. Rerun only
+the test guards against regressions in the mode-to-mode recurrence, the
+free phases and the density sampling, not against this script. Rerun only
 when the physical conventions intentionally change, and say so in the
 commit message.
 
@@ -25,7 +25,6 @@ from ringqpe import (
     RETURN_TIME,
     EnergyProblem,
     encode_as_gauge,
-    initial_localized_state,
     evolve_block,
     position_density,
 )
@@ -41,8 +40,7 @@ def main() -> int:
     problem = EnergyProblem(2.0 * sx, 1.0, ground)
 
     gauge = encode_as_gauge(problem)
-    state = initial_localized_state(MODE_CUTOFF, ground)
-    evolved = evolve_block(state, gauge, RETURN_TIME)
+    evolved = evolve_block(gauge, ground, MODE_CUTOFF, RETURN_TIME)
     density = position_density(evolved, GRID)
 
     out = os.path.join(os.path.dirname(__file__), "evolved_density.csv")

@@ -18,7 +18,6 @@ from ringqpe.bench import METHOD_BLOCK, METHOD_DENSE
 from ringqpe.cli import main
 
 from conftest import (
-    gauge_from,
     random_hermitian,
     random_state,
     random_unitary,
@@ -177,10 +176,10 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
             rng = np.random.default_rng([7100, i])
             n = int(rng.integers(1, 5))
             l = int(rng.integers(1, 41))
-            gauge = gauge_from(random_hermitian(rng, n, scale=0.3))
-            state = rq.initial_localized_state(l, random_state(rng, n))
+            gauge = rq.GaugeField(random_hermitian(rng, n, scale=0.3))
+            color = random_state(rng, n)
             t = float(rng.uniform(0.0, 2.0 * rq.RETURN_TIME))
-            evolved = rq.evolve_block(state, gauge, t)
+            evolved = rq.evolve_block(gauge, color, l, t)
             assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10, f"case {i}"
 
         # dense and block evolution agree wherever the dense route fits
@@ -189,11 +188,11 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
             n = int(rng.integers(1, 5))
             l_max = (202 // n - 1) // 2
             l = int(rng.integers(1, l_max + 1))
-            gauge = gauge_from(random_hermitian(rng, n, scale=0.3))
-            state = rq.initial_localized_state(l, random_state(rng, n))
+            gauge = rq.GaugeField(random_hermitian(rng, n, scale=0.3))
+            color = random_state(rng, n)
             t = float(rng.uniform(0.0, rq.RETURN_TIME))
-            a = rq.evolve_block(state, gauge, t)
-            b = rq.evolve_dense(state, gauge, t)
+            a = rq.evolve_block(gauge, color, l, t)
+            b = rq.evolve_dense(gauge, color, l, t)
             assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-8, f"case {i}"
 
         # the register read-out matches the spectrum's closed form

@@ -19,6 +19,7 @@ from ringqpe.cli import main
 
 from conftest import (
     SIGMA_X,
+    forbid_spectra,
     random_hermitian,
     random_state,
     random_unitary,
@@ -250,6 +251,58 @@ class TestRingSim:
         signed = read_summary_value(out, "dominant eigenphase (signed)")
         assert abs(signed - np.pi / 2) < TWO_PI / 101
 
+    @pytest.mark.filterwarnings("ignore::ringqpe.PhaseAliasingWarning")
+    def test_aliased_energy_is_not_printed_as_a_value(self, tmp_path, capsys):
+        # H / E_R = diag(4, -1) has radius 4 >= pi: the ring reads 4 - 2 pi,
+        # which was printed as "energy = E_R * phase = -2.283185"
+        problem = rq.EnergyProblem(np.diag([4.0, -1.0]), 1.0, np.array([1.0, 0.0]))
+        path = write_problem(tmp_path, problem, "aliased.json")
+        out = tmp_path / "out"
+        assert main(["ring-sim", "--problem", str(path), "--out-dir", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        summary = (out / "summary.txt").read_text()
+        assert stdout.startswith(summary)
+        lines = summary.splitlines()
+        assert lines[-2] == "dominant eigenphase (signed) = -2.283185"
+        assert lines[-1] == ("energy: known only modulo 2 pi E_R = 6.283185 "
+                             "(H/E_R has spectral radius 4 >= pi)")
+        assert "energy = " not in summary
+
+    def test_unaliased_energy_stays_a_value(self, tmp_path):
+        # just inside the window the plain energy line is kept
+        problem = rq.EnergyProblem(np.diag([3.0, -1.0]), 1.0, np.array([1.0, 0.0]))
+        path = write_problem(tmp_path, problem, "inside.json")
+        out = tmp_path / "out"
+        assert main(["ring-sim", "--problem", str(path), "--out-dir", str(out)]) == 0
+        assert problem.spectral_radius == 3.0
+        assert abs(read_summary_value(out, "energy = E_R * phase") - 3.0) < 1e-6
+
+    @pytest.mark.filterwarnings("ignore::ringqpe.PhaseAliasingWarning")
+    @pytest.mark.parametrize("name", ["aliased", "sigma_z_superposition"])
+    def test_snapshots_read_the_gauge_matrix_alone(self, tmp_path, monkeypatch,
+                                                   name):
+        # once the problem is encoded nothing is decomposed and its spectrum
+        # is not read again, for the three snapshots as for the read-out
+        if name == "aliased":
+            path = write_problem(tmp_path, rq.EnergyProblem(
+                np.diag([4.0, -1.0]), 1.0, np.array([0.6, 0.8])), "aliased.json")
+        else:
+            path = os.path.join(PROBLEM_DIR, f"{name}.json")
+        encode = cli.encode_as_gauge
+
+        def encode_then_forbid(problem):
+            gauge = encode(problem)
+            forbid_spectra(monkeypatch, problem)
+            return gauge
+
+        monkeypatch.setattr(cli, "encode_as_gauge", encode_then_forbid)
+        out = tmp_path / "out"
+        assert main(["ring-sim", "--problem", str(path), "--out-dir", str(out)]) == 0
+        assert sorted(os.listdir(out)) == [
+            "density_00.csv", "density_01.csv", "density_02.csv",
+            "peaks.json", "summary.txt"]
+        assert len(json.loads((out / "peaks.json").read_text())["peaks"]) == 2
+
     @pytest.mark.parametrize("times", [None, "0,0.25", "1,0,0.25,0,1"])
     def test_evolves_each_time_once_and_reads_peaks_at_t_r(
             self, tmp_path, sigma_x_file, sigma_x_problem, monkeypatch, times):
@@ -379,6 +432,25 @@ class TestCompare:
         stdout = capsys.readouterr().out
         assert "phi_ring" in stdout and "bound" in stdout
 
+    def test_checks_the_spectrum_once(self, tmp_path, sigma_x_file, monkeypatch):
+        # the gauge field held the eigenbasis and checked it as the register
+        # does, so one compare checked one spectrum twice
+        calls = []
+        check = rq.linalg.require_eigenbasis
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        for module in [m for key, m in list(sys.modules.items())
+                       if key == "ringqpe" or key.startswith("ringqpe.")]:
+            for attr, value in list(vars(module).items()):
+                if value is check:
+                    monkeypatch.setattr(module, attr, counted)
+        assert main(["compare", "--problem", str(sigma_x_file),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_superposition_is_ambiguous(self, tmp_path, sigma_z_file, capsys):
         out = tmp_path / "out"
         code = main(["compare", "--problem", str(sigma_z_file),
@@ -486,6 +558,14 @@ class TestRingArguments:
         err = capsys.readouterr().err
         assert err.startswith("ringqpe: error: ") and message in err
         assert not out.exists()
+
+    def test_late_snapshot_is_written(self, tmp_path, sigma_z_file):
+        # a million return times: the evolved packet kept its norm only
+        # once W was held on the unitary group
+        out = tmp_path / "out"
+        assert main(["ring-sim", "--problem", str(sigma_z_file), "--out-dir",
+                     str(out), "--times", "1e6,1e100"]) == 0
+        assert (out / "density_01.csv").exists()
 
     def test_non_finite_phase_is_one_error_line(self, tmp_path, sigma_x_file):
         # numpy's "overflow encountered in multiply" reached stderr ahead of

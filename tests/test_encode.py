@@ -129,9 +129,9 @@ class TestEncodeHamiltonian:
         gauge = rq.encode_as_gauge(problem)
         want = rq.expm_dense(h, -1.0)
         assert np.max(np.abs(reconstructed_unitary(gauge) - want)) < 1e-8
-        # the gauge itself stays in the fundamental branch
-        lam = gauge.eigenvalues
-        assert np.max(np.abs(lam)) <= (np.pi / TWO_PI / rq.VELOCITY_FACTOR) + 1e-12
+        # the gauge itself stays in the fundamental branch: |lam| <= 1/4
+        assert np.linalg.norm(gauge.a_phi, 2) <= (
+            np.pi / TWO_PI / rq.VELOCITY_FACTOR) + 1e-12
 
     def test_no_warning_inside_branch(self):
         import warnings as w
@@ -144,9 +144,9 @@ class TestEncodeHamiltonian:
         forbid_decompositions(monkeypatch)
         gauge = rq.encode_as_gauge(sigma_z_problem)
         theta, v = sigma_z_problem.spectrum
-        assert np.array_equal(gauge.eigenvectors, v)
-        want = -theta / (TWO_PI * rq.VELOCITY_FACTOR)
-        assert np.max(np.abs(gauge.eigenvalues - want)) < 1e-15
+        want = (v * (-theta / (TWO_PI * rq.VELOCITY_FACTOR))) @ v.conj().T
+        assert np.max(np.abs(gauge.a_phi - want)) < 1e-15
+        assert not gauge.a_phi.flags.writeable
 
 
 class TestEncodeUnitary:
@@ -176,7 +176,9 @@ class TestEncodeUnitary:
                               np.eye(4)[0])
         forbid_decompositions(monkeypatch)
         gauge = rq.encode_as_gauge(spec)
-        assert np.array_equal(gauge.eigenvectors, spec.spectrum.eigenvectors)
+        theta, v = spec.spectrum
+        want = (v * (-theta / (TWO_PI * rq.VELOCITY_FACTOR))) @ v.conj().T
+        assert np.max(np.abs(gauge.a_phi - want)) < 1e-15
 
     @pytest.mark.parametrize("seed", range(10))
     def test_holonomy_round_trip(self, seed):

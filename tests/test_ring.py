@@ -19,9 +19,11 @@ from ringqpe.ring import (
 from conftest import (
     SIGMA_X,
     SIGMA_Z,
-    gauge_from,
+    eigenbasis_evolve,
+    forbid_spectra,
     random_hermitian,
     random_state,
+    random_unitary,
     read_csv,
 )
 
@@ -34,18 +36,18 @@ class TestReturnTime:
 
 
 class TestBuildHamiltonian:
-    """Mode-block spectrum: eigenbasis energies and the dense oracle's blocks."""
+    """Mode blocks (m I - A_phi)^2 / 2, as the dense oracle squares them."""
 
     def test_free_spectrum_without_gauge(self):
-        gauge = gauge_from(np.zeros((1, 1), dtype=complex))
-        energies = gauge.mode_energies(3)
+        gauge = rq.GaugeField(np.zeros((1, 1), dtype=complex))
+        blocks = _squared_blocks(gauge, 3)
         for row, m in enumerate(range(-3, 4)):
             expected = m * m / 2.0
-            assert abs(energies[row, 0] - expected) < 1e-12
+            assert abs(blocks[row, 0, 0] - expected) < 1e-12
 
     def test_symbolic_expansion_single_mode(self):
         a = 0.3 * SIGMA_X
-        gauge = gauge_from(a)
+        gauge = rq.GaugeField(a)
         blocks = _squared_blocks(gauge, 1)
         m = 1
         expected = (np.eye(2) * (m * m) - 2.0 * m * a + a @ a) / 2.0
@@ -54,55 +56,61 @@ class TestBuildHamiltonian:
 
     def test_blocks_hermitian_and_counted(self):
         rng = np.random.default_rng(7)
-        gauge = gauge_from(random_hermitian(rng, 3))
+        gauge = rq.GaugeField(random_hermitian(rng, 3))
         blocks = _squared_blocks(gauge, 5)
         assert blocks.shape == (11, 3, 3)
-        assert gauge.mode_energies(5).shape == (11, 3)
         stack_dagger = np.conj(np.transpose(blocks, (0, 2, 1)))
         assert np.max(np.abs(blocks - stack_dagger)) < 1e-12
 
     def test_cross_term_breaks_mode_reflection(self):
-        # E_{-m,k} differs from E_{m,k} exactly by the sign of the linear term
-        gauge = gauge_from(0.2 * SIGMA_Z)
-        energies = gauge.mode_energies(2)
-        e_plus, e_minus = energies[2 + 1], energies[2 - 1]
-        assert np.max(np.abs(gauge.eigenvalues - [-0.2, 0.2])) < 1e-15
-        assert np.max(np.abs(e_plus - e_minus - (-2.0 * gauge.eigenvalues))) < 1e-12
+        # H_{-m} differs from H_{+m} exactly by the sign of the linear term
+        a = 0.2 * SIGMA_Z
+        blocks = _squared_blocks(rq.GaugeField(a), 2)
+        for m in (1, 2):
+            assert np.max(np.abs(blocks[2 + m] - blocks[2 - m] + 2.0 * m * a)) < 1e-12
 
     def test_rejects_bad_cutoff(self):
-        gauge = gauge_from(np.zeros((1, 1)))
-        with pytest.raises(rq.PreconditionError):
-            gauge.mode_energies(0)
+        gauge = rq.GaugeField(np.zeros((1, 1)))
+        with pytest.raises(rq.PreconditionError, match="mode cutoff must be >= 1"):
+            rq.evolve_block(gauge, np.array([1.0]), 0, 1.0)
 
 
 class TestGaugeField:
     def test_built_from_its_basis_without_eigh(self, monkeypatch):
+        # the matrix V diag(lam) V^dagger is all the field keeps
         v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("GaugeField called eigh")
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        gauge = rq.GaugeField(np.array([-0.1, 0.3]), v)
+        gauge = rq.GaugeField((v * [-0.1, 0.3]) @ v.T)
         assert gauge.n_colors == 2
         assert np.max(np.abs(gauge.a_phi - (0.1 * np.eye(2) - 0.2 * SIGMA_X))) < 1e-15
-        for arr in (gauge.eigenvalues, gauge.eigenvectors):
-            assert not arr.flags.writeable
+        assert gauge.a_phi.dtype == np.complex128
+        assert not gauge.a_phi.flags.writeable
 
     def test_a_phi_is_derived_and_read_only(self):
-        gauge = gauge_from(0.3 * SIGMA_X)
-        assert np.max(np.abs(gauge.a_phi - 0.3 * SIGMA_X)) < 1e-15
+        # derived from the caller's matrix as a read-only copy of it
+        a = 0.3 * SIGMA_X
+        gauge = rq.GaugeField(a)
+        assert np.array_equal(gauge.a_phi, a) and gauge.a_phi is not a
+        a[0, 1] = 1.0
+        assert gauge.a_phi[0, 1] == 0.3
+        with pytest.raises(ValueError):
+            gauge.a_phi[0, 1] = 1.0
         with pytest.raises(AttributeError):
             gauge.a_phi = np.zeros((2, 2))
 
-    # require_eigenbasis's own cases live in tests/test_linalg.py
-    @pytest.mark.parametrize("w,v,message", [
-        ([0.1 + 1e-3j, 0.2], np.eye(2), "finite reals"),
-        ([0.1, 0.2], [[1.0, 0.0], [1.0, 1.0]], "not unitary"),
-    ])
-    def test_rejects_a_bad_basis(self, w, v, message):
+    # require_hermitian's own cases live in tests/test_linalg.py
+    @pytest.mark.parametrize("a,message", [
+        ([[0.1, 1e-3], [0.0, 0.2]], "not Hermitian"),
+        ([[np.inf, 0.0], [0.0, 0.2]], "finite"),
+        ([[0.1, 0.0]], "square"),
+    ], ids=["asymmetric", "non-finite", "non-square"])
+    def test_rejects_a_matrix_that_is_not_hermitian(self, a, message):
         with pytest.raises(rq.PreconditionError, match=message):
-            rq.GaugeField(np.asarray(w), np.asarray(v))
+            rq.GaugeField(np.asarray(a))
 
 
 class TestRingState:
@@ -119,7 +127,6 @@ class TestRingState:
         coeffs = np.ones((7, 2)) / math.sqrt(14.0)
         state = rq.RingState(coeffs)
         assert (state.mode_cutoff_l, state.n_colors) == (3, 2)
-        assert np.array_equal(state.modes, np.arange(-3, 4))
         # the sizes are read off the array, not fields that could disagree
         with pytest.raises(AttributeError):
             state.mode_cutoff_l = 4
@@ -162,38 +169,55 @@ class TestInitialLocalizedState:
 class TestEvolveBlock:
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(41)
-        gauge = gauge_from(random_hermitian(rng, 2))
-        state = rq.initial_localized_state(8, random_state(rng, 2))
-        evolved = rq.evolve_block(state, gauge, 0.0)
-        assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-12
+        gauge = rq.GaugeField(random_hermitian(rng, 2))
+        color = random_state(rng, 2)
+        evolved = rq.evolve_block(gauge, color, 8, 0.0)
+        packet = rq.initial_localized_state(8, color)
+        assert np.max(np.abs(evolved.coeffs - packet.coeffs)) < 1e-12
 
     def test_revival_at_return_time(self):
-        gauge = gauge_from(np.zeros((2, 2), dtype=complex))
-        state = rq.initial_localized_state(12, np.array([0.6, 0.8]))
-        evolved = rq.evolve_block(state, gauge, rq.RETURN_TIME)
+        gauge = rq.GaugeField(np.zeros((2, 2), dtype=complex))
+        color = np.array([0.6, 0.8])
+        evolved = rq.evolve_block(gauge, color, 12, rq.RETURN_TIME)
         # free phases e^{-i 2 pi m^2} are exactly 1: the packet reassembles
-        assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-10
+        packet = rq.initial_localized_state(12, color)
+        assert np.max(np.abs(evolved.coeffs - packet.coeffs)) < 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
     def test_norm_conserved(self, seed):
         rng = np.random.default_rng(400 + seed)
         n = int(rng.integers(1, 4))
         l = int(rng.integers(1, 20))
-        gauge = gauge_from(random_hermitian(rng, n))
-        state = rq.initial_localized_state(l, random_state(rng, n))
-        evolved = rq.evolve_block(state, gauge, rng.uniform(0.0, 20.0))
+        gauge = rq.GaugeField(random_hermitian(rng, n))
+        evolved = rq.evolve_block(gauge, random_state(rng, n), l,
+                                  rng.uniform(0.0, 20.0))
         assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10
+
+    # (32, 1000) is ring-wide's shape; at (4, 20000) the dense route's
+    # 160004-dimensional matrix is far past its guard
+    @pytest.mark.parametrize("n,l,atol", [(32, 1000, 1e-10), (4, 20000, 1e-8)],
+                             ids=["n32-l1000", "n4-l20000"])
+    def test_matches_the_eigenbasis_formula(self, n, l, atol):
+        # the rounding of the free phase t m^2 / 2 at the top mode, about
+        # 2 pi l^2 eps rad times a coefficient of 1/sqrt(2l+1), sets atol
+        rng = np.random.default_rng([1800, n])
+        spec = rq.UnitarySpec(random_unitary(rng, n), random_state(rng, n))
+        gauge = rq.encode_as_gauge(spec)
+        for t in rng.uniform(0.0, 2.0 * rq.RETURN_TIME, 3):
+            got = rq.evolve_block(gauge, spec.state, l, t).coeffs
+            want = eigenbasis_evolve(gauge.a_phi, spec.state, l, t)
+            assert np.max(np.abs(got - want)) < atol, f"t = {t}"
 
     def test_abelian_shift_matches_dense_oracle(self):
         # scalar gauge tuned so the packet relocalizes at phi_u = 1.0
         phi_u = 1.0
         a = -phi_u / (2.0 * TWO_PI)  # 2 pi a = -phi_u/2
-        gauge = gauge_from([[a]])
+        gauge = rq.GaugeField([[a]])
         l, n_grid = 24, 256
-        state = rq.initial_localized_state(l, np.array([1.0]))
+        color = np.array([1.0])
         t_r = rq.RETURN_TIME
-        block = rq.evolve_block(state, gauge, t_r)
-        dense = rq.evolve_dense(state, gauge, t_r)
+        block = rq.evolve_block(gauge, color, l, t_r)
+        dense = rq.evolve_dense(gauge, color, l, t_r)
         d_block = rq.position_density(block, n_grid)
         d_dense = rq.position_density(dense, n_grid)
         assert int(np.argmax(d_block.density)) == int(np.argmax(d_dense.density))
@@ -206,11 +230,12 @@ class TestEvolveBlock:
         n_grid = 128
         shift_bins = 24
         phi_u = TWO_PI * shift_bins / n_grid
-        gauge = gauge_from([[-phi_u / (2.0 * TWO_PI)]])
+        gauge = rq.GaugeField([[-phi_u / (2.0 * TWO_PI)]])
         l = 20
-        state = rq.initial_localized_state(l, np.array([1.0]))
-        evolved = rq.evolve_block(state, gauge, rq.RETURN_TIME)
-        before = rq.position_density(state, n_grid).density
+        color = np.array([1.0])
+        evolved = rq.evolve_block(gauge, color, l, rq.RETURN_TIME)
+        packet = rq.initial_localized_state(l, color)
+        before = rq.position_density(packet, n_grid).density
         after = rq.position_density(evolved, n_grid).density
         assert np.max(np.abs(after - np.roll(before, shift_bins))) < 1e-6
 
@@ -218,17 +243,17 @@ class TestEvolveBlock:
         # for an eigencolor the A_phi^2 block term only contributes a global
         # phase; dropping it must leave the relocalization angle unchanged
         lam = 0.07
-        gauge = gauge_from(lam * SIGMA_Z)
+        gauge = rq.GaugeField(lam * SIGMA_Z)
         l, n_grid = 30, 512
         color = np.array([1.0, 0.0])
-        state = rq.initial_localized_state(l, color)
+        packet = rq.initial_localized_state(l, color)
         t_r = rq.RETURN_TIME
-        full = rq.evolve_block(state, gauge, t_r)
+        full = rq.evolve_block(gauge, color, l, t_r)
         # blocks without the A^2 term, (m^2 - 2 m lam) / 2, on this eigencolor
         modes = np.arange(-l, l + 1)
         stripped_energies = (modes ** 2 - 2.0 * modes * lam) / 2.0
         stripped = rq.RingState(
-            np.exp(-1j * stripped_energies * t_r)[:, None] * state.coeffs
+            np.exp(-1j * stripped_energies * t_r)[:, None] * packet.coeffs
         )
         global_phase = np.exp(-1j * lam ** 2 / 2.0 * t_r)
         assert np.max(np.abs(full.coeffs - global_phase * stripped.coeffs)) < 1e-9
@@ -237,61 +262,85 @@ class TestEvolveBlock:
         assert int(np.argmax(d_full.density)) == int(np.argmax(d_stripped.density))
 
     def test_incompatible_shapes_rejected(self):
-        gauge = gauge_from(np.zeros((3, 3)))
-        state = rq.initial_localized_state(3, np.array([1.0, 0.0]))
+        gauge = rq.GaugeField(np.zeros((3, 3)))
+        color = np.array([1.0, 0.0])
         with pytest.raises(rq.PreconditionError, match="colors"):
-            rq.evolve_block(state, gauge, 1.0)
+            rq.evolve_block(gauge, color, 3, 1.0)
         with pytest.raises(rq.PreconditionError, match="colors"):
-            rq.evolve_dense(state, gauge, 1.0)
+            rq.evolve_dense(gauge, color, 3, 1.0)
 
-    @pytest.mark.parametrize("scale,t", [(1.0, 1e308), (1e300, 0.0)])
+    @pytest.mark.parametrize("scale,t", [(1.0, 1e308), (1e300, 0.0), (1.0, -1e308)])
     def test_non_finite_phase_is_refused_without_a_warning(self, scale, t):
-        # E t overflows at t = 1e308; at a gauge of 1e300 the energies do,
+        # E t overflows at |t| = 1e308; at a gauge of 1e300 the energies do,
         # and inf * 0 is NaN; numpy warned before the state check named neither
-        gauge = gauge_from(scale * SIGMA_X)
-        state = rq.initial_localized_state(4, np.array([1.0, 0.0]))
+        gauge = rq.GaugeField(scale * SIGMA_X)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(rq.PreconditionError, match="E t is not finite"):
-                rq.evolve_block(state, gauge, t)
+                rq.evolve_block(gauge, np.array([1.0, 0.0]), 4, t)
+
+    def test_phase_bound_is_the_cutoff_plus_the_gauge_one_norm(self):
+        # (l + ||A_phi||_1)^2 |t| / 2 is 6.05e305 at t = 1e302, and past
+        # the largest float at |t| = 1e305
+        gauge = rq.GaugeField(10.0 * SIGMA_X)
+        ring_module.require_finite_phase(gauge, 100, 1e302)
+        with pytest.raises(rq.PreconditionError,
+                           match="phase E t is not finite at t = -1e\\+305"):
+            ring_module.require_finite_phase(gauge, 100, -1e305)
+        with pytest.raises(rq.PreconditionError, match="time must be finite"):
+            ring_module.require_finite_phase(gauge, 100, float("nan"))
+
+    def test_norm_survives_a_late_snapshot(self):
+        # W from plain Pade squarings left the unitary group by about 2^s
+        # eps; at t = 1e6 its 1000th power moved the norm by 4.5e-9, past
+        # RingState's 1e-10, and by 1e20 its squarings overflowed
+        rng = np.random.default_rng(45)
+        spec = rq.UnitarySpec(random_unitary(rng, 32), random_state(rng, 32))
+        gauge = rq.encode_as_gauge(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e6, 1e12, 1e250):
+                evolved = rq.evolve_block(gauge, spec.state, 1000, t)
+                assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10
 
     def test_makes_no_eigendecomposition(self, monkeypatch):
         rng = np.random.default_rng(44)
-        gauge = gauge_from(random_hermitian(rng, 3))
-        state = rq.initial_localized_state(5, random_state(rng, 3))
+        gauge = rq.GaugeField(random_hermitian(rng, 3))
+        color = random_state(rng, 3)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("evolve_block called eigh")
+            raise AssertionError("evolve_block decomposed a matrix")
 
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        evolved = rq.evolve_block(state, gauge, 1.3)
+        for name in ("eigh", "eig", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        evolved = rq.evolve_block(gauge, color, 5, 1.3)
         assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10
 
 
 class TestEvolveDense:
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(43)
-        gauge = gauge_from(random_hermitian(rng, 2))
-        state = rq.initial_localized_state(6, random_state(rng, 2))
-        evolved = rq.evolve_dense(state, gauge, 0.0)
-        assert np.max(np.abs(evolved.coeffs - state.coeffs)) < 1e-12
+        gauge = rq.GaugeField(random_hermitian(rng, 2))
+        color = random_state(rng, 2)
+        evolved = rq.evolve_dense(gauge, color, 6, 0.0)
+        packet = rq.initial_localized_state(6, color)
+        assert np.max(np.abs(evolved.coeffs - packet.coeffs)) < 1e-12
 
     def test_matches_block_route_at_contract_dimension(self):
         rng = np.random.default_rng(99)
         l = 50  # dimension (2l+1)*2 = 202
-        gauge = gauge_from(random_hermitian(rng, 2, scale=0.2))
-        state = rq.initial_localized_state(l, random_state(rng, 2))
+        gauge = rq.GaugeField(random_hermitian(rng, 2, scale=0.2))
+        color = random_state(rng, 2)
         t_r = rq.RETURN_TIME
-        block = rq.evolve_block(state, gauge, t_r)
-        dense = rq.evolve_dense(state, gauge, t_r)
+        block = rq.evolve_block(gauge, color, l, t_r)
+        dense = rq.evolve_dense(gauge, color, l, t_r)
         assert np.max(np.abs(block.coeffs - dense.coeffs)) < 1e-8
 
     def test_dimension_guard(self, monkeypatch):
         monkeypatch.setattr(linalg_module, "DENSE_DIMENSION_GUARD", 8)
-        gauge = gauge_from(np.zeros((2, 2)))
-        state = rq.initial_localized_state(5, np.array([1.0, 0.0]))
+        gauge = rq.GaugeField(np.zeros((2, 2)))
         with pytest.raises(rq.ResourceLimitError):
-            rq.evolve_dense(state, gauge, 1.0)
+            rq.evolve_dense(gauge, np.array([1.0, 0.0]), 5, 1.0)
 
 
 class TestPositionDensity:
@@ -320,9 +369,8 @@ class TestPositionDensity:
 
         rng = np.random.default_rng(10)
         l, n_grid, n = 1000, 65536, 32
-        gauge = gauge_from(random_hermitian(rng, n))
-        state = rq.evolve_block(rq.initial_localized_state(l, random_state(rng, n)),
-                                gauge, 1.0)
+        gauge = rq.GaugeField(random_hermitian(rng, n))
+        state = rq.evolve_block(gauge, random_state(rng, n), l, 1.0)
         tracemalloc.start()
         try:
             density = rq.position_density(state, n_grid)
@@ -359,7 +407,7 @@ class TestPositionDensity:
         coeffs /= np.linalg.norm(coeffs)
         state = rq.RingState(coeffs)
         phi = TWO_PI * np.arange(n_grid) / n_grid
-        psi = np.exp(1j * np.outer(phi, state.modes)) @ coeffs
+        psi = np.exp(1j * np.outer(phi, np.arange(-l, l + 1))) @ coeffs
         expected = np.abs(psi) ** 2 / TWO_PI
         density = rq.position_density(state, n_grid)
         assert np.max(np.abs(density.density - expected.sum(axis=1))) < 1e-13
@@ -400,7 +448,7 @@ class TestPositionDensity:
         # 1290555 modes x 32 colors: evolve_block alone would take about
         # 2.8 GiB, though the grid by itself is well inside the guard
         rng = np.random.default_rng(14)
-        gauge = gauge_from(random_hermitian(rng, 32))
+        gauge = rq.GaugeField(random_hermitian(rng, 32))
         color = random_state(rng, 32)
 
         def forbidden(*args, **kwargs):
@@ -415,17 +463,16 @@ class TestPositionDensity:
         (1024, 64, 8192), (1000, 32, 65536), (20000, 4, 40001), (10, 2, 1 << 20),
     ], ids=["transform-bound", "ring-wide", "grid-equals-L", "grid-bound"])
     def test_route_peak_stays_under_the_guard(self, l, n, n_grid):
-        # the packet and the evolved state are held while the density's
-        # (L, n) transform runs; at l = 1024, L = 8192 is the worst ratio
+        # the evolved state is held while the density's (L, n) transform
+        # runs; at l = 1024, L = 8192 is the worst ratio
         import tracemalloc
 
         rng = np.random.default_rng(15)
-        gauge = gauge_from(random_hermitian(rng, n))
+        gauge = rq.GaugeField(random_hermitian(rng, n))
         color = random_state(rng, n)
         tracemalloc.start()
         try:
-            state = rq.initial_localized_state(l, color)
-            evolved = rq.evolve_block(state, gauge, 1.0)
+            evolved = rq.evolve_block(gauge, color, l, 1.0)
             rq.position_density(evolved, n_grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -537,7 +584,7 @@ class TestExtractPeaks:
 
 class TestEstimatePhaseViaRing:
     def test_zero_gauge_relocalizes_at_origin(self):
-        gauge = gauge_from(np.zeros((2, 2), dtype=complex))
+        gauge = rq.GaugeField(np.zeros((2, 2), dtype=complex))
         peaks = rq.estimate_phase_via_ring(
             gauge, np.array([1.0, 0.0]), 40, 256
         )
@@ -569,8 +616,9 @@ class TestEstimatePhaseViaRing:
     def test_eigencolor_lands_at_predicted_angle(self, seed):
         rng = np.random.default_rng(700 + seed)
         n = int(rng.integers(1, 5))
-        gauge = gauge_from(random_hermitian(rng, n, scale=0.1))
-        lam, vec = gauge.eigenvalues, gauge.eigenvectors
+        a = random_hermitian(rng, n, scale=0.1)
+        gauge = rq.GaugeField(a)
+        lam, vec = np.linalg.eigh(a)
         pick = int(rng.integers(0, n))
         color = vec[:, pick]
         l = 60
@@ -594,14 +642,35 @@ class TestEstimatePhaseViaRing:
         with pytest.raises(rq.ResolutionError, match="N >= 4l\\+1"):
             rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 150)
 
+    @pytest.mark.filterwarnings("ignore::ringqpe.PhaseAliasingWarning")
+    @pytest.mark.parametrize("kind", ["aliased-energy", "unitary"])
+    def test_reads_the_gauge_matrix_alone(self, monkeypatch, kind):
+        color = np.array([0.6, 0.8])
+        if kind == "unitary":
+            theta = np.array([0.5, -2.0])
+            problem = rq.UnitarySpec(np.diag(np.exp(1j * theta)), color)
+        else:
+            # H / E_R = diag(4, -1) wraps 4 to 4 - 2 pi
+            problem = rq.EnergyProblem(np.diag([4.0, -1.0]), 1.0, color)
+            theta = np.array([4.0 - TWO_PI, -1.0])
+        gauge = rq.encode_as_gauge(problem)
+        forbid_spectra(monkeypatch, problem)
+        with pytest.raises(AssertionError, match="spectrum"):
+            problem.spectrum
+        peaks = rq.estimate_phase_via_ring(gauge, problem.state, 50, 512)
+        assert len(peaks) == 2
+        for phi, weight in zip(theta, (0.36, 0.64)):
+            nearest = min(peaks, key=lambda p: rq.circular_distance(p.phi, phi))
+            assert rq.circular_distance(nearest.phi, phi) < 1e-9
+            assert abs(nearest.weight - weight) < 1e-9
+
 
 class TestGoldenDensity:
     def test_evolved_density_matches_frozen_reference(
         self, sigma_x_problem, tmp_path
     ):
         gauge = rq.encode_as_gauge(sigma_x_problem)
-        state = rq.initial_localized_state(50, sigma_x_problem.state)
-        evolved = rq.evolve_block(state, gauge, rq.RETURN_TIME)
+        evolved = rq.evolve_block(gauge, sigma_x_problem.state, 50, rq.RETURN_TIME)
         density = rq.position_density(evolved, 512)
 
         import os
