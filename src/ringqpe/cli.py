@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import shutil
 import sys
 
 import numpy as np
@@ -37,7 +35,6 @@ from .encode import (
 from .errors import (
     PreconditionError,
     ProblemFormatError,
-    ResolutionError,
     RingQpeError,
 )
 
@@ -264,45 +261,25 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     from . import ring
 
     problem = _require_problem(cfg)
-    ring.require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
-    fractions = cfg.times + (1.0,)
-    for fraction in fractions:
-        t = fraction * ring.RETURN_TIME
-        if not math.isfinite(t):
-            raise PreconditionError(
-                f"snapshot time {fraction!r} t_R = {t!r} is not finite"
-            )
-
     gauge = encode_as_gauge(problem)
-    # the largest |t| checks every snapshot before any is evolved
-    ring.require_finite_phase(gauge, cfg.mode_cutoff_l,
-                              max(fractions, key=abs) * ring.RETURN_TIME)
-
-    def density_at(fraction):
-        evolved = ring.evolve_block(gauge, problem.state, cfg.mode_cutoff_l,
-                                    fraction * ring.RETURN_TIME)
-        return ring.position_density(evolved, cfg.grid_size_n)
-
-    density = density_at(1.0)
-    peaks = ring.extract_peaks(density, cfg.mode_cutoff_l, gauge.n_colors)
+    # the largest |t| checks every snapshot before any is evolved, and a NaN
+    # among the times makes the maximum NaN
+    ring.require_finite_phase(
+        gauge, cfg.mode_cutoff_l,
+        float(np.max(np.abs(cfg.times + (1.0,)))) * ring.RETURN_TIME)
+    peaks = ring.estimate_phase_via_ring(gauge, problem.state,
+                                         cfg.mode_cutoff_l, cfg.grid_size_n)
 
     # made only once every refusal is past, so a refused run leaves nothing
     os.makedirs(cfg.out_dir, exist_ok=True)
     snapshot_paths = [os.path.join(cfg.out_dir, f"density_{i:02d}.csv")
                       for i in range(len(cfg.times))]
-    # each distinct time evolves once, t_R's first, and is written to its
-    # first path as soon as its density exists, so one snapshot is held at
-    # a time; a repeated time copies that file
-    first = dict(zip(reversed(cfg.times), reversed(snapshot_paths)))
-    if 1.0 in first:
-        ring.write_density_csv(density, first[1.0])
-    del density
-    for fraction, path in first.items():
-        if fraction != 1.0:
-            ring.write_density_csv(density_at(fraction), path)
     for fraction, path in zip(cfg.times, snapshot_paths):
-        if path != first[fraction]:
-            shutil.copyfile(first[fraction], path)
+        # one snapshot is held at a time: no name keeps the evolved state,
+        # so it is freed once its density exists, before the CSV is written
+        ring.write_density_csv(ring.position_density(ring.evolve_block(
+            gauge, problem.state, cfg.mode_cutoff_l,
+            fraction * ring.RETURN_TIME), cfg.grid_size_n), path)
     peaks_path = os.path.join(cfg.out_dir, "peaks.json")
     with open(peaks_path, "w") as fh:
         json.dump(ring.peak_set_to_json(peaks), fh, indent=2)
@@ -363,14 +340,8 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
     from . import qpe, ring
 
     problem = _require_problem(cfg)
-    ring.require_ring_grid(cfg.mode_cutoff_l, problem.n_colors, cfg.grid_size_n)
-    # built first, so t_bits is checked before 2^t is formed
+    # built before the ring runs, so a bad t_bits is refused first
     qpe_cfg = qpe.QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
-    if cfg.grid_size_n < qpe_cfg.register_size:
-        raise ResolutionError(
-            f"grid of {cfg.grid_size_n} points is coarser than the "
-            f"2^{cfg.t_bits} register; need N >= 2^t"
-        )
 
     gauge = encode_as_gauge(problem)
     peaks = ring.estimate_phase_via_ring(

@@ -71,16 +71,15 @@ _DENSITY_INTEGRAL_TOL = 1e-8
 # l = 1024, n = 64, N = 8192 for the evolved state beside the density's
 # (L, n) transform (96 dates from when the packet was held too, and keeps
 # the refusals where they were), and 28.9 for ring-sim at l = 3, N = 2^16,
-# its density and grid while the next snapshot is made, beside the CSV
-# writer's tables (writing a CSV peaks at 25.6; the read-out's transform
-# takes under 25).
+# its density and grid while a snapshot is written (writing a CSV peaks at
+# 25.6). The whole read-out, moments, one QR of their Hankel matrix and the
+# Vandermonde solve, peaks at 0.55 of this budget at l = 100000, n = 1,
+# N = 400001, and at 0.39 at l = 1000, n = 32, N = 65536.
 _BYTES_PER_MODE_COLOR = 96
 _BYTES_PER_POINT = 32
 
-# the peak read-out factors its Hankel matrix this many rows at a time,
-# merges poles closer than this many lobes 2 pi/(2l+1) and drops weights
-# at or below the floor
-_QR_BLOCK_ROWS = 256
+# the peak read-out merges poles closer than this many lobes 2 pi/(2l+1)
+# and drops weights at or below the floor
 _MERGE_LOBES = 0.25
 _WEIGHT_FLOOR = 1e-9
 
@@ -132,30 +131,32 @@ class RingState:
 
 @dataclass(frozen=True, eq=False)
 class PositionDensity:
-    """|psi|^2 summed over the colors, sampled on phi_j = 2 pi j / N."""
+    """|psi|^2 summed over the colors, sampled on phi_j = 2 pi j / N; the
+    grid follows from the N samples and is not stored."""
 
-    phi_grid: np.ndarray
     density: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi_grid, dtype=np.float64)
         d = np.asarray(self.density, dtype=np.float64)
-        if phi.ndim != 1 or d.shape != phi.shape:
-            raise PreconditionError("phi grid and density must be matching 1-D arrays")
+        if d.ndim != 1 or d.size == 0:
+            raise PreconditionError("density must be a non-empty 1-D array")
         if np.any(d < -1e-12):
             raise PreconditionError("density must be non-negative")
-        integral = float(np.sum(d)) * TWO_PI / phi.size
+        integral = float(np.sum(d)) * TWO_PI / d.size
         if not abs(integral - 1.0) <= _DENSITY_INTEGRAL_TOL:
             raise PreconditionError(
                 f"density integrates to {integral!r}, expected 1 within "
                 f"{_DENSITY_INTEGRAL_TOL}"
             )
-        object.__setattr__(self, "phi_grid", readonly(phi))
         object.__setattr__(self, "density", readonly(d))
 
     @property
     def grid_size_N(self) -> int:
-        return self.phi_grid.size
+        return self.density.size
+
+    @property
+    def phi_grid(self) -> np.ndarray:
+        return TWO_PI * np.arange(self.grid_size_N) / self.grid_size_N
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def require_finite_phase(gauge: GaugeField, mode_cutoff_l: int, t: float) -> Non
     energy is at most (l + ||A_phi||_1)^2 / 2, and that bound times |t| must
     be finite, which then holds at any smaller |t| too."""
     if not math.isfinite(t):
-        raise PreconditionError("time must be finite")
+        raise PreconditionError(f"time {t!r} is not finite")
     _require_mode_cutoff(mode_cutoff_l)
     with np.errstate(over="ignore"):
         reach = mode_cutoff_l + float(np.linalg.norm(gauge.a_phi, 1))
@@ -371,22 +372,7 @@ def position_density(state: RingState, grid_size_N: int) -> PositionDensity:
     density *= grid_size_N / size_L / TWO_PI
     opcount.add(macs)
     density.setflags(write=False)
-    phi_grid = TWO_PI * np.arange(grid_size_N) / grid_size_N
-    phi_grid.setflags(write=False)
-    return PositionDensity(phi_grid, density)
-
-
-def _stacked_r(rows: int, block) -> np.ndarray:
-    """R of the QR of a tall matrix given as block(start, stop) row slices.
-
-    Each slice of up to _QR_BLOCK_ROWS rows is stacked under the running R
-    and factored again, so only one slice and R are held at a time.
-    """
-    r = None
-    for start in range(0, rows, _QR_BLOCK_ROWS):
-        part = block(start, min(rows, start + _QR_BLOCK_ROWS))
-        r = np.linalg.qr(part if r is None else np.vstack((r, part)), mode="r")
-    return r
+    return PositionDensity(density)
 
 
 def extract_peaks(density: PositionDensity, mode_cutoff_l: int,
@@ -401,10 +387,13 @@ def extract_peaks(density: PositionDensity, mode_cutoff_l: int,
     columns, above (2l+1)^2 eps of the largest count at most n_colors
     components; the shift invariance of the top right singular vectors
     gives the poles e^{i phi_k}, and least squares of y on them the
-    weights. The cut is the moments' rounding: evolve_block rounds each free
-    phase t m^2 / 2 once, about 2 pi l^2 eps rad at the top mode at t_R, of
-    order (2l+1)^2 eps, which dominates its 2l products with W (about
-    2l eps), so the cut stands. Poles closer than a quarter lobe
+    weights. The SVD runs on R from one QR of the Hankel matrix, and the
+    weights come from one least-squares solve on the (2l+1) x order
+    Vandermonde matrix of the poles; both fit the ring guard's budget. The
+    cut is the moments' rounding: evolve_block rounds each free phase
+    t m^2 / 2 once, about 2 pi l^2 eps rad at the top mode at t_R, of order
+    (2l+1)^2 eps, which dominates its 2l products with W (about 2l eps), so
+    the cut stands. Poles closer than a quarter lobe
     2 pi/(2l+1) are one component, of their summed weight at the weighted
     circular mean. The moments alias unless N >= 4l+1, so a coarser grid
     is refused.
@@ -417,7 +406,7 @@ def extract_peaks(density: PositionDensity, mode_cutoff_l: int,
     y *= TWO_PI * count / (density.grid_size_N * (count - q))
 
     hankel = np.lib.stride_tricks.sliding_window_view(y, min(l, 2 * n_colors) + 1)
-    _, sv, vh = np.linalg.svd(_stacked_r(len(hankel), lambda a, b: hankel[a:b]))
+    _, sv, vh = np.linalg.svd(np.linalg.qr(hankel, mode="r"))
     cut = count ** 2 * np.finfo(float).eps * sv[0]
     order = min(n_colors, int(np.count_nonzero(sv > cut)))
     # the top rows of vh span the Hankel rows (z_k^j)_j, so one shift maps
@@ -425,9 +414,8 @@ def extract_peaks(density: PositionDensity, mode_cutoff_l: int,
     basis = vh[:order].T
     shift = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0]
     phases = np.angle(np.linalg.eigvals(shift))
-    r = _stacked_r(count, lambda a, b: np.column_stack(
-        (np.exp(1j * np.outer(q[a:b], phases)), y[a:b])))
-    weights = np.linalg.solve(r[:order, :order], r[:order, order]).real
+    vandermonde = np.exp(1j * np.outer(q, phases))
+    weights = np.linalg.lstsq(vandermonde, y, rcond=None)[0].real
 
     tolerance = _MERGE_LOBES * TWO_PI / count
     clusters = []  # [phase of its heaviest pole, weight, sum of w e^{i phi}]
@@ -455,7 +443,8 @@ def _require_read_out_grid(mode_cutoff_l: int, grid_size_N: int) -> None:
 
 def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
                             grid_size_N: int) -> PeakSet:
-    """Full read-out: localize, evolve for t_R, read the peaks.
+    """Full read-out: localize, evolve for t_R, read the peaks; the one
+    read-out both ring-sim and compare run.
 
     Both grid rules are checked before anything evolves, and the evolved
     state is freed once its density exists.

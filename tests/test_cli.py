@@ -321,10 +321,11 @@ class TestRingSim:
         out = tmp_path / "out"
         argv = ["ring-sim", "--problem", str(sigma_x_file), "--out-dir", str(out)]
         assert main(argv + (["--times", times] if times else [])) == 0
-        # snapshots at 0, 0.5 (or 0.25) and 1; t_R is fraction 1 either way,
-        # and a repeated time's file is a copy of its first
-        assert calls == {"evolve_block": 3, "position_density": 3}
+        # the read-out evolves to t_R once, and every snapshot time once
+        # more, a repeated one too; each repeat writes the same bytes
         fractions = (times or "0,0.5,1").split(",")
+        runs = 1 + len(fractions)
+        assert calls == {"evolve_block": runs, "position_density": runs}
         for i, fraction in enumerate(fractions):
             first = fractions.index(fraction)
             assert ((out / f"density_{i:02d}.csv").read_bytes()
@@ -342,7 +343,12 @@ class TestRingSim:
         assert "N >= 2l+1" in capsys.readouterr().err
 
     def test_grid_that_aliases_the_read_out_leaves_no_output(
-            self, tmp_path, sigma_x_file, capsys):
+            self, tmp_path, sigma_x_file, monkeypatch, capsys):
+        # ring-sim evolved to t_R before the read-out refused N < 4l+1
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evolved before the grid was checked")
+
+        monkeypatch.setattr(ring_module, "evolve_block", forbidden)
         out = tmp_path / "out"
         code = main(["ring-sim", "--problem", str(sigma_x_file),
                      "--out-dir", str(out), "-l", "50", "-N", "150"])
@@ -531,12 +537,15 @@ class TestCompare:
         phi_eig = json.loads((out / "compare.json").read_text())["phi_eig"]
         assert 0.0 <= phi_eig < 1e-12
 
-    def test_register_coarser_than_grid_rejected(self, tmp_path, sigma_x_file, capsys):
+    def test_register_finer_than_grid_is_compared(self, tmp_path, sigma_x_file):
+        # N >= 2^t was refused, though neither the bound nor the ring's
+        # read-out reads N beyond N >= 4l+1
         code = main(["compare", "--problem", str(sigma_x_file),
-                     "--out-dir", str(tmp_path), "-l", "10", "-N", "32",
-                     "--t-bits", "6"])
-        assert code == 1
-        assert "N >= 2^t" in capsys.readouterr().err
+                     "--out-dir", str(tmp_path), "-l", "10", "-N", "64",
+                     "--t-bits", "10"])
+        assert code == 0
+        report = json.loads((tmp_path / "compare.json").read_text())
+        assert report["ok"] and max(report["distances"].values()) <= report["bound"]
 
 
 class TestRingArguments:

@@ -287,7 +287,7 @@ class TestEvolveBlock:
         with pytest.raises(rq.PreconditionError,
                            match="phase E t is not finite at t = -1e\\+305"):
             ring_module.require_finite_phase(gauge, 100, -1e305)
-        with pytest.raises(rq.PreconditionError, match="time must be finite"):
+        with pytest.raises(rq.PreconditionError, match="time nan is not finite"):
             ring_module.require_finite_phase(gauge, 100, float("nan"))
 
     def test_norm_survives_a_late_snapshot(self):
@@ -382,12 +382,11 @@ class TestPositionDensity:
         assert peak < 16 * 2 ** 20
 
     def test_owned_read_only_density_is_kept_writeable_one_copied(self):
-        phi = TWO_PI * np.arange(4) / 4
         frozen = np.full(4, 1.0 / TWO_PI)
         frozen.setflags(write=False)
-        assert rq.PositionDensity(phi, frozen).density is frozen
+        assert rq.PositionDensity(frozen).density is frozen
         writeable = np.full(4, 1.0 / TWO_PI)
-        kept = rq.PositionDensity(phi, writeable).density
+        kept = rq.PositionDensity(writeable).density
         assert kept is not writeable and not kept.flags.writeable
         writeable[0] = 0.0
         assert kept[0] == 1.0 / TWO_PI
@@ -495,10 +494,9 @@ class TestPositionDensity:
             rq.position_density(state, 2 ** 40)
 
     def test_nan_density_rejected(self):
-        phi = TWO_PI * np.arange(4) / 4
         d = np.full(4, np.nan)
         with pytest.raises(rq.PreconditionError, match="integrates"):
-            rq.PositionDensity(phi, d)
+            rq.PositionDensity(d)
 
     def test_first_zero_at_kernel_width(self):
         l, n_grid = 16, 330  # grid multiple of 2l+1: zeros land on grid points
@@ -532,9 +530,8 @@ def separated_phases(rng, count, lobe, pinned):
 class TestExtractPeaks:
     def test_flat_density_yields_only_trivial_weights(self):
         n_grid = 64
-        phi = TWO_PI * np.arange(n_grid) / n_grid
         d = np.full(n_grid, 1.0 / TWO_PI)
-        density = rq.PositionDensity(phi, d)
+        density = rq.PositionDensity(d)
         peaks = rq.extract_peaks(density, 15, 4)
         assert all(p.weight <= 2.0 * 5 / n_grid + 1e-12 for p in peaks)
 
@@ -641,6 +638,27 @@ class TestEstimatePhaseViaRing:
         # a grid that resolves the modes but aliases the read-out's moments
         with pytest.raises(rq.ResolutionError, match="N >= 4l\\+1"):
             rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 150)
+
+    @pytest.mark.parametrize("l,n,n_grid", [
+        (100000, 1, 400001), (1000, 32, 65536), (20000, 4, 80001),
+    ], ids=["moment-bound", "ring-wide", "four-colors"])
+    def test_read_out_peak_stays_under_the_guard(self, l, n, n_grid):
+        # the route test stops at the density; this one runs the moments,
+        # the one QR of their Hankel matrix and the Vandermonde solve too
+        import tracemalloc
+
+        rng = np.random.default_rng(17)
+        gauge = rq.GaugeField(random_hermitian(rng, n))
+        color = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            rq.estimate_phase_via_ring(gauge, color, l, n_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = (ring_module._BYTES_PER_MODE_COLOR * (2 * l + 1) * n
+                 + ring_module._BYTES_PER_POINT * n_grid)
+        assert peak <= bound
 
     @pytest.mark.filterwarnings("ignore::ringqpe.PhaseAliasingWarning")
     @pytest.mark.parametrize("kind", ["aliased-energy", "unitary"])
