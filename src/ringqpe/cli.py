@@ -2,10 +2,12 @@
 
 Subcommands: ring-sim (gauge-field read-out and density snapshots), qpe
 (register pipeline), compare (both routes against direct
-diagonalization), bench (scaling measurements). Options resolve as
-command-line flags over --config JSON values (null meaning the default)
-over built-in defaults; RINGQPE_OUT_DIR supplies the output
-directory when no flag or config value names one.
+diagonalization), bench (scaling measurements). _OPTIONS declares each
+option once, and each subcommand's _DEFAULTS row names the options it
+takes. Options resolve as command-line flags over --config JSON values
+(null meaning the default) over built-in defaults, each through its one
+cast; RINGQPE_OUT_DIR supplies the output directory when no flag or
+config value names one. A warning prints as one "ringqpe: warning:" line.
 
 Exit codes:
   0  success
@@ -21,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -51,24 +54,6 @@ EXIT_IO = 2
 EXIT_MISMATCH = 3
 EXIT_AMBIGUOUS = 4
 
-_COMMON_DEFAULTS = {"seed": 0, "out_dir": None}
-
-# bench reads no problem, so its config may not name one
-_DEFAULTS = {
-    "ring-sim": {
-        "problem": None, "mode_cutoff_l": 50, "grid_size_n": 512,
-        "times": (0.0, 0.5, 1.0),
-    },
-    "qpe": {"problem": None, "t_bits": 10, "shots": 0},
-    "compare": {
-        "problem": None, "mode_cutoff_l": 200, "grid_size_n": 1024,
-        "t_bits": 10, "shots": 0,
-    },
-    "bench": {
-        "sizes": (64, 128, 256, 512), "repeats": 5, "count_ops": False,
-    },
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; our taxonomy reserves 2 for I/O."""
@@ -76,78 +61,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _add_common(sub: argparse.ArgumentParser, with_problem: bool = True) -> None:
-    if with_problem:
-        sub.add_argument("--problem", help="problem JSON file")
-    sub.add_argument("--out-dir", dest="out_dir",
-                     help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
-    sub.add_argument("--config", help="JSON file of default option values")
-    sub.add_argument("--seed", type=int, help="seed for any sampling")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog=PROG,
-        description="Eigenphase read-out on a gauge-threaded ring, and by "
-                    "register-level phase estimation.",
-        epilog="Exit codes: 0 ok, 1 usage or invariant violation, 2 I/O, "
-               "3 route mismatch, 4 ambiguous spectrum (secondary ring peak "
-               f"weight >= {AMBIGUITY_WEIGHT}).",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    ring = sub.add_parser(
-        "ring-sim",
-        help="evolve a localized packet and read eigenphases from its peaks",
-        description="Writes density_XX.csv snapshots, peaks.json and "
-                    "summary.txt into the output directory.",
-    )
-    _add_common(ring)
-    ring.add_argument("-l", "--mode-cutoff", dest="mode_cutoff_l", type=int,
-                      help="angular momentum cutoff (modes -l..l)")
-    ring.add_argument("-N", "--grid-size", dest="grid_size_n", type=int,
-                      help="position grid size (N >= 4l+1, for the peak read-out)")
-    ring.add_argument("--times", help="comma-separated snapshot times as "
-                                      "fractions of the return time")
-
-    qpe = sub.add_parser(
-        "qpe",
-        help="estimate an eigenphase with the register pipeline",
-        description="Writes qpe_distribution.csv and qpe_estimate.json.",
-    )
-    _add_common(qpe)
-    qpe.add_argument("--t-bits", dest="t_bits", type=int,
-                     help="read-out register width")
-    qpe.add_argument("--shots", type=int,
-                     help="samples to draw (0 = exact distribution)")
-
-    comp = sub.add_parser(
-        "compare",
-        help="cross-validate ring, register and direct diagonalization",
-        description="Writes compare.json; exits 3 when the routes disagree "
-                    "beyond 2 pi/2^t + 2 pi/(2l+1), 4 when the ring sees an "
-                    "ambiguous spectrum.",
-    )
-    _add_common(comp)
-    comp.add_argument("-l", "--mode-cutoff", dest="mode_cutoff_l", type=int)
-    comp.add_argument("-N", "--grid-size", dest="grid_size_n", type=int)
-    comp.add_argument("--t-bits", dest="t_bits", type=int)
-    comp.add_argument("--shots", type=int)
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure wall-time scaling of the evolution routes",
-        description="Appends bench.csv and writes bench_fits.json.",
-    )
-    _add_common(bench, with_problem=False)
-    bench.add_argument("--sizes", help="comma-separated matrix dimensions")
-    bench.add_argument("--repeats", type=int, help="timed repeats per point")
-    bench.add_argument("--count-ops", dest="count_ops", action="store_true",
-                       default=None, help="record multiply-accumulate counts")
-
-    return parser
 
 
 def _list_of(kind):
@@ -195,14 +108,76 @@ def _path(value) -> str:
     return value
 
 
-# one caster per option key in _COMMON_DEFAULTS and _DEFAULTS
-_CASTERS = {
-    "seed": _seed, "out_dir": _path, "problem": _path,
-    "mode_cutoff_l": _integer, "grid_size_n": _integer, "t_bits": _integer,
-    "shots": _integer, "repeats": _integer,
-    "times": _list_of(_real), "sizes": _list_of(_integer),
-    "count_ops": _boolean,
+# option key (also its config key): its flags, the one cast that a flag value
+# and a config value both go through, and its help. A _boolean option is a
+# switch that takes no argument.
+_OPTIONS = {
+    "problem": (("--problem",), _path, "problem JSON file"),
+    "out_dir": (("--out-dir",), _path,
+                f"output directory (default: ${OUT_DIR_ENV} or cwd)"),
+    "seed": (("--seed",), _seed, "seed for any sampling"),
+    "mode_cutoff_l": (("-l", "--mode-cutoff"), _integer,
+                      "angular momentum cutoff (modes -l..l)"),
+    "grid_size_n": (("-N", "--grid-size"), _integer,
+                    "position grid size (N >= 4l+1, for the peak read-out)"),
+    "times": (("--times",), _list_of(_real),
+              "comma-separated snapshot times as fractions of the return time"),
+    "t_bits": (("--t-bits",), _integer, "read-out register width"),
+    "shots": (("--shots",), _integer, "samples to draw (0 = exact distribution)"),
+    "sizes": (("--sizes",), _list_of(_integer), "comma-separated matrix dimensions"),
+    "repeats": (("--repeats",), _integer, "timed repeats per point"),
+    "count_ops": (("--count-ops",), _boolean, "record multiply-accumulate counts"),
 }
+
+# one row per subcommand: the default of exactly the options it reads, so a
+# flag or config key outside its row is refused (bench reads no problem,
+# ring-sim samples nothing and takes no seed)
+_DEFAULTS = {
+    "ring-sim": {"problem": None, "out_dir": None, "mode_cutoff_l": 50,
+                 "grid_size_n": 512, "times": (0.0, 0.5, 1.0)},
+    "qpe": {"problem": None, "out_dir": None, "seed": 0, "t_bits": 10, "shots": 0},
+    "compare": {"problem": None, "out_dir": None, "seed": 0, "mode_cutoff_l": 200,
+                "grid_size_n": 1024, "t_bits": 10, "shots": 0},
+    "bench": {"out_dir": None, "seed": 0, "sizes": (64, 128, 256, 512),
+              "repeats": 5, "count_ops": False},
+}
+# each subcommand's help and description, in the rows' order
+_ABOUT = {
+    "ring-sim": ("evolve a localized packet and read eigenphases from its peaks",
+                 "Writes density_XX.csv snapshots, peaks.json and summary.txt "
+                 "into the output directory."),
+    "qpe": ("estimate an eigenphase with the register pipeline",
+            "Writes qpe_distribution.csv and qpe_estimate.json."),
+    "compare": ("cross-validate ring, register and direct diagonalization",
+                "Writes compare.json; exits 3 when the routes disagree beyond "
+                "2 pi/2^t + 2 pi/(2l+1), 4 when the ring sees an ambiguous "
+                "spectrum."),
+    "bench": ("measure wall-time scaling of the evolution routes",
+              "Appends bench.csv and writes bench_fits.json."),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog=PROG,
+        description="Eigenphase read-out on a gauge-threaded ring, and by "
+                    "register-level phase estimation.",
+        epilog="Exit codes: 0 ok, 1 usage or invariant violation, 2 I/O, "
+               "3 route mismatch, 4 ambiguous spectrum (secondary ring peak "
+               f"weight >= {AMBIGUITY_WEIGHT}).",
+    )
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    for name, row in _DEFAULTS.items():
+        summary, description = _ABOUT[name]
+        sub = subparsers.add_parser(name, help=summary, description=description)
+        # no type=: _resolve_config casts flag and config values alike
+        for key in row:
+            flags, cast, help_text = _OPTIONS[key]
+            sub.add_argument(
+                *flags, dest=key, default=None, help=help_text,
+                action="store_true" if cast is _boolean else "store")
+        sub.add_argument("--config", help="JSON file of default option values")
+    return parser
 
 
 def _read_config(path) -> dict:
@@ -219,10 +194,11 @@ def _read_config(path) -> dict:
 def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill every option as flag, else config value, else default.
 
-    A JSON null in the config means "use the default". Returns `args` with
+    A JSON null in the config means "use the default". Flag, config and
+    default values go through the option's one cast. Returns `args` with
     each option cast and `out_dir` resolved.
     """
-    defaults = {**_COMMON_DEFAULTS, **_DEFAULTS[args.subcommand]}
+    defaults = _DEFAULTS[args.subcommand]
     file_values = _read_config(args.config) if args.config else {}
     unknown = set(file_values) - set(defaults)
     if unknown:
@@ -231,16 +207,16 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         )
 
     for key, default in defaults.items():
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is None:
             value = file_values.get(key)
         if value is None:
             value = default
         if value is not None:
             try:
-                value = _CASTERS[key](value)
+                value = _OPTIONS[key][1](value)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise PreconditionError(f"bad {key} value {value!r}: {exc}") from exc
+                raise PreconditionError(f"bad {key} value {value}: {exc}") from exc
         setattr(args, key, value)
 
     if args.out_dir is None:
@@ -455,15 +431,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    try:
-        cfg = _resolve_config(args)
-        return _HANDLERS[args.subcommand](cfg)
-    except (ProblemFormatError, OSError) as exc:
-        print(f"{PROG}: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except RingQpeError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # a warning reaches the user as one line, not as Python's report of the
+    # source line; the caller's warning state is restored on return
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"{PROG}: warning: {message}", file=sys.stderr)
+        try:
+            cfg = _resolve_config(args)
+            return _HANDLERS[args.subcommand](cfg)
+        except (ProblemFormatError, OSError) as exc:
+            print(f"{PROG}: I/O error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except RingQpeError as exc:
+            print(f"{PROG}: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 perfbench/check.py marks a command malformed when an output file lacks the
 header, row count or keys it reads. Running a few cli-small commands,
 ring-wide's first two and register-deep's first two, through it here
-catches an output-format change before a benchmark run does. The
-perfbench modules are imported as they are, never edited.
+catches an output-format change before a benchmark run does, and
+perfbench's copy of the command defaults is checked against the CLI's
+rows. The perfbench modules are imported as they are, never edited.
 """
 
 import os
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from ringqpe.cli import main
+from ringqpe.cli import _DEFAULTS, main
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
 PERFBENCH = os.path.join(REPO, "perfbench")
@@ -69,3 +70,15 @@ def test_register_deep_outputs_pass_the_benchmark_checker(perfbench, tmp_path, c
     chosen = commands[:2]
     assert [(cmd.sub, cmd.flags) for cmd in chosen] == [("qpe", ["--t-bits", "16"])] * 2
     _run_and_check(check, chosen, tmp_path, capsys)
+
+
+def test_perfbench_keeps_the_cli_defaults(perfbench):
+    # perfbench runs cli-small at the defaults and sets each route's
+    # tolerance from its own copy of them
+    workloads, _ = perfbench
+    ring_sim, qpe, compare = (_DEFAULTS[sub] for sub in ("ring-sim", "qpe", "compare"))
+    assert (workloads.RING_SIM_L, workloads.RING_SIM_N, workloads.RING_SIM_TIMES) == (
+        ring_sim["mode_cutoff_l"], ring_sim["grid_size_n"], len(ring_sim["times"]))
+    assert workloads.QPE_T == qpe["t_bits"]
+    assert (workloads.COMPARE_L, workloads.COMPARE_N, workloads.COMPARE_T) == (
+        compare["mode_cutoff_l"], compare["grid_size_n"], compare["t_bits"])

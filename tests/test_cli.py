@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, outputs, precedence, determinism."""
 
+import argparse
 import ast
 import json
 import math
@@ -50,6 +51,12 @@ def run_python(args):
                           env=env)
 
 
+def subcommand_parsers():
+    """The subcommands' parsers by name, as build_parser makes them."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def read_summary_value(out_dir, label):
     text = (out_dir / "summary.txt").read_text()
     for line in text.splitlines():
@@ -67,6 +74,11 @@ class TestParsing:
         assert main(["compare", "--help"]) == 0
         out = capsys.readouterr().out
         assert "--t-bits" in out
+
+    def test_every_option_has_help(self):
+        for name, sub in subcommand_parsers().items():
+            for action in sub._actions:
+                assert action.help, (name, action.option_strings)
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -267,6 +279,20 @@ class TestRingSim:
         assert lines[-1] == ("energy: known only modulo 2 pi E_R = 6.283185 "
                              "(H/E_R has spectral radius 4 >= pi)")
         assert "energy = " not in summary
+
+    @pytest.mark.filterwarnings("ignore::ringqpe.PhaseAliasingWarning")
+    @pytest.mark.parametrize("sub", ["ring-sim", "compare"])
+    def test_aliasing_warning_is_one_line(self, tmp_path, sub):
+        # Python's own report gave the warning's file and line, then echoed
+        # the source line of the call that raised it
+        problem = rq.EnergyProblem(np.diag([4.0, -1.0]), 1.0, np.array([1.0, 0.0]))
+        path = write_problem(tmp_path, problem, "aliased.json")
+        result = run_python(["-m", "ringqpe", sub, "--problem", str(path),
+                             "--out-dir", str(tmp_path / "out")])
+        assert result.returncode == 0
+        assert result.stderr == (
+            "ringqpe: warning: spectral radius of H/E_R is 4 >= pi; "
+            "encoded eigenphases wrap around the circle\n")
 
     def test_unaliased_energy_stays_a_value(self, tmp_path):
         # just inside the window the plain energy line is kept
@@ -773,6 +799,22 @@ class TestSeed:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_ring_sim_samples_nothing_so_takes_no_seed(
+            self, tmp_path, sigma_x_file, capsys):
+        out = tmp_path / "out"
+        argv = ["ring-sim", "--problem", str(sigma_x_file), "--out-dir", str(out)]
+        assert main(argv + ["--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3}))
+        assert main(argv + ["--config", str(config)]) == 1
+        assert "keys not used by ring-sim: ['seed']" in capsys.readouterr().err
+        assert not out.exists()
+        dests = {a.dest for a in subcommand_parsers()["ring-sim"]._actions}
+        dests.discard("help")
+        assert dests == {"problem", "out_dir", "config", "mode_cutoff_l",
+                         "grid_size_n", "times"}
+
 
 class TestOneDecompositionPerProblem:
     @pytest.mark.parametrize("sub", ["ring-sim", "qpe", "compare"])
@@ -861,15 +903,27 @@ class TestConfigPrecedence:
         ("bench", "count_ops", "false"),
         ("qpe", "problem", 5),
         ("ring-sim", "times", [True, False]),
+        # a tuple is a flag and its value, cast as the config value is
+        *(pytest.param(sub, key, flag, id=sub + "=".join(flag))
+          for sub, key, flag in [
+              ("ring-sim", "mode_cutoff_l", ("-l", "abc")),
+              ("ring-sim", "mode_cutoff_l", ("-l", "10.7")),
+              ("qpe", "t_bits", ("--t-bits", "true")),
+              ("qpe", "seed", ("--seed", "0.5")),
+              ("ring-sim", "times", ("--times", "0,x")),
+              ("bench", "sizes", ("--sizes", "64,128.5")),
+              ("bench", "repeats", ("--repeats", "x")),
+          ]),
     ])
     def test_wrong_typed_config_value_is_usage_error(
             self, tmp_path, sigma_x_file, capsys, monkeypatch, sub, key, value):
         # an out_dir list made a directory named "['x', 1]" and wrote into it
         monkeypatch.delenv("RINGQPE_OUT_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
+        flag = value if isinstance(value, tuple) else ()
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: value}))
-        argv = [sub, "--config", str(config)]
+        config.write_text(json.dumps({} if flag else {key: value}))
+        argv = [sub, *flag, "--config", str(config)]
         if key != "out_dir":
             argv += ["--out-dir", str(tmp_path / "out")]
         if sub != "bench" and key != "problem":
@@ -877,7 +931,8 @@ class TestConfigPrecedence:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"ringqpe: error: bad {key} value" in captured.err
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"ringqpe: error: bad {key} value")
         assert "Traceback" not in captured.err
         assert sorted(os.listdir(tmp_path)) == ["config.json", "sigma_x.json"]
 
@@ -903,7 +958,7 @@ class TestConfigPrecedence:
         monkeypatch.delenv("RINGQPE_OUT_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
         cfg = cli._resolve_config(cli.build_parser().parse_args([sub]))
-        for key, value in {**cli._COMMON_DEFAULTS, **cli._DEFAULTS[sub]}.items():
+        for key, value in cli._DEFAULTS[sub].items():
             if key != "out_dir":
                 assert getattr(cfg, key) == value
                 assert type(getattr(cfg, key)) is type(value)
