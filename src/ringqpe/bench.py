@@ -5,11 +5,10 @@ field evolved for one return time, differing only in the evolution
 routine: `dense_expm` builds the packet, squares the 2l+1 blocks,
 assembles the full (2l+1)n matrix and exponentiates it, `block_evolve`
 takes two n x n exponentials and steps the packet from mode to mode with
-them. `qpe_statevector` times the register pipeline on
-the spectrum of exp(i H), with the read-out width t chosen so the register
-matches the requested size. Every timed result is validated against the block
-oracle before being recorded; a benchmark that returns wrong numbers is
-worthless no matter how fast.
+them. After timing, every point of both is checked against the packet
+evolved in A_phi's eigenbasis, a closed form that shares no code with
+either route; a benchmark that returns wrong numbers is worthless no
+matter how fast.
 """
 
 from __future__ import annotations
@@ -21,27 +20,25 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import opcount
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import eig_hermitian
-from .qpe import QpeConfig, qpe_estimate
 from .ring import RETURN_TIME, GaugeField, evolve_block, evolve_dense
 
 log = logging.getLogger(__name__)
 
 METHOD_DENSE = "dense_expm"
 METHOD_BLOCK = "block_evolve"
-METHOD_QPE = "qpe_statevector"
-ALL_METHODS = (METHOD_DENSE, METHOD_BLOCK, METHOD_QPE)
+ALL_METHODS = (METHOD_DENSE, METHOD_BLOCK)
 
-# timed results must agree with the block oracle to this tolerance; looser
-# than the small-dimension contract because squaring counts grow with l^2
+# timed results must agree with the eigenbasis oracle to this tolerance;
+# looser than the small-dimension contract because the free phase t m^2 / 2
+# and the dense squaring count both grow with l^2
 _VALIDATION_ATOL = 1e-6
-# colors of every workload: the gauge field's and register 2's dimension
+# colors of every workload: the gauge field's dimension
 _N_COLORS = 2
 
 
@@ -71,41 +68,42 @@ class BenchPoint:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares slope of log(time) against the documented x axis."""
+    """Least-squares slope of log(time) against log(size_param)."""
 
     method: str
     slope: float
     intercept: float
     r_squared: float
-    x_axis: str
 
 
-def _random_hermitian(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * 0.5 * (m + m.conj().T)
-
-
-def _ring_workload(size: int, n_colors: int, rng: np.random.Generator):
-    """(gauge, color, l) of the largest (2l+1)*n_colors ring in `size` dims."""
-    l = ((size // n_colors) - 1) // 2
+def _ring_workload(size: int, rng: np.random.Generator):
+    """(gauge, color, l) of the largest (2l+1)*_N_COLORS ring in `size` dims."""
+    n, l = _N_COLORS, ((size // _N_COLORS) - 1) // 2
     if l < 1:
         return None
     # keep gauge amplitudes ~1/(2 pi) so read-out phases spread over the circle
-    gauge = GaugeField(_random_hermitian(rng, n_colors, 1.0 / (2.0 * np.pi)))
-    color = rng.standard_normal(n_colors) + 1j * rng.standard_normal(n_colors)
-    color = color / np.linalg.norm(color)
-    return gauge, color, l
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    gauge = GaugeField(0.25 / np.pi * (m + m.conj().T))
+    color = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return gauge, color / np.linalg.norm(color), l
 
 
-def _qpe_workload(size: int, n_colors: int, rng: np.random.Generator):
-    t_bits = min(24, max(1, round(math.log2(size))))
-    # the eigenpairs (w, V) of H are the eigenphases and basis of exp(i H)
-    spectrum = eig_hermitian(_random_hermitian(rng, n_colors, 1.0))
-    return spectrum, spectrum.eigenvectors[:, 0], QpeConfig(t_bits)
+def _eigenbasis_evolve(gauge: GaugeField, color, mode_cutoff_l: int,
+                       t: float) -> np.ndarray:
+    """The packet evolved in A_phi's eigenbasis: both routes' oracle.
+
+    With A_phi = V diag(lam) V^dagger, mode m's block (m - A_phi)^2 / 2 is
+    diagonal on the columns of V, so the packet's row c / sqrt(2l+1) is
+    projected onto V, scaled by exp(-i (m - lam)^2 t / 2) and mapped back.
+    """
+    lam, v = np.linalg.eigh(gauge.a_phi)
+    modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)[:, None]
+    phases = np.exp(-1j * ((modes - lam) ** 2 / 2.0 * t))
+    return (phases * (v.conj().T @ color)) @ v.T / math.sqrt(2 * mode_cutoff_l + 1)
 
 
 def _warmed_jobs(method: str, sizes, seed: int) -> list:
-    """(size, size_param, runner, ring workload or None) per size that runs.
+    """(size, size_param, runner, ring workload) per size that runs.
 
     Each runner is called once here, untimed, as its warm-up; sizes the
     resource guards reject or too small to host a ring are logged and left
@@ -114,25 +112,18 @@ def _warmed_jobs(method: str, sizes, seed: int) -> list:
     jobs = []
     for size_index, size in enumerate(sizes):
         rng = np.random.default_rng([seed, size_index, ALL_METHODS.index(method)])
-        workload = None
-        if method == METHOD_QPE:
-            spectrum, color, cfg = _qpe_workload(size, _N_COLORS, rng)
-            runner = functools.partial(qpe_estimate, spectrum, color, cfg)
-            size_param = cfg.t_bits
-        else:
-            workload = _ring_workload(size, _N_COLORS, rng)
-            if workload is None:
-                log.warning("skipping %s at size %d: no ring fits", method, size)
-                continue
-            size_param = (2 * workload[2] + 1) * _N_COLORS
-            evolve = evolve_dense if method == METHOD_DENSE else evolve_block
-            runner = functools.partial(evolve, *workload, RETURN_TIME)
+        workload = _ring_workload(size, rng)
+        if workload is None:
+            log.warning("skipping %s at size %d: no ring fits", method, size)
+            continue
+        evolve = evolve_dense if method == METHOD_DENSE else evolve_block
+        runner = functools.partial(evolve, *workload, RETURN_TIME)
         try:
             runner()
         except ResourceLimitError as exc:
             log.warning("skipping %s at size %d: %s", method, size, exc)
             continue
-        jobs.append((size, size_param, runner, workload))
+        jobs.append((size, (2 * workload[2] + 1) * _N_COLORS, runner, workload))
     return jobs
 
 
@@ -182,14 +173,13 @@ def run_scaling_suite(
                 runs.append(time.perf_counter() - start)
 
         for (size, size_param, runner, workload), runs in zip(jobs, times):
-            if workload is not None:
-                reference = evolve_block(*workload, RETURN_TIME)
-                drift = float(np.max(np.abs(runner().coeffs - reference.coeffs)))
-                if drift > _VALIDATION_ATOL:
-                    raise PreconditionError(
-                        f"{method} at size {size} drifted {drift:.3e} from the "
-                        f"block oracle; refusing to record a wrong timing"
-                    )
+            reference = _eigenbasis_evolve(*workload, RETURN_TIME)
+            drift = float(np.max(np.abs(runner().coeffs - reference)))
+            if drift > _VALIDATION_ATOL:
+                raise PreconditionError(
+                    f"{method} at size {size} drifted {drift:.3e} from the "
+                    f"eigenbasis oracle; refusing to record a wrong timing"
+                )
 
             ops = None
             if count_ops:
@@ -204,28 +194,21 @@ def run_scaling_suite(
 
 
 def fit_scaling(points) -> ScalingFit:
-    """Fit log(median time) linearly in the method's documented size axis."""
+    """Fit log(median time) linearly in log(size_param)."""
     points = list(points)
     if len(points) < 4:
         raise PreconditionError(f"need >= 4 points to fit, got {len(points)}")
     methods = {p.method for p in points}
     if len(methods) != 1:
         raise PreconditionError(f"fit expects one method, got {sorted(methods)}")
-    method = points[0].method
-    if method == METHOD_QPE:
-        # size_param stores t; the register grows like 2^t
-        x = np.array([p.size_param * math.log(2.0) for p in points])
-        x_axis = "log(2**size_param)"
-    else:
-        x = np.array([math.log(p.size_param) for p in points])
-        x_axis = "log(size_param)"
+    x = np.array([math.log(p.size_param) for p in points])
     y = np.array([math.log(p.wall_time_s) for p in points])
     slope, intercept = np.polyfit(x, y, 1)
     predicted = slope * x + intercept
     ss_res = float(np.sum((y - predicted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ScalingFit(method, float(slope), float(intercept), r_squared, x_axis)
+    return ScalingFit(points[0].method, float(slope), float(intercept), r_squared)
 
 
 def append_bench_csv(points, path, seed: int) -> None:
@@ -247,13 +230,4 @@ def append_bench_csv(points, path, seed: int) -> None:
 
 
 def fits_to_json(fits) -> list[dict]:
-    return [
-        {
-            "method": f.method,
-            "slope": f.slope,
-            "intercept": f.intercept,
-            "r_squared": f.r_squared,
-            "x_axis": f.x_axis,
-        }
-        for f in fits
-    ]
+    return [asdict(f) for f in fits]

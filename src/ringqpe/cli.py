@@ -62,6 +62,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # each parser refuses what it left over, so an option a subcommand
+        # does not take is reported under that subcommand's usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _list_of(kind):
     """Caster for a list given as a JSON array or a comma-separated string."""
@@ -216,7 +224,9 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
             try:
                 value = _OPTIONS[key][1](value)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise PreconditionError(f"bad {key} value {value}: {exc}") from exc
+                # a string's line breaks are escaped as repr escapes them
+                shown = repr(value)[1:-1] if isinstance(value, str) else value
+                raise PreconditionError(f"bad {key} value {shown}: {exc}") from exc
         setattr(args, key, value)
 
     if args.out_dir is None:
@@ -410,7 +420,7 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
             f"spread={p.spread:.3f} ops={ops}"
         )
     for f in fits:
-        print(f"{f.method:16s} slope={f.slope:.3f} r2={f.r_squared:.4f} vs {f.x_axis}")
+        print(f"{f.method:16s} slope={f.slope:.3f} r2={f.r_squared:.4f}")
     print(f"wrote {csv_path}")
     print(f"wrote {fits_path}")
     return EXIT_OK

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 import ringqpe as rq
+import ringqpe.bench as bench
 from ringqpe.bench import (
     ALL_METHODS,
     METHOD_BLOCK,
     METHOD_DENSE,
-    METHOD_QPE,
     append_bench_csv,
     fits_to_json,
 )
+from ringqpe.cli import main
+
+from conftest import eigenbasis_evolve, random_hermitian, random_state
 
 
 def synthetic_points(method, sizes, exponent, prefactor=1e-9):
@@ -28,6 +31,9 @@ class TestBenchPoint:
     def test_guards(self):
         with pytest.raises(rq.PreconditionError, match="method"):
             rq.BenchPoint("fft", 10, 1.0, None, 3, 0.0)
+        # bench times the two ring routes only
+        with pytest.raises(rq.PreconditionError, match="method"):
+            rq.BenchPoint("qpe_statevector", 10, 1.0, None, 3, 0.0)
         with pytest.raises(rq.PreconditionError, match="size"):
             rq.BenchPoint(METHOD_DENSE, 0, 1.0, None, 3, 0.0)
         with pytest.raises(rq.PreconditionError, match="time"):
@@ -45,22 +51,11 @@ class TestFitScaling:
         assert abs(fit.slope - 3.0) < 1e-12
         assert abs(fit.intercept - math.log(1e-9)) < 1e-9
         assert fit.r_squared > 1.0 - 1e-12
-        assert fit.x_axis == "log(size_param)"
 
     def test_linear_synthetic(self):
         points = synthetic_points(METHOD_BLOCK, [50, 100, 200, 400], 1.0)
         fit = rq.fit_scaling(points)
         assert abs(fit.slope - 1.0) < 1e-12
-
-    def test_register_axis_uses_two_to_the_t(self):
-        # time proportional to register size 2^t reads as slope 1
-        points = [
-            rq.BenchPoint(METHOD_QPE, t, 1e-6 * 2.0 ** t, None, 3, 0.0)
-            for t in (4, 5, 6, 7)
-        ]
-        fit = rq.fit_scaling(points)
-        assert abs(fit.slope - 1.0) < 1e-12
-        assert fit.x_axis == "log(2**size_param)"
 
     def test_needs_four_points(self):
         points = synthetic_points(METHOD_DENSE, [50, 100, 200], 3.0)
@@ -76,15 +71,12 @@ class TestFitScaling:
 
 class TestRunScalingSuite:
     def test_smoke_all_methods(self):
+        assert ALL_METHODS == (METHOD_DENSE, METHOD_BLOCK)
         points = rq.run_scaling_suite((24, 48), repeats=3, seed=7)
-        by_method = {m: [p for p in points if p.method == m] for m in ALL_METHODS}
-        assert len(by_method[METHOD_DENSE]) == 2
-        assert len(by_method[METHOD_BLOCK]) == 2
-        assert len(by_method[METHOD_QPE]) == 2
-        # ring size_param records the realized dimension (2l+1) * n_colors
-        assert [p.size_param for p in by_method[METHOD_DENSE]] == [22, 46]
-        # register size_param records t with 2^t closest to the request
-        assert [p.size_param for p in by_method[METHOD_QPE]] == [5, 6]
+        # size_param records the realized dimension (2l+1) * n_colors
+        assert [(p.method, p.size_param) for p in points] == [
+            (METHOD_DENSE, 22), (METHOD_DENSE, 46),
+            (METHOD_BLOCK, 22), (METHOD_BLOCK, 46)]
         for p in points:
             assert p.wall_time_s > 0
             assert p.spread >= 0
@@ -92,8 +84,7 @@ class TestRunScalingSuite:
             assert p.op_count is None
 
     def test_operation_counts_are_reproducible(self):
-        kwargs = dict(repeats=3, seed=3, count_ops=True,
-                      methods=(METHOD_BLOCK, METHOD_QPE))
+        kwargs = dict(repeats=3, seed=3, count_ops=True)
         a = rq.run_scaling_suite((24, 48), **kwargs)
         b = rq.run_scaling_suite((24, 48), **kwargs)
         assert [(p.method, p.size_param, p.op_count) for p in a] \
@@ -108,13 +99,39 @@ class TestRunScalingSuite:
         ratio = points[1].op_count / points[0].op_count
         assert ratio <= 2.5
 
-    def test_register_ops_grow_with_register_size(self):
-        points = rq.run_scaling_suite(
-            (64, 256), repeats=3, seed=0, methods=(METHOD_QPE,), count_ops=True
-        )
-        assert [p.size_param for p in points] == [6, 8]
-        ratio = points[1].op_count / points[0].op_count
-        assert 3.5 <= ratio <= 6.0
+    @pytest.mark.parametrize("method,name", [(METHOD_BLOCK, "evolve_block"),
+                                             (METHOD_DENSE, "evolve_dense")])
+    def test_a_wrong_result_is_refused_and_nothing_recorded(
+            self, tmp_path, monkeypatch, capsys, method, name):
+        # the block result was once checked against evolve_block itself, so
+        # a wrong block route was timed and recorded
+        evolve = getattr(bench, name)
+
+        def perturbed(*args):
+            coeffs = evolve(*args).coeffs.copy()
+            coeffs[-1] *= np.exp(1e-3j)  # still a unit vector
+            return rq.RingState(coeffs)
+
+        monkeypatch.setattr(bench, name, perturbed)
+        with pytest.raises(rq.PreconditionError,
+                           match=f"{method} at size 48 drifted .* eigenbasis"):
+            rq.run_scaling_suite((48,), repeats=3, methods=(method,))
+        out = tmp_path / "out"
+        assert main(["bench", "--out-dir", str(out), "--sizes", "48",
+                     "--repeats", "3"]) == 1
+        assert f"{method} at size 48 drifted" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_matches_the_tests_eigenbasis_reference(self):
+        # two independent writings of the same closed form
+        for i in range(5):
+            rng = np.random.default_rng([2600, i])
+            n, l = 1 + i, 3 + 7 * i
+            a = random_hermitian(rng, n, scale=0.3)
+            color = random_state(rng, n)
+            got = bench._eigenbasis_evolve(rq.GaugeField(a), color, l, rq.RETURN_TIME)
+            want = eigenbasis_evolve(a, color, l, rq.RETURN_TIME)
+            assert np.max(np.abs(got - want)) < 1e-13, f"case {i}"
 
     def test_too_small_sizes_are_skipped(self, caplog):
         import logging
@@ -172,6 +189,5 @@ class TestSerialization:
         fit = rq.fit_scaling(synthetic_points(METHOD_DENSE, [50, 100, 200, 400], 3.0))
         (obj,) = fits_to_json([fit])
         assert obj["method"] == METHOD_DENSE
-        assert obj["x_axis"] == "log(size_param)"
         assert abs(obj["slope"] - 3.0) < 1e-12
-        assert set(obj) == {"method", "slope", "intercept", "r_squared", "x_axis"}
+        assert set(obj) == {"method", "slope", "intercept", "r_squared"}

@@ -115,10 +115,12 @@ class TestParsing:
         code = ("import sys, ringqpe, ringqpe.cli; "
                 "print('ringqpe.bench' in sys.modules); "
                 "print(ringqpe.run_scaling_suite.__module__); "
-                "print('ringqpe.bench' in sys.modules)")
+                "print('ringqpe.bench' in sys.modules); "
+                "print('ringqpe.qpe' in sys.modules)")
         proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "ringqpe.bench", "True"]
+        # bench times the two ring routes and never loads the register
+        assert proc.stdout.split() == ["False", "ringqpe.bench", "True", "False"]
 
     def test_import_loads_neither_numpy_nor_a_submodule(self):
         code = ("import sys, ringqpe; "
@@ -760,10 +762,28 @@ class TestBench:
         with open(out / "bench.csv") as fh:
             lines = fh.read().splitlines()
         assert lines[0] == "method,size,median_s,spread,op_count,seed"
-        assert len(lines) == 1 + 6  # three methods, two sizes each
+        # two methods, two sizes each
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["dense_expm", "22"], ["dense_expm", "46"],
+            ["block_evolve", "22"], ["block_evolve", "46"]]
         fits = json.loads((out / "bench_fits.json").read_text())
         assert fits == []  # two points per method cannot support a fit
         assert "wrote" in capsys.readouterr().out
+
+    def test_fits_name_no_axis(self, tmp_path, capsys):
+        # both methods fit log(time) against log(dimension), so no fit or
+        # printed slope labels its axis
+        out = tmp_path / "out"
+        assert main(["bench", "--out-dir", str(out), "--sizes", "24,32,40,48",
+                     "--repeats", "3"]) == 0
+        fits = json.loads((out / "bench_fits.json").read_text())
+        assert [f["method"] for f in fits] == ["dense_expm", "block_evolve"]
+        for f in fits:
+            assert set(f) == {"method", "slope", "intercept", "r_squared"}
+        slopes = [line for line in capsys.readouterr().out.splitlines()
+                  if "slope=" in line]
+        assert len(slopes) == 2
+        assert not any(" vs " in line for line in slopes)
 
     def test_bench_rejects_bad_sizes(self, tmp_path, capsys):
         code = main(["bench", "--out-dir", str(tmp_path), "--sizes", "0,24",
@@ -804,7 +824,10 @@ class TestSeed:
         out = tmp_path / "out"
         argv = ["ring-sim", "--problem", str(sigma_x_file), "--out-dir", str(out)]
         assert main(argv + ["--seed", "3"]) == 1
-        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # reported under ring-sim's usage, not the top-level one
+        assert err.startswith("usage: ringqpe ring-sim [-h]")
+        assert "unrecognized arguments: --seed 3" in err
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 3}))
         assert main(argv + ["--config", str(config)]) == 1
@@ -903,6 +926,8 @@ class TestConfigPrecedence:
         ("bench", "count_ops", "false"),
         ("qpe", "problem", 5),
         ("ring-sim", "times", [True, False]),
+        # a line break in the value is escaped, not printed
+        ("ring-sim", "times", "0,\nx"),
         # a tuple is a flag and its value, cast as the config value is
         *(pytest.param(sub, key, flag, id=sub + "=".join(flag))
           for sub, key, flag in [
