@@ -20,8 +20,7 @@ _EXPORTS = {
         "angles": ("circular_distance", "wrap_to_signed", "wrap_to_unit"),
         "bench": ("BenchPoint", "ScalingFit", "fit_scaling", "run_scaling_suite"),
         "encode": ("EnergyProblem", "UnitarySpec", "encode_as_gauge",
-                   "load_problem", "phase_to_energy", "problem_from_json",
-                   "problem_to_json", "unwrap_phase"),
+                   "load_problem", "problem_from_json", "problem_to_json"),
         "errors": ("PhaseAliasingWarning", "PreconditionError",
                    "ProblemFormatError", "ResolutionError",
                    "ResourceLimitError", "RingQpeError"),

@@ -20,12 +20,13 @@ import math
 import os
 import statistics
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import opcount
 from .errors import PreconditionError, ResourceLimitError
+from .linalg import is_integer
 from .ring import RETURN_TIME, GaugeField, evolve_block, evolve_dense
 
 log = logging.getLogger(__name__)
@@ -127,10 +128,6 @@ def _warmed_jobs(method: str, sizes, seed: int) -> list:
     return jobs
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def run_scaling_suite(
     sizes,
     repeats: int = 5,
@@ -147,16 +144,16 @@ def run_scaling_suite(
     each point records the median of its repeats. Measurements run
     strictly sequentially; validation happens outside the timed region.
     """
-    # every count is checked as QpeConfig checks rng_seed: an integer, not a
-    # bool; numpy and range() would refuse the rest with bare errors, and
-    # int() would truncate a fractional size
+    # every count must pass is_integer, as QpeConfig's do; numpy and range()
+    # would refuse the rest with bare errors, and int() would truncate a
+    # fractional size
     sizes = list(sizes)
-    if not sizes or not all(_is_integer(s) and s >= 1 for s in sizes):
+    if not sizes or not all(is_integer(s) and s >= 1 for s in sizes):
         raise PreconditionError(f"sizes must be positive integers, got {sizes!r}")
     sizes = [int(s) for s in sizes]
-    if not _is_integer(repeats) or repeats < 3:
+    if not is_integer(repeats) or repeats < 3:
         raise PreconditionError(f"need an integer >= 3 repeats, got {repeats!r}")
-    if not _is_integer(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
@@ -227,7 +224,3 @@ def append_bench_csv(points, path, seed: int) -> None:
                 "" if p.op_count is None else p.op_count,
                 seed,
             ])
-
-
-def fits_to_json(fits) -> list[dict]:
-    return [asdict(f) for f in fits]

@@ -24,17 +24,12 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
-from .angles import TWO_PI, circular_distance, wrap_to_unit
-from .encode import (
-    EnergyProblem,
-    encode_as_gauge,
-    load_problem,
-    phase_to_energy,
-    unwrap_phase,
-)
+from .angles import TWO_PI, circular_distance, wrap_to_signed, wrap_to_unit
+from .encode import EnergyProblem, encode_as_gauge, load_problem, read_json
 from .errors import (
     PreconditionError,
     ProblemFormatError,
@@ -188,17 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path) -> dict:
-    with open(path) as fh:
-        try:
-            values = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(values, dict):
-        raise PreconditionError("--config file must hold a JSON object")
-    return values
-
-
 def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill every option as flag, else config value, else default.
 
@@ -207,7 +191,9 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     each option cast and `out_dir` resolved.
     """
     defaults = _DEFAULTS[args.subcommand]
-    file_values = _read_config(args.config) if args.config else {}
+    file_values = read_json(args.config) if args.config else {}
+    if not isinstance(file_values, dict):
+        raise PreconditionError("--config file must hold a JSON object")
     unknown = set(file_values) - set(defaults)
     if unknown:
         raise PreconditionError(
@@ -279,13 +265,13 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     for i, p in enumerate(peaks):
         lines.append(f"  peak {i}: phi = {p.phi:.6f}, weight = {p.weight:.4f}")
     if len(peaks):
-        signed = unwrap_phase(peaks.dominant.phi)
+        signed = wrap_to_signed(peaks.dominant.phi)
         lines.append(f"dominant eigenphase (signed) = {signed:.6f}")
         if isinstance(problem, EnergyProblem):
             radius = problem.spectral_radius
             # past pi a wrapped phase names the energy only up to whole turns
             lines.append(
-                f"energy = E_R * phase = {phase_to_energy(signed, problem.E_R):.6f}"
+                f"energy = E_R * phase = {problem.E_R * signed:.6f}"
                 if radius < np.pi else
                 f"energy: known only modulo 2 pi E_R = {TWO_PI * problem.E_R:.6f} "
                 f"(H/E_R has spectral radius {radius:.6g} >= pi)")
@@ -393,7 +379,6 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
         ALL_METHODS,
         append_bench_csv,
         fit_scaling,
-        fits_to_json,
         run_scaling_suite,
     )
 
@@ -411,7 +396,7 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
             fits.append(fit_scaling(mine))
     fits_path = os.path.join(cfg.out_dir, "bench_fits.json")
     with open(fits_path, "w") as fh:
-        json.dump(fits_to_json(fits), fh, indent=2)
+        json.dump([asdict(f) for f in fits], fh, indent=2)
 
     for p in points:
         ops = "-" if p.op_count is None else str(p.op_count)

@@ -36,21 +36,12 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
-    require_unit_vector,
+    require_state,
     require_unitary,
 )
 
 if TYPE_CHECKING:
     from .ring import GaugeField
-
-
-def _require_state(state, n: int, what: str) -> np.ndarray:
-    state = require_unit_vector(state, "state")
-    if state.size != n:
-        raise PreconditionError(
-            f"state dimension {state.size} does not match {what} dimension {n}"
-        )
-    return state
 
 
 def _read_only(spectrum: EigenDecomposition) -> EigenDecomposition:
@@ -80,7 +71,7 @@ class EnergyProblem:
         h = require_hermitian(self.hamiltonian)
         if not (math.isfinite(self.E_R) and self.E_R > 0):
             raise PreconditionError(f"E_R must be positive, got {self.E_R!r}")
-        state = _require_state(self.state, h.shape[0], "Hamiltonian")
+        state = require_state(self.state, h.shape[0], "state", "Hamiltonian")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "state", state)
         # decompose H itself: H / E_R would re-check Hermiticity against a
@@ -114,7 +105,7 @@ class UnitarySpec:
 
     def __post_init__(self):
         u = require_unitary(self.u_matrix)
-        state = _require_state(self.state, u.shape[0], "unitary")
+        state = require_state(self.state, u.shape[0], "state", "unitary")
         object.__setattr__(self, "u_matrix", u)
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "spectrum", _read_only(eig_unitary(u)))
@@ -137,18 +128,6 @@ def encode_as_gauge(problem) -> GaugeField:
     theta, v = problem.spectrum
     scaled = -1.0 / (TWO_PI * ring.VELOCITY_FACTOR) * theta
     return ring.GaugeField((v * scaled) @ v.conj().T)
-
-
-def phase_to_energy(phi: float, E_R: float) -> float:
-    """Energy read-out E = E_R * phi for a signed eigenphase phi."""
-    return float(E_R * phi)
-
-
-def unwrap_phase(phi: float) -> float:
-    """Fold a reported position phi in [0, 2*pi) onto the signed branch."""
-    if not (0.0 <= phi < TWO_PI):
-        raise PreconditionError(f"phase {phi!r} outside [0, 2*pi)")
-    return float(phi - TWO_PI) if phi > np.pi else float(phi)
 
 
 def vector_to_json(v) -> dict:
@@ -213,11 +192,21 @@ def problem_from_json(obj):
         raise ProblemFormatError(f"invalid problem description: {exc}") from exc
 
 
+def read_json(path):
+    """The JSON value in the UTF-8 file at `path`.
+
+    A file that is not UTF-8 or not JSON raises ProblemFormatError; a file
+    that cannot be opened raises OSError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # a JSONDecodeError or, for bytes that are not UTF-8, a
+        # UnicodeDecodeError
+        except ValueError as exc:
+            raise ProblemFormatError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_problem(path):
     """Read a problem JSON file; returns EnergyProblem or UnitarySpec."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return problem_from_json(obj)
+    return problem_from_json(read_json(path))

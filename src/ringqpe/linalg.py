@@ -120,6 +120,22 @@ def require_unit_vector(v, what: str) -> np.ndarray:
     return arr
 
 
+def require_state(v, n: int, what: str, of: str) -> np.ndarray:
+    """require_unit_vector(v, what), refused unless it has the n entries of
+    the n-dimensional matrix that `of` names."""
+    arr = require_unit_vector(v, what)
+    if arr.size != n:
+        raise PreconditionError(
+            f"{what} dimension {arr.size} does not match {of} dimension {n}"
+        )
+    return arr
+
+
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def readonly(a: np.ndarray) -> np.ndarray:
     """a as an array no caller can write to.
 

@@ -33,6 +33,7 @@ from .errors import PreconditionError, ResourceLimitError
 from .linalg import (
     BLOCK_ROWS,
     BYTES_GUARD,
+    is_integer,
     readonly,
     require_eigenbasis,
     require_unit_norm,
@@ -58,8 +59,7 @@ class QpeConfig:
 
     def __post_init__(self):
         for name in ("t_bits", "shots", "rng_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not is_integer(getattr(self, name)):
                 raise PreconditionError(f"{name} must be an integer")
         if not (1 <= self.t_bits <= T_BITS_GUARD):
             raise PreconditionError(

@@ -53,6 +53,7 @@ from .linalg import (
     expm_dense,
     readonly,
     require_hermitian,
+    require_state,
     require_unit_norm,
     require_unit_vector,
     write_csv_rows,
@@ -237,15 +238,6 @@ def require_ring_grid(mode_cutoff_l: int, n_colors: int, grid_size_N: int) -> No
         )
 
 
-def _require_same_colors(color, gauge: GaugeField) -> np.ndarray:
-    c = require_unit_vector(color, "color")
-    if c.size != gauge.n_colors:
-        raise PreconditionError(
-            f"color has {c.size} entries, gauge field has {gauge.n_colors} colors"
-        )
-    return c
-
-
 def require_finite_phase(gauge: GaugeField, mode_cutoff_l: int, t: float) -> None:
     """Refuse a time, or a phase E t, that is not finite: every block
     energy is at most (l + ||A_phi||_1)^2 / 2, and that bound times |t| must
@@ -284,7 +276,7 @@ def evolve_block(gauge: GaugeField, color, mode_cutoff_l: int,
     2l matrix-vector products, the route the dense one is timed against.
     """
     require_finite_phase(gauge, mode_cutoff_l, t)
-    c = _require_same_colors(color, gauge)
+    c = require_state(color, gauge.n_colors, "color", "gauge field")
     l, a, n = mode_cutoff_l, gauge.a_phi, gauge.n_colors
     w, g = _unitary_exp(a, t), _unitary_exp(a @ a, -t / 2.0)
     # on row vectors W x is x W^T, and W^dagger x is x conj(W)
@@ -296,7 +288,9 @@ def evolve_block(gauge: GaugeField, color, mode_cutoff_l: int,
         np.dot(rows[l - m + 1], down, out=rows[l - m])
     rows *= np.exp(-1j * (t * (np.arange(-l, l + 1) ** 2 / 2.0)))[:, None]
     opcount.add(n ** 3 + (2 * l + 1) * n * n)
-    # unitary per mode: renormalization would only mask a bug
+    # read-only and owned, so RingState keeps it without a copy; unitary per
+    # mode: renormalization would only mask a bug
+    rows.setflags(write=False)
     return RingState(rows)
 
 
@@ -317,8 +311,8 @@ def evolve_dense(gauge: GaugeField, color, mode_cutoff_l: int,
     matrix and exponentiates the whole by Pade. Exists as the brute-force
     cross-check and cost baseline.
     """
-    packet = initial_localized_state(mode_cutoff_l,
-                                     _require_same_colors(color, gauge))
+    packet = initial_localized_state(
+        mode_cutoff_l, require_state(color, gauge.n_colors, "color", "gauge field"))
     blocks = _squared_blocks(gauge, mode_cutoff_l)
     count, n, _ = blocks.shape
     dim = count * n
@@ -446,11 +440,12 @@ def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
     """Full read-out: localize, evolve for t_R, read the peaks; the one
     read-out both ring-sim and compare run.
 
-    Both grid rules are checked before anything evolves, and the evolved
-    state is freed once its density exists.
+    Both grid rules are checked before anything evolves, the read-out's
+    N >= 4l+1 first, since it implies N >= 2l+1, and the evolved state is
+    freed once its density exists.
     """
-    require_ring_grid(mode_cutoff_l, gauge.n_colors, grid_size_N)
     _require_read_out_grid(mode_cutoff_l, grid_size_N)
+    require_ring_grid(mode_cutoff_l, gauge.n_colors, grid_size_N)
     density = position_density(
         evolve_block(gauge, color, mode_cutoff_l, RETURN_TIME), grid_size_N)
     return extract_peaks(density, mode_cutoff_l, gauge.n_colors)

@@ -63,11 +63,11 @@ def test_a1_ring_read_out_of_a_ground_state_energy(tmp_path, capsys):
         assert len(peaks["peaks"]) >= 1, "no relocalization peak found"
         phi = peaks["peaks"][0]["phi"]
         tol = TWO_PI / 101  # one mode-resolution bin at l = 50
-        signed = rq.unwrap_phase(phi)
+        signed = rq.wrap_to_signed(phi)
         assert abs(signed - (-2.0)) < tol, f"phase {signed} not within {tol} of -2"
 
         problem = rq.load_problem(problem_path)
-        energy = rq.phase_to_energy(signed, problem.E_R)
+        energy = problem.E_R * signed
         assert abs(energy - (-2.0)) < problem.E_R * tol, \
             f"energy {energy} not within {problem.E_R * tol} of -2"
 

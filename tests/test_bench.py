@@ -13,7 +13,6 @@ from ringqpe.bench import (
     METHOD_BLOCK,
     METHOD_DENSE,
     append_bench_csv,
-    fits_to_json,
 )
 from ringqpe.cli import main
 
@@ -184,10 +183,3 @@ class TestSerialization:
         assert rows[3] == [METHOD_BLOCK, "50", "0.25", "0.1", "1234", "8"]
         # float columns survive a text round trip exactly
         assert float(rows[1][2]) == first[0].wall_time_s
-
-    def test_fits_to_json(self):
-        fit = rq.fit_scaling(synthetic_points(METHOD_DENSE, [50, 100, 200, 400], 3.0))
-        (obj,) = fits_to_json([fit])
-        assert obj["method"] == METHOD_DENSE
-        assert abs(obj["slope"] - 3.0) < 1e-12
-        assert set(obj) == {"method", "slope", "intercept", "r_squared"}

@@ -185,6 +185,19 @@ class TestProblemIo:
         assert code == 2
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--problem", "--config"])
+    def test_file_that_is_not_utf8_is_io_error(self, tmp_path, sigma_x_file,
+                                               flag, capsys):
+        bad = tmp_path / "bytes.json"
+        bad.write_bytes(bytes(range(128, 256)))  # 0x80 cannot start UTF-8
+        # the last --problem wins, and --config is read before any problem
+        code = main(["qpe", "--problem", str(sigma_x_file), flag, str(bad),
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ringqpe: I/O error: ") and "bytes.json" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_semantically_invalid_problem(self, tmp_path, capsys):
         bad = tmp_path / "skew.json"
         bad.write_text(json.dumps({
@@ -368,7 +381,7 @@ class TestRingSim:
         code = main(["ring-sim", "--problem", str(sigma_x_file),
                      "--out-dir", str(tmp_path), "-l", "50", "-N", "64"])
         assert code == 1
-        assert "N >= 2l+1" in capsys.readouterr().err
+        assert "N >= 4l+1" in capsys.readouterr().err
 
     def test_grid_that_aliases_the_read_out_leaves_no_output(
             self, tmp_path, sigma_x_file, monkeypatch, capsys):
@@ -662,7 +675,8 @@ class TestMemoryGuards:
     def test_large_cutoff_times_colors_is_refused_before_allocating(
             self, tmp_path, capsys, monkeypatch, sub):
         # 1290555 modes x 32 colors: evolve_block alone would take about
-        # 2.8 GiB, though the grid by itself is well inside the guard
+        # 2.8 GiB, though the grid, N = 4l+1 as the read-out needs, is by
+        # itself well inside the guard
         rng = np.random.default_rng(16)
         problem = rq.EnergyProblem(random_hermitian(rng, 32, 0.1), 1.0,
                                    random_state(rng, 32))
@@ -675,7 +689,7 @@ class TestMemoryGuards:
             monkeypatch.setattr(np, name, forbidden)
         out = tmp_path / "out"
         code = main([sub, "--problem", str(path), "--out-dir", str(out),
-                     "-l", "645277", "-N", "1290555"])
+                     "-l", "645277", "-N", "2581109"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("ringqpe: error: ") and "guard" in err

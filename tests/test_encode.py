@@ -211,23 +211,17 @@ class TestEncodeUnitary:
 
 
 class TestPhaseHelpers:
-    def test_unwrap_identity_below_pi(self):
-        assert rq.unwrap_phase(0.0) == 0.0
-        assert rq.unwrap_phase(np.pi) == np.pi
-        assert abs(rq.unwrap_phase(1.3) - 1.3) < 1e-15
+    """ring-sim folds a peak's position in [0, 2 pi) with wrap_to_signed."""
 
-    def test_unwrap_folds_upper_half(self):
-        assert abs(rq.unwrap_phase(TWO_PI - 2.0) - (-2.0)) < 1e-12
-        assert rq.unwrap_phase(np.nextafter(TWO_PI, 0.0)) < 0.0
+    def test_signed_wrap_keeps_up_to_pi(self):
+        assert rq.wrap_to_signed(0.0) == 0.0
+        assert rq.wrap_to_signed(np.pi) == np.pi
+        assert rq.wrap_to_signed(1.3) == 1.3
 
-    def test_unwrap_domain_errors(self):
-        for bad in (-0.1, TWO_PI, 7.0):
-            with pytest.raises(rq.PreconditionError):
-                rq.unwrap_phase(bad)
-
-    def test_phase_to_energy(self):
-        assert rq.phase_to_energy(-2.0, 1.0) == -2.0
-        assert abs(rq.phase_to_energy(0.5, 3.0) - 1.5) < 1e-15
+    def test_signed_wrap_folds_upper_half(self):
+        assert abs(rq.wrap_to_signed(TWO_PI - 2.0) - (-2.0)) < 1e-12
+        assert rq.wrap_to_signed(np.nextafter(np.pi, 4.0)) < 0.0
+        assert rq.wrap_to_signed(np.nextafter(TWO_PI, 0.0)) < 0.0
 
 
 class TestProblemJson:

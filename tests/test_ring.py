@@ -264,9 +264,10 @@ class TestEvolveBlock:
     def test_incompatible_shapes_rejected(self):
         gauge = rq.GaugeField(np.zeros((3, 3)))
         color = np.array([1.0, 0.0])
-        with pytest.raises(rq.PreconditionError, match="colors"):
+        message = "color dimension 2 does not match gauge field dimension 3"
+        with pytest.raises(rq.PreconditionError, match=message):
             rq.evolve_block(gauge, color, 3, 1.0)
-        with pytest.raises(rq.PreconditionError, match="colors"):
+        with pytest.raises(rq.PreconditionError, match=message):
             rq.evolve_dense(gauge, color, 3, 1.0)
 
     @pytest.mark.parametrize("scale,t", [(1.0, 1e308), (1e300, 0.0), (1.0, -1e308)])
@@ -315,6 +316,21 @@ class TestEvolveBlock:
             monkeypatch.setattr(np.linalg, name, forbidden)
         evolved = rq.evolve_block(gauge, color, 5, 1.3)
         assert abs(np.linalg.norm(evolved.coeffs) - 1.0) < 1e-10
+
+    def test_state_is_kept_without_a_copy(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(45)
+        gauge = rq.GaugeField(random_hermitian(rng, 8))
+        color = random_state(rng, 8)
+        tracemalloc.start()
+        try:
+            evolved = rq.evolve_block(gauge, color, 4000, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the rows and their free phases; a copy of the rows would double it
+        assert peak < 1.5 * evolved.coeffs.nbytes
 
 
 class TestEvolveDense:
@@ -445,7 +461,8 @@ class TestPositionDensity:
     def test_large_cutoff_times_colors_is_refused_before_allocating(
             self, monkeypatch):
         # 1290555 modes x 32 colors: evolve_block alone would take about
-        # 2.8 GiB, though the grid by itself is well inside the guard
+        # 2.8 GiB, though the grid, N = 4l+1 as the read-out needs, is by
+        # itself well inside the guard
         rng = np.random.default_rng(14)
         gauge = rq.GaugeField(random_hermitian(rng, 32))
         color = random_state(rng, 32)
@@ -456,7 +473,7 @@ class TestPositionDensity:
         for name in ("tile", "zeros", "empty"):
             monkeypatch.setattr(np, name, forbidden)
         with pytest.raises(rq.ResourceLimitError, match="guard"):
-            rq.estimate_phase_via_ring(gauge, color, 645277, 1290555)
+            rq.estimate_phase_via_ring(gauge, color, 645277, 2581109)
 
     @pytest.mark.parametrize("l,n,n_grid", [
         (1024, 64, 8192), (1000, 32, 65536), (20000, 4, 40001), (10, 2, 1 << 20),
@@ -631,13 +648,15 @@ class TestEstimatePhaseViaRing:
         def forbidden(*args, **kwargs):
             raise AssertionError("evolved before the grid check")
 
-        # a coarse grid is refused before the state evolves
+        # a coarse grid is refused before the state evolves, and named by the
+        # read-out's rule, which implies the modes' N >= 2l+1: a grid too
+        # coarse for the modes, and one that resolves them but aliases the
+        # read-out's moments
         monkeypatch.setattr(ring_module, "evolve_block", forbidden)
-        with pytest.raises(rq.ResolutionError, match="N >= 2l\\+1"):
-            rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 64)
-        # a grid that resolves the modes but aliases the read-out's moments
-        with pytest.raises(rq.ResolutionError, match="N >= 4l\\+1"):
-            rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 150)
+        for grid_size_N in (64, 150):
+            with pytest.raises(rq.ResolutionError, match="N >= 4l\\+1"):
+                rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50,
+                                           grid_size_N)
 
     @pytest.mark.parametrize("l,n,n_grid", [
         (100000, 1, 400001), (1000, 32, 65536), (20000, 4, 80001),
