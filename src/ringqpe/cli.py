@@ -108,6 +108,8 @@ def _boolean(value) -> bool:
 def _path(value) -> str:
     if not isinstance(value, str):
         raise TypeError("expected a path")
+    if "\0" in value:
+        raise ValueError("a path cannot hold a NUL byte")
     return value
 
 
@@ -289,7 +291,8 @@ def cmd_qpe(cfg: argparse.Namespace) -> int:
 
     problem = _require_problem(cfg)
     qpe_cfg = qpe.QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
-    estimate = qpe.qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
+    estimate = qpe.qpe_estimate(problem.spectrum.eigenvalues, problem.weights,
+                                qpe_cfg)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     dist_path = os.path.join(cfg.out_dir, "qpe_distribution.csv")
@@ -324,13 +327,12 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
 
     ambiguous = len(peaks) > 1 and peaks.peaks[1].weight >= AMBIGUITY_WEIGHT
 
-    estimate = qpe.qpe_estimate(problem.spectrum, problem.state, qpe_cfg)
+    theta = problem.spectrum.eigenvalues
+    estimate = qpe.qpe_estimate(theta, problem.weights, qpe_cfg)
     phi_ring = peaks.dominant.phi
     phi_qpe = estimate.phi_estimate
     # the eigenphase of largest Born weight |<v_k|c>|^2, lowest k on a tie
-    theta, v = problem.spectrum
-    weights = np.abs(v.conj().T @ problem.state) ** 2
-    phi_eig = wrap_to_unit(theta[np.argmax(weights)])
+    phi_eig = wrap_to_unit(theta[np.argmax(problem.weights)])
 
     bound = TWO_PI / (1 << cfg.t_bits) + TWO_PI / (2 * cfg.mode_cutoff_l + 1)
     distances = {

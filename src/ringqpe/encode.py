@@ -4,10 +4,11 @@ An energy problem (H, E_R) is carried by the unitary U = exp(i H / E_R):
 the eigenstate with energy E shows up as the eigenphase E / E_R. Each
 problem decomposes its matrix once, on construction, into
 `spectrum = EigenDecomposition(theta, V)`: U's eigenphases on (-pi, pi] and
-an orthonormal eigenbasis. The register's read-out is evaluated in that
-spectrum, and encode_as_gauge forms from it, once, the Hermitian gauge
-potential whose ring read-out reproduces the same phases, on the ring's
-natural units hbar = q = r = m_q = 1,
+an orthonormal eigenbasis. It keeps beside it `weights = |V^dagger state|^2`,
+the Born weights of its state. The register's read-out is evaluated from
+theta and those weights, and encode_as_gauge forms from the spectrum, once,
+the Hermitian gauge potential whose ring read-out reproduces the same
+phases, on the ring's natural units hbar = q = r = m_q = 1,
 
     A_phi = -(1 / (2 pi * VELOCITY_FACTOR)) * V diag(theta) V^dagger.
 
@@ -44,11 +45,14 @@ if TYPE_CHECKING:
     from .ring import GaugeField
 
 
-def _read_only(spectrum: EigenDecomposition) -> EigenDecomposition:
-    # every route reads this one spectrum, so none may write into it
-    for a in spectrum:
+def _set_spectrum(problem, spectrum: EigenDecomposition) -> None:
+    # the spectrum and the Born weights |<v_a|state>|^2 of the state; every
+    # route reads them, so none may write into them
+    weights = np.abs(spectrum.eigenvectors.conj().T @ problem.state) ** 2
+    for a in (*spectrum, weights):
         a.setflags(write=False)
-    return spectrum
+    object.__setattr__(problem, "spectrum", spectrum)
+    object.__setattr__(problem, "weights", weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +60,17 @@ class EnergyProblem:
     """Hermitian H with a reference scale E_R and a candidate state.
 
     `spectrum` holds the eigenphases of exp(i H / E_R), the eigenvalues of
-    H / E_R wrapped onto (-pi, pi], over H's orthonormal eigenbasis;
-    `spectral_radius` is the largest |eigenvalue| of H / E_R before the
-    wrap, so an energy read back from a phase is E_R * phase only below pi.
+    H / E_R wrapped onto (-pi, pi], over H's orthonormal eigenbasis, and
+    `weights` the state's Born weights over that basis; `spectral_radius`
+    is the largest |eigenvalue| of H / E_R before the wrap, so an energy
+    read back from a phase is E_R * phase only below pi.
     """
 
     hamiltonian: np.ndarray
     E_R: float
     state: np.ndarray
     spectrum: EigenDecomposition = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
     spectral_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -87,32 +93,25 @@ class EnergyProblem:
                 PhaseAliasingWarning,
                 stacklevel=3,
             )
-        object.__setattr__(self, "spectrum",
-                           _read_only(EigenDecomposition(wrap_to_signed(w), v)))
-
-    @property
-    def n_colors(self) -> int:
-        return self.hamiltonian.shape[0]
+        _set_spectrum(self, EigenDecomposition(wrap_to_signed(w), v))
 
 
 @dataclass(frozen=True, eq=False)
 class UnitarySpec:
-    """A unitary with a candidate state; `spectrum` is eig_unitary(U)."""
+    """A unitary with a candidate state; `spectrum` is eig_unitary(U), and
+    `weights` the state's Born weights over its basis."""
 
     u_matrix: np.ndarray
     state: np.ndarray
     spectrum: EigenDecomposition = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u = require_unitary(self.u_matrix)
         state = require_state(self.state, u.shape[0], "state", "unitary")
         object.__setattr__(self, "u_matrix", u)
         object.__setattr__(self, "state", state)
-        object.__setattr__(self, "spectrum", _read_only(eig_unitary(u)))
-
-    @property
-    def n_colors(self) -> int:
-        return self.u_matrix.shape[0]
+        _set_spectrum(self, eig_unitary(u))
 
 
 def encode_as_gauge(problem) -> GaugeField:

@@ -166,25 +166,6 @@ def require_unitary(m) -> np.ndarray:
     return u
 
 
-def require_eigenbasis(spectrum) -> EigenDecomposition:
-    """Coerce (w, V) to real finite eigenvalues over an orthonormal basis.
-
-    V must be square and unitary within 1e-10, with one column per
-    eigenvalue; that is what lets a consumer rotate into the basis and back
-    without decomposing anything itself.
-    """
-    w, v = spectrum
-    w = np.asarray(w)
-    if w.ndim != 1 or not np.isrealobj(w) or not np.all(np.isfinite(w)):
-        raise PreconditionError("eigenvalues must be a 1-D array of finite reals")
-    v = require_unitary(v)
-    if v.shape[0] != w.size:
-        raise PreconditionError(
-            f"{w.size} eigenvalues do not match a {v.shape[0]}-dimensional basis"
-        )
-    return EigenDecomposition(w.astype(np.float64), v)
-
-
 def eig_hermitian(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 

@@ -4,18 +4,19 @@ Register 1 is a t-bit read-out register indexed by m in [0, 2^t); register 2
 is an n-dimensional system prepared in a candidate eigenstate u. The
 textbook circuit, uniform register 1 -> controlled U^m -> inverse Fourier
 transform, leaves register 1 concentrated near k = 2^t phi_u / (2 pi).
-qpe_estimate returns that read-out distribution exactly, from U's spectrum
-(theta, V). Register 2 is never measured, so its basis does not matter; in
-U's eigenbasis color a of the register is the geometric sequence
-w_a e^(i m theta_a) / sqrt(M), with M = 2^t and w = V^dagger u, its inverse
-Fourier transform is a Dirichlet kernel, and the colors add in probability
+qpe_estimate returns that read-out distribution exactly, from the
+spectral measure of U and u alone: the eigenphases theta_a and the Born
+weights |w_a|^2 = |<v_a|u>|^2. Register 2 is never measured, so its basis
+does not matter; in U's eigenbasis color a of the register is the geometric
+sequence w_a e^(i m theta_a) / sqrt(M), with M = 2^t, its inverse Fourier
+transform is a Dirichlet kernel, and the colors add in probability
 (Cleve, Ekert, Macchiavello and Mosca, Proc. R. Soc. A 454, 339 (1998)):
 
     P(k) = sum_a |w_a|^2 sin^2(M d / 2) / (M^2 sin^2(d / 2)),
     d = theta_a - 2 pi k / M.
 
 It agrees with the transformed circuit to about 1e-15 at any t, costs
-n^2 + n 2^t operations, and holds the 2^t probabilities and three blocks
+n 2^t operations, and holds the 2^t probabilities and three blocks
 of BLOCK_ROWS rows, for any n.
 """
 
@@ -35,9 +36,7 @@ from .linalg import (
     BYTES_GUARD,
     is_integer,
     readonly,
-    require_eigenbasis,
     require_unit_norm,
-    require_unit_vector,
     write_csv_rows,
 )
 
@@ -188,17 +187,25 @@ def _fejer_rows(theta: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray
     return probs
 
 
-def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
+def qpe_estimate(theta, weights, cfg: QpeConfig) -> QpeEstimate:
     """Full pipeline; returns the modal read-out and its phase 2 pi k / 2^t.
 
-    U comes as its spectrum (theta, V), with V orthonormal. A problem whose
-    2^t x n register would pass BYTES_GUARD is refused before anything is
-    allocated, and V^dagger u must have norm 1 within 1e-10.
+    theta holds U's eigenphases and weights[a] = |<v_a|u>|^2 the Born
+    weights of the register-2 state u over U's eigenvectors: finite, >= 0
+    and of norm sqrt(sum w) = 1 within 1e-10. A problem whose 2^t x n
+    register would pass BYTES_GUARD is refused before anything is allocated.
     Ties in the distribution break toward the smallest k, which makes the
     estimate deterministic in both exact and sampled modes.
     """
-    u = require_unit_vector(color, "register-2 state")
-    t_bits, n = cfg.t_bits, u.size
+    theta, weights = np.asarray(theta), np.asarray(weights)
+    if theta.ndim != 1 or not np.isrealobj(theta) or not np.all(np.isfinite(theta)):
+        raise PreconditionError("eigenphases must be a 1-D array of finite reals")
+    if weights.shape != theta.shape:
+        raise PreconditionError(
+            f"{weights.shape} weights do not match {theta.shape} eigenphases")
+    if not np.isrealobj(weights) or not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise PreconditionError("weights must be finite reals >= 0")
+    t_bits, n = cfg.t_bits, theta.size
     # the 2^t * n kernel evaluations are bounded at the bytes a (2^t, n)
     # complex128 register of them would take
     nbytes = cfg.register_size * n * np.dtype(np.complex128).itemsize
@@ -207,18 +214,11 @@ def qpe_estimate(spectrum, color, cfg: QpeConfig) -> QpeEstimate:
             f"register of 2^{t_bits} x {n} amplitudes needs {nbytes} bytes, "
             f"above the guard {BYTES_GUARD}"
         )
-    theta, v = require_eigenbasis(spectrum)
-    if theta.size != n:
-        raise PreconditionError(
-            f"unitary dimension {theta.size} does not match register-2 "
-            f"dimension {n}"
-        )
-    w = v.conj().T @ u
-    opcount.add(n * n)
-    require_unit_norm(w, "register")
+    # the amplitudes |<v_a|u>| have u's norm
+    require_unit_norm(np.sqrt(weights), "register")
     # the blocks are freed on return, before a sampled read-out allocates
     # its counts
-    dist = _read_out(_fejer_rows(theta, np.abs(w) ** 2, cfg.register_size), cfg)
+    dist = _read_out(_fejer_rows(theta, weights, cfg.register_size), cfg)
     # np.argmax would copy the read-only probabilities; the first k at the
     # maximum is the same read-out
     probs = dist.probs

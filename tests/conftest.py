@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import ringqpe as rq
-import ringqpe.linalg as linalg
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -41,11 +40,12 @@ def eigenbasis_evolve(a_phi, color, mode_cutoff_l, t):
 
 
 def forbid_spectra(monkeypatch, problem):
-    """Make every eigendecomposition, and `problem.spectrum`, raise.
+    """Make every eigendecomposition, `problem.spectrum` and
+    `problem.weights` raise.
 
     Covers np.linalg.eigh and, wherever a ringqpe module bound them by
-    name, eig_hermitian, eig_unitary and require_eigenbasis. np.linalg.eigvals
-    stays: the peak read-out takes the eigenvalues of its own small pencil.
+    name, eig_hermitian and eig_unitary. np.linalg.eigvals stays: the peak
+    read-out takes the eigenvalues of its own small pencil.
     """
     def forbidden(*args, **kwargs):
         raise AssertionError("decomposed a matrix after encoding")
@@ -53,7 +53,7 @@ def forbid_spectra(monkeypatch, problem):
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     modules = [m for key, m in list(sys.modules.items())
                if key == "ringqpe" or key.startswith("ringqpe.")]
-    for fn in (rq.eig_hermitian, rq.eig_unitary, linalg.require_eigenbasis):
+    for fn in (rq.eig_hermitian, rq.eig_unitary):
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is fn:
@@ -64,6 +64,10 @@ def forbid_spectra(monkeypatch, problem):
         def spectrum(self):
             raise AssertionError("read the problem's spectrum after encoding")
 
+        @property
+        def weights(self):
+            raise AssertionError("read the problem's weights after encoding")
+
     # a frozen dataclass refuses setattr, not a class swap by object's
     object.__setattr__(problem, "__class__", Guarded)
 
@@ -71,6 +75,13 @@ def forbid_spectra(monkeypatch, problem):
 def random_state(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def spectral_measure(spectrum, color):
+    """The (theta, weights) qpe_estimate reads for U's spectrum (theta, V)
+    and a register-2 state: weights[a] = |<v_a|color>|^2."""
+    theta, v = spectrum
+    return theta, np.abs(v.conj().T @ np.asarray(color, dtype=complex)) ** 2
 
 
 def spectral_register_distribution(t_bits, theta, weights):

@@ -21,6 +21,7 @@ from conftest import (
     random_hermitian,
     random_state,
     random_unitary,
+    spectral_measure,
     spectral_register_distribution,
     write_problem,
 )
@@ -97,7 +98,8 @@ def test_a3_register_is_exact_on_representable_phases(capsys):
         t = 3
         phi_u = TWO_PI * 3 / 8
         u = np.array([[np.exp(1j * phi_u)]])
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])),
+                              rq.QpeConfig(t))
         assert est.k_best == 3, f"modal read-out {est.k_best} != 3"
         p3 = float(est.distribution.probs[3])
         assert p3 >= 1.0 - 1e-9, f"P(3) = {p3} below 1 - 1e-9"
@@ -115,7 +117,8 @@ def test_a4_tail_bound_holds_across_random_phases(capsys):
         for _ in range(200):
             phi_u = float(rng.uniform(0.0, TWO_PI))
             u = np.array([[np.exp(1j * phi_u)]])
-            est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
+            est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])),
+                                  rq.QpeConfig(t))
             dist_to_phase = np.abs(grid - phi_u)
             dist_to_phase = np.minimum(dist_to_phase, TWO_PI - dist_to_phase)
             best = int(np.argmin(dist_to_phase))
@@ -205,8 +208,7 @@ def test_a7_invariants_hold_over_seeded_case_sweeps(capsys):
             color = random_state(rng, n)
             weights = np.abs(v.conj().T @ color) ** 2
             want = spectral_register_distribution(t_bits, theta, weights)
-            est = rq.qpe_estimate(rq.EigenDecomposition(theta, v), color,
-                                  rq.QpeConfig(t_bits))
+            est = rq.qpe_estimate(theta, weights, rq.QpeConfig(t_bits))
             assert np.max(np.abs(est.distribution.probs - want)) < 1e-12, f"case {i}"
 
         # encoding a problem and rolling the holonomy returns its unitary

@@ -480,10 +480,10 @@ class TestCompare:
         assert "phi_ring" in stdout and "bound" in stdout
 
     def test_checks_the_spectrum_once(self, tmp_path, sigma_x_file, monkeypatch):
-        # the gauge field held the eigenbasis and checked it as the register
-        # does, so one compare checked one spectrum twice
+        # the problem decomposes H and forms its Born weights once; neither
+        # route decomposes or re-checks the spectrum again
         calls = []
-        check = rq.linalg.require_eigenbasis
+        check = rq.eig_hermitian
 
         def counted(*args, **kwargs):
             calls.append(1)
@@ -939,6 +939,9 @@ class TestConfigPrecedence:
         ("bench", "sizes", [64, False]),
         ("bench", "count_ops", "false"),
         ("qpe", "problem", 5),
+        # open and os.makedirs raised a bare ValueError on a NUL byte
+        ("qpe", "problem", "a\0b"),
+        ("qpe", "out_dir", "a\0b"),
         ("ring-sim", "times", [True, False]),
         # a line break in the value is escaped, not printed
         ("ring-sim", "times", "0,\nx"),

@@ -19,7 +19,6 @@ from ringqpe import (
     matrix_to_json,
 )
 from ringqpe.linalg import (
-    require_eigenbasis,
     require_unit_norm,
     require_unit_vector,
     require_unitary,
@@ -276,24 +275,6 @@ class TestRequireUnitNorm:
         amps[2, 1] = bad
         with pytest.raises(PreconditionError, match="register norm"):
             require_unit_norm(amps, "register")
-
-
-class TestRequireEigenbasis:
-    def test_coerces_eigenvalues_to_float(self):
-        w, v = require_eigenbasis(([1, 2], np.eye(2)))
-        assert w.dtype == np.float64 and v.dtype == np.complex128
-
-    @pytest.mark.parametrize("w,v,message", [
-        ([1.0 + 0.5j, 2.0], np.eye(2), "finite reals"),
-        ([np.nan, 2.0], np.eye(2), "finite reals"),
-        ([[1.0, 2.0]], np.eye(2), "finite reals"),
-        ([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], "not unitary"),
-        ([1.0, 2.0], np.eye(2)[:, :1], "square"),
-        ([1.0, 2.0, 3.0], np.eye(2), "do not match"),
-    ])
-    def test_rejects(self, w, v, message):
-        with pytest.raises(PreconditionError, match=message):
-            require_eigenbasis((np.asarray(w), v))
 
 
 def test_require_unitary_accepts_rotation():

@@ -1,5 +1,7 @@
 """Phase-estimation register pipeline against dense circuit oracles."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,12 @@ from conftest import (
     random_state,
     random_unitary,
     read_csv,
+    spectral_measure,
     spectral_register_distribution,
 )
 
 TWO_PI = 2.0 * np.pi
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def dense_controlled_operator(t_bits, u):
@@ -118,9 +122,46 @@ class TestQpeConfig:
 
 class TestPrepare:
     def test_rejects_unnormalized_color(self):
-        with pytest.raises(rq.PreconditionError, match="norm"):
-            rq.qpe_estimate(rq.eig_unitary(np.eye(2)), np.array([1.0, 1.0]),
-                            rq.QpeConfig(3))
+        # the weights of the color (1, 1)
+        with pytest.raises(rq.PreconditionError, match="register norm"):
+            rq.qpe_estimate(np.zeros(2), np.ones(2), rq.QpeConfig(3))
+
+    @pytest.mark.parametrize("total", [1 - 2.5e-10, 1 + 2.5e-10])
+    def test_rejects_a_weight_sum_past_the_tolerance(self, total):
+        # a norm sqrt(total), 1.25e-10 off 1
+        with pytest.raises(rq.PreconditionError, match="register norm"):
+            rq.qpe_estimate(np.zeros(2), np.array([0.5, 0.5]) * total, rq.QpeConfig(3))
+
+    def test_rejects_a_negative_weight(self):
+        with pytest.raises(rq.PreconditionError, match=">= 0"):
+            rq.qpe_estimate(np.zeros(2), np.array([1.5, -0.5]), rq.QpeConfig(3))
+
+    @pytest.mark.parametrize("theta", [
+        [np.nan, 0.0], [np.inf, 0.0], [1j, 0.0], [[0.0, 0.0]],
+    ], ids=["nan", "inf", "complex", "2-D"])
+    def test_rejects_phases_that_are_not_finite_reals(self, theta):
+        with pytest.raises(rq.PreconditionError, match="finite reals"):
+            rq.qpe_estimate(np.array(theta), np.array([1.0, 0.0]), rq.QpeConfig(3))
+
+    @pytest.mark.parametrize("weights", [[np.inf, 0.0], [1.0 + 0j, 0.0]],
+                             ids=["inf", "complex"])
+    def test_rejects_weights_that_are_not_finite_reals(self, weights):
+        with pytest.raises(rq.PreconditionError, match="finite reals"):
+            rq.qpe_estimate(np.zeros(2), np.array(weights), rq.QpeConfig(3))
+
+    @pytest.mark.parametrize("kind", ["energy", "unitary"])
+    def test_weight_check_is_no_tighter_than_the_state_check(self, kind):
+        # a state 0.9e-10 short of unit norm passes the problem's check, so
+        # its Born weights must pass the register's
+        rng = np.random.default_rng(3400)
+        state = random_state(rng, 4) * (1.0 - 0.9e-10)
+        if kind == "energy":
+            problem = rq.EnergyProblem(random_hermitian(rng, 4), 1.0, state)
+        else:
+            problem = rq.UnitarySpec(random_unitary(rng, 4), state)
+        est = rq.qpe_estimate(problem.spectrum.eigenvalues, problem.weights,
+                              rq.QpeConfig(6))
+        assert abs(est.distribution.probs.sum() - 1.0) < 1e-9
 
 
 class TestControlledStage:
@@ -142,7 +183,8 @@ class TestControlledStage:
             else:
                 u = np.eye(n)[[1, 2, 3, 0, 5, 6, 7, 4]]
         color = random_state(rng, n)
-        got = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(t)).distribution.probs
+        got = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), color),
+                              rq.QpeConfig(t)).distribution.probs
         want = literal_circuit_distribution(t, u, color)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -154,19 +196,14 @@ class TestControlledStage:
         phases = rng.uniform(-np.pi, np.pi, 4)
         u = (v * np.exp(1j * phases)) @ v.conj().T
         t = 20
-        est = rq.qpe_estimate(rq.eig_unitary(u), v[:, 0], rq.QpeConfig(t))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), v[:, 0]),
+                              rq.QpeConfig(t))
         k_true = (phases[0] % TWO_PI) * (1 << t) / TWO_PI
         assert abs(est.k_best - k_true) <= 1.0
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(rq.PreconditionError, match="dimension"):
-            rq.qpe_estimate(rq.eig_unitary(np.eye(3)), np.array([1.0, 0.0]),
-                            rq.QpeConfig(2))
-
-    def test_refuses_a_basis_that_is_not_orthonormal(self):
-        skew = rq.EigenDecomposition(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
-        with pytest.raises(rq.PreconditionError, match="not unitary"):
-            rq.qpe_estimate(skew, np.array([1.0, 0.0]), rq.QpeConfig(2))
+        with pytest.raises(rq.PreconditionError, match="do not match"):
+            rq.qpe_estimate(np.zeros(3), np.array([1.0, 0.0]), rq.QpeConfig(2))
 
     def test_makes_no_fft(self, monkeypatch):
         # the read-out is the closed form of the inverse QFT, not a transform
@@ -179,7 +216,7 @@ class TestControlledStage:
 
         for name in ("fft", "ifft"):
             monkeypatch.setattr(np.fft, name, forbidden)
-        est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(6))
+        est = rq.qpe_estimate(*spectral_measure(spectrum, color), rq.QpeConfig(6))
         assert abs(est.distribution.probs.sum() - 1.0) < 1e-12
 
     def test_makes_no_decomposition(self, monkeypatch):
@@ -192,7 +229,7 @@ class TestControlledStage:
 
         for name in ("eigh", "eigvals", "eig"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(6))
+        est = rq.qpe_estimate(*spectral_measure(spectrum, color), rq.QpeConfig(6))
         assert abs(est.distribution.probs.sum() - 1.0) < 1e-12
 
 
@@ -208,7 +245,8 @@ class TestOneRegisterPipeline:
         color = random_state(rng, n)
         theta, v = spectrum
         exact = spectral_register_distribution(t, theta, np.abs(v.conj().T @ color) ** 2)
-        est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t, shots=shots, rng_seed=17))
+        est = rq.qpe_estimate(*spectral_measure(spectrum, color),
+                              rq.QpeConfig(t, shots=shots, rng_seed=17))
         if shots == 0:
             assert est.distribution.mode == "exact"
             assert np.max(np.abs(est.distribution.probs - exact)) <= 1e-12
@@ -229,7 +267,8 @@ class TestOneRegisterPipeline:
         spectrum = rq.eig_unitary(random_unitary(rng, n))
         color = random_state(rng, n)
         staged = staged_circuit_distribution(t, spectrum, color)
-        est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t, shots=shots, rng_seed=17))
+        est = rq.qpe_estimate(*spectral_measure(spectrum, color),
+                              rq.QpeConfig(t, shots=shots, rng_seed=17))
         if shots == 0:
             assert np.max(np.abs(est.distribution.probs - staged)) <= 1e-12
             assert est.k_best == int(np.argmax(staged))
@@ -257,7 +296,8 @@ class TestOneRegisterPipeline:
         color = random_state(rng, n)
         tracemalloc.start()
         try:
-            rq.qpe_estimate(spectrum, color, rq.QpeConfig(t, shots=shots))
+            rq.qpe_estimate(*spectral_measure(spectrum, color),
+                            rq.QpeConfig(t, shots=shots))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -277,7 +317,7 @@ class TestOneRegisterPipeline:
         color = random_state(rng, n)
         tracemalloc.start()
         try:
-            rq.qpe_estimate(spectrum, color, rq.QpeConfig(t))
+            rq.qpe_estimate(*spectral_measure(spectrum, color), rq.QpeConfig(t))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -289,24 +329,24 @@ class TestOneRegisterPipeline:
         # the defect-probe shape (t = 20, n = 4) fits; t = 24, n = 64 is 16 GiB
         assert (1 << 20) * 4 * 16 <= BYTES_GUARD < (1 << 24) * 64 * 16
         n = 64
-        spectrum = rq.eig_unitary(np.eye(n))
+        theta, weights = spectral_measure(rq.eig_unitary(np.eye(n)), np.eye(n)[0])
 
         def forbidden(*args, **kwargs):
             raise AssertionError("register allocated before the guard")
 
         monkeypatch.setattr(np, "empty", forbidden)
         with pytest.raises(rq.ResourceLimitError, match="guard"):
-            rq.qpe_estimate(spectrum, np.eye(n)[0], rq.QpeConfig(24))
+            rq.qpe_estimate(theta, weights, rq.QpeConfig(24))
 
     def test_operation_count_formula(self):
         n = 3
         spectrum = rq.eig_unitary(random_unitary(np.random.default_rng(1), n))
+        theta, weights = spectral_measure(spectrum, np.array([1.0, 0.0, 0.0]))
         for t in (1, 2, 5, 6):
             with rq.count_macs() as counter:
-                rq.qpe_estimate(spectrum, np.array([1.0, 0.0, 0.0]), rq.QpeConfig(t))
-            # the register-2 state is rotated into the eigenbasis once, and
+                rq.qpe_estimate(theta, weights, rq.QpeConfig(t))
             # each color's kernel is evaluated once on every read-out row
-            assert counter.total == n * n + n * (1 << t), f"t = {t}"
+            assert counter.total == n * (1 << t), f"t = {t}"
 
 
 class TestSpectralOracle:
@@ -326,7 +366,8 @@ class TestSpectralOracle:
         color = random_state(rng, n)
         weights = np.abs(v.conj().T @ color) ** 2
         want = spectral_register_distribution(t, theta, weights)
-        got = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(t)).distribution.probs
+        got = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), color),
+                              rq.QpeConfig(t)).distribution.probs
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -342,7 +383,8 @@ class TestEdgePhases:
         if color is None:
             color = random_state(rng, n)
         want = staged_circuit_distribution(t, spectrum, color)
-        got = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t)).distribution.probs
+        got = rq.qpe_estimate(*spectral_measure(spectrum, color),
+                              rq.QpeConfig(t)).distribution.probs
         assert np.max(np.abs(got - want)) < 1e-12
         return got
 
@@ -374,7 +416,9 @@ class TestEdgePhases:
 
 class TestMeasurement:
     def test_identity_reads_out_zero(self):
-        est = rq.qpe_estimate(rq.eig_unitary(np.eye(2)), np.array([1.0, 0.0]), rq.QpeConfig(4))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(np.eye(2)),
+                                                 np.array([1.0, 0.0])),
+                              rq.QpeConfig(4))
         assert est.k_best == 0
         assert est.phi_estimate == 0.0
         assert est.distribution.probs[0] > 1.0 - 1e-12
@@ -383,13 +427,15 @@ class TestMeasurement:
         t = 6
         phi_u = TWO_PI * 5 / 64
         u = np.array([[np.exp(1j * phi_u)]])
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])),
+                              rq.QpeConfig(t))
         assert est.k_best == 5
         assert est.distribution.probs[5] > 1.0 - 1e-9
 
     def test_three_bit_register_is_deterministic(self):
         u = np.array([[np.exp(1j * TWO_PI * 3 / 8)]])
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(3))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])),
+                              rq.QpeConfig(3))
         assert est.k_best == 3
         assert abs(est.distribution.probs[3] - 1.0) < 1e-12
 
@@ -397,7 +443,8 @@ class TestMeasurement:
         t = 6
         phi_u = TWO_PI * 5.5 / 64  # exactly between two read-out values
         u = np.array([[np.exp(1j * phi_u)]])
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])),
+                              rq.QpeConfig(t))
         p = est.distribution.probs
         assert abs(p[5] - p[6]) < 1e-12
         assert p[5] >= 0.40
@@ -406,14 +453,16 @@ class TestMeasurement:
         t = 6
         phi_u = TWO_PI * 5.5 / 64
         u = np.array([[np.exp(1j * phi_u)]])
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])),
+                              rq.QpeConfig(t))
         want = np.array([fejer_probability(t, phi_u, k) for k in range(64)])
         assert np.max(np.abs(est.distribution.probs - want)) < 1e-12
 
     def test_exact_mode_sums_to_one(self):
         rng = np.random.default_rng(11)
         u = random_unitary(rng, 3)
-        est = rq.qpe_estimate(rq.eig_unitary(u), random_state(rng, 3), rq.QpeConfig(7))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), random_state(rng, 3)),
+                              rq.QpeConfig(7))
         assert abs(est.distribution.probs.sum() - 1.0) < 1e-9
         assert est.distribution.mode == "exact"
         assert est.distribution.shots is None
@@ -423,17 +472,18 @@ class TestMeasurement:
         u = random_unitary(rng, 2)
         color = random_state(rng, 2)
         cfg = rq.QpeConfig(5, shots=2000, rng_seed=123)
-        a = rq.qpe_estimate(rq.eig_unitary(u), color, cfg)
-        b = rq.qpe_estimate(rq.eig_unitary(u), color, cfg)
+        a = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), color), cfg)
+        b = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), color), cfg)
         assert np.array_equal(a.distribution.probs, b.distribution.probs)
         assert a.k_best == b.k_best
-        c = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(5, shots=2000, rng_seed=124))
+        c = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), color),
+                            rq.QpeConfig(5, shots=2000, rng_seed=124))
         assert not np.array_equal(a.distribution.probs, c.distribution.probs)
 
     def test_sampled_histogram_sums_to_one(self):
         u = np.array([[np.exp(0.7j)]])
         cfg = rq.QpeConfig(4, shots=137, rng_seed=5)
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), cfg)
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])), cfg)
         assert est.distribution.probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert est.distribution.mode == "sampled"
         assert est.distribution.shots == 137
@@ -444,12 +494,13 @@ class TestMeasurement:
         phi_u = TWO_PI * 17 / 64
         u = np.array([[np.exp(1j * phi_u)]])
         cfg = rq.QpeConfig(t, shots=4096, rng_seed=0)
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), cfg)
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])), cfg)
         assert est.k_best == 17
 
     def test_tie_breaks_toward_smaller_k(self):
         u = np.array([[1j]])  # phi_u = pi/2: probs (1/2, 1/2) at t = 1
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(1))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])),
+                              rq.QpeConfig(1))
         assert abs(est.distribution.probs[0] - 0.5) < 1e-12
         assert est.k_best == 0
         assert est.phi_estimate == 0.0
@@ -464,13 +515,15 @@ class TestMeasurement:
         color = random_state(rng, n)
         tracemalloc.start()
         try:
-            est = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t, shots=shots, rng_seed=3))
+            est = rq.qpe_estimate(*spectral_measure(spectrum, color),
+                                  rq.QpeConfig(t, shots=shots, rng_seed=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the histogram drawn from the normalised exact probabilities, bit
         # for bit
-        exact = rq.qpe_estimate(spectrum, color, rq.QpeConfig(t)).distribution.probs
+        exact = rq.qpe_estimate(*spectral_measure(spectrum, color),
+                                rq.QpeConfig(t)).distribution.probs
         counts = np.random.default_rng(3).multinomial(shots, exact / exact.sum())
         assert np.array_equal(est.distribution.probs, counts / shots)
         # the probabilities and the int64 counts, 1.0 register at n = 1,
@@ -482,8 +535,9 @@ class TestMeasurement:
 
 class TestEndToEnd:
     def test_nan_state_rejected(self):
+        # the weights of the state (nan, 0)
         with pytest.raises(rq.PreconditionError, match="finite"):
-            rq.qpe_estimate(rq.eig_unitary(np.eye(2)), np.array([np.nan, 0.0]), rq.QpeConfig(4))
+            rq.qpe_estimate(np.zeros(2), np.array([np.nan, 0.0]), rq.QpeConfig(4))
 
     def test_nan_register_and_distribution_rejected(self):
         with pytest.raises(rq.PreconditionError, match="sum"):
@@ -492,7 +546,8 @@ class TestEndToEnd:
     def test_two_level_ground_state(self):
         u = rq.expm_dense(2.0 * SIGMA_X, -1.0)
         color = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        est = rq.qpe_estimate(rq.eig_unitary(u), color, rq.QpeConfig(10))
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), color),
+                              rq.QpeConfig(10))
         phi_u = TWO_PI - 2.0
         assert est.k_best == round(1024 * phi_u / TWO_PI)
         assert rq.circular_distance(est.phi_estimate, phi_u) <= TWO_PI / 1024
@@ -506,9 +561,10 @@ class TestEndToEnd:
         color = random_state(rng, 4)
         with pytest.warns(rq.PhaseAliasingWarning):
             problem = rq.EnergyProblem(h, 1.3, color)
-        via_h = rq.qpe_estimate(problem.spectrum, color, rq.QpeConfig(9))
+        via_h = rq.qpe_estimate(problem.spectrum.eigenvalues, problem.weights,
+                                rq.QpeConfig(9))
         u = rq.eig_unitary(rq.expm_dense(h, -1.0 / 1.3))
-        via_u = rq.qpe_estimate(u, color, rq.QpeConfig(9))
+        via_u = rq.qpe_estimate(*spectral_measure(u, color), rq.QpeConfig(9))
         assert np.max(np.abs(via_h.distribution.probs - via_u.distribution.probs)) < 1e-12
 
     @pytest.mark.parametrize("e", [2, 4, 8])
@@ -519,7 +575,8 @@ class TestEndToEnd:
         for _ in range(20):
             phi_u = float(rng.uniform(0.0, TWO_PI))
             u = np.array([[np.exp(1j * phi_u)]])
-            est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), rq.QpeConfig(t))
+            est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])),
+                                  rq.QpeConfig(t))
             best = int(np.argmin(
                 np.minimum(
                     np.abs(np.arange(size) * TWO_PI / size - phi_u),
@@ -536,13 +593,28 @@ class TestEndToEnd:
 class TestSerialization:
     def test_distribution_csv_round_trip(self, tmp_path):
         u = rq.expm_dense(2.0 * SIGMA_X, -1.0)
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0, -1.0]) / np.sqrt(2.0), rq.QpeConfig(6))
+        color = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), color),
+                              rq.QpeConfig(6))
         path = tmp_path / "dist.csv"
         write_distribution_csv(est.distribution, path)
         header, data = read_csv(path)
         assert header == ["k", "probability"]
         assert np.array_equal(data[:, 0], np.arange(64))
         assert np.array_equal(data[:, 1], est.distribution.probs)
+
+    def test_distribution_matches_the_golden_file(self, tmp_path):
+        # qpe's default t = 10 on the shipped 0.8/0.2 superposition, frozen
+        # by tests/golden/regen.py
+        problem = rq.load_problem(
+            os.path.join(ROOT, "problems", "sigma_z_superposition.json"))
+        est = rq.qpe_estimate(problem.spectrum.eigenvalues, problem.weights,
+                              rq.QpeConfig(10))
+        path = tmp_path / "qpe_distribution.csv"
+        write_distribution_csv(est.distribution, path)
+        with open(os.path.join(ROOT, "tests", "golden", "qpe_distribution.csv"),
+                  "rb") as fh:
+            assert path.read_bytes() == fh.read()
 
     def test_sampled_distribution_takes_no_python_format(self, tmp_path, monkeypatch):
         # mostly 0.0 rows, then multiples of 1 / shots: the CSV writer's
@@ -554,7 +626,7 @@ class TestSerialization:
 
         u = np.array([[np.exp(0.7j)]])
         cfg = rq.QpeConfig(12, shots=2000, rng_seed=4)
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), cfg)
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])), cfg)
         path = tmp_path / "dist.csv"
         monkeypatch.setattr(linalg_module, "format", forbidden, raising=False)
         write_distribution_csv(est.distribution, path)
@@ -564,7 +636,7 @@ class TestSerialization:
     def test_estimate_json_fields(self):
         cfg = rq.QpeConfig(6, shots=100, rng_seed=9)
         u = np.array([[np.exp(0.5j)]])
-        est = rq.qpe_estimate(rq.eig_unitary(u), np.array([1.0]), cfg)
+        est = rq.qpe_estimate(*spectral_measure(rq.eig_unitary(u), np.array([1.0])), cfg)
         obj = estimate_to_json(est, cfg)
         assert obj == {
             "k": est.k_best,
