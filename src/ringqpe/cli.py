@@ -238,10 +238,10 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     gauge = encode_as_gauge(problem)
     # the largest |t| checks every snapshot before any is evolved, and a NaN
     # among the times makes the maximum NaN
-    ring.require_finite_phase(
-        gauge, cfg.mode_cutoff_l,
-        float(np.max(np.abs(cfg.times + (1.0,)))) * ring.RETURN_TIME)
-    peaks = ring.estimate_phase_via_ring(gauge, problem.state,
+    if cfg.times:
+        ring.require_finite_phase(gauge, cfg.mode_cutoff_l, float(
+            np.max(np.abs(cfg.times))) * ring.RETURN_TIME)
+    peaks = ring.estimate_phase_via_ring(problem.u_matrix, problem.state,
                                          cfg.mode_cutoff_l, cfg.grid_size_n)
 
     # made only once every refusal is past, so a refused run leaves nothing
@@ -318,9 +318,8 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
     # built before the ring runs, so a bad t_bits is refused first
     qpe_cfg = qpe.QpeConfig(cfg.t_bits, shots=cfg.shots, rng_seed=cfg.seed)
 
-    gauge = encode_as_gauge(problem)
     peaks = ring.estimate_phase_via_ring(
-        gauge, problem.state, cfg.mode_cutoff_l, cfg.grid_size_n
+        problem.u_matrix, problem.state, cfg.mode_cutoff_l, cfg.grid_size_n
     )
     if not len(peaks):
         raise PreconditionError("ring read-out found no relocalization peak")

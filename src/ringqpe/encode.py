@@ -1,14 +1,16 @@
-"""Problems carry their spectrum; encode it as a ring gauge potential.
+"""Problems carry their unitary and its spectrum; encode it as a gauge field.
 
 An energy problem (H, E_R) is carried by the unitary U = exp(i H / E_R):
-the eigenstate with energy E shows up as the eigenphase E / E_R. Each
-problem decomposes its matrix once, on construction, into
+the eigenstate with energy E shows up as the eigenphase E / E_R. Both kinds
+expose U as `u_matrix`, which the ring's read-out takes as it is; an energy
+problem forms it from H on first read, with linalg.unitary_exp. Each
+problem also decomposes its matrix once, on construction, into
 `spectrum = EigenDecomposition(theta, V)`: U's eigenphases on (-pi, pi] and
 an orthonormal eigenbasis. It keeps beside it `weights = |V^dagger state|^2`,
-the Born weights of its state. The register's read-out is evaluated from
-theta and those weights, and encode_as_gauge forms from the spectrum, once,
-the Hermitian gauge potential whose ring read-out reproduces the same
-phases, on the ring's natural units hbar = q = r = m_q = 1,
+the Born weights of its state. The register's read-out and compare's direct
+route are evaluated from theta and those weights, and encode_as_gauge forms
+from the spectrum, once, the Hermitian gauge potential in which ring-sim
+evolves its snapshots, on the ring's natural units hbar = q = r = m_q = 1,
 
     A_phi = -(1 / (2 pi * VELOCITY_FACTOR)) * V diag(theta) V^dagger.
 
@@ -20,6 +22,7 @@ that raises a PhaseAliasingWarning on construction instead of failing.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -39,6 +42,7 @@ from .linalg import (
     require_hermitian,
     require_state,
     require_unitary,
+    unitary_exp,
 )
 
 if TYPE_CHECKING:
@@ -94,6 +98,12 @@ class EnergyProblem:
                 stacklevel=3,
             )
         _set_spectrum(self, EigenDecomposition(wrap_to_signed(w), v))
+
+    @functools.cached_property
+    def u_matrix(self) -> np.ndarray:
+        """U = exp(i H / E_R) from H, on first read: the ring reads it, the
+        register never does."""
+        return unitary_exp(self.hamiltonian, 1.0 / self.E_R)
 
 
 @dataclass(frozen=True, eq=False)

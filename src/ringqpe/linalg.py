@@ -4,9 +4,9 @@ All operations are pure functions on ndarrays. eig_hermitian and
 eig_unitary are the only places a spectrum is computed; a problem calls one
 of them once, and the register and encode_as_gauge read the result.
 expm_dense is scaling-and-squaring with a Pade core and never diagonalizes;
-the ring's block route takes two n x n exponentials from it, and bench
-times it on the full (2l+1)n matrix as the brute-force cost baseline, so
-keep it free of spectral shortcuts.
+unitary_exp holds it on the unitary group for an energy problem's U and
+the ring's snapshots, and bench times it on the full (2l+1)n matrix as the
+brute-force cost baseline, so keep it free of spectral shortcuts.
 
 Matrices cross module and file boundaries as JSON objects
 {"rows": r, "cols": c, "re": [...], "im": [...]} with row-major flattening.
@@ -257,6 +257,29 @@ def expm_dense(m, t: float) -> np.ndarray:
         r = r @ r
         opcount.add(dim ** 3)
     return r
+
+
+def hold_unitary(x: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step X (3 I - X^dagger X) / 2, which takes a
+    unitarity defect d of X to about d^2: powers of X then keep the norm."""
+    opcount.add(2 * len(x) ** 3)
+    return x @ (1.5 * np.eye(len(x)) - 0.5 * (x.conj().T @ x))
+
+
+def unitary_exp(a: np.ndarray, t: float) -> np.ndarray:
+    """exp(i t A) of a Hermitian A, held on the unitary group at any finite
+    t ||A||_1: Pade at t / 2^s with ||t A||_1 / 2^s <= 1, then s squarings,
+    each followed by hold_unitary, since bare ones leave the group by 2^s eps."""
+    with np.errstate(over="ignore"):
+        reach = abs(t) * float(np.linalg.norm(a, 1))
+    if not math.isfinite(reach):
+        raise PreconditionError(f"exp(i t A) has no finite phase at t = {t!r}")
+    s = max(0, math.ceil(math.log2(max(1.0, reach))))
+    x = expm_dense(a, math.ldexp(-t, -s))
+    for _ in range(s):
+        x = hold_unitary(x @ x)
+        opcount.add(len(a) ** 3)
+    return x
 
 
 @functools.cache

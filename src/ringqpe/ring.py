@@ -17,11 +17,9 @@ one per mode. Each is a polynomial in A_phi, which commutes with m I, so
 
 The packet localized at phi = 0 holds one color c in every mode, and its
 mode m evolves to e^{-i t m^2 / 2} W^m G c / sqrt(2l+1): a recurrence on
-powers of W, the time-series view of phase estimation (Somma, New J.
-Phys. 21, 123025 (2019)), with nothing diagonalized. At the return time
-t_R = 4 pi the free phase -2 pi m^2 is a multiple of 2 pi for every mode,
-so the packet relocalizes, and an eigencolor of A_phi with eigenvalue lam
-reappears at
+powers of W, with nothing diagonalized. At the return time t_R = 4 pi the
+free phase -2 pi m^2 is a multiple of 2 pi for every mode, so the packet
+relocalizes, and an eigencolor of A_phi with eigenvalue lam reappears at
 
     phi = -VELOCITY_FACTOR * 2 pi lam   (mod 2 pi),
 
@@ -29,6 +27,12 @@ which is the eigenphase read-out. The factor of two is kinematic: by t_R
 each mode has classically completed two laps, so the accumulated holonomy
 angle is twice the single-lap one, and encoders divide by VELOCITY_FACTOR
 to compensate.
+
+There the ring sees only its holonomy (Aharonov-Bohm): W is U^dagger for
+the U the field encodes, and G commutes with W and drops out of the
+color-summed density. So the read-out takes U itself, the rows
+U^(-m) c / sqrt(2l+1) of the time-series view of phase estimation (Somma,
+New J. Phys. 21, 123025 (2019)), with no field, exponential or eigensolver.
 
 A run records where the particle is on the ring, never its color, so
 position_density gives |psi|^2 summed over the colors: the one distribution
@@ -51,11 +55,14 @@ from .errors import PreconditionError, ResolutionError, ResourceLimitError
 from .linalg import (
     BYTES_GUARD,
     expm_dense,
+    hold_unitary,
     readonly,
     require_hermitian,
     require_state,
     require_unit_norm,
     require_unit_vector,
+    require_unitary,
+    unitary_exp,
     write_csv_rows,
 )
 
@@ -252,42 +259,37 @@ def require_finite_phase(gauge: GaugeField, mode_cutoff_l: int, t: float) -> Non
         raise PreconditionError(f"phase E t is not finite at t = {t!r}")
 
 
-def _unitary_exp(a: np.ndarray, t: float) -> np.ndarray:
-    """exp(i t A) of a Hermitian A, held on the unitary group at any t: Pade
-    at t / 2^s with ||t A||_1 / 2^s <= 1, then s squarings, each followed by
-    a Newton-Schulz step X (3 I - X^dagger X) / 2, since bare squarings
-    leave the group by 2^s eps, which 2l powers would carry into the norm."""
-    s = max(0, math.ceil(math.log2(max(1.0, abs(t) * np.linalg.norm(a, 1)))))
-    x, eye = expm_dense(a, math.ldexp(-t, -s)), np.eye(len(a))
-    for _ in range(s):
-        x = x @ x
-        x = x @ (1.5 * eye - 0.5 * (x.conj().T @ x))
-    opcount.add(3 * s * len(a) ** 3)
-    return x
+def _mode_rows(w: np.ndarray, first: np.ndarray, mode_cutoff_l: int) -> np.ndarray:
+    """Rows m = -l..l of W^m first, each from its neighbor by one product
+    with W or W^dagger."""
+    l = mode_cutoff_l
+    # on row vectors W x is x W^T, and W^dagger x is x conj(W)
+    up, down = np.ascontiguousarray(w.T), w.conj()
+    rows = np.empty((2 * l + 1, len(first)), dtype=np.complex128)
+    rows[l] = first
+    for m in range(1, l + 1):
+        np.dot(rows[l + m - 1], up, out=rows[l + m])
+        np.dot(rows[l - m + 1], down, out=rows[l - m])
+    opcount.add(2 * l * len(first) ** 2)
+    return rows
 
 
 def evolve_block(gauge: GaugeField, color, mode_cutoff_l: int,
                  t: float) -> RingState:
     """Evolve the packet localized at phi = 0 with color `color` for time t.
 
-    Row m = 0 is G c / sqrt(2l+1), each row above or below follows from its
-    neighbor by one product with W or W^dagger, and each takes its free
-    phase e^{-i t m^2 / 2} (module docstring): two n x n exponentials and
-    2l matrix-vector products, the route the dense one is timed against.
+    Row m = 0 is G c / sqrt(2l+1), the rows above and below are _mode_rows
+    of W, and each takes its free phase e^{-i t m^2 / 2} (module
+    docstring): two n x n exponentials and 2l matrix-vector products, the
+    route the dense one is timed against.
     """
     require_finite_phase(gauge, mode_cutoff_l, t)
     c = require_state(color, gauge.n_colors, "color", "gauge field")
-    l, a, n = mode_cutoff_l, gauge.a_phi, gauge.n_colors
-    w, g = _unitary_exp(a, t), _unitary_exp(a @ a, -t / 2.0)
-    # on row vectors W x is x W^T, and W^dagger x is x conj(W)
-    up, down = np.ascontiguousarray(w.T), w.conj()
-    rows = np.empty((2 * l + 1, n), dtype=np.complex128)
-    rows[l] = g @ c / math.sqrt(2 * l + 1)
-    for m in range(1, l + 1):
-        np.dot(rows[l + m - 1], up, out=rows[l + m])
-        np.dot(rows[l - m + 1], down, out=rows[l - m])
+    l, a = mode_cutoff_l, gauge.a_phi
+    w, g = unitary_exp(a, t), unitary_exp(a @ a, -t / 2.0)
+    rows = _mode_rows(w, g @ c / math.sqrt(2 * l + 1), l)
     rows *= np.exp(-1j * (t * (np.arange(-l, l + 1) ** 2 / 2.0)))[:, None]
-    opcount.add(n ** 3 + (2 * l + 1) * n * n)
+    opcount.add(len(a) ** 3 + len(a) ** 2)
     # read-only and owned, so RingState keeps it without a copy; unitary per
     # mode: renormalization would only mask a bug
     rows.setflags(write=False)
@@ -384,13 +386,12 @@ def extract_peaks(density: PositionDensity, mode_cutoff_l: int,
     weights. The SVD runs on R from one QR of the Hankel matrix, and the
     weights come from one least-squares solve on the (2l+1) x order
     Vandermonde matrix of the poles; both fit the ring guard's budget. The
-    cut is the moments' rounding: evolve_block rounds each free phase
-    t m^2 / 2 once, about 2 pi l^2 eps rad at the top mode at t_R, of order
-    (2l+1)^2 eps, which dominates its 2l products with W (about 2l eps), so
-    the cut stands. Poles closer than a quarter lobe
-    2 pi/(2l+1) are one component, of their summed weight at the weighted
-    circular mean. The moments alias unless N >= 4l+1, so a coarser grid
-    is refused.
+    cut sits above the moments' rounding: the read-out's, against
+    <c|U^q|c> on random unitaries, is 1.3 to 1.6 times 2l eps (7.3e-13 at
+    l = 1000, n = 32), and evolve_block's at t_R, which rounds each free
+    phase t m^2 / 2 once, is of order (2l+1)^2 eps. merge_components then
+    joins poles within a quarter lobe. The moments alias unless N >= 4l+1,
+    so a coarser grid is refused.
     """
     l = mode_cutoff_l
     _require_read_out_grid(l, density.grid_size_N)
@@ -411,20 +412,35 @@ def extract_peaks(density: PositionDensity, mode_cutoff_l: int,
     vandermonde = np.exp(1j * np.outer(q, phases))
     weights = np.linalg.lstsq(vandermonde, y, rcond=None)[0].real
 
-    tolerance = _MERGE_LOBES * TWO_PI / count
-    clusters = []  # [phase of its heaviest pole, weight, sum of w e^{i phi}]
-    for w, phi in sorted(zip(weights, phases), reverse=True):
-        home = next((c for c in clusters
-                     if abs(wrap_to_signed(phi - c[0])) < tolerance), None)
-        if home is None:
-            home = [phi, 0.0, 0j]
-            clusters.append(home)
-        home[1] += w
-        home[2] += w * np.exp(1j * phi)
-    peaks = [Peak(wrap_to_unit(np.angle(z)), float(w))
-             for _, w, z in clusters if w > _WEIGHT_FLOOR]
+    return PeakSet(tuple(merge_components(phases, weights, l)),
+                   TWO_PI / density.grid_size_N)
+
+
+def merge_components(phases, weights, mode_cutoff_l: int) -> list:
+    """Peaks of (phase, weight) components, by descending weight, then phase.
+
+    Heaviest first, each joins the first group whose heaviest member is
+    within a quarter lobe 2 pi/(2l+1), or starts one; a group is its summed
+    weight at its weighted circular mean, or at its one member's phase bit
+    for bit. Groups at or below the weight floor are dropped.
+    """
+    tolerance = _MERGE_LOBES * TWO_PI / (2 * mode_cutoff_l + 1)
+    groups = []  # lists of (weight, phase), heaviest first
+    for member in sorted(zip(weights, phases), reverse=True):
+        home = next((g for g in groups
+                     if abs(wrap_to_signed(member[1] - g[0][1])) < tolerance), [])
+        if not home:
+            groups.append(home)
+        home.append(member)
+    peaks = []
+    for group in groups:
+        weight = sum(w for w, _ in group)
+        if weight > _WEIGHT_FLOOR:
+            phi = group[0][1] if len(group) == 1 else np.angle(
+                sum(w * np.exp(1j * phi) for w, phi in group))
+            peaks.append(Peak(wrap_to_unit(phi), float(weight)))
     peaks.sort(key=lambda p: (-p.weight, p.phi))
-    return PeakSet(tuple(peaks), TWO_PI / density.grid_size_N)
+    return peaks
 
 
 def _require_read_out_grid(mode_cutoff_l: int, grid_size_N: int) -> None:
@@ -435,20 +451,28 @@ def _require_read_out_grid(mode_cutoff_l: int, grid_size_N: int) -> None:
         )
 
 
-def estimate_phase_via_ring(gauge: GaugeField, color, mode_cutoff_l: int,
+def estimate_phase_via_ring(u_matrix, color, mode_cutoff_l: int,
                             grid_size_N: int) -> PeakSet:
-    """Full read-out: localize, evolve for t_R, read the peaks; the one
-    read-out both ring-sim and compare run.
+    """Read U's eigenphases as the state `color` sees them off the density
+    at t_R, that of the rows U^(-m) c / sqrt(2l+1) (module docstring); the
+    one read-out both ring-sim and compare run.
 
-    Both grid rules are checked before anything evolves, the read-out's
-    N >= 4l+1 first, since it implies N >= 2l+1, and the evolved state is
-    freed once its density exists.
+    U passes require_unitary and one hold_unitary step, since a defect the
+    check admits would grow over l powers. Both grid rules are checked
+    before any row is made, the read-out's N >= 4l+1 first, since it
+    implies N >= 2l+1, and the rows are freed once their density exists.
     """
-    _require_read_out_grid(mode_cutoff_l, grid_size_N)
-    require_ring_grid(mode_cutoff_l, gauge.n_colors, grid_size_N)
-    density = position_density(
-        evolve_block(gauge, color, mode_cutoff_l, RETURN_TIME), grid_size_N)
-    return extract_peaks(density, mode_cutoff_l, gauge.n_colors)
+    l = mode_cutoff_l
+    _require_read_out_grid(l, grid_size_N)
+    u = require_unitary(u_matrix)
+    require_ring_grid(l, len(u), grid_size_N)
+    c = require_state(color, len(u), "color", "unitary")
+    rows = _mode_rows(hold_unitary(u).conj().T, c / math.sqrt(2 * l + 1), l)
+    # read-only and owned, so RingState keeps it without a copy
+    rows.setflags(write=False)
+    density = position_density(RingState(rows), grid_size_N)
+    del rows
+    return extract_peaks(density, l, len(u))
 
 
 def write_density_csv(density: PositionDensity, path) -> None:

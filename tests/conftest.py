@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ringqpe as rq
 
@@ -37,6 +38,13 @@ def eigenbasis_evolve(a_phi, color, mode_cutoff_l, t):
     modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
     phases = np.exp(-1j * ((modes[:, None] - lam) ** 2 / 2.0 * t))
     return (phases * (packet @ v.conj())) @ v.T
+
+
+def holonomy(gauge):
+    """The U whose ring read-out a gauge field gives: exp(-i t_R A_phi),
+    since W = exp(i t_R A_phi) is U^dagger at t_R. scipy's expm is the
+    oracle, so no ringqpe exponential forms it."""
+    return scipy.linalg.expm(-1j * rq.RETURN_TIME * gauge.a_phi)
 
 
 def forbid_spectra(monkeypatch, problem):

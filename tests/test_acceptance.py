@@ -79,8 +79,7 @@ def test_a2_superposition_weights_match_born_rule(tmp_path, capsys):
         problem = rq.load_problem(
             os.path.join(PROBLEM_DIR, "sigma_z_superposition.json")
         )
-        gauge = rq.encode_as_gauge(problem)
-        peaks = rq.estimate_phase_via_ring(gauge, problem.state, 50, 512)
+        peaks = rq.estimate_phase_via_ring(problem.u_matrix, problem.state, 50, 512)
         assert len(peaks) == 2, f"expected exactly 2 peaks, got {len(peaks)}"
         first, second = peaks.peaks
         assert abs(first.weight - 0.8) <= 0.02, f"weight {first.weight} vs 0.8"

@@ -14,6 +14,7 @@ import pytest
 
 import ringqpe as rq
 import ringqpe.cli as cli
+import ringqpe.encode as encode_module
 import ringqpe.qpe as qpe_module
 import ringqpe.ring as ring_module
 from ringqpe.cli import main
@@ -362,20 +363,30 @@ class TestRingSim:
         out = tmp_path / "out"
         argv = ["ring-sim", "--problem", str(sigma_x_file), "--out-dir", str(out)]
         assert main(argv + (["--times", times] if times else [])) == 0
-        # the read-out evolves to t_R once, and every snapshot time once
-        # more, a repeated one too; each repeat writes the same bytes
+        # the read-out takes one density at t_R, from U without evolving,
+        # and every snapshot time is evolved once, a repeated one too; each
+        # repeat writes the same bytes
         fractions = (times or "0,0.5,1").split(",")
         runs = 1 + len(fractions)
-        assert calls == {"evolve_block": runs, "position_density": runs}
+        assert calls == {"evolve_block": runs - 1, "position_density": runs}
         for i, fraction in enumerate(fractions):
             first = fractions.index(fraction)
             assert ((out / f"density_{i:02d}.csv").read_bytes()
                     == (out / f"density_{first:02d}.csv").read_bytes())
 
-        gauge = rq.encode_as_gauge(sigma_x_problem)
-        library = rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 512)
+        library = rq.estimate_phase_via_ring(sigma_x_problem.u_matrix,
+                                             sigma_x_problem.state, 50, 512)
         peaks = json.loads((out / "peaks.json").read_text())
         assert peaks == ring_module.peak_set_to_json(library)
+
+    def test_no_snapshot_times_still_reads_the_peaks(self, tmp_path, sigma_x_file):
+        # the up-front phase check covers the snapshot times alone, and with
+        # none there is no largest time to check
+        out = tmp_path / "out"
+        assert main(["ring-sim", "--problem", str(sigma_x_file), "--out-dir",
+                     str(out), "--times", ""]) == 0
+        assert sorted(os.listdir(out)) == ["peaks.json", "summary.txt"]
+        assert abs(read_summary_value(out, "energy = E_R * phase") + 2.0) < 1e-6
 
     def test_grid_too_coarse_for_cutoff(self, tmp_path, sigma_x_file, capsys):
         code = main(["ring-sim", "--problem", str(sigma_x_file),
@@ -413,6 +424,15 @@ class TestRingSim:
 
 
 class TestQpe:
+    def test_never_forms_u(self, tmp_path, sigma_x_file, monkeypatch):
+        # the register reads the spectrum; exp(i H / E_R) is the ring's
+        def forbidden(*args, **kwargs):
+            raise AssertionError("formed U for the register")
+
+        monkeypatch.setattr(encode_module, "unitary_exp", forbidden)
+        assert main(["qpe", "--problem", str(sigma_x_file),
+                     "--out-dir", str(tmp_path)]) == 0
+
     def test_exact_estimate(self, tmp_path, sigma_x_file):
         out = tmp_path / "out"
         code = main(["qpe", "--problem", str(sigma_x_file),
@@ -577,6 +597,30 @@ class TestCompare:
         assert main(["compare", "--problem", str(path), "--out-dir", str(out)]) == 0
         phi_eig = json.loads((out / "compare.json").read_text())["phi_eig"]
         assert 0.0 <= phi_eig < 1e-12
+
+    @pytest.mark.parametrize("name", ["sigma_x_ground_state", "diag_quarter_turn"])
+    def test_eigensolver_error_is_caught_by_the_ring(
+            self, tmp_path, monkeypatch, capsys, name):
+        # the ring reads U itself, so eigenphases 0.05 off, more than twice
+        # the bound, set it apart from the register and the direct route;
+        # when the ring read the spectrum too, all three moved together and
+        # compare exited 0
+        def shifted(solve):
+            def run(matrix):
+                theta, v = solve(matrix)
+                return rq.EigenDecomposition(theta + 0.05, v)
+            return run
+
+        for fn in ("eig_hermitian", "eig_unitary"):
+            monkeypatch.setattr(encode_module, fn, shifted(getattr(encode_module, fn)))
+        out = tmp_path / "out"
+        code = main(["compare", "--problem", os.path.join(PROBLEM_DIR, f"{name}.json"),
+                     "--out-dir", str(out)])
+        assert code == 3
+        report = json.loads((out / "compare.json").read_text())
+        assert report["distances"]["ring_eig"] > report["bound"]
+        assert report["distances"]["qpe_eig"] <= report["bound"]
+        assert "disagree" in capsys.readouterr().err
 
     def test_register_finer_than_grid_is_compared(self, tmp_path, sigma_x_file):
         # N >= 2^t was refused, though neither the bound nor the ring's

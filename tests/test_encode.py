@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import ringqpe as rq
+import ringqpe.linalg as linalg_module
 from ringqpe.encode import vector_from_json, vector_to_json
 
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_state, random_unitary
@@ -66,6 +67,21 @@ class TestEnergyProblem:
         theta, v = rq.EnergyProblem(h, 0.1, np.array([1.0, 0.0])).spectrum
         want = np.linalg.eigvalsh(h) / 0.1
         assert np.max(np.abs(np.sort(theta) - want)) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::ringqpe.PhaseAliasingWarning")
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 1e6])
+    def test_u_matrix_is_exp_ih_on_the_unitary_group(self, scale):
+        # U = exp(i H / E_R) from H, not from the spectrum: the two agree to
+        # the phase rounding ||H / E_R|| eps, and U stays on the group
+        rng = np.random.default_rng(1150)
+        h = random_hermitian(rng, 3, scale=scale)
+        problem = rq.EnergyProblem(h, 0.5, random_state(rng, 3))
+        theta, v = problem.spectrum
+        recon = (v * np.exp(1j * theta)) @ v.conj().T
+        norm = np.linalg.norm(h / 0.5, 1)
+        assert np.max(np.abs(problem.u_matrix - recon)) < 1e-13 * max(1.0, norm)
+        assert linalg_module.unitarity_defect(problem.u_matrix) < 1e-14
+        assert problem.u_matrix is problem.u_matrix  # formed once
 
     def test_state_is_kept_as_state(self, sigma_z_problem):
         assert np.array_equal(sigma_z_problem.state, [np.sqrt(0.8), np.sqrt(0.2)])

@@ -19,10 +19,12 @@ from ringqpe import (
     matrix_to_json,
 )
 from ringqpe.linalg import (
+    hold_unitary,
     require_unit_norm,
     require_unit_vector,
     require_unitary,
     unitarity_defect,
+    unitary_exp,
 )
 
 from conftest import SIGMA_X, random_hermitian, random_unitary
@@ -167,6 +169,42 @@ class TestUnitaryFromHermitian:
         lhs = expm_dense(a, -s1) @ expm_dense(a, -s2)
         rhs = expm_dense(a, -(s1 + s2))
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+class TestUnitaryExp:
+    """exp(i t A) held on the unitary group, against scipy's expm."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, -3.0, 1e3, 1e6])
+    def test_matches_expm_and_stays_unitary(self, t):
+        rng = np.random.default_rng(61)
+        a = random_hermitian(rng, 4)
+        u = unitary_exp(a, t)
+        # the phase carries about t ||A|| eps of rounding, which no scheme
+        # removes; the group is kept to rounding at any t
+        want = scipy.linalg.expm(1j * t * a)
+        assert np.max(np.abs(u - want)) < 1e-13 * max(1.0, t * np.linalg.norm(a, 1))
+        assert unitarity_defect(u) < 1e-14
+
+    def test_bare_squaring_leaves_the_group_where_it_does_not(self):
+        # at ||t A|| = 1e8 expm_dense's bare squarings leave the group by
+        # 2.3e-9, past require_unitary's 1e-10, so an energy problem's U
+        # could not be read as given
+        rng = np.random.default_rng(62)
+        a = random_hermitian(rng, 4)
+        t = 1e8 / np.linalg.norm(a, 1)
+        assert unitarity_defect(expm_dense(a, -t)) > 1e-10
+        require_unitary(unitary_exp(a, t))
+
+    def test_refuses_a_phase_that_is_not_finite(self):
+        with pytest.raises(PreconditionError, match="no finite phase"):
+            unitary_exp(np.full((2, 2), 1e308), 1.0)
+        with pytest.raises(PreconditionError, match="no finite phase"):
+            unitary_exp(SIGMA_X, np.inf)
+
+    def test_hold_step_squares_the_defect(self):
+        u = random_unitary(np.random.default_rng(63), 5) * (1.0 + 4.9e-11)
+        assert unitarity_defect(u) > 9.7e-11
+        assert unitarity_defect(hold_unitary(u)) < 1e-15
 
 
 class TestExpmDense:

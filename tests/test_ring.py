@@ -21,6 +21,7 @@ from conftest import (
     SIGMA_Z,
     eigenbasis_evolve,
     forbid_spectra,
+    holonomy,
     random_hermitian,
     random_state,
     random_unitary,
@@ -464,7 +465,7 @@ class TestPositionDensity:
         # 2.8 GiB, though the grid, N = 4l+1 as the read-out needs, is by
         # itself well inside the guard
         rng = np.random.default_rng(14)
-        gauge = rq.GaugeField(random_hermitian(rng, 32))
+        u = holonomy(rq.GaugeField(random_hermitian(rng, 32)))
         color = random_state(rng, 32)
 
         def forbidden(*args, **kwargs):
@@ -473,7 +474,7 @@ class TestPositionDensity:
         for name in ("tile", "zeros", "empty"):
             monkeypatch.setattr(np, name, forbidden)
         with pytest.raises(rq.ResourceLimitError, match="guard"):
-            rq.estimate_phase_via_ring(gauge, color, 645277, 2581109)
+            rq.estimate_phase_via_ring(u, color, 645277, 2581109)
 
     @pytest.mark.parametrize("l,n,n_grid", [
         (1024, 64, 8192), (1000, 32, 65536), (20000, 4, 40001), (10, 2, 1 << 20),
@@ -589,35 +590,47 @@ class TestExtractPeaks:
         assert len(rq.extract_peaks(revival_density(10, 41, [1.0], [1.0]), 10, 1)) == 1
 
     def test_weight_sum_bounded(self, sigma_z_problem):
-        gauge = rq.encode_as_gauge(sigma_z_problem)
         peaks = rq.estimate_phase_via_ring(
-            gauge, sigma_z_problem.state, 50, 512
+            sigma_z_problem.u_matrix, sigma_z_problem.state, 50, 512
         )
         assert sum(p.weight for p in peaks) <= 1.0 + 1e-6
 
 
 class TestEstimatePhaseViaRing:
+    def test_admitted_defect_is_held_on_the_group(self):
+        # a defect of 9.8e-11 passes require_unitary; carried through 200
+        # powers it would put the rows' norm 4.9e-9 off 1, which RingState
+        # refuses, so one Newton-Schulz step holds U on the group first
+        rng = np.random.default_rng(18)
+        q = random_unitary(rng, 3)
+        theta = np.array([0.4, -1.7, 2.9])
+        u = (q * np.exp(1j * theta)) @ q.conj().T * (1.0 + 4.9e-11)
+        assert 9.7e-11 < linalg_module.unitarity_defect(u) <= 1e-10
+        peaks = rq.estimate_phase_via_ring(u, q @ np.sqrt([0.5, 0.3, 0.2]), 200, 1024)
+        for phi, weight in zip(theta, (0.5, 0.3, 0.2)):
+            nearest = min(peaks, key=lambda p: rq.circular_distance(p.phi, phi))
+            assert rq.circular_distance(nearest.phi, phi) < 1e-9
+            assert abs(nearest.weight - weight) < 1e-9
+
     def test_zero_gauge_relocalizes_at_origin(self):
         gauge = rq.GaugeField(np.zeros((2, 2), dtype=complex))
         peaks = rq.estimate_phase_via_ring(
-            gauge, np.array([1.0, 0.0]), 40, 256
+            holonomy(gauge), np.array([1.0, 0.0]), 40, 256
         )
         assert rq.circular_distance(peaks.dominant.phi, 0.0) < TWO_PI / 256
         assert peaks.dominant.weight > 0.9
 
     def test_two_level_ground_state_read_out(self, sigma_x_problem):
-        gauge = rq.encode_as_gauge(sigma_x_problem)
         peaks = rq.estimate_phase_via_ring(
-            gauge, sigma_x_problem.state, 50, 512
+            sigma_x_problem.u_matrix, sigma_x_problem.state, 50, 512
         )
         expected = TWO_PI - 2.0
         assert abs(peaks.dominant.phi - expected) < TWO_PI / 512
         assert peaks.dominant.weight > 0.9
 
     def test_superposition_weights_track_overlaps(self, sigma_z_problem):
-        gauge = rq.encode_as_gauge(sigma_z_problem)
         peaks = rq.estimate_phase_via_ring(
-            gauge, sigma_z_problem.state, 50, 512
+            sigma_z_problem.u_matrix, sigma_z_problem.state, 50, 512
         )
         assert len(peaks) == 2
         first, second = peaks.peaks
@@ -636,15 +649,13 @@ class TestEstimatePhaseViaRing:
         pick = int(rng.integers(0, n))
         color = vec[:, pick]
         l = 60
-        peaks = rq.estimate_phase_via_ring(gauge, color, l, 512)
+        peaks = rq.estimate_phase_via_ring(holonomy(gauge), color, l, 512)
         # two laps by t_R: the eigencolor lands at -2 * 2 pi lam
         predicted = rq.wrap_to_unit(-2.0 * TWO_PI * float(lam[pick]))
         assert rq.circular_distance(peaks.dominant.phi, predicted) < TWO_PI / (2 * l + 1)
         assert peaks.dominant.weight > 0.9
 
     def test_resolution_check(self, sigma_x_problem, monkeypatch):
-        gauge = rq.encode_as_gauge(sigma_x_problem)
-
         def forbidden(*args, **kwargs):
             raise AssertionError("evolved before the grid check")
 
@@ -652,10 +663,11 @@ class TestEstimatePhaseViaRing:
         # read-out's rule, which implies the modes' N >= 2l+1: a grid too
         # coarse for the modes, and one that resolves them but aliases the
         # read-out's moments
-        monkeypatch.setattr(ring_module, "evolve_block", forbidden)
+        monkeypatch.setattr(ring_module, "_mode_rows", forbidden)
         for grid_size_N in (64, 150):
             with pytest.raises(rq.ResolutionError, match="N >= 4l\\+1"):
-                rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50,
+                rq.estimate_phase_via_ring(sigma_x_problem.u_matrix,
+                                           sigma_x_problem.state, 50,
                                            grid_size_N)
 
     @pytest.mark.parametrize("l,n,n_grid", [
@@ -671,7 +683,7 @@ class TestEstimatePhaseViaRing:
         color = random_state(rng, n)
         tracemalloc.start()
         try:
-            rq.estimate_phase_via_ring(gauge, color, l, n_grid)
+            rq.estimate_phase_via_ring(holonomy(gauge), color, l, n_grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -680,21 +692,24 @@ class TestEstimatePhaseViaRing:
         assert peak <= bound
 
     @pytest.mark.filterwarnings("ignore::ringqpe.PhaseAliasingWarning")
-    @pytest.mark.parametrize("kind", ["aliased-energy", "unitary"])
-    def test_reads_the_gauge_matrix_alone(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind", ["energy", "aliased-energy", "unitary"])
+    def test_reads_u_alone(self, monkeypatch, kind):
+        # no eigensolver runs and no spectrum is read once the problem is
+        # built: the read-out shares no computation with the direct route
         color = np.array([0.6, 0.8])
         if kind == "unitary":
             theta = np.array([0.5, -2.0])
             problem = rq.UnitarySpec(np.diag(np.exp(1j * theta)), color)
         else:
             # H / E_R = diag(4, -1) wraps 4 to 4 - 2 pi
-            problem = rq.EnergyProblem(np.diag([4.0, -1.0]), 1.0, color)
-            theta = np.array([4.0 - TWO_PI, -1.0])
-        gauge = rq.encode_as_gauge(problem)
+            energies = [1.0, -2.5] if kind == "energy" else [4.0, -1.0]
+            problem = rq.EnergyProblem(np.diag(energies), 1.0, color)
+            theta = rq.wrap_to_signed(np.array(energies))
         forbid_spectra(monkeypatch, problem)
         with pytest.raises(AssertionError, match="spectrum"):
             problem.spectrum
-        peaks = rq.estimate_phase_via_ring(gauge, problem.state, 50, 512)
+        peaks = rq.estimate_phase_via_ring(problem.u_matrix, problem.state,
+                                           50, 512)
         assert len(peaks) == 2
         for phi, weight in zip(theta, (0.36, 0.64)):
             nearest = min(peaks, key=lambda p: rq.circular_distance(p.phi, phi))
