@@ -69,7 +69,11 @@ class EigenDecomposition(NamedTuple):
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array."""
-    a = np.asarray(m, dtype=np.complex128)
+    try:
+        a = np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(
+            f"cannot read {type(m).__name__} as a complex matrix: {exc}") from exc
     if a.ndim != 2:
         raise PreconditionError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
@@ -111,7 +115,11 @@ def require_unit_norm(a: np.ndarray, what: str) -> None:
 
 def require_unit_vector(v, what: str) -> np.ndarray:
     """Coerce to a finite 1-D complex128 vector of unit norm within UNIT_NORM_TOL."""
-    arr = np.asarray(v, dtype=np.complex128)
+    try:
+        arr = np.asarray(v, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(
+            f"cannot read {type(v).__name__} as a {what} vector: {exc}") from exc
     if arr.ndim != 1 or arr.size < 1:
         raise PreconditionError(f"{what} must be a 1-D vector")
     if not np.all(np.isfinite(arr)):

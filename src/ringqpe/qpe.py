@@ -197,13 +197,23 @@ def qpe_estimate(theta, weights, cfg: QpeConfig) -> QpeEstimate:
     Ties in the distribution break toward the smallest k, which makes the
     estimate deterministic in both exact and sampled modes.
     """
-    theta, weights = np.asarray(theta), np.asarray(weights)
-    if theta.ndim != 1 or not np.isrealobj(theta) or not np.all(np.isfinite(theta)):
+    arrays = []
+    for what, values in (("eigenphases", theta), ("weights", weights)):
+        try:
+            arrays.append(np.asarray(values))
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(
+                f"cannot read {type(values).__name__} as {what}: {exc}") from exc
+    theta, weights = arrays
+    # a kind other than bool, integer or float is complex, object or text
+    if (theta.ndim != 1 or theta.dtype.kind not in "biuf"
+            or not np.all(np.isfinite(theta))):
         raise PreconditionError("eigenphases must be a 1-D array of finite reals")
     if weights.shape != theta.shape:
         raise PreconditionError(
             f"{weights.shape} weights do not match {theta.shape} eigenphases")
-    if not np.isrealobj(weights) or not np.all(np.isfinite(weights) & (weights >= 0)):
+    if (weights.dtype.kind not in "biuf"
+            or not np.all(np.isfinite(weights) & (weights >= 0))):
         raise PreconditionError("weights must be finite reals >= 0")
     t_bits, n = cfg.t_bits, theta.size
     # the 2^t * n kernel evaluations are bounded at the bytes a (2^t, n)

@@ -19,6 +19,7 @@ from ringqpe import (
     matrix_to_json,
 )
 from ringqpe.linalg import (
+    as_matrix,
     hold_unitary,
     require_unit_norm,
     require_unit_vector,
@@ -313,6 +314,20 @@ class TestRequireUnitNorm:
         amps[2, 1] = bad
         with pytest.raises(PreconditionError, match="register norm"):
             require_unit_norm(amps, "register")
+
+
+@pytest.mark.parametrize("bad,name", [
+    ([[1.0, 2.0], [3.0]], "list"), ({"rows": 2}, "dict"), ("ab", "str"),
+], ids=["ragged", "mapping", "text"])
+def test_as_matrix_names_what_it_cannot_read(bad, name):
+    # numpy's own TypeError or ValueError came through bare
+    with pytest.raises(PreconditionError, match=f"cannot read {name} as a complex matrix"):
+        as_matrix(bad)
+
+
+def test_require_unit_vector_names_what_it_cannot_read():
+    with pytest.raises(PreconditionError, match="cannot read list as a probe vector"):
+        require_unit_vector([[1.0], [0.0, 1.0]], "probe")
 
 
 def test_require_unitary_accepts_rotation():

@@ -201,6 +201,19 @@ class TestControlledStage:
         k_true = (phases[0] % TWO_PI) * (1 << t) / TWO_PI
         assert abs(est.k_best - k_true) <= 1.0
 
+    def test_names_inputs_it_cannot_read(self, sigma_x_problem):
+        # the spectrum tuple in place of its eigenphases, and weights numpy
+        # reads as objects, came through as a bare ValueError and TypeError
+        with pytest.raises(rq.PreconditionError,
+                           match="cannot read EigenDecomposition as eigenphases"):
+            rq.qpe_estimate(sigma_x_problem.spectrum, sigma_x_problem.weights,
+                            rq.QpeConfig(3))
+        with pytest.raises(rq.PreconditionError, match="weights must be finite reals"):
+            rq.qpe_estimate(np.zeros(2), np.array([None, 1.0]), rq.QpeConfig(3))
+        with pytest.raises(rq.PreconditionError, match="eigenphases must be"):
+            rq.qpe_estimate(np.array(["0", "1"]), np.array([1.0, 0.0]),
+                            rq.QpeConfig(3))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(rq.PreconditionError, match="do not match"):
             rq.qpe_estimate(np.zeros(3), np.array([1.0, 0.0]), rq.QpeConfig(2))

@@ -612,6 +612,11 @@ class TestEstimatePhaseViaRing:
             assert rq.circular_distance(nearest.phi, phi) < 1e-9
             assert abs(nearest.weight - weight) < 1e-9
 
+    def test_refuses_a_gauge_field_in_place_of_u(self, sigma_x_problem):
+        gauge = rq.encode_as_gauge(sigma_x_problem)
+        with pytest.raises(rq.PreconditionError, match="cannot read GaugeField"):
+            rq.estimate_phase_via_ring(gauge, sigma_x_problem.state, 50, 512)
+
     def test_zero_gauge_relocalizes_at_origin(self):
         gauge = rq.GaugeField(np.zeros((2, 2), dtype=complex))
         peaks = rq.estimate_phase_via_ring(
