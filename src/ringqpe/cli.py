@@ -28,7 +28,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .angles import TWO_PI, circular_distance, wrap_to_signed, wrap_to_unit
+from .angles import TWO_PI, circular_distance, wrap_to_signed
 from .encode import EnergyProblem, encode_as_gauge, load_problem, read_json
 from .errors import (
     PreconditionError,
@@ -330,8 +330,10 @@ def cmd_compare(cfg: argparse.Namespace) -> int:
     estimate = qpe.qpe_estimate(theta, problem.weights, qpe_cfg)
     phi_ring = peaks.dominant.phi
     phi_qpe = estimate.phi_estimate
-    # the eigenphase of largest Born weight |<v_k|c>|^2, lowest k on a tie
-    phi_eig = wrap_to_unit(theta[np.argmax(problem.weights)])
+    # the heaviest cluster of eigenphases, merged as the ring merges its
+    # poles: an eigenvalue's weight may be split over several eigenvectors
+    phi_eig = ring.merge_components(theta, problem.weights,
+                                    cfg.mode_cutoff_l)[0].phi
 
     bound = TWO_PI / (1 << cfg.t_bits) + TWO_PI / (2 * cfg.mode_cutoff_l + 1)
     distances = {

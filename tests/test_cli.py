@@ -598,6 +598,70 @@ class TestCompare:
         phi_eig = json.loads((out / "compare.json").read_text())["phi_eig"]
         assert 0.0 <= phi_eig < 1e-12
 
+    @pytest.mark.parametrize("step", [0.0, 1e-6], ids=["degenerate", "spread"])
+    def test_eigenvalue_split_over_eigenvectors_reads_as_one(self, tmp_path, step):
+        # H = diag(1 x 10, -1) with 0.0905 on each of the ten and 0.095 on
+        # -1: phi_eig took the heaviest eigenvector, -1, where both routes
+        # see the ten as one eigenvalue of weight 0.905, and compare exited 3
+        energies = np.append(1.0 + step * np.arange(10), -1.0)
+        v = random_unitary(np.random.default_rng(31), 11) if step else np.eye(11)
+        h = (v * energies) @ v.conj().T
+        state = v @ np.sqrt(np.append(np.full(10, 0.0905), 0.095))
+        path = write_problem(tmp_path, rq.EnergyProblem(h, 1.0, state), "split.json")
+        out = tmp_path / "out"
+        assert main(["compare", "--problem", str(path), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "compare.json").read_text())
+        # the ten's weighted circular mean, to O(step^3)
+        assert abs(report["phi_eig"] - (1.0 + 4.5 * step)) < 1e-12
+        assert report["distances"]["ring_eig"] < 1e-9
+
+    def test_degenerate_pair_outweighs_a_heavier_eigenvector(self, tmp_path):
+        # 0.3 + 0.3 on the doubly degenerate 1 outweigh 0.4 on -1; the
+        # secondary ring peak still makes this ambiguous
+        state = np.sqrt([0.3, 0.3, 0.4])
+        problem = rq.EnergyProblem(np.diag([1.0, 1.0, -1.0]), 1.0, state)
+        out = tmp_path / "out"
+        assert main(["compare", "--problem", str(write_problem(tmp_path, problem)),
+                     "--out-dir", str(out)]) == 4
+        report = json.loads((out / "compare.json").read_text())
+        assert abs(report["phi_eig"] - 1.0) < 1e-12
+        assert report["distances"]["ring_eig"] < 1e-9
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_planted_cluster_reads_as_the_ring_reads_it(self, tmp_path, seed):
+        # 2-10 eigenvalues spread by 1e-12 to a quarter lobe of compare's
+        # l = 200, in a random basis, beside a lone eigenvalue heavier than
+        # each of them but lighter than their sum. Over 300 seeds the ring
+        # and the direct route agreed within 7.6e-8 rad, 1/3000 of a lobe:
+        # the pencil's poles for a cluster spread near a quarter lobe only
+        # approximate its members, and their weighted mean absorbs most of
+        # that. Reading the heaviest eigenvector put phi_eig on the lone
+        # eigenvalue, up to 3.1 rad off
+        rng = np.random.default_rng([13, seed])
+        k = int(rng.integers(2, 11))
+        lobe = TWO_PI / 401
+        spread = 10 ** rng.uniform(-12, math.log10(0.2499 * lobe))
+        centre = rng.uniform(-np.pi, np.pi)
+        cluster = centre + np.sort(rng.uniform(0, spread, k))
+        phases = np.append(cluster, [centre + rng.uniform(1, np.pi), centre - 1.0])
+        members = rng.dirichlet(np.ones(k))
+        low = members.max() / (1 + members.max())
+        lone = low + (0.5 - low) * rng.uniform(0.1, 0.9)
+        weights = np.append(members * (1 - lone), [lone, 0.0])
+        v = random_unitary(rng, k + 2)
+        state = v @ np.sqrt(weights)
+        if seed % 2:
+            problem = rq.UnitarySpec((v * np.exp(1j * phases)) @ v.conj().T, state)
+        else:
+            h = (v * rq.wrap_to_signed(phases)) @ v.conj().T
+            problem = rq.EnergyProblem(h, 1.0, state)
+        out = tmp_path / "out"
+        # 4: the lone eigenvalue is a secondary ring peak above 0.1
+        assert main(["compare", "--problem", str(write_problem(tmp_path, problem)),
+                     "--out-dir", str(out)]) == 4
+        report = json.loads((out / "compare.json").read_text())
+        assert report["distances"]["ring_eig"] < 1e-6
+
     @pytest.mark.parametrize("name", ["sigma_x_ground_state", "diag_quarter_turn"])
     def test_eigensolver_error_is_caught_by_the_ring(
             self, tmp_path, monkeypatch, capsys, name):
