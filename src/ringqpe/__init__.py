@@ -1,8 +1,9 @@
 """Eigenphases of a unitary, solved two independent ways.
 
-The ring route encodes the problem in a constant U(n) gauge potential on a
-ring and reads eigenphases off the relocalization peaks of an evolved
-packet. The register route evaluates the exact read-out of textbook phase
+The ring route reads eigenphases off the relocalization peaks of a packet
+on a ring threaded by a constant U(n) gauge potential; at the revival the
+ring sees only the potential's holonomy, U itself, so it reads U and no
+spectrum. The register route evaluates the exact read-out of textbook phase
 estimation in closed form. The two agree with each other and with direct
 diagonalization, which is the whole point: `compare` checks all three.
 """
