@@ -21,12 +21,13 @@ _EXPORTS = {
         "angles": ("circular_distance", "wrap_to_signed", "wrap_to_unit"),
         "bench": ("BenchPoint", "ScalingFit", "fit_scaling", "run_scaling_suite"),
         "encode": ("EnergyProblem", "UnitarySpec", "encode_as_gauge",
-                   "load_problem", "problem_from_json", "problem_to_json"),
+                   "load_problem", "matrix_from_json", "matrix_to_json",
+                   "problem_from_json", "problem_to_json"),
         "errors": ("PhaseAliasingWarning", "PreconditionError",
                    "ProblemFormatError", "ResolutionError",
                    "ResourceLimitError", "RingQpeError"),
         "linalg": ("EigenDecomposition", "eig_hermitian", "eig_unitary",
-                   "expm_dense", "matrix_from_json", "matrix_to_json"),
+                   "expm_dense"),
         "opcount": ("MacCounter", "count_macs"),
         "qpe": ("QpeConfig", "QpeEstimate", "Register1Distribution",
                 "qpe_estimate"),

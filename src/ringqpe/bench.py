@@ -8,7 +8,8 @@ takes two n x n exponentials and steps the packet from mode to mode with
 them. After timing, every point of both is checked against the packet
 evolved in A_phi's eigenbasis, a closed form that shares no code with
 either route; a benchmark that returns wrong numbers is worthless no
-matter how fast.
+matter how fast. That untimed check run also counts the point's
+multiply-accumulates (opcount), so counting costs no evolution of its own.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ _N_COLORS = 2
 
 @dataclass(frozen=True)
 class BenchPoint:
-    """One measured configuration: median wall time over `repeats` runs."""
+    """One measured configuration: median wall time over `repeats` runs,
+    and the multiply-accumulates of one run."""
 
     method: str
     size_param: int
     wall_time_s: float
-    op_count: int | None
+    op_count: int
     repeats: int
     spread: float
 
@@ -133,7 +135,6 @@ def run_scaling_suite(
     repeats: int = 5,
     seed: int = 0,
     methods=ALL_METHODS,
-    count_ops: bool = False,
 ) -> list[BenchPoint]:
     """Measure each method at each size on seeded random inputs.
 
@@ -142,7 +143,8 @@ def run_scaling_suite(
     untimed warm-up per point, a method's timed repeats go round-robin over
     its sizes, so one stall window cannot hit every repeat of one size;
     each point records the median of its repeats. Measurements run
-    strictly sequentially; validation happens outside the timed region.
+    strictly sequentially; validation happens outside the timed region,
+    on one more run whose multiply-accumulates the point records.
     """
     # every count must pass is_integer, as QpeConfig's do; numpy and range()
     # would refuse the rest with bare errors, and int() would truncate a
@@ -171,22 +173,19 @@ def run_scaling_suite(
 
         for (size, size_param, runner, workload), runs in zip(jobs, times):
             reference = _eigenbasis_evolve(*workload, RETURN_TIME)
-            drift = float(np.max(np.abs(runner().coeffs - reference)))
+            with opcount.count_macs() as counter:
+                coeffs = runner().coeffs
+            drift = float(np.max(np.abs(coeffs - reference)))
             if drift > _VALIDATION_ATOL:
                 raise PreconditionError(
                     f"{method} at size {size} drifted {drift:.3e} from the "
                     f"eigenbasis oracle; refusing to record a wrong timing"
                 )
 
-            ops = None
-            if count_ops:
-                with opcount.count_macs() as counter:
-                    runner()
-                ops = counter.total
-
             median = statistics.median(runs)
             spread = (max(runs) - min(runs)) / median if median > 0 else 0.0
-            points.append(BenchPoint(method, size_param, median, ops, repeats, spread))
+            points.append(BenchPoint(method, size_param, median, counter.total,
+                                     repeats, spread))
     return points
 
 
@@ -221,6 +220,6 @@ def append_bench_csv(points, path, seed: int) -> None:
                 p.size_param,
                 repr(p.wall_time_s),
                 repr(p.spread),
-                "" if p.op_count is None else p.op_count,
+                p.op_count,
                 seed,
             ])

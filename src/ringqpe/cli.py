@@ -99,12 +99,6 @@ def _seed(value) -> int:
     return seed
 
 
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {type(value).__name__}")
-    return value
-
-
 def _path(value) -> str:
     if not isinstance(value, str):
         raise TypeError("expected a path")
@@ -114,8 +108,8 @@ def _path(value) -> str:
 
 
 # option key (also its config key): its flags, the one cast that a flag value
-# and a config value both go through, and its help. A _boolean option is a
-# switch that takes no argument.
+# and a config value both go through, and its help. Every option takes a
+# value.
 _OPTIONS = {
     "problem": (("--problem",), _path, "problem JSON file"),
     "out_dir": (("--out-dir",), _path,
@@ -131,7 +125,6 @@ _OPTIONS = {
     "shots": (("--shots",), _integer, "samples to draw (0 = exact distribution)"),
     "sizes": (("--sizes",), _list_of(_integer), "comma-separated matrix dimensions"),
     "repeats": (("--repeats",), _integer, "timed repeats per point"),
-    "count_ops": (("--count-ops",), _boolean, "record multiply-accumulate counts"),
 }
 
 # one row per subcommand: the default of exactly the options it reads, so a
@@ -144,7 +137,7 @@ _DEFAULTS = {
     "compare": {"problem": None, "out_dir": None, "seed": 0, "mode_cutoff_l": 200,
                 "grid_size_n": 1024, "t_bits": 10, "shots": 0},
     "bench": {"out_dir": None, "seed": 0, "sizes": (64, 128, 256, 512),
-              "repeats": 5, "count_ops": False},
+              "repeats": 5},
 }
 # each subcommand's help and description, in the rows' order
 _ABOUT = {
@@ -177,10 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=summary, description=description)
         # no type=: _resolve_config casts flag and config values alike
         for key in row:
-            flags, cast, help_text = _OPTIONS[key]
-            sub.add_argument(
-                *flags, dest=key, default=None, help=help_text,
-                action="store_true" if cast is _boolean else "store")
+            flags, _, help_text = _OPTIONS[key]
+            sub.add_argument(*flags, dest=key, default=None, help=help_text)
         sub.add_argument("--config", help="JSON file of default option values")
     return parser
 
@@ -385,9 +376,7 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
         run_scaling_suite,
     )
 
-    points = run_scaling_suite(
-        cfg.sizes, repeats=cfg.repeats, seed=cfg.seed, count_ops=cfg.count_ops
-    )
+    points = run_scaling_suite(cfg.sizes, repeats=cfg.repeats, seed=cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "bench.csv")
     append_bench_csv(points, csv_path, cfg.seed)
@@ -402,10 +391,9 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
         json.dump([asdict(f) for f in fits], fh, indent=2)
 
     for p in points:
-        ops = "-" if p.op_count is None else str(p.op_count)
         print(
             f"{p.method:16s} size={p.size_param:<6d} median={p.wall_time_s:.6e}s "
-            f"spread={p.spread:.3f} ops={ops}"
+            f"spread={p.spread:.3f} ops={p.op_count}"
         )
     for f in fits:
         print(f"{f.method:16s} slope={f.slope:.3f} r2={f.r_squared:.4f}")

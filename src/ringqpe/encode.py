@@ -18,6 +18,10 @@ An energy problem wraps its eigenvalues onto (-pi, pi] in the eigenbasis;
 an elementwise matrix modulo would not commute with diagonalization.
 Spectra reaching pi in magnitude still encode, but alias around the circle;
 that raises a PhaseAliasingWarning on construction instead of failing.
+
+Problem files hold vectors as JSON objects {"re": [...], "im": [...]} and
+matrices as {"rows": r, "cols": c, "re": [...], "im": [...]} with row-major
+flattening; this module reads and writes both.
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ from .angles import TWO_PI, wrap_to_signed
 from .errors import PhaseAliasingWarning, PreconditionError, ProblemFormatError
 from .linalg import (
     EigenDecomposition,
+    as_matrix,
     eig_hermitian,
     eig_unitary,
-    matrix_from_json,
-    matrix_to_json,
     require_hermitian,
     require_state,
     require_unitary,
@@ -139,25 +142,58 @@ def encode_as_gauge(problem) -> GaugeField:
     return ring.GaugeField((v * scaled) @ v.conj().T)
 
 
-def vector_to_json(v) -> dict:
-    arr = np.asarray(v, dtype=np.complex128)
+def _pair_to_json(values) -> dict:
     return {
-        "re": [float(x) for x in arr.real],
-        "im": [float(x) for x in arr.imag],
+        "re": [float(x) for x in values.real],
+        "im": [float(x) for x in values.imag],
     }
 
 
-def vector_from_json(obj) -> np.ndarray:
+def _pair_from_json(obj, kind: str, sizes=()) -> tuple:
+    """The integers named in `sizes`, then the "re" and "im" float arrays,
+    of a JSON object; anything missing or malformed raises
+    PreconditionError naming `kind`."""
     if not isinstance(obj, dict):
-        raise PreconditionError("vector JSON must be an object")
+        raise PreconditionError(f"{kind} JSON must be an object")
     try:
+        counts = [int(obj[key]) for key in sizes]
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed vector JSON: {exc}") from exc
+    # OverflowError: a size of 1e400, which JSON reads as infinity
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"malformed {kind} JSON: {exc}") from exc
+    return (*counts, re, im)
+
+
+def vector_to_json(v) -> dict:
+    return _pair_to_json(np.asarray(v, dtype=np.complex128))
+
+
+def vector_from_json(obj) -> np.ndarray:
+    re, im = _pair_from_json(obj, "vector")
     if re.ndim != 1 or re.shape != im.shape:
         raise PreconditionError("vector JSON re/im must be equal-length lists")
     return re + 1j * im
+
+
+def matrix_to_json(m) -> dict:
+    """Serialize a matrix to the row-major {rows, cols, re, im} wire format."""
+    a = as_matrix(m)
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
+            **_pair_to_json(a.reshape(-1))}
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """Parse the {rows, cols, re, im} wire format back into an ndarray."""
+    rows, cols, re, im = _pair_from_json(obj, "matrix", ("rows", "cols"))
+    if rows <= 0 or cols <= 0:
+        raise PreconditionError("matrix JSON must have positive rows and cols")
+    if re.shape != (rows * cols,) or im.shape != (rows * cols,):
+        raise PreconditionError(
+            f"matrix JSON length mismatch: expected {rows * cols} entries, "
+            f"got re={re.size}, im={im.size}"
+        )
+    return as_matrix((re + 1j * im).reshape(rows, cols))
 
 
 def problem_to_json(problem) -> dict:

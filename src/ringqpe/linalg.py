@@ -7,9 +7,6 @@ expm_dense is scaling-and-squaring with a Pade core and never diagonalizes;
 unitary_exp holds it on the unitary group for an energy problem's U and
 the ring's snapshots, and bench times it on the full (2l+1)n matrix as the
 brute-force cost baseline, so keep it free of spectral shortcuts.
-
-Matrices cross module and file boundaries as JSON objects
-{"rows": r, "cols": c, "re": [...], "im": [...]} with row-major flattening.
 """
 
 from __future__ import annotations
@@ -452,36 +449,3 @@ def write_csv_rows(path, header: str, columns) -> None:
             table[:, [at - 1 for at in starts[1:-1]]] = ord(",")
             table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
             fh.write(table[table != 0])
-
-
-def matrix_to_json(m) -> dict:
-    """Serialize a matrix to the row-major {rows, cols, re, im} wire format."""
-    a = as_matrix(m)
-    flat = a.reshape(-1)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "re": [float(x) for x in flat.real],
-        "im": [float(x) for x in flat.imag],
-    }
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    """Parse the {rows, cols, re, im} wire format back into an ndarray."""
-    if not isinstance(obj, dict):
-        raise PreconditionError("matrix JSON must be an object")
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed matrix JSON: {exc}") from exc
-    if rows <= 0 or cols <= 0:
-        raise PreconditionError("matrix JSON must have positive rows and cols")
-    if re.shape != (rows * cols,) or im.shape != (rows * cols,):
-        raise PreconditionError(
-            f"matrix JSON length mismatch: expected {rows * cols} entries, "
-            f"got re={re.size}, im={im.size}"
-        )
-    return as_matrix((re + 1j * im).reshape(rows, cols))

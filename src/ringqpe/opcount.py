@@ -1,4 +1,4 @@
-"""Optional multiply-accumulate instrumentation for the bench module.
+"""Multiply-accumulate instrumentation: bench counts every point with it.
 
 Counting is structural: each kernel reports the multiply-accumulate count of
 the operation it issues (matmul n*m*k, triangular solve n^3/3, matvec n*m,

@@ -422,16 +422,21 @@ def merge_components(phases, weights, mode_cutoff_l: int) -> list:
     Heaviest first, each joins the first group whose heaviest member is
     within a quarter lobe 2 pi/(2l+1), or starts one; a group is its summed
     weight at its weighted circular mean, or at its one member's phase bit
-    for bit. Groups at or below the weight floor are dropped.
+    for bit. Groups at or below the weight floor are dropped. Each member
+    is tested against every group's head in one vector fold.
     """
     tolerance = _MERGE_LOBES * TWO_PI / (2 * mode_cutoff_l + 1)
+    members = sorted(zip(weights, phases), reverse=True)
+    heads = np.empty(len(members))  # each group's heaviest phase
     groups = []  # lists of (weight, phase), heaviest first
-    for member in sorted(zip(weights, phases), reverse=True):
-        home = next((g for g in groups
-                     if abs(wrap_to_signed(member[1] - g[0][1])) < tolerance), [])
-        if not home:
-            groups.append(home)
-        home.append(member)
+    for member in members:
+        near = np.flatnonzero(np.abs(wrap_to_signed(
+            member[1] - heads[:len(groups)])) < tolerance)
+        if len(near):
+            groups[near[0]].append(member)
+        else:
+            heads[len(groups)] = member[1]
+            groups.append([member])
     peaks = []
     for group in groups:
         weight = sum(w for w, _ in group)

@@ -8,6 +8,7 @@ import pytest
 
 import ringqpe as rq
 import ringqpe.bench as bench
+from ringqpe import opcount
 from ringqpe.bench import (
     ALL_METHODS,
     METHOD_BLOCK,
@@ -21,7 +22,7 @@ from conftest import eigenbasis_evolve, random_hermitian, random_state
 
 def synthetic_points(method, sizes, exponent, prefactor=1e-9):
     return [
-        rq.BenchPoint(method, s, prefactor * s ** exponent, None, 3, 0.0)
+        rq.BenchPoint(method, s, prefactor * s ** exponent, 0, 3, 0.0)
         for s in sizes
     ]
 
@@ -29,18 +30,18 @@ def synthetic_points(method, sizes, exponent, prefactor=1e-9):
 class TestBenchPoint:
     def test_guards(self):
         with pytest.raises(rq.PreconditionError, match="method"):
-            rq.BenchPoint("fft", 10, 1.0, None, 3, 0.0)
+            rq.BenchPoint("fft", 10, 1.0, 0, 3, 0.0)
         # bench times the two ring routes only
         with pytest.raises(rq.PreconditionError, match="method"):
-            rq.BenchPoint("qpe_statevector", 10, 1.0, None, 3, 0.0)
+            rq.BenchPoint("qpe_statevector", 10, 1.0, 0, 3, 0.0)
         with pytest.raises(rq.PreconditionError, match="size"):
-            rq.BenchPoint(METHOD_DENSE, 0, 1.0, None, 3, 0.0)
+            rq.BenchPoint(METHOD_DENSE, 0, 1.0, 0, 3, 0.0)
         with pytest.raises(rq.PreconditionError, match="time"):
-            rq.BenchPoint(METHOD_DENSE, 10, 0.0, None, 3, 0.0)
+            rq.BenchPoint(METHOD_DENSE, 10, 0.0, 0, 3, 0.0)
         with pytest.raises(rq.PreconditionError, match="repeats"):
-            rq.BenchPoint(METHOD_DENSE, 10, 1.0, None, 2, 0.0)
+            rq.BenchPoint(METHOD_DENSE, 10, 1.0, 0, 2, 0.0)
         with pytest.raises(rq.PreconditionError, match="spread"):
-            rq.BenchPoint(METHOD_DENSE, 10, 1.0, None, 3, -0.1)
+            rq.BenchPoint(METHOD_DENSE, 10, 1.0, 0, 3, -0.1)
 
 
 class TestFitScaling:
@@ -80,10 +81,10 @@ class TestRunScalingSuite:
             assert p.wall_time_s > 0
             assert p.spread >= 0
             assert p.repeats == 3
-            assert p.op_count is None
+            assert type(p.op_count) is int and p.op_count > 0
 
     def test_operation_counts_are_reproducible(self):
-        kwargs = dict(repeats=3, seed=3, count_ops=True)
+        kwargs = dict(repeats=3, seed=3)
         a = rq.run_scaling_suite((24, 48), **kwargs)
         b = rq.run_scaling_suite((24, 48), **kwargs)
         assert [(p.method, p.size_param, p.op_count) for p in a] \
@@ -92,11 +93,38 @@ class TestRunScalingSuite:
 
     def test_block_ops_grow_linearly_with_modes(self):
         points = rq.run_scaling_suite(
-            (50, 100), repeats=3, seed=0, methods=(METHOD_BLOCK,), count_ops=True
+            (50, 100), repeats=3, seed=0, methods=(METHOD_BLOCK,)
         )
         assert [p.size_param for p in points] == [50, 98]
         ratio = points[1].op_count / points[0].op_count
         assert ratio <= 2.5
+
+    def test_operation_counts_are_those_of_one_run(self):
+        # what a separate counting run after validation recorded when the
+        # counts were optional, at seed 2
+        points = rq.run_scaling_suite((24, 48, 96), repeats=3, seed=2)
+        assert [(p.method, p.size_param, p.op_count) for p in points] == [
+            (METHOD_DENSE, 22, 131809), (METHOD_DENSE, 46, 1397265),
+            (METHOD_DENSE, 94, 13575041), (METHOD_BLOCK, 22, 200),
+            (METHOD_BLOCK, 46, 248), (METHOD_BLOCK, 94, 440)]
+
+    @pytest.mark.parametrize("method,name", [(METHOD_BLOCK, "evolve_block"),
+                                             (METHOD_DENSE, "evolve_dense")])
+    def test_each_point_evolves_warm_up_repeats_and_validation_once(
+            self, monkeypatch, method, name):
+        # counting rides on the validation run, so a point evolves
+        # repeats + 2 times, and only its last run is counted
+        evolve, counted = getattr(bench, name), []
+
+        def recording(*args):
+            counted.append(opcount._active is not None)
+            return evolve(*args)
+
+        monkeypatch.setattr(bench, name, recording)
+        points = rq.run_scaling_suite((24, 48), repeats=4, methods=(method,))
+        assert len(points) == 2
+        # both warm-ups, the round-robin repeats, then one check per size
+        assert counted == [False] * (2 + 4 * 2) + [True] * 2
 
     @pytest.mark.parametrize("method,name", [(METHOD_BLOCK, "evolve_block"),
                                              (METHOD_DENSE, "evolve_dense")])

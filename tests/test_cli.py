@@ -890,7 +890,28 @@ class TestBench:
             ["block_evolve", "22"], ["block_evolve", "46"]]
         fits = json.loads((out / "bench_fits.json").read_text())
         assert fits == []  # two points per method cannot support a fit
-        assert "wrote" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "wrote" in stdout
+        # every row and every printed point carries its count
+        counts = [line.split(",")[4] for line in lines[1:]]
+        assert all(c.isdigit() and int(c) > 0 for c in counts)
+        assert [line.split("ops=")[1] for line in stdout.splitlines()
+                if "ops=" in line] == counts
+
+    def test_operation_counts_take_no_switch(self, tmp_path, capsys):
+        # counting rode on a --count-ops switch before every point was
+        # counted on its validation run
+        assert main(["bench", "--help"]) == 0
+        assert "count" not in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["bench", "--out-dir", str(out), "--count-ops"]) == 1
+        assert "unrecognized arguments: --count-ops" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"count_ops": True}))
+        assert main(["bench", "--out-dir", str(out),
+                     "--config", str(config)]) == 1
+        assert "not used by bench: ['count_ops']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fits_name_no_axis(self, tmp_path, capsys):
         # both methods fit log(time) against log(dimension), so no fit or
@@ -981,9 +1002,13 @@ class TestOneDecompositionPerProblem:
                         monkeypatch.setattr(module, attr, counted)
         code = main([sub, "--problem", os.path.join(PROBLEM_DIR, name),
                      "--out-dir", str(tmp_path)])
-        # compare finds the shipped superposition ambiguous
-        assert code == (4 if sub == "compare" and "superposition" in name else 0)
-        assert len(calls) == 1, calls
+        # compare finds the shipped superpositions ambiguous, and the
+        # non-unitary problem is refused before anything is decomposed
+        refused = name == "not_unitary.json"
+        ambiguous = sub == "compare" and name in (
+            "one_lobe_pair.json", "seam_pair.json", "sigma_z_superposition.json")
+        assert code == (2 if refused else 4 if ambiguous else 0)
+        assert len(calls) == (0 if refused else 1), calls
 
 
 class TestConfigPrecedence:
@@ -1045,7 +1070,7 @@ class TestConfigPrecedence:
         ("qpe", "seed", 0.5),
         ("bench", "sizes", [64, 128.5]),
         ("bench", "sizes", [64, False]),
-        ("bench", "count_ops", "false"),
+        ("bench", "repeats", 2.5),
         ("qpe", "problem", 5),
         # open and os.makedirs raised a bare ValueError on a NUL byte
         ("qpe", "problem", "a\0b"),

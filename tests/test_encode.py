@@ -296,7 +296,13 @@ class TestProblemJson:
         import os
         root = os.path.join(os.path.dirname(__file__), "..", "problems")
         names = sorted(os.listdir(root))
-        assert len(names) == 3
+        # the three examples and the hard-case gallery
+        assert len(names) == 8
         for name in names:
-            problem = rq.load_problem(os.path.join(root, name))
+            path = os.path.join(root, name)
+            if name == "not_unitary.json":
+                with pytest.raises(rq.ProblemFormatError, match="not unitary"):
+                    rq.load_problem(path)
+                continue
+            problem = rq.load_problem(path)
             assert isinstance(problem, (rq.EnergyProblem, rq.UnitarySpec))

@@ -20,6 +20,13 @@ def test_every_case_has_a_golden_and_every_golden_a_case():
     assert frozen == sorted(regen.CLI_CASES)
 
 
+def test_every_left_out_case_is_a_shipped_command():
+    problems = os.listdir(os.path.join(regen.ROOT, "problems"))
+    commands = {f"{name[:-len('.json')]}.{case}"
+                for name in problems for case, _ in regen.COMMANDS}
+    assert set(regen.LEFT_OUT) <= commands - set(regen.CLI_CASES)
+
+
 @pytest.mark.parametrize("case", sorted(regen.CLI_CASES))
 def test_command_matches_its_golden(case, tmp_path):
     with open(os.path.join(regen.CLI_DIR, f"{case}.json")) as fh:

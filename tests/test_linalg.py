@@ -273,6 +273,8 @@ class TestMatrixJson:
         lambda o: o["re"].append(0.0),
         lambda o: o.update(rows=0),
         lambda o: o.update(rows="x"),
+        # int() raised a bare OverflowError on infinity
+        lambda o: o.update(rows=float("inf")),
     ])
     def test_malformed_rejected(self, mangle):
         obj = matrix_to_json(np.eye(2))

@@ -722,6 +722,69 @@ class TestEstimatePhaseViaRing:
             assert abs(nearest.weight - weight) < 1e-9
 
 
+def merge_by_pairs(phases, weights, mode_cutoff_l):
+    """merge_components as first written, one scalar fold per member and
+    group: the oracle of its vector form."""
+    tolerance = 0.25 * TWO_PI / (2 * mode_cutoff_l + 1)
+    groups = []
+    for member in sorted(zip(weights, phases), reverse=True):
+        home = next((g for g in groups
+                     if abs(rq.wrap_to_signed(member[1] - g[0][1])) < tolerance), [])
+        if not home:
+            groups.append(home)
+        home.append(member)
+    peaks = []
+    for group in groups:
+        weight = sum(w for w, _ in group)
+        if weight > 1e-9:
+            phi = group[0][1] if len(group) == 1 else np.angle(
+                sum(w * np.exp(1j * phi) for w, phi in group))
+            peaks.append(rq.Peak(rq.wrap_to_unit(phi), float(weight)))
+    peaks.sort(key=lambda p: (-p.weight, p.phi))
+    return peaks
+
+
+def planted_components(rng):
+    """(phases, weights, l): clusters spread 1e-12 to a lobe, some centred
+    on the 0/2 pi seam or at +-pi so they straddle it, some weights zero."""
+    l = int(rng.choice([10, 50, 200]))
+    lobe = TWO_PI / (2 * l + 1)
+    phases, weights = [], []
+    for _ in range(int(rng.integers(1, 6))):
+        centre = rng.choice([0.0, np.pi, -np.pi, rng.uniform(-np.pi, TWO_PI)])
+        spread = 10 ** rng.uniform(-12, 0) * lobe
+        k = int(rng.integers(1, 7))
+        phases.extend(centre + rng.uniform(-spread, spread, k))
+        weights.extend(rng.dirichlet(np.ones(k)) * rng.uniform(0, 1)
+                       * (rng.uniform(size=k) > 0.2))
+    return np.array(phases), np.array(weights) / max(1.0, sum(weights)), l
+
+
+class TestMergeComponents:
+    def test_vector_fold_groups_as_the_pairwise_rule(self):
+        rng = np.random.default_rng(3300)
+        for case in range(600):
+            phases, weights, l = planted_components(rng)
+            assert ring_module.merge_components(phases, weights, l) \
+                == merge_by_pairs(phases, weights, l), f"case {case}"
+
+    def test_one_fold_per_member(self, monkeypatch):
+        # each member was folded against each earlier group, O(n^2) scalar
+        # numpy calls
+        calls = []
+
+        def counting(phi):
+            calls.append(np.size(phi))
+            return rq.wrap_to_signed(phi)
+
+        monkeypatch.setattr(ring_module, "wrap_to_signed", counting)
+        rng = np.random.default_rng(3301)
+        phases = rng.uniform(0, TWO_PI, 300)
+        peaks = ring_module.merge_components(phases, rng.dirichlet(np.ones(300)), 5000)
+        assert len(calls) <= 300
+        assert len(peaks) > 250  # mostly apart, so most groups are tested
+
+
 class TestGoldenDensity:
     def test_evolved_density_matches_frozen_reference(
         self, sigma_x_problem, tmp_path
