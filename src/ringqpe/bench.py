@@ -2,14 +2,15 @@
 
 Both ring methods run the same seeded workload, a packet in a random gauge
 field evolved for one return time, differing only in the evolution
-routine: `dense_expm` builds the packet, squares the 2l+1 blocks,
-assembles the full (2l+1)n matrix and exponentiates it, `block_evolve`
-takes two n x n exponentials and steps the packet from mode to mode with
-them. After timing, every point of both is checked against the packet
-evolved in A_phi's eigenbasis, a closed form that shares no code with
-either route; a benchmark that returns wrong numbers is worthless no
-matter how fast. That untimed check run also counts the point's
-multiply-accumulates (opcount), so counting costs no evolution of its own.
+routine: `dense_expm` builds the packet, forms the 2l+1 blocks
+m (m / 2 - A_phi), assembles the full (2l+1)n matrix and exponentiates it,
+`block_evolve` takes one n x n exponential, W = exp(i t A_phi), and steps
+the packet from mode to mode with it; both leave out the color-only
+A_phi^2 / 2 (ringqpe.ring). After timing, every point of both is checked
+against the packet evolved in A_phi's eigenbasis, a closed form in that
+frame that shares no code with either route; a benchmark that returns
+wrong numbers is worthless no matter how fast. That untimed run also
+counts the point's multiply-accumulates (opcount).
 """
 
 from __future__ import annotations
@@ -95,13 +96,13 @@ def _eigenbasis_evolve(gauge: GaugeField, color, mode_cutoff_l: int,
                        t: float) -> np.ndarray:
     """The packet evolved in A_phi's eigenbasis: both routes' oracle.
 
-    With A_phi = V diag(lam) V^dagger, mode m's block (m - A_phi)^2 / 2 is
+    With A_phi = V diag(lam) V^dagger, mode m's block m (m / 2 - A_phi) is
     diagonal on the columns of V, so the packet's row c / sqrt(2l+1) is
-    projected onto V, scaled by exp(-i (m - lam)^2 t / 2) and mapped back.
+    projected onto V, scaled by exp(-i m (m / 2 - lam) t) and mapped back.
     """
     lam, v = np.linalg.eigh(gauge.a_phi)
     modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)[:, None]
-    phases = np.exp(-1j * ((modes - lam) ** 2 / 2.0 * t))
+    phases = np.exp(-1j * (modes * (modes / 2.0 - lam) * t))
     return (phases * (v.conj().T @ color)) @ v.T / math.sqrt(2 * mode_cutoff_l + 1)
 
 

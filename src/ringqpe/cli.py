@@ -226,10 +226,10 @@ def cmd_ring_sim(cfg: argparse.Namespace) -> int:
     from . import ring
 
     problem = _require_problem(cfg)
-    gauge = encode_as_gauge(problem)
-    # the largest |t| checks every snapshot before any is evolved, and a NaN
-    # among the times makes the maximum NaN
+    # only the snapshots read the field; the largest |t| checks every one
+    # before any is evolved, and a NaN among the times makes the maximum NaN
     if cfg.times:
+        gauge = encode_as_gauge(problem)
         ring.require_finite_phase(gauge, cfg.mode_cutoff_l, float(
             np.max(np.abs(cfg.times))) * ring.RETURN_TIME)
     peaks = ring.estimate_phase_via_ring(problem.u_matrix, problem.state,

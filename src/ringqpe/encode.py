@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -42,6 +43,7 @@ from .linalg import (
     as_matrix,
     eig_hermitian,
     eig_unitary,
+    is_integer,
     require_hermitian,
     require_state,
     require_unitary,
@@ -50,6 +52,11 @@ from .linalg import (
 
 if TYPE_CHECKING:
     from .ring import GaugeField
+
+
+def _is_number(value) -> bool:
+    """Whether value is a real number, as a JSON number is; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _set_spectrum(problem, spectrum: EigenDecomposition) -> None:
@@ -82,8 +89,8 @@ class EnergyProblem:
 
     def __post_init__(self):
         h = require_hermitian(self.hamiltonian)
-        if not (math.isfinite(self.E_R) and self.E_R > 0):
-            raise PreconditionError(f"E_R must be positive, got {self.E_R!r}")
+        if not (_is_number(self.E_R) and math.isfinite(self.E_R) and self.E_R > 0):
+            raise PreconditionError(f"E_R must be a positive number, got {self.E_R!r}")
         state = require_state(self.state, h.shape[0], "state", "Hamiltonian")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "state", state)
@@ -150,19 +157,23 @@ def _pair_to_json(values) -> dict:
 
 
 def _pair_from_json(obj, kind: str, sizes=()) -> tuple:
-    """The integers named in `sizes`, then the "re" and "im" float arrays,
-    of a JSON object; anything missing or malformed raises
-    PreconditionError naming `kind`."""
+    """The positive integers named in `sizes`, then the complex array of the
+    equal "re" and "im" lists of numbers, of a JSON object; anything else
+    raises PreconditionError naming `kind`."""
     if not isinstance(obj, dict):
         raise PreconditionError(f"{kind} JSON must be an object")
     try:
-        counts = [int(obj[key]) for key in sizes]
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    # OverflowError: a size of 1e400, which JSON reads as infinity
+        counts, parts = [obj[key] for key in sizes], [obj["re"], obj["im"]]
+        if not all(is_integer(count) and count > 0 for count in counts):
+            raise ValueError(f"{sizes} must be positive integers, got {counts}")
+        if not (all(isinstance(p, list) and all(map(_is_number, p)) for p in parts)
+                and len(parts[0]) == len(parts[1])):
+            raise TypeError("re and im must be equal-length lists of numbers")
+        re, im = (np.asarray(p, dtype=np.float64) for p in parts)
+    # OverflowError: an integer entry past the largest float
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed {kind} JSON: {exc}") from exc
-    return (*counts, re, im)
+    return (*counts, re + 1j * im)
 
 
 def vector_to_json(v) -> dict:
@@ -170,10 +181,7 @@ def vector_to_json(v) -> dict:
 
 
 def vector_from_json(obj) -> np.ndarray:
-    re, im = _pair_from_json(obj, "vector")
-    if re.ndim != 1 or re.shape != im.shape:
-        raise PreconditionError("vector JSON re/im must be equal-length lists")
-    return re + 1j * im
+    return _pair_from_json(obj, "vector")[0]
 
 
 def matrix_to_json(m) -> dict:
@@ -185,15 +193,11 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the {rows, cols, re, im} wire format back into an ndarray."""
-    rows, cols, re, im = _pair_from_json(obj, "matrix", ("rows", "cols"))
-    if rows <= 0 or cols <= 0:
-        raise PreconditionError("matrix JSON must have positive rows and cols")
-    if re.shape != (rows * cols,) or im.shape != (rows * cols,):
-        raise PreconditionError(
-            f"matrix JSON length mismatch: expected {rows * cols} entries, "
-            f"got re={re.size}, im={im.size}"
-        )
-    return as_matrix((re + 1j * im).reshape(rows, cols))
+    rows, cols, values = _pair_from_json(obj, "matrix", ("rows", "cols"))
+    if values.size != rows * cols:
+        raise PreconditionError(f"matrix JSON length mismatch: expected "
+                                f"{rows * cols} entries, got {values.size}")
+    return as_matrix(values.reshape(rows, cols))
 
 
 def problem_to_json(problem) -> dict:
@@ -225,15 +229,11 @@ def problem_from_json(obj):
     try:
         state = vector_from_json(obj["state"])
         if has_h:
-            return EnergyProblem(
-                matrix_from_json(obj["hamiltonian"]),
-                float(obj["E_R"]),
-                state,
-            )
+            return EnergyProblem(matrix_from_json(obj["hamiltonian"]), obj["E_R"],
+                                 state)
         return UnitarySpec(matrix_from_json(obj["unitary"]), state)
-    except ProblemFormatError:
-        raise
-    except (PreconditionError, KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer E_R past the largest float
+    except (PreconditionError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"invalid problem description: {exc}") from exc
 
 

@@ -6,20 +6,21 @@ that those constants cancel from every eigenphase the ring reads.
 The state is a truncated angular-momentum expansion psi(phi) =
 sum_m c_{m,a} e^{i m phi} / sqrt(2 pi) with a color index a for the internal
 n-dimensional space. A phi-independent Hermitian gauge potential couples
-only to color, so the Hamiltonian splits into independent n x n blocks
+only to color, so the Hamiltonian splits into n x n blocks
+(m I - A_phi)^2 / 2, one per mode. Their A_phi^2 / 2 is one color-only
+term in every block: it turns the whole state by G = exp(-i t A_phi^2 / 2)
+and moves no density at any t. The ring leaves it out and evolves with
 
-    H_m = (m I - A_phi)^2 / 2,
+    H'_m = m^2 / 2 - m A_phi,  exp(-i H'_m t) = e^{-i t m^2 / 2} W^m,
+                               W = exp(i t A_phi),
 
-one per mode. Each is a polynomial in A_phi, which commutes with m I, so
-
-    exp(-i H_m t) = e^{-i t m^2 / 2} W^m G,  W = exp(i t A_phi),
-                                             G = exp(-i t A_phi^2 / 2).
-
-The packet localized at phi = 0 holds one color c in every mode, and its
-mode m evolves to e^{-i t m^2 / 2} W^m G c / sqrt(2l+1): a recurrence on
-powers of W, with nothing diagonalized. At the return time t_R = 4 pi the
-free phase -2 pi m^2 is a multiple of 2 pi for every mode, so the packet
-relocalizes, and an eigencolor of A_phi with eigenvalue lam reappears at
+so a RingState from either route is the state up to G, with the same
+density and read-out. The packet localized at phi = 0 holds one color c in
+every mode, and its mode m evolves to e^{-i t m^2 / 2} W^m c / sqrt(2l+1):
+a recurrence on powers of W, with nothing diagonalized. At the return time
+t_R = 4 pi the free phase -2 pi m^2 is a multiple of 2 pi for every mode,
+so the packet relocalizes, and an eigencolor of A_phi with eigenvalue lam
+reappears at
 
     phi = -VELOCITY_FACTOR * 2 pi lam   (mod 2 pi),
 
@@ -29,8 +30,7 @@ angle is twice the single-lap one, and encoders divide by VELOCITY_FACTOR
 to compensate.
 
 There the ring sees only its holonomy (Aharonov-Bohm): W is U^dagger for
-the U the field encodes, and G commutes with W and drops out of the
-color-summed density. So the read-out takes U itself, the rows
+the U the field encodes. So the read-out takes U itself, the rows
 U^(-m) c / sqrt(2l+1) of the time-series view of phase estimation (Somma,
 New J. Phys. 21, 123025 (2019)), with no field, exponential or eigensolver.
 
@@ -123,9 +123,7 @@ class RingState:
                 f"coefficients must be a (2l+1, n) array with l >= 1 and "
                 f"n >= 1, got shape {c.shape}"
             )
-        if not np.all(np.isfinite(c)):
-            raise PreconditionError("coefficients must be finite")
-        require_unit_norm(c, "state")
+        require_unit_norm(c, "state")  # NaN or inf fails too
         object.__setattr__(self, "coeffs", readonly(c))
 
     @property
@@ -278,52 +276,47 @@ def evolve_block(gauge: GaugeField, color, mode_cutoff_l: int,
                  t: float) -> RingState:
     """Evolve the packet localized at phi = 0 with color `color` for time t.
 
-    Row m = 0 is G c / sqrt(2l+1), the rows above and below are _mode_rows
-    of W, and each takes its free phase e^{-i t m^2 / 2} (module
-    docstring): two n x n exponentials and 2l matrix-vector products, the
-    route the dense one is timed against.
+    Row m = 0 is c / sqrt(2l+1), the rows above and below are _mode_rows
+    of W, and each takes its free phase e^{-i t m^2 / 2}: the state under
+    H'_m, up to the color-only G (module docstring). One n x n exponential
+    and 2l matrix-vector products, the route the dense one is timed
+    against.
     """
     require_finite_phase(gauge, mode_cutoff_l, t)
     c = require_state(color, gauge.n_colors, "color", "gauge field")
-    l, a = mode_cutoff_l, gauge.a_phi
-    w, g = unitary_exp(a, t), unitary_exp(a @ a, -t / 2.0)
-    rows = _mode_rows(w, g @ c / math.sqrt(2 * l + 1), l)
+    l = mode_cutoff_l
+    rows = _mode_rows(unitary_exp(gauge.a_phi, t), c / math.sqrt(2 * l + 1), l)
     rows *= np.exp(-1j * (t * (np.arange(-l, l + 1) ** 2 / 2.0)))[:, None]
-    opcount.add(len(a) ** 3 + len(a) ** 2)
     # read-only and owned, so RingState keeps it without a copy; unitary per
     # mode: renormalization would only mask a bug
     rows.setflags(write=False)
     return RingState(rows)
 
 
-def _squared_blocks(gauge: GaugeField, mode_cutoff_l: int) -> np.ndarray:
-    """Per-mode blocks (m I - A_phi)^2 / 2, squared directly."""
-    modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
-    eye = np.eye(gauge.n_colors, dtype=np.complex128)
-    base = modes[:, None, None] * eye - gauge.a_phi
-    return (base @ base) / 2.0
+def _mode_blocks(gauge: GaugeField, mode_cutoff_l: int) -> np.ndarray:
+    """Per-mode blocks H'_m = m (m / 2 I - A_phi), formed directly."""
+    modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)[:, None, None]
+    return modes * (modes / 2.0 * np.eye(gauge.n_colors) - gauge.a_phi)
 
 
 def evolve_dense(gauge: GaugeField, color, mode_cutoff_l: int,
                  t: float) -> RingState:
     """Assemble the full (2l+1)n matrix and exponentiate it densely.
 
-    Same map as evolve_block, deliberately ignoring the block structure:
-    it builds the packet, squares the blocks directly from the A_phi
-    matrix and exponentiates the whole by Pade. Exists as the brute-force
-    cross-check and cost baseline.
+    Same map as evolve_block, in the same frame (up to G), deliberately
+    ignoring the block structure: it builds the packet, forms the blocks
+    H'_m directly from the A_phi matrix and exponentiates the whole by
+    Pade. Exists as the brute-force cross-check and cost baseline.
     """
     packet = initial_localized_state(
         mode_cutoff_l, require_state(color, gauge.n_colors, "color", "gauge field"))
-    blocks = _squared_blocks(gauge, mode_cutoff_l)
+    blocks = _mode_blocks(gauge, mode_cutoff_l)
     count, n, _ = blocks.shape
-    dim = count * n
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(count):
-        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = blocks[i]
-    propagator = expm_dense(full, t)
-    flat = propagator @ packet.coeffs.reshape(-1)
-    opcount.add(dim * dim)
+    # block i on the diagonal: full[i, :, i, :] for every i at once
+    full = np.zeros((count, n, count, n), dtype=np.complex128)
+    full[np.arange(count), :, np.arange(count)] = blocks
+    flat = expm_dense(full.reshape(count * n, -1), t) @ packet.coeffs.reshape(-1)
+    opcount.add(flat.size ** 2)
     return RingState(flat.reshape(count, n))
 
 
@@ -394,26 +387,31 @@ def extract_peaks(density: PositionDensity, mode_cutoff_l: int,
     so a coarser grid is refused.
     """
     l = mode_cutoff_l
-    _require_read_out_grid(l, density.grid_size_N)
-    count = 2 * l + 1
-    q = np.arange(count)
-    y = np.fft.rfft(density.density)[:count].conj()
-    y *= TWO_PI * count / (density.grid_size_N * (count - q))
+    y = _moments(density, l)
 
     hankel = np.lib.stride_tricks.sliding_window_view(y, min(l, 2 * n_colors) + 1)
     _, sv, vh = np.linalg.svd(np.linalg.qr(hankel, mode="r"))
-    cut = count ** 2 * np.finfo(float).eps * sv[0]
+    cut = len(y) ** 2 * np.finfo(float).eps * sv[0]
     order = min(n_colors, int(np.count_nonzero(sv > cut)))
     # the top rows of vh span the Hankel rows (z_k^j)_j, so one shift maps
     # that span onto itself with eigenvalues z_k
     basis = vh[:order].T
     shift = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0]
     phases = np.angle(np.linalg.eigvals(shift))
-    vandermonde = np.exp(1j * np.outer(q, phases))
+    vandermonde = np.exp(1j * np.outer(np.arange(len(y)), phases))
     weights = np.linalg.lstsq(vandermonde, y, rcond=None)[0].real
 
     return PeakSet(tuple(merge_components(phases, weights, l)),
                    TWO_PI / density.grid_size_N)
+
+
+def _moments(density: PositionDensity, mode_cutoff_l: int) -> np.ndarray:
+    """extract_peaks' y_q, q = 0..2l: the density's Fourier moments with the
+    Fejer kernel's triangle divided out, refused where N < 4l+1 aliases them."""
+    _require_read_out_grid(mode_cutoff_l, density.grid_size_N)
+    count = 2 * mode_cutoff_l + 1
+    y = np.fft.rfft(density.density)[:count].conj()
+    return y * (TWO_PI * count / (density.grid_size_N * (count - np.arange(count))))
 
 
 def merge_components(phases, weights, mode_cutoff_l: int) -> list:

@@ -28,15 +28,16 @@ def random_unitary(rng, n):
 def eigenbasis_evolve(a_phi, color, mode_cutoff_l, t):
     """Reference for evolve_block: the packet evolved in A_phi's eigenbasis.
 
-    With A_phi = V diag(lam) V^dagger every block (m I - A_phi)^2 / 2 has
-    the energies E_{m,k} = (m - lam_k)^2 / 2 on the columns of V, so each
-    mode of the packet is projected onto V, scaled by exp(-i E_{m,k} t) and
+    With A_phi = V diag(lam) V^dagger every block m (m / 2 - A_phi), the
+    ring's (m I - A_phi)^2 / 2 less its color-only A_phi^2 / 2, has the
+    energies E_{m,k} = m (m / 2 - lam_k) on the columns of V, so each mode
+    of the packet is projected onto V, scaled by exp(-i E_{m,k} t) and
     mapped back. Returns the (2l+1, n) coefficients.
     """
     lam, v = np.linalg.eigh(np.asarray(a_phi, dtype=complex))
     packet = rq.initial_localized_state(mode_cutoff_l, color).coeffs
-    modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)
-    phases = np.exp(-1j * ((modes[:, None] - lam) ** 2 / 2.0 * t))
+    modes = np.arange(-mode_cutoff_l, mode_cutoff_l + 1)[:, None]
+    phases = np.exp(-1j * (modes * (modes / 2.0 - lam) * t))
     return (phases * (packet @ v.conj())) @ v.T
 
 

@@ -209,6 +209,23 @@ class TestProblemIo:
         assert main(["ring-sim", "--problem", str(bad),
                      "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["ring-sim", "qpe", "compare"])
+    def test_a_value_of_the_wrong_json_type_exits_2(self, tmp_path, capsys,
+                                                     command):
+        # "E_R": "2" was parsed by float() and the problem ran
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps({
+            "hamiltonian": rq.matrix_to_json(np.diag([1.0, -1.0])),
+            "E_R": "2",
+            "state": {"re": [1.0, 0.0], "im": [0.0, 0.0]},
+        }))
+        out = tmp_path / "out"
+        assert main([command, "--problem", str(bad), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("invalid problem description: E_R must be a positive number, "
+                "got '2'") in err
+        assert len(err.splitlines()) == 1 and not out.exists()
+
 
 class TestRingSim:
     def test_ground_state_read_out(self, tmp_path, sigma_x_file, capsys):
@@ -379,9 +396,15 @@ class TestRingSim:
         peaks = json.loads((out / "peaks.json").read_text())
         assert peaks == ring_module.peak_set_to_json(library)
 
-    def test_no_snapshot_times_still_reads_the_peaks(self, tmp_path, sigma_x_file):
+    def test_no_snapshot_times_still_reads_the_peaks(self, tmp_path, sigma_x_file,
+                                                      monkeypatch):
         # the up-front phase check covers the snapshot times alone, and with
-        # none there is no largest time to check
+        # none there is no largest time to check, and no field to form: the
+        # read-out reads U
+        def forbidden(*args, **kwargs):
+            raise AssertionError("formed a gauge field no snapshot reads")
+
+        monkeypatch.setattr(cli, "encode_as_gauge", forbidden)
         out = tmp_path / "out"
         assert main(["ring-sim", "--problem", str(sigma_x_file), "--out-dir",
                      str(out), "--times", ""]) == 0

@@ -280,6 +280,33 @@ class TestProblemJson:
             with pytest.raises(rq.ProblemFormatError):
                 rq.problem_from_json(obj)
 
+    @pytest.mark.parametrize("mangle", [
+        lambda o: o["hamiltonian"].update(rows=2.9),
+        lambda o: o["hamiltonian"].update(cols="2"),
+        lambda o: o["hamiltonian"].update(rows=2.0),
+        lambda o: o.update(E_R=True),
+        lambda o: o.update(E_R="2"),
+        # float() raised a bare OverflowError
+        lambda o: o.update(E_R=10 ** 400),
+        lambda o: o["hamiltonian"]["re"].__setitem__(0, "0"),
+        lambda o: o["hamiltonian"]["im"].__setitem__(0, False),
+        lambda o: o["state"]["re"].__setitem__(1, "-0.7"),
+        lambda o: o["state"]["im"].__setitem__(1, True),
+    ], ids=["rows-fraction", "cols-string", "rows-float", "E_R-bool",
+            "E_R-string", "E_R-past-float", "re-string", "im-bool",
+            "state-re-string", "state-im-bool"])
+    def test_values_of_the_wrong_json_type_are_refused(self, sigma_x_problem,
+                                                       mangle):
+        # each loaded before: a size went through int(), which truncates
+        # 2.9 and parses "2", and E_R and the entries through float(),
+        # which takes True as 1 and parses "2"
+        obj = json.loads(json.dumps(rq.problem_to_json(sigma_x_problem)))
+        assert isinstance(rq.problem_from_json(obj), rq.EnergyProblem)
+        mangle(obj)
+        with pytest.raises(rq.ProblemFormatError,
+                           match="^invalid problem description: "):
+            rq.problem_from_json(obj)
+
     def test_semantic_errors_surface_as_format_errors(self, sigma_x_problem):
         good = rq.problem_to_json(sigma_x_problem)
         skewed = dict(good, hamiltonian=rq.matrix_to_json(np.array([[0, 1], [0, 0]])))

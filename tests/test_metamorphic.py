@@ -28,11 +28,24 @@ and 2.2e-15 (direct), all under conjugation or the global phase. Under
 U -> U^dagger and the unweighted eigenvalue (300 seeds) they were at most
 2.8e-14, 5.8e-14 and 2.0e-15; under the energy shift (200 seeds, E_R on
 0.1-10) 3.8e-14, 2.8e-13 and 3.6e-15.
+
+Two relations hold U fixed, so the register and the direct route, which
+read U's spectrum, cannot move; they check the ring alone, at l = 200:
+- holonomy (Aharonov-Bohm): a field whose eigenvalues move by multiples of
+  1/2 has the same W = exp(i t_R A_phi), so evolve_block's t_R density
+  stays. W carries about t_R ||A_phi||_1 eps of phase, which its l-th
+  power grows l-fold: 4 l t_R ||A_phi||_1 eps of the peak, 1.6e-12 at most
+  over the 40 seeds (1.0 times that product);
+- moments: the read-out's moments are y_q = <c|U^q|c>. They round by 1.3
+  to 1.6 times 2l eps (ring.extract_peaks), and the spectral sum they are
+  checked against by about as much, since U is formed from its spectrum:
+  4 times 2l eps, against 1.2e-13 at most over the 40 seeds.
 """
 
 import numpy as np
 
 import ringqpe as rq
+import ringqpe.ring as ring_module
 from ringqpe.ring import merge_components
 
 from conftest import random_unitary
@@ -46,6 +59,9 @@ SEEDS = range(40)
 RING_TOL = 2e-12
 REGISTER_TOL = 8 * (1 << T_BITS) * EPS
 DIRECT_TOL = 50 * EPS
+# the ring-only relations' cutoff and grid, N >= 4l+1
+WIDE_L, WIDE_GRID = 200, 1024
+MOMENT_TOL = 4 * 2 * WIDE_L * EPS
 
 
 def seeded_spectrum(seed, span=np.pi):
@@ -176,3 +192,45 @@ def test_energy_shift_turns_every_route():
         shifted = h + TWO_PI * j / (1 << T_BITS) * e_r * np.eye(len(state))
         assert_routes_moved(routes_of(rq.EnergyProblem(h, e_r, state)),
                             routes_of(rq.EnergyProblem(shifted, e_r, state)), j)
+
+
+def test_half_integer_field_shifts_keep_the_revival_density():
+    # A_phi -> A_phi + V diag(k / 2) V^dagger, k nonzero integers, turns
+    # W = exp(i t_R A_phi) by e^{2 pi i k} = 1 on each eigencolor: the ring
+    # sees only the holonomy U. At 0.37 t_R the same shift moves the density
+    # by 0.066 of its peak or more, so the relation is no tautology
+    for seed in SEEDS:
+        theta, v, state, rng = seeded_spectrum(seed)
+        lam = -theta / (TWO_PI * rq.VELOCITY_FACTOR)  # encode_as_gauge's
+        k = rng.choice([-3, -2, -1, 1, 2, 3], len(theta))
+        fields = [rq.GaugeField((v * x) @ v.conj().T) for x in (lam, lam + k / 2)]
+        reach = rq.RETURN_TIME * max(np.linalg.norm(f.a_phi, 1) for f in fields)
+
+        def densities(t):
+            return [rq.position_density(rq.evolve_block(f, state, WIDE_L, t),
+                                        WIDE_GRID).density for f in fields]
+
+        before, after = densities(rq.RETURN_TIME)
+        assert np.max(np.abs(after - before)) < 4 * WIDE_L * reach * EPS * np.max(before)
+        before, after = densities(0.37 * rq.RETURN_TIME)
+        assert np.max(np.abs(after - before)) > 1e-2 * np.max(before)
+
+
+def test_read_out_moments_are_those_of_u(monkeypatch):
+    # the moments extract_peaks inverts are <c|U^q|c> = sum_a w_a e^{i q theta_a},
+    # q = 0..2l, the Hadamard-test time series of U and c
+    densities, extract = [], ring_module.extract_peaks
+
+    def recording(density, *args):
+        densities.append(density)
+        return extract(density, *args)
+
+    monkeypatch.setattr(ring_module, "extract_peaks", recording)
+    q = np.arange(2 * WIDE_L + 1)
+    for seed in SEEDS:
+        theta, v, state, _ = seeded_spectrum(seed)
+        u = (v * np.exp(1j * theta)) @ v.conj().T
+        rq.estimate_phase_via_ring(u, state, WIDE_L, WIDE_GRID)
+        got = ring_module._moments(densities.pop(), WIDE_L)
+        want = np.exp(1j * np.outer(q, theta)) @ np.abs(v.conj().T @ state) ** 2
+        assert np.max(np.abs(got - want)) < MOMENT_TOL

@@ -11,7 +11,7 @@ import ringqpe as rq
 import ringqpe.linalg as linalg_module
 import ringqpe.ring as ring_module
 from ringqpe.ring import (
-    _squared_blocks,
+    _mode_blocks,
     peak_set_to_json,
     write_density_csv,
 )
@@ -37,11 +37,12 @@ class TestReturnTime:
 
 
 class TestBuildHamiltonian:
-    """Mode blocks (m I - A_phi)^2 / 2, as the dense oracle squares them."""
+    """Mode blocks H'_m = m (m / 2 - A_phi), as the dense oracle forms
+    them: (m I - A_phi)^2 / 2 less its color-only A_phi^2 / 2."""
 
     def test_free_spectrum_without_gauge(self):
         gauge = rq.GaugeField(np.zeros((1, 1), dtype=complex))
-        blocks = _squared_blocks(gauge, 3)
+        blocks = _mode_blocks(gauge, 3)
         for row, m in enumerate(range(-3, 4)):
             expected = m * m / 2.0
             assert abs(blocks[row, 0, 0] - expected) < 1e-12
@@ -49,16 +50,19 @@ class TestBuildHamiltonian:
     def test_symbolic_expansion_single_mode(self):
         a = 0.3 * SIGMA_X
         gauge = rq.GaugeField(a)
-        blocks = _squared_blocks(gauge, 1)
+        blocks = _mode_blocks(gauge, 1)
         m = 1
-        expected = (np.eye(2) * (m * m) - 2.0 * m * a + a @ a) / 2.0
+        expected = (np.eye(2) * (m * m) - 2.0 * m * a) / 2.0
         row = m + 1  # rows ordered -l..l
         assert np.max(np.abs(blocks[row] - expected)) < 1e-12
+        # the full block differs by the color-only A^2 / 2 alone
+        full = (m * np.eye(2) - a) @ (m * np.eye(2) - a) / 2.0
+        assert np.max(np.abs(full - blocks[row] - a @ a / 2.0)) < 1e-12
 
     def test_blocks_hermitian_and_counted(self):
         rng = np.random.default_rng(7)
         gauge = rq.GaugeField(random_hermitian(rng, 3))
-        blocks = _squared_blocks(gauge, 5)
+        blocks = _mode_blocks(gauge, 5)
         assert blocks.shape == (11, 3, 3)
         stack_dagger = np.conj(np.transpose(blocks, (0, 2, 1)))
         assert np.max(np.abs(blocks - stack_dagger)) < 1e-12
@@ -66,7 +70,7 @@ class TestBuildHamiltonian:
     def test_cross_term_breaks_mode_reflection(self):
         # H_{-m} differs from H_{+m} exactly by the sign of the linear term
         a = 0.2 * SIGMA_Z
-        blocks = _squared_blocks(rq.GaugeField(a), 2)
+        blocks = _mode_blocks(rq.GaugeField(a), 2)
         for m in (1, 2):
             assert np.max(np.abs(blocks[2 + m] - blocks[2 - m] + 2.0 * m * a)) < 1e-12
 
@@ -131,6 +135,14 @@ class TestRingState:
         # the sizes are read off the array, not fields that could disagree
         with pytest.raises(AttributeError):
             state.mode_cutoff_l = 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_fail_the_norm_check(self, bad):
+        # one check: a NaN or infinite entry makes the norm NaN or inf
+        coeffs = np.ones((3, 1), dtype=complex) / math.sqrt(3.0)
+        coeffs[1, 0] = bad
+        with pytest.raises(rq.PreconditionError, match="state norm (nan|inf)"):
+            rq.RingState(coeffs)
 
     @pytest.mark.parametrize("shape", [(7,), (1, 1), (4, 2), (7, 0), (3, 1, 1)],
                              ids=["1-d", "l0", "even-rows", "no-colors", "3-d"])
@@ -209,6 +221,53 @@ class TestEvolveBlock:
             want = eigenbasis_evolve(gauge.a_phi, spec.state, l, t)
             assert np.max(np.abs(got - want)) < atol, f"t = {t}"
 
+    @pytest.mark.parametrize("n,l", [(3, 40), (8, 200), (32, 1000)])
+    def test_density_is_that_of_the_full_blocks(self, n, l):
+        # evolve_block leaves out the color-only A^2 / 2 of (m - A)^2 / 2,
+        # which moves no density: against the full blocks in A's eigenbasis
+        # the two differ only by the rounding of a top-mode phase of about
+        # 2 pi f l^2 at t = f t_R, f <= 2.71, once in each. Relative to the
+        # peak the worst was 0.96 (n = 3), 0.80 and 0.61 times 2 pi l^2 eps
+        # over five seeds; the bound is twice that
+        bound = 4.0 * np.pi * l * l * np.finfo(float).eps
+        n_grid = 1 << (4 * l).bit_length()
+        modes = np.arange(-l, l + 1)[:, None]
+        for seed in range(3):
+            rng = np.random.default_rng([3400, n, seed])
+            spec = rq.UnitarySpec(random_unitary(rng, n), random_state(rng, n))
+            gauge = rq.encode_as_gauge(spec)
+            lam, v = np.linalg.eigh(gauge.a_phi)
+            for f in (0.0, 0.37, 0.5, 1.0, 2.71):
+                t = f * rq.RETURN_TIME
+                full = (np.exp(-1j * (modes - lam) ** 2 / 2.0 * t)
+                        * (v.conj().T @ spec.state)) @ v.T / math.sqrt(2 * l + 1)
+                want = rq.position_density(rq.RingState(full), n_grid).density
+                got = rq.position_density(
+                    rq.evolve_block(gauge, spec.state, l, t), n_grid).density
+                assert np.max(np.abs(got - want)) < bound * np.max(want), \
+                    f"seed {seed}, t = {f} t_R"
+
+    def test_one_exponential_of_the_field_itself(self, monkeypatch):
+        # W = exp(i t A) is the only exponential: no A^2 is formed, so the
+        # count is W's and the 2l row products, and nothing else
+        rng = np.random.default_rng(46)
+        n, l, t = 3, 7, 1.3
+        gauge = rq.GaugeField(random_hermitian(rng, n))
+        calls, exponential = [], ring_module.unitary_exp
+
+        def recording(a, time):
+            calls.append((a, time))
+            return exponential(a, time)
+
+        monkeypatch.setattr(ring_module, "unitary_exp", recording)
+        with rq.count_macs() as total:
+            rq.evolve_block(gauge, random_state(rng, n), l, t)
+        assert len(calls) == 1
+        assert calls[0][0] is gauge.a_phi and calls[0][1] == t
+        with rq.count_macs() as alone:
+            exponential(gauge.a_phi, t)
+        assert total.total == alone.total + 2 * l * n * n
+
     def test_abelian_shift_matches_dense_oracle(self):
         # scalar gauge tuned so the packet relocalizes at phi_u = 1.0
         phi_u = 1.0
@@ -242,19 +301,18 @@ class TestEvolveBlock:
 
     def test_gauge_squared_term_does_not_move_the_peak(self):
         # for an eigencolor the A_phi^2 block term only contributes a global
-        # phase; dropping it must leave the relocalization angle unchanged
+        # phase: the full blocks (m - lam)^2 / 2 give evolve_block's state,
+        # which leaves that term out, times G = e^{-i lam^2 t / 2}
         lam = 0.07
         gauge = rq.GaugeField(lam * SIGMA_Z)
         l, n_grid = 30, 512
         color = np.array([1.0, 0.0])
         packet = rq.initial_localized_state(l, color)
         t_r = rq.RETURN_TIME
-        full = rq.evolve_block(gauge, color, l, t_r)
-        # blocks without the A^2 term, (m^2 - 2 m lam) / 2, on this eigencolor
+        stripped = rq.evolve_block(gauge, color, l, t_r)
         modes = np.arange(-l, l + 1)
-        stripped_energies = (modes ** 2 - 2.0 * modes * lam) / 2.0
-        stripped = rq.RingState(
-            np.exp(-1j * stripped_energies * t_r)[:, None] * packet.coeffs
+        full = rq.RingState(
+            np.exp(-1j * (modes - lam) ** 2 / 2.0 * t_r)[:, None] * packet.coeffs
         )
         global_phase = np.exp(-1j * lam ** 2 / 2.0 * t_r)
         assert np.max(np.abs(full.coeffs - global_phase * stripped.coeffs)) < 1e-9
